@@ -141,8 +141,11 @@ def validate_certificate(cert: PovmCertificate, instance: DiscriminationInstance
     correctness = 0.0
     for k, el in enumerate(cert.elements):
         for j, rho in enumerate(rhos):
+            # E_k must act as the identity on the support of P_j for k == j
+            # and vanish on it otherwise: tr(E_k P_j) = delta_kj tr(P_j)
             tr = float(np.real(np.trace(el @ rho)))
-            correctness = max(correctness, abs(tr - (1.0 if k == j else 0.0)))
+            target = float(np.real(np.trace(rho))) if k == j else 0.0
+            correctness = max(correctness, abs(tr - target))
     evidence_resid = 0.0
     evidence_ok = True
     for el, ev in zip(cert.elements, cert.evidence):
@@ -649,9 +652,11 @@ def _try_completability(instance: DiscriminationInstance, p0: np.ndarray, tol: T
     projectors = instance.projector_list()
     n = len(projectors)
     per_element: list[ProductDecomposition | None] = []
-    for j, p in enumerate(projectors):
-        dec = try_product_decomposition(p, instance.space, tol)
-        per_element.append(dec)
+    for p in projectors:
+        per_element.append(try_product_decomposition(p, instance.space, tol))
+        # every allocation leaves all members but one as they are
+        if per_element.count(None) >= 2:
+            return None
     for k in range(n):
         if any(per_element[j] is None for j in range(n) if j != k):
             continue

@@ -394,69 +394,82 @@ class FeasibilityOutcome:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pt_stack(m: np.ndarray, dims: tuple[int, ...], cut: tuple[int, ...]) -> np.ndarray:
-    return partial_transpose(m, dims, cut)
+# rank-1 path: the bracket and final width of the peak search, and the
+# window every sublevel interval is clipped to
+_PEAK_BRACKET = (-0.05, 1.05)
+_PEAK_WIDTH = 1e-13
+_WINDOW = 1.5
+# a block whose least violation lies within this of the level touches it at
+# its peak only
+_GRAZING = 1e-12
+# upper end and final width of the bisection for the infeasibility margin
+_MARGIN_CAP = 4.0
+_MARGIN_WIDTH = 1e-11
+_GOLDEN = (5.0**0.5 - 1.0) / 2.0
 
 
 class _PencilBlock:
-    """Constraint profile of one block in the rank-1 parametrization.
+    """One block in the rank-1 parametrization E_k = lam * P0.
 
-    With E_k = lam * P0 the block constraints read lam >= 0 and
-    PT_c(P_k) + lam * PT_c(P0) >= 0 per cut; the violation
-    v(lam) = max(-lam, max_c -lambda_min(A_c + lam B_c)) is convex in lam,
-    so its sublevel sets are intervals.
+    The block constraints read lam >= 0 and A_c + lam B_c >= 0 per cut c,
+    with A_c = PT_c(P_k) and B_c = PT_c(P0) held as (C, d, d) stacks.  The
+    violation v(lam) = max(-lam, max_c -lambda_min(A_c + lam B_c)) is convex
+    in lam, so its sublevel sets are intervals.
     """
 
     def __init__(self, pk: np.ndarray, p0: np.ndarray, dims, cuts):
-        self.mats = [
-            (partial_transpose(pk, dims, cut), partial_transpose(p0, dims, cut)) for cut in cuts
-        ]
+        self.a = np.stack([partial_transpose(pk, dims, cut) for cut in cuts])
+        self.b = np.stack([partial_transpose(p0, dims, cut) for cut in cuts])
 
-    def violations(self, lams: np.ndarray) -> np.ndarray:
-        lams = np.asarray(lams, dtype=float)
-        worst = np.full(lams.shape, -np.inf)
-        for a, b in self.mats:
-            stack = a[None, :, :] + lams[:, None, None] * b[None, :, :]
-            worst = np.maximum(worst, -np.linalg.eigvalsh(stack)[:, 0])
-        return np.maximum(worst, -lams)
 
-    def violation(self, lam: float) -> float:
-        return float(self.violations(np.array([lam]))[0])
+def _violations(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """v_k(lams[k]) for every block of the (n, C, d, d) stacks at once."""
+    low = np.linalg.eigvalsh(a + lams[:, None, None, None] * b)[..., 0]
+    return np.maximum(-lams, -low.min(axis=1))
 
-    def minimize(self, lo: float = -0.05, hi: float = 1.05):
-        """(lam_peak, min violation) via grid bracketing + ternary refinement."""
-        xs = np.linspace(lo, hi, 45)
-        vs = self.violations(xs)
-        i = int(np.argmin(vs))
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        for _ in range(70):
-            m1, m2 = a + (b - a) / 3.0, b - (b - a) / 3.0
-            if self.violation(m1) > self.violation(m2):
-                a = m1
-            else:
-                b = m2
-        peak = (a + b) / 2.0
-        return peak, self.violation(peak)
 
-    def interval_at(self, level: float, peak: float, vmin: float, window: float = 1.5):
-        """Sublevel interval {lam : v(lam) <= level}, or None if empty."""
-        if vmin > level:
-            return None
+def _peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam_peak, v_min) of every block: one golden-section search over the
+    whole stack, one eigenvalue call per step."""
+    lo = np.full(a.shape[0], _PEAK_BRACKET[0])
+    hi = np.full(a.shape[0], _PEAK_BRACKET[1])
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = _violations(a, b, x1), _violations(a, b, x2)
+    while hi[0] - lo[0] > _PEAK_WIDTH:
+        right = f1 > f2  # the minimum lies in [x1, hi]
+        lo = np.where(right, x1, lo)
+        hi = np.where(right, hi, x2)
+        new = np.where(right, lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
+        fn = _violations(a, b, new)
+        x1, x2 = np.where(right, x2, new), np.where(right, new, x1)
+        f1, f2 = np.where(right, f2, fn), np.where(right, fn, f1)
+    peaks = (lo + hi) / 2.0
+    return peaks, _violations(a, b, peaks)
 
-        def _edge(outside: float, inside: float) -> float:
-            for _ in range(60):
-                mid = (outside + inside) / 2.0
-                if self.violation(mid) <= level:
-                    inside = mid
-                else:
-                    outside = mid
-            return inside
 
-        lo = -window
-        hi = 1.0 + window
-        left = lo if self.violation(lo) <= level else _edge(lo, peak)
-        right = hi if self.violation(hi) <= level else _edge(hi, peak)
-        return float(left), float(right)
+def _intervals(a, b, peaks, vmins, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sublevel intervals {lam : v_k(lam) <= level} of every block, clipped
+    to the window.
+
+    The peak is an interior point: M = A_c + level I + lam_p B_c = L L^H is
+    positive definite, and M + mu B_c >= 0 iff 1 + mu nu >= 0 for every
+    eigenvalue nu of L^-1 B_c L^-H.  The endpoints lam_p - 1/nu_max and
+    lam_p - 1/nu_min are the generalized eigenvalues of (A_c + level I, -B_c)
+    that enclose the peak.  A block whose minimum lies within _GRAZING of
+    the level (or above it) grazes it at its peak alone.
+    """
+    eye = np.eye(a.shape[-1])
+    inside = level - vmins > _GRAZING
+    m = a + level * eye + peaks[:, None, None, None] * b
+    m[~inside] = eye
+    linv = np.linalg.inv(np.linalg.cholesky(m))
+    nu = np.linalg.eigvalsh(linv @ b @ dag(linv))
+    tiny = np.finfo(float).tiny
+    lo = peaks - 1.0 / np.maximum(nu[..., -1].max(axis=1), tiny)
+    hi = peaks - 1.0 / np.minimum(nu[..., 0].min(axis=1), -tiny)
+    lo = np.maximum(lo, max(-level, -_WINDOW))
+    hi = np.minimum(hi, 1.0 + _WINDOW)
+    return np.where(inside, lo, peaks), np.where(inside, hi, peaks)
 
 
 def _solve_rank1(problem: FeasibilityProblem) -> FeasibilityOutcome:
@@ -469,27 +482,19 @@ def _solve_rank1(problem: FeasibilityProblem) -> FeasibilityOutcome:
     which the intervals would meet the simplex.
     """
     tol = problem.tol
-    dims = problem.space.dims
     n = len(problem.projectors)
     p0 = np.asarray(problem.p0, dtype=complex)
 
-    blocks = [_PencilBlock(pk, p0, dims, problem.cuts) for pk in problem.projectors]
-    peaks = np.empty(n)
-    vmins = np.empty(n)
-    for k, blk in enumerate(blocks):
-        peaks[k], vmins[k] = blk.minimize()
+    blocks = [_PencilBlock(pk, p0, problem.space.dims, problem.cuts) for pk in problem.projectors]
+    a = np.stack([blk.a for blk in blocks])
+    b = np.stack([blk.b for blk in blocks])
+    peaks, vmins = _peaks(a, b)
 
     diagnostics: dict = {"path": "rank1-exact"}
 
     if np.all(vmins <= tol.feasibility):
-        ivs = []
-        for k, blk in enumerate(blocks):
-            iv = blk.interval_at(0.0, peaks[k], vmins[k])
-            # a block grazing the boundary contributes its peak as a
-            # singleton interval
-            ivs.append(iv if iv is not None else (float(peaks[k]), float(peaks[k])))
-        lows = np.array([iv[0] for iv in ivs])
-        highs = np.array([iv[1] for iv in ivs])
+        # a block grazing the boundary contributes its peak as a singleton
+        lows, highs = _intervals(a, b, peaks, vmins, 0.0)
         # water-fill from the interval floors toward the target sum, then
         # clamp; tiny overshoots sit at quadratic minima and stay harmless
         lam = lows.copy()
@@ -500,8 +505,8 @@ def _solve_rank1(problem: FeasibilityProblem) -> FeasibilityOutcome:
                 lam = lam + room * min(1.0, need / room.sum())
         excess = lam.sum() - 1.0
         lam = lam - excess / n
-        e = np.stack([lk * p0 for lk in lam])
-        res = max(0.0, float(max(blk.violation(float(lam[k])) for k, blk in enumerate(blocks))))
+        e = lam[:, None, None] * p0
+        res = max(0.0, float(_violations(a, b, lam).max()))
         if res <= tol.feasibility:
             diagnostics["lambdas"] = [float(x) for x in lam]
             return FeasibilityOutcome(
@@ -514,48 +519,28 @@ def _solve_rank1(problem: FeasibilityProblem) -> FeasibilityOutcome:
                 diagnostics=diagnostics,
             )
 
-    # infeasible: the smallest uniform violation level t at which every
-    # sublevel interval is nonempty and the interval sums bracket 1; the
-    # monotone pieces are answered from vectorized violation profiles
-    grid = np.linspace(-0.6, 1.6, 1201)
-    rights = []
-    lefts = []
-    for blk in blocks:
-        prof = blk.violations(grid)
-        i0 = int(np.argmin(prof))
-        rights.append((np.maximum.accumulate(prof[i0:]), grid[i0:]))
-        lv = np.maximum.accumulate(prof[: i0 + 1][::-1])
-        lefts.append((lv, grid[: i0 + 1][::-1]))
+    # infeasible: the smallest uniform violation level t at which the
+    # sublevel intervals' floors and ceilings bracket 1; intervals only grow
+    # with t, so bisection on t finds it
+    def brackets(t: float) -> bool:
+        lows, highs = _intervals(a, b, peaks, vmins, t)
+        return lows.sum() <= 1.0 <= highs.sum()
 
-    def upper_sum(t: float) -> float:
-        return float(sum(np.interp(t, v, l) for v, l in rights))
-
-    def lower_sum(t: float) -> float:
-        return float(sum(np.interp(t, v, l) for v, l in lefts))
-
-    t_ne = float(vmins.max())
-
-    def _solve_monotone(f, target: float, increasing: bool) -> float:
-        lo, hi = t_ne, 4.0
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            val = f(mid)
-            ok = val >= target if increasing else val <= target
-            if ok:
-                hi = mid
+    lo_t = hi_t = float(vmins.max())
+    if not brackets(lo_t):
+        hi_t = _MARGIN_CAP
+        while hi_t - lo_t > _MARGIN_WIDTH:
+            mid = (lo_t + hi_t) / 2.0
+            if brackets(mid):
+                hi_t = mid
             else:
-                lo = mid
-        return hi
-
-    t_u = _solve_monotone(upper_sum, 1.0, True) if upper_sum(t_ne) < 1.0 else t_ne
-    t_l = _solve_monotone(lower_sum, 1.0, False) if lower_sum(t_ne) > 1.0 else t_ne
-    margin = max(t_ne, t_u, t_l)
-    diagnostics["infeasibility_margin"] = margin
+                lo_t = mid
+    diagnostics["infeasibility_margin"] = hi_t
     return FeasibilityOutcome(
         feasible=False,
         e_ops=None,
-        residual=margin,
-        best_residual=margin,
+        residual=hi_t,
+        best_residual=hi_t,
         iterations=0,
         stalled=True,
         diagnostics=diagnostics,
@@ -599,7 +584,7 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
         parts["psd"] = float(max(0.0, -min_eigenvalues(e_cur).min()))
         worst_ppt = 0.0
         for cut in cuts:
-            pt = _pt_stack(p + e_cur, dims, cut)
+            pt = partial_transpose(p + e_cur, dims, cut)
             worst_ppt = max(worst_ppt, float(max(0.0, -min_eigenvalues(pt).min())))
         parts["ppt"] = worst_ppt
         return max(parts.values()), parts
@@ -619,9 +604,9 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
         # PPT cones
         for cut in cuts:
             y = e + r_ppt[cut]
-            z = _pt_stack(p + y, dims, cut)
+            z = partial_transpose(p + y, dims, cut)
             zp = psd_project(z)
-            yp = _pt_stack(zp, dims, cut) - p
+            yp = partial_transpose(zp, dims, cut) - p
             r_ppt[cut] = y - yp
             e = yp
         # implied support constraint (linear subspace, no correction term)

@@ -216,6 +216,16 @@ class TestDispatcher:
         # the bell block is separable (|00><00| + |11><11| span), the rest too
         assert v.status is VerdictStatus.DISTINGUISHABLE
 
+    def test_projector_certificate_validates_for_higher_rank(self):
+        # tr(E_k P_j) is delta_kj tr(P_j), which is 3 for the complement
+        p00 = ket(QUBIT_PAIR, "00").density()
+        inst = DiscriminationInstance.from_projectors(QUBIT_PAIR, [p00, np.eye(4) - p00])
+        v = decide(inst)
+        assert v.status is VerdictStatus.DISTINGUISHABLE
+        check = validate_certificate(v.certificate, inst)
+        assert check["correctness"] < 1e-12
+        assert check["valid"]
+
     def test_projector_instance_entangled_block(self):
         p1 = phi_plus().density()
         p2 = np.eye(4) - p1

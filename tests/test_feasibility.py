@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
+from sepdisc.constructions import FamilyParams, family_sep_not_locc, gamma_range
+from sepdisc.discrimination import DiscriminationInstance, VerdictStatus, decide, validate_certificate
 from sepdisc.errors import PreconditionViolated
-from sepdisc.separability import FeasibilityProblem, feasibility_solve
+from sepdisc.sampling import random_basis_of_complement, random_pure_state
+from sepdisc.separability import (
+    FeasibilityProblem,
+    _intervals,
+    _peaks,
+    _PencilBlock,
+    _violations,
+    feasibility_solve,
+)
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket, phi_plus
 from tests.conftest import bell
 
@@ -89,3 +99,74 @@ def test_rank2_residual_projector_uses_dykstra():
     out = feasibility_solve(problem)
     assert not out.feasible
     assert out.residual > 1e-4
+
+
+# -- rank-1 path: exact pencil endpoints and the infeasibility margin ---------
+
+def _haar_rank1(dims, seed):
+    rng = np.random.default_rng(seed)
+    space = StateSpace(dims)
+    phi = random_pure_state(rng, space)
+    return _problem(random_basis_of_complement(rng, phi), phi)
+
+
+def _stacks(problem):
+    blocks = [_PencilBlock(pk, problem.p0, problem.space.dims, problem.cuts) for pk in problem.projectors]
+    a = np.stack([blk.a for blk in blocks])
+    b = np.stack([blk.b for blk in blocks])
+    return (a, b, *_peaks(a, b))
+
+
+def _assert_exact_endpoints(a, b, peaks, vmins, level):
+    lows, highs = _intervals(a, b, peaks, vmins, level)
+    step = 1e-6
+    for k in range(len(peaks)):
+        if lows[k] == highs[k]:  # grazing block: its peak alone
+            assert lows[k] == peaks[k]
+            continue
+        for end, outward in ((lows[k], -step), (highs[k], step)):
+            inside = _violations(a[k : k + 1], b[k : k + 1], np.array([end]))[0]
+            assert inside <= level + 1e-10
+            if end in (-1.5, 2.5):  # clipped by the window
+                continue
+            outside = _violations(a[k : k + 1], b[k : k + 1], np.array([end + outward]))[0]
+            assert outside > level
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rank1_haar_margin_and_endpoints(dims, seed):
+    problem = _haar_rank1(dims, seed)
+    out = feasibility_solve(problem)
+    assert out.diagnostics["path"] == "rank1-exact"
+    assert not out.feasible
+    a, b, peaks, vmins = _stacks(problem)
+    margin = out.diagnostics["infeasibility_margin"]
+    assert margin >= vmins.max()
+    _assert_exact_endpoints(a, b, peaks, vmins, margin)
+
+    lows, highs = _intervals(a, b, peaks, vmins, margin)
+    assert lows.sum() <= 1.0 <= highs.sum()
+    # just below the margin some interval is empty or the sums miss 1
+    if 0.999 * margin >= vmins.max():
+        lows, highs = _intervals(a, b, peaks, vmins, 0.999 * margin)
+        assert not lows.sum() <= 1.0 <= highs.sum()
+
+
+@pytest.mark.parametrize("alpha, beta, frac", [(0.2, 0.5, 0.0), (0.3, 0.4, 0.3), (0.1, 0.7, 0.7), (0.3, 0.4, 1.0)])
+def test_rank1_family_feasible_with_valid_certificate(alpha, beta, frac):
+    lo, hi = gamma_range(alpha, beta)
+    phi, basis = family_sep_not_locc(FamilyParams(alpha, beta, lo + frac * (hi - lo)))
+    problem = _problem(basis, phi)
+    out = feasibility_solve(problem)
+    assert out.feasible
+    lam = np.array(out.diagnostics["lambdas"])
+    assert abs(lam.sum() - 1.0) < 1e-12
+    a, b, peaks, vmins = _stacks(problem)
+    _assert_exact_endpoints(a, b, peaks, vmins, 0.0)
+
+    inst = DiscriminationInstance.from_projectors(QUBIT_PAIR, [s.density() for s in basis])
+    verdict = decide(inst)
+    assert verdict.status is VerdictStatus.DISTINGUISHABLE
+    assert verdict.diagnostics["path"] == "rank1-exact"
+    assert validate_certificate(verdict.certificate, inst)["valid"]
