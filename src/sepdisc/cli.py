@@ -23,10 +23,10 @@ from .constructions import (
     basis_from_unitary,
     concurrence_triple_of_unitary,
     family_sep_not_locc,
-    in_tetrahedron,
     indistinguishable_subspace,
     locc_basis_sch2,
     subspace_spec_from_pair,
+    tetra_grid,
     tetra_unitary,
     verify_subspace_properties,
 )
@@ -192,29 +192,23 @@ def cmd_sweep(args, tol) -> int:
         return EXIT_INPUT_ERROR
     from .discrimination import decide_max_ent_basis
 
-    ticks = np.arange(0.0, 1.0 + args.step / 2, args.step)
     rows = []
-    for x1 in ticks:
-        for x2 in ticks:
-            for x3 in ticks:
-                x = np.array([x1, x2, x3])
-                if not in_tetrahedron(x, slack=1e-9):
-                    continue
-                u = tetra_unitary(TetraPoint(float(x1), float(x2), float(x3)), tol)
-                achieved = concurrence_triple_of_unitary(u)
-                verdict = decide_max_ent_basis(basis_from_unitary(u, tol=tol), tol)
-                rows.append(
-                    [
-                        f"{x1:.6f}",
-                        f"{x2:.6f}",
-                        f"{x3:.6f}",
-                        f"{achieved[0]:.12f}",
-                        f"{achieved[1]:.12f}",
-                        f"{achieved[2]:.12f}",
-                        f"{float(np.max(np.abs(achieved - x))):.3e}",
-                        verdict.status.value,
-                    ]
-                )
+    for x1, x2, x3 in tetra_grid(args.step):
+        u = tetra_unitary(TetraPoint(x1, x2, x3), tol)
+        achieved = concurrence_triple_of_unitary(u)
+        verdict = decide_max_ent_basis(basis_from_unitary(u, tol=tol), tol)
+        rows.append(
+            [
+                f"{x1:.6f}",
+                f"{x2:.6f}",
+                f"{x3:.6f}",
+                f"{achieved[0]:.12f}",
+                f"{achieved[1]:.12f}",
+                f"{achieved[2]:.12f}",
+                f"{float(np.max(np.abs(achieved - np.array([x1, x2, x3])))):.3e}",
+                verdict.status.value,
+            ]
+        )
     try:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -289,6 +289,17 @@ def in_tetrahedron(x: np.ndarray, slack: float = 1e-9) -> bool:
     return all(s - 2 * x[i] <= 1 + slack for i in range(3))
 
 
+def tetra_grid(step: float):
+    """Points (x1, x2, x3) of the cubic grid with the given step that lie in
+    the concurrence tetrahedron."""
+    ticks = np.arange(0.0, 1.0 + step / 2, step)
+    for x1 in ticks:
+        for x2 in ticks:
+            for x3 in ticks:
+                if in_tetrahedron(np.array([x1, x2, x3]), slack=1e-9):
+                    yield float(x1), float(x2), float(x3)
+
+
 class SubspaceFamily(Enum):
     BIPARTITE_3X3_DIM7 = "dim7"
     TRIPARTITE_222_DIM6 = "dim6"

@@ -17,14 +17,17 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import CountMismatch, InvalidInstance, NotMaxEnt, PhiProduct, WrongForm
-from .linalg import hermitian_eig, maxabs, partial_transpose
+from .linalg import hermitian_eig, maxabs
 from .separability import (
     FeasibilityProblem,
     ProductDecomposition,
     PptRecord,
     SepStatus,
+    _worst_pt,
     antiparallel_test,
+    constraint_residual,
     feasibility_solve,
+    ppt_is_exact,
     ppt_oracle,
     rank2_separability,
 )
@@ -37,8 +40,11 @@ from .states import (
 from .tensor_rank import (
     ProductVector,
     Schmidt2Kind,
+    cut_matrix,
     cut_rank,
     entry_distance,
+    peel_parties,
+    proper_cuts,
     schmidt2_classify,
     try_factor,
 )
@@ -183,6 +189,39 @@ def _locc_flag_2x2(space: StateSpace, n_entangled: int) -> LoccFlag:
     return LoccFlag.UNKNOWN
 
 
+def _lambda_certificate(
+    basis, phi: PureState, lambdas, theorem: str, tol: Tolerances, locc_flag: LoccFlag = LoccFlag.UNKNOWN, diagnostics=None
+) -> Verdict:
+    """The certificate E_k = |psi_k><psi_k| + lambda_k |phi><phi|, each
+    element shown separable by the rank-2 lemma."""
+    p_phi = phi.density()
+    elements = []
+    evidence = []
+    for k, (psi, lam) in enumerate(zip(basis, lambdas)):
+        r2 = rank2_separability(psi, phi, lam, tol)
+        if r2.verdict.status is not SepStatus.SEPARABLE:
+            return Verdict(
+                status=VerdictStatus.UNDECIDED,
+                theorem=theorem,
+                reason=Reason(
+                    "internal_inconsistency",
+                    f"analytic conditions hold but certificate element {k} failed its separability check",
+                    {"member": k, "lambda": lam},
+                ),
+                locc_flag=locc_flag,
+            )
+        elements.append(psi.density() + lam * p_phi)
+        evidence.append(r2.verdict.evidence)
+    cert = PovmCertificate(tuple(elements), tuple(evidence), tuple(lambdas))
+    return Verdict(
+        status=VerdictStatus.DISTINGUISHABLE,
+        theorem=theorem,
+        certificate=cert,
+        locc_flag=locc_flag,
+        diagnostics=diagnostics or {},
+    )
+
+
 def decide_2x2_basis(phi: PureState, basis, tol: Tolerances = DEFAULT) -> Verdict:
     """Concurrence-sum decider for three orthonormal states against an
     entangled residual state on 2x2."""
@@ -226,32 +265,7 @@ def decide_2x2_basis(phi: PureState, basis, tol: Tolerances = DEFAULT) -> Verdic
         )
 
     lambdas = tuple(c / c_phi for c in cs)
-    p_phi = phi.density()
-    elements = []
-    evidence = []
-    for s, lam in zip(basis, lambdas):
-        r2 = rank2_separability(s, phi, lam, tol)
-        if r2.verdict.status is not SepStatus.SEPARABLE:
-            return Verdict(
-                status=VerdictStatus.UNDECIDED,
-                theorem=theorem,
-                reason=Reason(
-                    "internal_inconsistency",
-                    "analytic conditions hold but the certificate element failed its separability check",
-                    {"lambda": lam},
-                ),
-                locc_flag=flag,
-            )
-        elements.append(s.density() + lam * p_phi)
-        evidence.append(r2.verdict.evidence)
-    cert = PovmCertificate(tuple(elements), tuple(evidence), lambdas)
-    return Verdict(
-        status=VerdictStatus.DISTINGUISHABLE,
-        theorem=theorem,
-        certificate=cert,
-        locc_flag=flag,
-        diagnostics={"concurrences": cs, "c_phi": c_phi},
-    )
+    return _lambda_certificate(basis, phi, lambdas, theorem, tol, flag, {"concurrences": cs, "c_phi": c_phi})
 
 
 def decide_max_ent_basis(basis, tol: Tolerances = DEFAULT) -> Verdict:
@@ -268,32 +282,6 @@ def decide_max_ent_basis(basis, tol: Tolerances = DEFAULT) -> Verdict:
     return decide_2x2_basis(phi, basis, tol)
 
 
-def _product_prefix_match(psi: PureState, prefix: dict[int, np.ndarray], core: tuple[int, ...], tol: Tolerances):
-    """Factor psi as (prefix factors) x (state on core parties); None if its
-    prefix factors are missing or differ from the given ones."""
-    dims = psi.space.dims
-    vec = psi.amplitudes
-    from .tensor_rank import cut_matrix
-
-    core_vec = vec
-    core_dims = list(dims)
-    positions = list(range(len(dims)))
-    for party, factor in sorted(prefix.items()):
-        i = positions.index(party)
-        m = cut_matrix(core_vec, tuple(core_dims), (i,))
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        if s.size > 1 and s[1] > tol.rank * s[0]:
-            return None
-        if abs(np.vdot(u[:, 0], factor)) < 1.0 - 1e-9:
-            return None
-        phase = np.vdot(factor, u[:, 0])
-        core_vec = s[0] * vh[0, :] * phase
-        del positions[i]
-        del core_dims[i]
-    core_vec = core_vec / np.linalg.norm(core_vec)
-    return PureState(StateSpace(tuple(core_dims)), core_vec)
-
-
 def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -> Verdict:
     """Decider when the residual state is a product prefix times a bipartite
     entangled pair: every entangled member must share the prefix and embed in
@@ -306,50 +294,35 @@ def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -
         raise InvalidInstance("expected a full basis of the orthocomplement")
 
     ranks = [cut_rank(phi.amplitudes, dims, (p,), tol) for p in range(k)]
-    core = tuple(p for p in range(k) if ranks[p] == 2)
-    if len(core) != 2 or any(r > 2 for r in ranks):
+    prefix_parties = [p for p in range(k) if ranks[p] == 1]
+    peeled = None
+    if ranks.count(2) == 2 and max(ranks) == 2:
+        peeled = peel_parties(phi.amplitudes, dims, prefix_parties, tol)
+    if peeled is None:
         raise WrongForm("residual state is not a product prefix times a bipartite entangled pair")
+    prefix, phi_core, core_dims = peeled
 
-    prefix: dict[int, np.ndarray] = {}
-    from .tensor_rank import cut_matrix
-
-    vec = phi.amplitudes
-    core_dims = list(dims)
-    positions = list(range(k))
-    for party in [p for p in range(k) if ranks[p] == 1]:
-        i = positions.index(party)
-        m = cut_matrix(vec, tuple(core_dims), (i,))
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        prefix[party] = u[:, 0]
-        vec = s[0] * vh[0, :]
-        vec = vec / np.linalg.norm(vec)
-        del positions[i]
-        del core_dims[i]
-    phi_core = PureState(StateSpace(tuple(core_dims)), vec)
-
-    info_m = cut_matrix(phi_core.amplitudes, phi_core.space.dims, (0,))
-    u, s, vh = np.linalg.svd(info_m, full_matrices=False)
+    u, s, vh = np.linalg.svd(cut_matrix(phi_core, core_dims, (0,)), full_matrices=False)
     left = u[:, :2]
     right = vh[:2, :].T
 
-    def embed(core_state: PureState) -> PureState | None:
-        amp = cut_matrix(core_state.amplitudes, core_state.space.dims, (0,))
+    def embed(core_vec: np.ndarray) -> PureState | None:
+        amp = cut_matrix(core_vec, core_dims, (0,))
         coeff = left.conj().T @ amp @ right.conj()
         if abs(np.linalg.norm(coeff) - 1.0) > 1e-8:
             return None
         return PureState.normalized(StateSpace((2, 2)), coeff.reshape(4))
 
     phi_emb = embed(phi_core)
-    embedded = []
-    lambdas = []
     c_phi = concurrence(phi_emb)
-    cs_sum = 0.0
+    cs = {}  # concurrence of each embedded entangled member
     for j, psi in enumerate(basis):
         if try_factor(psi.amplitudes, dims) is not None:
-            lambdas.append(0.0)
             continue
-        core_state = _product_prefix_match(psi, prefix, core, tol)
-        if core_state is None:
+        # the prefix factors only need to agree up to phase: the embedded
+        # state feeds the concurrence and the anti-parallel test alone
+        peeled = peel_parties(psi.amplitudes, dims, prefix_parties, tol)
+        if peeled is None or any(abs(np.vdot(f, prefix[p])) < 1.0 - 1e-9 for p, f in peeled[0].items()):
             return Verdict(
                 status=VerdictStatus.INDISTINGUISHABLE,
                 theorem="T4",
@@ -359,7 +332,7 @@ def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -
                     {"member": j},
                 ),
             )
-        emb = embed(core_state)
+        emb = embed(peeled[1])
         if emb is None:
             return Verdict(
                 status=VerdictStatus.INDISTINGUISHABLE,
@@ -381,11 +354,9 @@ def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -
                     {"member": j, "angle_defect": res.angle_defect},
                 ),
             )
-        c = concurrence(emb)
-        cs_sum += c
-        embedded.append((j, emb, c))
-        lambdas.append(None)  # filled below
+        cs[j] = concurrence(emb)
 
+    cs_sum = sum(cs.values(), 0.0)
     if abs(cs_sum - c_phi) > tol.concurrence_sum:
         return Verdict(
             status=VerdictStatus.INDISTINGUISHABLE,
@@ -396,24 +367,8 @@ def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -
                 {"sum": cs_sum, "c_phi": c_phi},
             ),
         )
-
-    lam_map = {j: c / c_phi for j, _, c in embedded}
-    lambdas = [lam_map.get(j, 0.0) for j in range(len(basis))]
-    p_phi = phi.density()
-    elements = []
-    evidence = []
-    for j, (psi, lam) in enumerate(zip(basis, lambdas)):
-        r2 = rank2_separability(psi, phi, lam, tol)
-        if r2.verdict.status is not SepStatus.SEPARABLE:
-            return Verdict(
-                status=VerdictStatus.UNDECIDED,
-                theorem="T4",
-                reason=Reason("internal_inconsistency", "certificate element failed its separability check", {"member": j}),
-            )
-        elements.append(psi.density() + lam * p_phi)
-        evidence.append(r2.verdict.evidence)
-    cert = PovmCertificate(tuple(elements), tuple(evidence), tuple(lambdas))
-    return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem="T4", certificate=cert)
+    lambdas = [cs[j] / c_phi if j in cs else 0.0 for j in range(len(basis))]
+    return _lambda_certificate(basis, phi, lambdas, "T4", tol)
 
 
 def decide_h3(phi: PureState, basis, tol: Tolerances = DEFAULT) -> Verdict:
@@ -459,21 +414,7 @@ def decide_h3(phi: PureState, basis, tol: Tolerances = DEFAULT) -> Verdict:
         )
 
     lambdas = tuple(1.0 if i == j else 0.0 for i in range(len(basis)))
-    p_phi = phi.density()
-    elements = []
-    evidence = []
-    for i, (s, lam) in enumerate(zip(basis, lambdas)):
-        r2 = rank2_separability(s, phi, lam, tol)
-        if r2.verdict.status is not SepStatus.SEPARABLE:
-            return Verdict(
-                status=VerdictStatus.UNDECIDED,
-                theorem="T5",
-                reason=Reason("internal_inconsistency", "certificate element failed its separability check", {"member": i}),
-            )
-        elements.append(s.density() + lam * p_phi)
-        evidence.append(r2.verdict.evidence)
-    cert = PovmCertificate(tuple(elements), tuple(evidence), lambdas)
-    return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem="T5", certificate=cert)
+    return _lambda_certificate(basis, phi, lambdas, "T5", tol)
 
 
 class SubspaceKind(Enum):
@@ -536,9 +477,10 @@ def try_product_decomposition(op: np.ndarray, space: StateSpace, tol: Tolerances
                     if norms[idx] < 1e-9:
                         break
                     cand = resid[:, idx] / norms[idx]
-                    pv = try_factor(cand, space.dims)
-                    if pv is not None:
-                        found = pv
+                    found = try_factor(cand, space.dims)
+                    # with one dimension left every column is the same
+                    # direction, so the first candidate settles it
+                    if found is not None or len(chosen) == j - i:
                         break
                 if found is None:
                     return None
@@ -685,24 +627,6 @@ def _try_completability(instance: DiscriminationInstance, p0: np.ndarray, tol: T
     return None
 
 
-def feasibility_point_residual(
-    e_ops, projectors, p0: np.ndarray, space: StateSpace, tol: Tolerances = DEFAULT
-) -> float:
-    """Largest constraint violation of a candidate point of the relaxed
-    problem (PSD blocks, PPT per cut, affine sum)."""
-    from .linalg import min_eigenvalues
-    from .tensor_rank import proper_cuts as _cuts
-
-    e = np.stack([np.asarray(x, dtype=complex) for x in e_ops])
-    p = np.stack(projectors)
-    res = float(np.linalg.norm(e.sum(axis=0) - p0))
-    res = max(res, float(max(0.0, -min_eigenvalues(e).min())))
-    for cut in _cuts(space.nparties):
-        pt = partial_transpose(p + e, space.dims, cut)
-        res = max(res, float(max(0.0, -min_eigenvalues(pt).min())))
-    return res
-
-
 def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_iterations: int | None = None) -> Verdict:
     projectors = instance.projector_list()
     d = instance.space.dim
@@ -713,8 +637,9 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
     if fast is not None:
         # the analytic allocation doubles as an explicit feasible point of
         # the relaxation; verify it directly instead of iterating
-        e_ops = [el - pk for el, pk in zip(fast.certificate.elements, projectors)]
-        point_res = feasibility_point_residual(e_ops, projectors, p0, instance.space, tol)
+        e = np.stack([el - pk for el, pk in zip(fast.certificate.elements, projectors)])
+        cuts = proper_cuts(instance.space.nparties)
+        point_res, _ = constraint_residual(e, np.stack(projectors), p0, instance.space.dims, cuts)
         return Verdict(
             status=fast.status,
             theorem=fast.theorem,
@@ -740,11 +665,15 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
 
     if outcome.feasible:
         elements = tuple(p + e for p, e in zip(projectors, outcome.e_ops))
-        dims2 = instance.space.dims
-        exact = instance.space.nparties == 2 and dims2 in {(2, 2), (2, 3), (3, 2)}
-        if exact:
+        if ppt_is_exact(instance.space):
+            # min over cuts of the lowest eigenvalue of PT_c(E_k / tr E_k)
             evidence = tuple(
-                PptRecord(min_eigenvalue=0.0, exact=True, cuts=tuple(problem.cuts)) for _ in elements
+                PptRecord(
+                    min_eigenvalue=_worst_pt(el / np.trace(el).real, instance.space, problem.cuts, tol).eigenvalue,
+                    exact=True,
+                    cuts=tuple(problem.cuts),
+                )
+                for el in elements
             )
             cert = PovmCertificate(elements, evidence, None)
             return Verdict(
@@ -820,24 +749,8 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
                             {"member": j},
                         ),
                     )
-            p0 = phi.density()
-            elements = []
-            evidence = []
-            lambdas = []
-            for j, s in enumerate(states):
-                pv = try_factor(s.amplitudes, space.dims)
-                lam = 1.0 if j == 0 else 0.0
-                el = s.density() + lam * p0
-                if j == 0:
-                    pv_phi = try_factor(phi.amplitudes, space.dims)
-                    elements.append(el)
-                    evidence.append(ProductDecomposition((1.0, 1.0), (pv, pv_phi)))
-                else:
-                    elements.append(el)
-                    evidence.append(ProductDecomposition((1.0,), (pv,)))
-                lambdas.append(lam)
-            cert = PovmCertificate(tuple(elements), tuple(evidence), tuple(lambdas))
-            return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem="T1", certificate=cert)
+            lambdas = [1.0] + [0.0] * (n - 1)
+            return _lambda_certificate(states, phi, lambdas, "T1", tol)
         if space.dims == (2, 2):
             return decide_2x2_basis(phi, states, tol)
         if cls.kind is Schmidt2Kind.AT_LEAST_3:

@@ -24,7 +24,7 @@ from .linalg import (
     psd_project,
 )
 from .states import PureState, StateSpace, coeff_matrix
-from .tensor_rank import ProductVector, product_vectors_in_span, proper_cuts, try_factor
+from .tensor_rank import ProductVector, product_vectors_in_span, proper_cuts, span_coordinates, try_factor
 
 
 class SepStatus(Enum):
@@ -213,19 +213,7 @@ def rank2_separability(
             Rank2Case.ENTANGLED,
         )
     a, b = span.vectors
-    a_hat = a.assemble()
-    a_hat = a_hat / np.linalg.norm(a_hat)
-    b_hat = b.assemble()
-    b_hat = b_hat / np.linalg.norm(b_hat)
-    gram = np.array([[1.0, np.vdot(a_hat, b_hat)], [np.vdot(b_hat, a_hat), 1.0]], dtype=complex)
-    rhs = np.array(
-        [
-            [np.vdot(a_hat, psi.amplitudes), np.vdot(a_hat, phi.amplitudes)],
-            [np.vdot(b_hat, psi.amplitudes), np.vdot(b_hat, phi.amplitudes)],
-        ],
-        dtype=complex,
-    )
-    coords = np.linalg.solve(gram, rhs)
+    coords = span_coordinates(a, b, (psi.amplitudes, phi.amplitudes))
     alpha, beta = coords[0, 0], coords[1, 0]
     gamma, delta = coords[0, 1], coords[1, 1]
     cross = alpha * np.conj(beta) + lam * gamma * np.conj(delta)
@@ -250,17 +238,20 @@ def rank2_separability(
     )
 
 
-def _pt_witness_if_any(op: np.ndarray, space: StateSpace, tol: Tolerances) -> PtWitness | None:
-    tr = float(np.real(np.trace(op)))
-    rho = op / tr if tr > 0 else op
+def _worst_pt(rho: np.ndarray, space: StateSpace, cuts, tol: Tolerances) -> PtWitness:
+    """Lowest partial-transpose eigenpair of rho over the given cuts."""
     worst = None
-    for cut in proper_cuts(space.nparties):
+    for cut in cuts:
         eig = hermitian_eig(partial_transpose(rho, space.dims, cut), tol)
         if worst is None or eig.values[0] < worst.eigenvalue:
             worst = PtWitness(cut=cut, eigenvalue=float(eig.values[0]), eigenvector=eig.vectors[:, 0])
-    if worst is not None and worst.eigenvalue < -1e-9:
-        return worst
-    return None
+    return worst
+
+
+def _pt_witness_if_any(op: np.ndarray, space: StateSpace, tol: Tolerances) -> PtWitness | None:
+    tr = float(np.real(np.trace(op)))
+    worst = _worst_pt(op / tr if tr > 0 else op, space, proper_cuts(space.nparties), tol)
+    return worst if worst.eigenvalue < -1e-9 else None
 
 
 @dataclass(frozen=True)
@@ -304,6 +295,11 @@ def antiparallel_test(psi: PureState, phi: PureState, tol: Tolerances = DEFAULT)
 _EXACT_PPT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
 
+def ppt_is_exact(space: StateSpace) -> bool:
+    """PPT is equivalent to separability on 2x2 and 2x3 spaces only."""
+    return space.nparties == 2 and space.dims in _EXACT_PPT_DIMS
+
+
 def ppt_oracle(
     rho: np.ndarray, space: StateSpace, bipartition=None, tol: Tolerances = DEFAULT
 ) -> SeparabilityVerdict:
@@ -316,26 +312,17 @@ def ppt_oracle(
     tr = float(np.real(np.trace(rho)))
     if tr <= 0:
         raise NotPsd("input has nonpositive trace")
-    rho_n = rho / tr
-
     cuts = [tuple(bipartition)] if bipartition is not None else list(proper_cuts(space.nparties))
-    min_eig = np.inf
-    worst: PtWitness | None = None
-    for cut in cuts:
-        eig = hermitian_eig(partial_transpose(rho_n, space.dims, cut), tol)
-        lw = float(eig.values[0])
-        if lw < min_eig:
-            min_eig = lw
-            worst = PtWitness(cut=cut, eigenvalue=lw, eigenvector=eig.vectors[:, 0])
+    worst = _worst_pt(rho / tr, space, cuts, tol)
+    min_eig = worst.eigenvalue
     if min_eig < -1e-9:
         return SeparabilityVerdict(SepStatus.ENTANGLED, worst, {"min_pt_eigenvalue": min_eig})
 
     if bipartition is not None:
-        dl, dr = space.cut_shape(tuple(bipartition))
-        exact = (dl, dr) in _EXACT_PPT_DIMS
+        exact = space.cut_shape(tuple(bipartition)) in _EXACT_PPT_DIMS
     else:
-        exact = space.nparties == 2 and space.dims in _EXACT_PPT_DIMS
-    record = PptRecord(min_eigenvalue=float(min_eig), exact=exact, cuts=tuple(cuts))
+        exact = ppt_is_exact(space)
+    record = PptRecord(min_eigenvalue=min_eig, exact=exact, cuts=tuple(cuts))
     if exact:
         return SeparabilityVerdict(SepStatus.SEPARABLE, record, {})
     return SeparabilityVerdict(SepStatus.UNDECIDED, record, {"reason": "PPT necessary only"})
@@ -355,8 +342,6 @@ class FeasibilityProblem:
     cuts: list[tuple[int, ...]] = field(default_factory=list)
     tol: Tolerances = DEFAULT
     max_iterations: int | None = None
-    check_every: int = 5
-    project_support: bool = True
     # when P0 has rank 1 the blocks are forced to E_k = lam_k P0 and the
     # problem is solved exactly through interval intersection; set False to
     # force the iterative path
@@ -394,6 +379,21 @@ class FeasibilityOutcome:
     diagnostics: dict = field(default_factory=dict)
 
 
+def constraint_residual(e: np.ndarray, p: np.ndarray, p0: np.ndarray, dims, cuts) -> tuple[float, dict]:
+    """Largest constraint violation of a point E of the relaxation (affine
+    sum, PSD blocks, PPT of P_k + E_k per cut), and those three parts."""
+    parts = {"affine": float(np.linalg.norm(e.sum(axis=0) - p0))}
+    parts["psd"] = float(max(0.0, -min_eigenvalues(e).min()))
+    worst_ppt = 0.0
+    for cut in cuts:
+        pt = partial_transpose(p + e, dims, cut)
+        worst_ppt = max(worst_ppt, float(max(0.0, -min_eigenvalues(pt).min())))
+    parts["ppt"] = worst_ppt
+    return max(parts.values()), parts
+
+
+# Dykstra path: iterations between residual checks
+_CHECK_EVERY = 5
 # rank-1 path: the bracket and final width of the peak search, and the
 # window every sublevel interval is clipped to
 _PEAK_BRACKET = (-0.05, 1.05)
@@ -579,16 +579,6 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
     r_psd = np.zeros_like(e)
     r_ppt = {cut: np.zeros_like(e) for cut in cuts}
 
-    def residual_of(e_cur: np.ndarray) -> tuple[float, dict]:
-        parts = {"affine": float(np.linalg.norm(e_cur.sum(axis=0) - p0))}
-        parts["psd"] = float(max(0.0, -min_eigenvalues(e_cur).min()))
-        worst_ppt = 0.0
-        for cut in cuts:
-            pt = partial_transpose(p + e_cur, dims, cut)
-            worst_ppt = max(worst_ppt, float(max(0.0, -min_eigenvalues(pt).min())))
-        parts["ppt"] = worst_ppt
-        return max(parts.values()), parts
-
     best = np.inf
     best_iter = 0
     res = np.inf
@@ -610,15 +600,15 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
             r_ppt[cut] = y - yp
             e = yp
         # implied support constraint (linear subspace, no correction term)
-        if problem.project_support and rank_p0 < d:
+        if rank_p0 < d:
             e = supp @ e @ supp
         # affine sum constraint (affine subspace, no correction term)
         shift = (e.sum(axis=0) - p0) / n
         e = e - shift
         e = (e + dag(e)) / 2.0
 
-        if it % problem.check_every == 0 or it == cap:
-            res, parts = residual_of(e)
+        if it % _CHECK_EVERY == 0 or it == cap:
+            res, parts = constraint_residual(e, p, p0, dims, cuts)
             if res < best - tol.stall_improvement:
                 best = res
                 best_iter = it

@@ -103,10 +103,6 @@ def product_state(space: StateSpace, factors) -> PureState:
     return PureState.normalized(space, kron_all([np.asarray(f, dtype=complex) for f in factors]))
 
 
-def equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
-    return abs(abs(a.inner(b)) - 1.0) <= tol
-
-
 def phi_plus() -> PureState:
     return PureState(QUBIT_PAIR, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
 

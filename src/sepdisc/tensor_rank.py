@@ -119,6 +119,30 @@ def cut_rank(vec: np.ndarray, dims: tuple[int, ...], left: tuple[int, ...], tol:
     return int(np.sum(s > tol.rank * s[0]))
 
 
+def peel_parties(vec: np.ndarray, dims: tuple[int, ...], parties, tol: Tolerances):
+    """Factor the given parties out of a vector, lowest index first.
+
+    Returns (factors, core, core_dims): the unit factor of each given party,
+    the unit vector on the remaining parties and their dims; None if a given
+    party is entangled with the rest.
+    """
+    factors: dict[int, np.ndarray] = {}
+    positions = list(range(len(dims)))
+    core = np.asarray(vec)
+    core_dims = list(dims)
+    for party in sorted(parties):
+        i = positions.index(party)
+        u, s, vh = np.linalg.svd(cut_matrix(core, tuple(core_dims), (i,)), full_matrices=False)
+        if s.size > 1 and s[1] > tol.rank * s[0]:
+            return None
+        factors[party] = u[:, 0]
+        core = s[0] * vh[0, :]
+        core = core / np.linalg.norm(core)
+        del positions[i]
+        del core_dims[i]
+    return factors, core, tuple(core_dims)
+
+
 def try_factor(vec: np.ndarray, dims: tuple[int, ...], resid_tol: float = 1e-9) -> ProductVector | None:
     """Factor a vector into a product across all parties, or None.
 
@@ -262,6 +286,19 @@ def product_vectors_in_span(psi: PureState, phi: PureState, tol: Tolerances = DE
     return SpanProducts(vectors=found, infinitely_many=False)
 
 
+def span_coordinates(p: ProductVector, q: ProductVector, vecs) -> np.ndarray:
+    """Coordinates of vectors in the span of two product vectors: column j
+    holds (x, y) with vecs[j] = x p_hat + y q_hat for the unit vectors
+    p_hat, q_hat along p and q."""
+    p_hat = p.assemble()
+    p_hat = p_hat / np.linalg.norm(p_hat)
+    q_hat = q.assemble()
+    q_hat = q_hat / np.linalg.norm(q_hat)
+    gram = np.array([[1.0, np.vdot(p_hat, q_hat)], [np.vdot(q_hat, p_hat), 1.0]], dtype=complex)
+    rhs = np.array([[np.vdot(p_hat, v) for v in vecs], [np.vdot(q_hat, v) for v in vecs]], dtype=complex)
+    return np.linalg.solve(gram, rhs)
+
+
 class Schmidt2Kind(Enum):
     PRODUCT = "product"
     SCHMIDT2 = "schmidt2"
@@ -321,8 +358,10 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
     k = phi.space.nparties
     vec = phi.amplitudes
 
+    ranks = {}
     for left in proper_cuts(k):
-        if cut_rank(vec, dims, left, tol) >= 3:
+        ranks[left] = cut_rank(vec, dims, left, tol)
+        if ranks[left] >= 3:
             return Schmidt2Class(
                 kind=Schmidt2Kind.AT_LEAST_3,
                 reason=AtLeast3Reason.CUT_RANK,
@@ -333,26 +372,14 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
     if pv is not None:
         return Schmidt2Class(kind=Schmidt2Kind.PRODUCT, product=pv.normalized())
 
-    # peel off parties that factor out (single-party cut rank 1)
-    fixed: dict[int, np.ndarray] = {}
-    positions = list(range(k))
-    core = vec.copy()
-    core_dims = list(dims)
-    changed = True
-    while changed and len(core_dims) > 2:
-        changed = False
-        for i in range(len(core_dims)):
-            m = cut_matrix(core, tuple(core_dims), (i,))
-            u, s, vh = np.linalg.svd(m, full_matrices=False)
-            if s.size > 1 and s[1] > tol.rank * s[0]:
-                continue
-            fixed[positions[i]] = u[:, 0]
-            core = s[0] * vh[0, :]
-            core = core / np.linalg.norm(core)
-            del positions[i]
-            del core_dims[i]
-            changed = True
-            break
+    # peel off parties that factor out (single-party cut rank 1); a
+    # near-product state that try_factor rejects keeps a two-party core
+    ones = [p for p in range(k) if ranks.get((p,)) == 1]
+    peeled = peel_parties(vec, dims, ones[: k - 2], tol)
+    if peeled is None:
+        return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "peeling failed"})
+    fixed, core, core_dims = peeled
+    positions = [p for p in range(k) if p not in fixed]
 
     def _finish(a: ProductVector, b: ProductVector) -> Schmidt2Class:
         resid = float(np.linalg.norm(a.assemble() + b.assemble() - vec))
@@ -375,7 +402,7 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
         return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"entry_distance": h})
 
     kc = len(core_dims)
-    m = cut_matrix(core, tuple(core_dims), (0,))
+    m = cut_matrix(core, core_dims, (0,))
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s.size < 2 or s[1] <= tol.rank * s[0]:
         return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "unexpected rank"})
@@ -386,7 +413,7 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
         return _finish(a, b)
 
     # core with >= 3 parties, every single-party cut rank equal to 2
-    rest_space = StateSpace(tuple(core_dims[1:]))
+    rest_space = StateSpace(core_dims[1:])
     r1 = PureState.normalized(rest_space, vh[0, :])
     r2 = PureState.normalized(rest_space, vh[1, :])
     span = product_vectors_in_span(r1, r2, tol)
@@ -409,19 +436,7 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
         )
 
     p, q = span.vectors
-    p_hat = p.assemble()
-    p_hat = p_hat / np.linalg.norm(p_hat)
-    q_hat = q.assemble()
-    q_hat = q_hat / np.linalg.norm(q_hat)
-    gram = np.array([[1.0, np.vdot(p_hat, q_hat)], [np.vdot(q_hat, p_hat), 1.0]], dtype=complex)
-    rhs = np.array(
-        [
-            [np.vdot(p_hat, r1.amplitudes), np.vdot(p_hat, r2.amplitudes)],
-            [np.vdot(q_hat, r1.amplitudes), np.vdot(q_hat, r2.amplitudes)],
-        ],
-        dtype=complex,
-    )
-    coords = np.linalg.solve(gram, rhs)
+    coords = span_coordinates(p, q, (r1.amplitudes, r2.amplitudes))
     uvec = u[:, 0] * s[0] * coords[0, 0] + u[:, 1] * s[1] * coords[0, 1]
     vvec = u[:, 0] * s[0] * coords[1, 0] + u[:, 1] * s[1] * coords[1, 1]
     if np.linalg.norm(uvec) < 1e-10 or np.linalg.norm(vvec) < 1e-10:

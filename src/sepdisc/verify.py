@@ -31,6 +31,7 @@ from .constructions import (
     gamma_range,
     in_tetrahedron,
     indistinguishable_subspace,
+    tetra_grid,
     tetra_unitary,
     verify_subspace_properties,
 )
@@ -394,20 +395,11 @@ def suite_theorem2(seed: int = 42, tol: Tolerances = DEFAULT, n_bases: int = 100
     ]
 
 
-def _tetra_grid(step: float):
-    ticks = np.arange(0.0, 1.0 + step / 2, step)
-    for x1 in ticks:
-        for x2 in ticks:
-            for x3 in ticks:
-                if in_tetrahedron(np.array([x1, x2, x3]), slack=1e-9):
-                    yield float(x1), float(x2), float(x3)
-
-
 def check_tetra_round_trip(step: float = 0.05, tol: Tolerances = DEFAULT) -> CheckResult:
     worst_err = 0.0
     worst_defect = 0.0
     count = 0
-    for x1, x2, x3 in _tetra_grid(step):
+    for x1, x2, x3 in tetra_grid(step):
         u = tetra_unitary(TetraPoint(x1, x2, x3), tol)
         achieved = concurrence_triple_of_unitary(u)
         worst_err = max(worst_err, float(np.max(np.abs(achieved - np.array([x1, x2, x3])))))
@@ -425,7 +417,7 @@ def check_tetra_round_trip(step: float = 0.05, tol: Tolerances = DEFAULT) -> Che
 def check_tetra_decisions(step: float = 0.05, tol: Tolerances = DEFAULT) -> CheckResult:
     ok = 0
     count = 0
-    for x1, x2, x3 in _tetra_grid(step):
+    for x1, x2, x3 in tetra_grid(step):
         u = tetra_unitary(TetraPoint(x1, x2, x3), tol)
         basis = basis_from_unitary(u, tol=tol)
         verdict = decide_max_ent_basis(basis, tol)

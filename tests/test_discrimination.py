@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import sepdisc.discrimination as disc
+from sepdisc.config import DEFAULT
 from sepdisc.constructions import FamilyParams, family_sep_not_locc, gamma_range, locc_basis_sch2
 from sepdisc.errors import InvalidInstance, NotMaxEnt, PhiProduct
-from sepdisc.linalg import kron_all
+from sepdisc.linalg import kron_all, partial_transpose
 from sepdisc.discrimination import (
     DiscriminationInstance,
     LoccFlag,
     SeparableState,
     SubspaceKind,
     VerdictStatus,
+    _lambda_certificate,
     build_separable_operation,
     decide,
     decide_2x2_basis,
@@ -28,7 +31,7 @@ from sepdisc.sampling import (
     random_pure_state,
     random_unitary,
 )
-from sepdisc.separability import ProductDecomposition, SepStatus, rank2_separability
+from sepdisc.separability import ProductDecomposition, PptRecord, SepStatus, rank2_separability
 from sepdisc.states import (
     PureState,
     QUBIT_PAIR,
@@ -434,3 +437,47 @@ def test_try_product_decomposition_diagonal():
     assert dec.residual(op) < 1e-10
     bellop = phi_plus().density()
     assert try_product_decomposition(bellop, QUBIT_PAIR) is None
+
+
+def test_lambda_certificate_failure_names_member_theorem_and_flag():
+    phi, basis = _family()
+    good = decide_2x2_basis(phi, basis)
+    assert good.status is VerdictStatus.DISTINGUISHABLE
+    # moving lambda off C(psi)/C(phi) leaves the first entangled member's
+    # element entangled
+    lambdas = list(good.certificate.lambdas)
+    k = next(j for j, s in enumerate(basis) if concurrence(s) > 1e-6)
+    lambdas[k] += 1e-3
+    v = _lambda_certificate(basis, phi, lambdas, "T2", DEFAULT, LoccFlag.LOCC_INDISTINGUISHABLE, {})
+    assert v.status is VerdictStatus.UNDECIDED
+    assert v.theorem == "T2"
+    assert v.locc_flag is LoccFlag.LOCC_INDISTINGUISHABLE
+    assert v.reason.code == "internal_inconsistency"
+    assert v.reason.data["member"] == k
+    assert v.certificate is None
+
+
+def test_entangled_rank1_projector_costs_one_factor_attempt(monkeypatch):
+    calls = []
+
+    def counting(vec, dims, *args, **kwargs):
+        calls.append(1)
+        return try_factor(vec, dims, *args, **kwargs)
+
+    monkeypatch.setattr(disc, "try_factor", counting)
+    psi = random_pure_state(np.random.default_rng(3), S3)
+    assert disc.try_product_decomposition(psi.density(), S3) is None
+    assert len(calls) == 1
+
+
+def test_ppt_records_carry_the_measured_minimum():
+    u = random_unitary(np.random.default_rng(0), 4)
+    inst = DiscriminationInstance.from_pure(QUBIT_PAIR, [PureState(QUBIT_PAIR, u[:, k]) for k in range(2)])
+    v = decide(inst)
+    assert v.status is VerdictStatus.DISTINGUISHABLE
+    assert "iterations" in v.diagnostics  # the Dykstra path ran
+    for el, rec in zip(v.certificate.elements, v.certificate.evidence):
+        assert isinstance(rec, PptRecord) and rec.exact
+        rho = el / np.trace(el).real
+        want = min(np.linalg.eigvalsh(partial_transpose(rho, (2, 2), cut))[0] for cut in rec.cuts)
+        assert abs(rec.min_eigenvalue - want) <= 1e-12

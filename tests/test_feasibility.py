@@ -4,16 +4,18 @@ import pytest
 from sepdisc.constructions import FamilyParams, family_sep_not_locc, gamma_range
 from sepdisc.discrimination import DiscriminationInstance, VerdictStatus, decide, validate_certificate
 from sepdisc.errors import PreconditionViolated
-from sepdisc.sampling import random_basis_of_complement, random_pure_state
+from sepdisc.sampling import random_basis_of_complement, random_product_basis, random_pure_state
 from sepdisc.separability import (
     FeasibilityProblem,
     _intervals,
     _peaks,
     _PencilBlock,
     _violations,
+    constraint_residual,
     feasibility_solve,
 )
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket, phi_plus
+from sepdisc.tensor_rank import proper_cuts
 from tests.conftest import bell
 
 
@@ -170,3 +172,15 @@ def test_rank1_family_feasible_with_valid_certificate(alpha, beta, frac):
     assert verdict.status is VerdictStatus.DISTINGUISHABLE
     assert verdict.diagnostics["path"] == "rank1-exact"
     assert validate_certificate(verdict.certificate, inst)["valid"]
+
+
+def test_constraint_residual_vanishes_at_completability_point():
+    space = StateSpace((2, 2, 2))
+    basis = random_product_basis(np.random.default_rng(8), space)
+    projectors = [s.density() for s in basis[1:]]
+    v = decide(DiscriminationInstance.from_projectors(space, projectors))
+    assert v.diagnostics["path"] == "completability"
+    e = np.stack([el - p for el, p in zip(v.certificate.elements, projectors)])
+    res, parts = constraint_residual(e, np.stack(projectors), basis[0].density(), space.dims, proper_cuts(3))
+    assert res <= 1e-12
+    assert set(parts) == {"affine", "psd", "ppt"}

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sepdisc.config import DEFAULT
 from sepdisc.errors import BadBipartition, NotIndependent
-from sepdisc.sampling import random_entangled_2x2, random_product_state, random_pure_state
+from sepdisc.sampling import random_entangled_2x2, random_local_vector, random_product_state, random_pure_state
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket, phi_plus
 from sepdisc.tensor_rank import (
     AtLeast3Reason,
@@ -12,6 +13,7 @@ from sepdisc.tensor_rank import (
     cut_matrix,
     entry_distance,
     is_product,
+    peel_parties,
     product_vectors_in_span,
     schmidt2_classify,
     schmidt_decompose,
@@ -219,3 +221,17 @@ def test_is_product_and_try_factor(rng):
     pv = try_factor(st.amplitudes, S3.dims)
     assert np.linalg.norm(pv.assemble() - st.amplitudes) < 1e-10
     assert not is_product(w_state(S3))
+
+
+def test_peel_parties_prefix_times_pair():
+    rng = np.random.default_rng(5)
+    x = random_local_vector(rng, 3)
+    pair = random_entangled_2x2(rng, 0.05).amplitudes
+    vec = np.kron(x, pair)
+    factors, core, core_dims = peel_parties(vec, (3, 2, 2), [0], DEFAULT)
+    assert core_dims == (2, 2)
+    assert abs(abs(np.vdot(factors[0], x)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(np.kron(factors[0], core), vec)) - 1.0) < 1e-12
+    # party 1 is entangled with party 2
+    assert peel_parties(vec, (3, 2, 2), [1], DEFAULT) is None
+    assert peel_parties(vec, (3, 2, 2), [0, 2], DEFAULT) is None
