@@ -52,15 +52,11 @@ from .discrimination import (
     DiscriminationInstance,
     LoccFlag,
     PovmCertificate,
-    SeparableState,
     SubspaceKind,
     Verdict,
     VerdictStatus,
-    build_separable_operation,
     decide,
-    decide_2x2_basis,
     decide_h3,
-    decide_max_ent_basis,
     decide_multipartite_sch2,
     subspace_verdict,
     validate_certificate,

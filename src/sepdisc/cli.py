@@ -30,7 +30,7 @@ from .constructions import (
     tetra_unitary,
     verify_subspace_properties,
 )
-from .discrimination import DiscriminationInstance, VerdictStatus, decide
+from .discrimination import DiscriminationInstance, VerdictStatus, decide, decide_multipartite_sch2
 from .errors import SepdiscError, StateFileError
 from .states import magic_basis, orthonormal_completion
 from .statefile import (
@@ -190,13 +190,11 @@ def cmd_sweep(args, tol) -> int:
     if not 0.0 < args.step <= 0.25:
         print("error: step must be in (0, 0.25]", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    from .discrimination import decide_max_ent_basis
-
     rows = []
     for x1, x2, x3 in tetra_grid(args.step):
         u = tetra_unitary(TetraPoint(x1, x2, x3), tol)
         achieved = concurrence_triple_of_unitary(u)
-        verdict = decide_max_ent_basis(basis_from_unitary(u, tol=tol), tol)
+        verdict = decide_multipartite_sch2(magic_basis()[3], basis_from_unitary(u, tol=tol), tol)
         rows.append(
             [
                 f"{x1:.6f}",

@@ -18,16 +18,12 @@ class Tolerances:
     rank: float = 1e-9
     # PSD slack for eigenvalue checks
     psd: float = 1e-9
-    # orthonormality of bases and eigenvector columns
-    ortho: float = 1e-10
     # allowed Hermiticity defect before an input is rejected
     hermiticity: float = 1e-8
     # angular tolerance for the anti-parallel eigenvalue test (radians)
     angular: float = 1e-8
     # concurrence-sum identity in the three-state deciders
     concurrence_sum: float = 1e-8
-    # state matching up to a global phase (generic)
-    phase: float = 1e-9
     # state matching in the unique-entangled-member decider
     match_phase: float = 1e-8
     # feasibility solver: success threshold on the max constraint violation

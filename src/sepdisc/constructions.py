@@ -496,14 +496,9 @@ def locc_basis_sch2(phi: PureState, tol: Tolerances = DEFAULT) -> list[PureState
     if cls.kind is not Schmidt2Kind.SCHMIDT2 or not cls.decomposition.orthogonal:
         raise WrongForm("state does not split into two orthogonal product terms")
     dec = cls.decomposition
-    a_vec = dec.a.assemble()
-    b_vec = dec.b.assemble()
-    cos_t = np.linalg.norm(a_vec)
-    sin_t = np.linalg.norm(b_vec)
-    psi = PureState.normalized(phi.space, sin_t * (a_vec / cos_t) - cos_t * (b_vec / sin_t))
+    psi = PureState.normalized(phi.space, dec.complement())
 
-    a_hat = a_vec / cos_t
-    b_hat = b_vec / sin_t
+    a_hat, b_hat = (v / np.linalg.norm(v) for v in (dec.a.assemble(), dec.b.assemble()))
     full = _product_basis_through(dec.a, dec.b, phi.space)
     others = [
         st

@@ -2,10 +2,11 @@
 
 The dispatcher :func:`decide` routes an instance to the sharpest applicable
 analytic decider (full product-basis criterion, the concurrence-sum decider
-on 2x2, its embedded multipartite reduction, the unique-entangled-member
-decider) and falls back to the PSD+PPT feasibility solver.  Distinguishable
-verdicts carry a POVM certificate whose validity is re-checkable
-independently of the decider that produced it.
+for a product prefix times an entangled pair, of which 2x2 is the
+empty-prefix case, the unique-entangled-member decider) and falls back to
+the PSD+PPT feasibility solver.  Distinguishable verdicts carry a POVM
+certificate whose validity is re-checkable independently of the decider
+that produced it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import CountMismatch, InvalidInstance, NotMaxEnt, PhiProduct, WrongForm
+from .errors import InvalidInstance, PhiProduct, WrongForm
 from .linalg import hermitian_eig, maxabs
 from .separability import (
     FeasibilityProblem,
@@ -32,6 +33,7 @@ from .separability import (
     rank2_separability,
 )
 from .states import (
+    QUBIT_PAIR,
     PureState,
     StateSpace,
     concurrence,
@@ -138,7 +140,8 @@ class DiscriminationInstance:
 
 def validate_certificate(cert: PovmCertificate, instance: DiscriminationInstance, tol: Tolerances = DEFAULT) -> dict:
     """Independent re-check of a certificate: completeness, correctness, PSD,
-    and reassembly of the separability evidence."""
+    reassembly of every product decomposition, and the partial transposes
+    behind every PPT record, recomputed from the element itself."""
     d = instance.space.dim
     total = sum(cert.elements)
     completeness = maxabs(total - np.eye(d))
@@ -154,11 +157,17 @@ def validate_certificate(cert: PovmCertificate, instance: DiscriminationInstance
             correctness = max(correctness, abs(tr - target))
     evidence_resid = 0.0
     evidence_ok = True
+    ppt_min = None
     for el, ev in zip(cert.elements, cert.evidence):
         if isinstance(ev, ProductDecomposition):
             evidence_resid = max(evidence_resid, ev.residual(el))
         elif isinstance(ev, PptRecord):
-            evidence_ok = evidence_ok and ev.exact
+            # PPT proves separability only where it is exact, and only when
+            # every partial transpose of the trace-normalized element is PSD
+            evidence_ok = evidence_ok and ppt_is_exact(instance.space)
+            cuts = proper_cuts(instance.space.nparties)
+            pt = _worst_pt(el / np.trace(el).real, instance.space, cuts, tol).eigenvalue
+            ppt_min = pt if ppt_min is None else min(ppt_min, pt)
         else:
             evidence_ok = False
     lambdas_ok = True
@@ -171,20 +180,22 @@ def validate_certificate(cert: PovmCertificate, instance: DiscriminationInstance
         "psd_min": psd_min,
         "evidence_residual": evidence_resid,
         "evidence_exact": evidence_ok,
+        "ppt_min": ppt_min,
         "lambdas_ok": lambdas_ok,
         "valid": completeness <= 1e-8
         and correctness <= 1e-7
         and psd_min >= -1e-9
         and evidence_resid <= 1e-8
         and evidence_ok
+        and (ppt_min is None or ppt_min >= -1e-9)
         and lambdas_ok,
     }
 
 
-def _locc_flag_2x2(space: StateSpace, n_entangled: int) -> LoccFlag:
+def _locc_flag_2x2(basis, tol: Tolerances) -> LoccFlag:
     # cited sufficient condition: two or more entangled members of a 2x2
     # basis cannot be told apart by LOCC
-    if space.dims == (2, 2) and n_entangled >= 2:
+    if basis[0].space.dims == (2, 2) and sum(concurrence(s) > tol.rank for s in basis) >= 2:
         return LoccFlag.LOCC_INDISTINGUISHABLE
     return LoccFlag.UNKNOWN
 
@@ -222,71 +233,12 @@ def _lambda_certificate(
     )
 
 
-def decide_2x2_basis(phi: PureState, basis, tol: Tolerances = DEFAULT) -> Verdict:
-    """Concurrence-sum decider for three orthonormal states against an
-    entangled residual state on 2x2."""
-    basis = list(basis)
-    if phi.space.dims != (2, 2) or len(basis) != 3:
-        raise InvalidInstance("expected three 2x2 states plus a residual state")
-    c_phi = concurrence(phi)
-    if c_phi <= tol.rank:
-        raise PhiProduct("residual state is a product state; route through decide()")
-    cs = [concurrence(s) for s in basis]
-    entangled = [c > tol.rank for c in cs]
-    flag = _locc_flag_2x2(phi.space, sum(entangled))
-    theorem = "C2" if c_phi > 1.0 - 1e-8 else "T2"
-
-    for k, (s, ent) in enumerate(zip(basis, entangled)):
-        if not ent:
-            continue
-        res = antiparallel_test(s, phi, tol)
-        if not res.passed:
-            return Verdict(
-                status=VerdictStatus.INDISTINGUISHABLE,
-                theorem=theorem,
-                reason=Reason(
-                    "antiparallel_failed",
-                    f"member {k} fails the anti-parallel eigenvalue condition",
-                    {"member": k, "angle_defect": res.angle_defect},
-                ),
-                locc_flag=flag,
-            )
-    total = float(sum(cs))
-    if abs(total - c_phi) > tol.concurrence_sum:
-        return Verdict(
-            status=VerdictStatus.INDISTINGUISHABLE,
-            theorem=theorem,
-            reason=Reason(
-                "concurrence_sum",
-                f"concurrence sum {total:.9f} != {c_phi:.9f}",
-                {"sum": total, "c_phi": c_phi, "concurrences": cs},
-            ),
-            locc_flag=flag,
-        )
-
-    lambdas = tuple(c / c_phi for c in cs)
-    return _lambda_certificate(basis, phi, lambdas, theorem, tol, flag, {"concurrences": cs, "c_phi": c_phi})
-
-
-def decide_max_ent_basis(basis, tol: Tolerances = DEFAULT) -> Verdict:
-    """Concurrence-sum decider when the residual state is maximally
-    entangled; the anti-parallel condition is automatic there."""
-    basis = list(basis)
-    if len(basis) != 3 or basis[0].space.dims != (2, 2):
-        raise InvalidInstance("expected three orthonormal 2x2 states")
-    phi = orthonormal_completion(basis)[0]
-    if concurrence(phi) <= 1.0 - 1e-8:
-        raise NotMaxEnt(
-            f"residual state has concurrence {concurrence(phi):.9f}; use decide_2x2_basis"
-        )
-    return decide_2x2_basis(phi, basis, tol)
-
-
 def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -> Verdict:
-    """Decider when the residual state is a product prefix times a bipartite
-    entangled pair: every entangled member must share the prefix and embed in
-    the pair's 2x2 Schmidt subspace, where the concurrence-sum conditions
-    apply."""
+    """Concurrence-sum decider for a residual state that is a product prefix
+    times a bipartite entangled pair; on 2x2 the prefix is empty.  Every
+    entangled member must share the prefix, embed in the pair's 2x2 Schmidt
+    subspace and pass the anti-parallel eigenvalue test there, and the
+    embedded concurrences must sum to C(phi)."""
     basis = list(basis)
     dims = phi.space.dims
     k = phi.space.nparties
@@ -294,6 +246,8 @@ def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -
         raise InvalidInstance("expected a full basis of the orthocomplement")
 
     ranks = [cut_rank(phi.amplitudes, dims, (p,), tol) for p in range(k)]
+    if max(ranks) == 1:
+        raise PhiProduct("residual state is a product state; route through decide()")
     prefix_parties = [p for p in range(k) if ranks[p] == 1]
     peeled = None
     if ranks.count(2) == 2 and max(ranks) == 2:
@@ -302,73 +256,79 @@ def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -
         raise WrongForm("residual state is not a product prefix times a bipartite entangled pair")
     prefix, phi_core, core_dims = peeled
 
-    u, s, vh = np.linalg.svd(cut_matrix(phi_core, core_dims, (0,)), full_matrices=False)
-    left = u[:, :2]
-    right = vh[:2, :].T
+    if core_dims == (2, 2):
+        # the pair's Schmidt subspace is the whole core
+        def embed(core_vec: np.ndarray) -> PureState | None:
+            return PureState(QUBIT_PAIR, core_vec)
 
-    def embed(core_vec: np.ndarray) -> PureState | None:
-        amp = cut_matrix(core_vec, core_dims, (0,))
-        coeff = left.conj().T @ amp @ right.conj()
-        if abs(np.linalg.norm(coeff) - 1.0) > 1e-8:
-            return None
-        return PureState.normalized(StateSpace((2, 2)), coeff.reshape(4))
+    else:
+        u, s, vh = np.linalg.svd(cut_matrix(phi_core, core_dims, (0,)), full_matrices=False)
+        left = u[:, :2]
+        right = vh[:2, :].T
+
+        def embed(core_vec: np.ndarray) -> PureState | None:
+            amp = cut_matrix(core_vec, core_dims, (0,))
+            coeff = left.conj().T @ amp @ right.conj()
+            if abs(np.linalg.norm(coeff) - 1.0) > 1e-8:
+                return None
+            return PureState.normalized(QUBIT_PAIR, coeff.reshape(4))
 
     phi_emb = embed(phi_core)
     c_phi = concurrence(phi_emb)
-    cs = {}  # concurrence of each embedded entangled member
+    flag = _locc_flag_2x2(basis, tol)
+    if dims != (2, 2):
+        theorem = "T4"
+    else:
+        theorem = "C2" if c_phi > 1.0 - 1e-8 else "T2"
+
+    def reject(code: str, message: str, data: dict) -> Verdict:
+        return Verdict(
+            status=VerdictStatus.INDISTINGUISHABLE, theorem=theorem, reason=Reason(code, message, data), locc_flag=flag
+        )
+
+    cs = []  # embedded concurrence of each member, 0.0 for product members
     for j, psi in enumerate(basis):
-        if try_factor(psi.amplitudes, dims) is not None:
-            continue
         # the prefix factors only need to agree up to phase: the embedded
         # state feeds the concurrence and the anti-parallel test alone
         peeled = peel_parties(psi.amplitudes, dims, prefix_parties, tol)
-        if peeled is None or any(abs(np.vdot(f, prefix[p])) < 1.0 - 1e-9 for p, f in peeled[0].items()):
-            return Verdict(
-                status=VerdictStatus.INDISTINGUISHABLE,
-                theorem="T4",
-                reason=Reason(
-                    "prefix_mismatch",
-                    f"entangled member {j} does not carry the residual state's product prefix",
-                    {"member": j},
-                ),
-            )
-        emb = embed(peeled[1])
-        if emb is None:
-            return Verdict(
-                status=VerdictStatus.INDISTINGUISHABLE,
-                theorem="T4",
-                reason=Reason(
+        shares_prefix = peeled is not None and all(
+            abs(np.vdot(f, prefix[p])) >= 1.0 - 1e-9 for p, f in peeled[0].items()
+        )
+        emb = embed(peeled[1]) if shares_prefix else None
+        if emb is None and try_factor(psi.amplitudes, dims) is None:
+            if shares_prefix:
+                return reject(
                     "embedding_failed",
                     f"entangled member {j} leaves the 2x2 subspace spanned by the residual pair",
                     {"member": j},
-                ),
+                )
+            return reject(
+                "prefix_mismatch",
+                f"entangled member {j} does not carry the residual state's product prefix",
+                {"member": j},
             )
+        c = 0.0 if emb is None else concurrence(emb)
+        if c <= tol.rank:
+            cs.append(0.0)
+            continue
         res = antiparallel_test(emb, phi_emb, tol)
         if not res.passed:
-            return Verdict(
-                status=VerdictStatus.INDISTINGUISHABLE,
-                theorem="T4",
-                reason=Reason(
-                    "antiparallel_failed",
-                    f"embedded member {j} fails the anti-parallel eigenvalue condition",
-                    {"member": j, "angle_defect": res.angle_defect},
-                ),
+            return reject(
+                "antiparallel_failed",
+                f"member {j} fails the anti-parallel eigenvalue condition",
+                {"member": j, "angle_defect": res.angle_defect},
             )
-        cs[j] = concurrence(emb)
+        cs.append(c)
 
-    cs_sum = sum(cs.values(), 0.0)
-    if abs(cs_sum - c_phi) > tol.concurrence_sum:
-        return Verdict(
-            status=VerdictStatus.INDISTINGUISHABLE,
-            theorem="T4",
-            reason=Reason(
-                "concurrence_sum",
-                f"embedded concurrence sum {cs_sum:.9f} != {c_phi:.9f}",
-                {"sum": cs_sum, "c_phi": c_phi},
-            ),
+    total = float(sum(cs))
+    if abs(total - c_phi) > tol.concurrence_sum:
+        return reject(
+            "concurrence_sum",
+            f"concurrence sum {total:.9f} != {c_phi:.9f}",
+            {"sum": total, "c_phi": c_phi, "concurrences": cs},
         )
-    lambdas = [cs[j] / c_phi if j in cs else 0.0 for j in range(len(basis))]
-    return _lambda_certificate(basis, phi, lambdas, "T4", tol)
+    lambdas = tuple(c / c_phi for c in cs)
+    return _lambda_certificate(basis, phi, lambdas, theorem, tol, flag, {"concurrences": cs, "c_phi": c_phi})
 
 
 def decide_h3(phi: PureState, basis, tol: Tolerances = DEFAULT) -> Verdict:
@@ -383,11 +343,7 @@ def decide_h3(phi: PureState, basis, tol: Tolerances = DEFAULT) -> Verdict:
     if entry_distance(dec.a, dec.b, tol) < 3:
         raise WrongForm("product terms differ in fewer than three parties")
 
-    a_vec = dec.a.assemble()
-    b_vec = dec.b.assemble()
-    cos_t = np.linalg.norm(a_vec)
-    sin_t = np.linalg.norm(b_vec)
-    candidate = sin_t * (a_vec / cos_t) - cos_t * (b_vec / sin_t)
+    candidate = dec.complement()
 
     ent_indices = [j for j, s in enumerate(basis) if try_factor(s.amplitudes, phi.space.dims) is None]
     if len(ent_indices) != 1:
@@ -751,8 +707,6 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
                     )
             lambdas = [1.0] + [0.0] * (n - 1)
             return _lambda_certificate(states, phi, lambdas, "T1", tol)
-        if space.dims == (2, 2):
-            return decide_2x2_basis(phi, states, tol)
         if cls.kind is Schmidt2Kind.AT_LEAST_3:
             return Verdict(
                 status=VerdictStatus.INDISTINGUISHABLE,
@@ -775,37 +729,3 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
         )
 
     return _decide_feasibility(instance, tol, max_iterations)
-
-
-@dataclass(frozen=True)
-class SeparableState:
-    """Density matrix with an explicit product decomposition."""
-
-    matrix: np.ndarray
-    decomposition: ProductDecomposition
-
-
-class SeparableOperation:
-    """Measure with the POVM, then prepare the separable output state that
-    matches the observed outcome."""
-
-    def __init__(self, povm: PovmCertificate, outputs: list[SeparableState]):
-        if len(outputs) != len(povm.elements):
-            raise CountMismatch("one output state per POVM element required")
-        for out in outputs:
-            if out.decomposition.residual(out.matrix) > 1e-8:
-                raise CountMismatch("output state decomposition does not reassemble it")
-        self.povm = povm
-        self.outputs = outputs
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = None
-        for el, sigma in zip(self.povm.elements, self.outputs):
-            p = float(np.real(np.trace(el @ rho)))
-            term = p * sigma.matrix
-            out = term if out is None else out + term
-        return out
-
-
-def build_separable_operation(povm: PovmCertificate, outputs) -> SeparableOperation:
-    return SeparableOperation(povm, list(outputs))

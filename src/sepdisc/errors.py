@@ -37,10 +37,6 @@ class PhiProduct(SepdiscError):
     """Raised when a reference state required to be entangled is a product state."""
 
 
-class NotMaxEnt(SepdiscError):
-    """Raised when the residual state of a basis is not maximally entangled."""
-
-
 class WrongForm(SepdiscError):
     """Input state does not have the structural form the routine requires."""
 
@@ -62,10 +58,6 @@ class PointOutsideTetrahedron(SepdiscError):
 
 
 class NotUnitary(SepdiscError):
-    pass
-
-
-class CountMismatch(SepdiscError):
     pass
 
 

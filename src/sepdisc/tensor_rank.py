@@ -319,6 +319,15 @@ class Schmidt2Decomposition:
     orthogonal: bool
     unique: bool
 
+    def complement(self) -> np.ndarray:
+        """sin(t) a_hat - cos(t) b_hat for phi = cos(t) a_hat + sin(t) b_hat:
+        the unit vector of span{a, b} orthogonal to phi, for orthogonal a, b."""
+        a_vec = self.a.assemble()
+        b_vec = self.b.assemble()
+        cos_t = np.linalg.norm(a_vec)
+        sin_t = np.linalg.norm(b_vec)
+        return sin_t * (a_vec / cos_t) - cos_t * (b_vec / sin_t)
+
 
 @dataclass(frozen=True)
 class Schmidt2Class:

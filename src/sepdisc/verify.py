@@ -17,8 +17,7 @@ from .discrimination import (
     DiscriminationInstance,
     LoccFlag,
     VerdictStatus,
-    decide_2x2_basis,
-    decide_max_ent_basis,
+    decide_multipartite_sch2,
     validate_certificate,
 )
 from .constructions import (
@@ -35,7 +34,7 @@ from .constructions import (
     tetra_unitary,
     verify_subspace_properties,
 )
-from .linalg import dag, maxabs
+from .linalg import dag, kron_all, maxabs
 from .sampling import (
     random_basis_of_complement,
     random_entangled_2x2,
@@ -55,8 +54,8 @@ from .separability import (
     ppt_oracle,
     rank2_separability,
 )
-from .states import PureState, QUBIT_PAIR, StateSpace, concurrence
-from .tensor_rank import product_vectors_in_span, try_factor
+from .states import PureState, QUBIT_PAIR, StateSpace, concurrence, magic_basis
+from .tensor_rank import product_vectors_in_span, span_coordinates, try_factor
 
 
 @dataclass(frozen=True)
@@ -246,8 +245,6 @@ def check_lemma3_uniqueness(seed: int, n_states: int = 20, tol: Tolerances = DEF
             fb = random_local_vector(rng, 2)
             fb = fb - fa * np.vdot(fa, fb)
             factors_b.append(fb / np.linalg.norm(fb))
-        from .linalg import kron_all
-
         b = PureState(space, kron_all(factors_b))
         phi = PureState.normalized(space, math.cos(t) * a.amplitudes + math.sin(t) * b.amplitudes)
         for _ in range(5):
@@ -258,14 +255,12 @@ def check_lemma3_uniqueness(seed: int, n_states: int = 20, tol: Tolerances = DEF
             total += 1
             good = True
             if len(span.vectors) == 2 and not span.infinitely_many:
-                c, d = (pv.assemble() for pv in span.vectors)
-                gram = np.array([[np.vdot(c, c), np.vdot(c, d)], [np.vdot(d, c), np.vdot(d, d)]])
-                rhs = np.array([np.vdot(c, phi.amplitudes), np.vdot(d, phi.amplitudes)])
                 try:
-                    st = np.linalg.solve(gram, rhs)
+                    xy = span_coordinates(*span.vectors, (phi.amplitudes,))[:, 0]
                 except np.linalg.LinAlgError:
                     continue
-                terms = [st[0] * c, st[1] * d]
+                units = (v / np.linalg.norm(v) for v in (pv.assemble() for pv in span.vectors))
+                terms = [x * u for x, u in zip(xy, units)]
                 if np.linalg.norm(terms[0] + terms[1] - phi.amplitudes) < 1e-8:
                     # the pair decomposes phi, so it must be the original one
                     def matches(term, ref):
@@ -310,7 +305,7 @@ def agreement_experiment(
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             phi = PureState(QUBIT_PAIR, u @ phi.amplitudes)
             basis = [PureState(QUBIT_PAIR, u @ s.amplitudes) for s in basis]
-        verdict = decide_2x2_basis(phi, basis, tol)
+        verdict = decide_multipartite_sch2(phi, basis, tol)
         problem = FeasibilityProblem(
             space=QUBIT_PAIR,
             projectors=[s.density() for s in basis],
@@ -373,7 +368,7 @@ def check_sep_not_locc(seed: int, n_samples: int = 100, tol: Tolerances = DEFAUL
     ok = 0
     for _ in range(n_samples):
         phi, basis, _ = _random_family_pair(rng)
-        verdict = decide_2x2_basis(phi, basis, tol)
+        verdict = decide_multipartite_sch2(phi, basis, tol)
         n_ent = sum(concurrence(s) > tol.rank for s in basis)
         inst = DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi)
         cert_ok = verdict.certificate is not None and validate_certificate(verdict.certificate, inst, tol)["valid"]
@@ -420,7 +415,7 @@ def check_tetra_decisions(step: float = 0.05, tol: Tolerances = DEFAULT) -> Chec
     for x1, x2, x3 in tetra_grid(step):
         u = tetra_unitary(TetraPoint(x1, x2, x3), tol)
         basis = basis_from_unitary(u, tol=tol)
-        verdict = decide_max_ent_basis(basis, tol)
+        verdict = decide_multipartite_sch2(magic_basis()[3], basis, tol)
         on_face = abs((x1 + x2 + x3) - 1.0) <= 1e-9
         expected = VerdictStatus.DISTINGUISHABLE if on_face else VerdictStatus.INDISTINGUISHABLE
         ok += int(verdict.status is expected)

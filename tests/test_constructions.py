@@ -21,7 +21,7 @@ from sepdisc.constructions import (
     tetra_unitary,
     verify_subspace_properties,
 )
-from sepdisc.discrimination import VerdictStatus, decide_2x2_basis, decide_h3, decide_max_ent_basis
+from sepdisc.discrimination import VerdictStatus, decide_h3, decide_multipartite_sch2
 from sepdisc.errors import (
     NotUnitary,
     ParamsOutOfRange,
@@ -87,7 +87,7 @@ class TestFamily:
 
     def test_decider_accepts_family(self):
         phi, basis = family_sep_not_locc(FamilyParams(0.3, 0.4, 0.78))
-        assert decide_2x2_basis(phi, basis).status is VerdictStatus.DISTINGUISHABLE
+        assert decide_multipartite_sch2(phi, basis).status is VerdictStatus.DISTINGUISHABLE
 
 
 class TestTargets:
@@ -101,7 +101,6 @@ class TestTargets:
         phi, basis = basis_for_targets(0.0, 0.0, 0.0)
         assert is_product(phi)
         assert all(is_product(s) for s in basis)
-        v = decide_2x2_basis
         # product phi: the basis is trivially distinguishable through decide()
         from sepdisc.discrimination import DiscriminationInstance, decide
 
@@ -118,7 +117,7 @@ class TestTargets:
         phi, basis = basis_for_targets(0.3, 0.2, 0.1)
         cs = [concurrence(s) for s in basis]
         assert np.allclose(cs, [0.3, 0.2, 0.1], atol=1e-8)
-        assert decide_2x2_basis(phi, basis).status is VerdictStatus.DISTINGUISHABLE
+        assert decide_multipartite_sch2(phi, basis).status is VerdictStatus.DISTINGUISHABLE
 
     def test_random_round_trips(self, rng):
         for _ in range(200):
@@ -195,9 +194,9 @@ class TestBasisFromUnitary:
 
     def test_face_and_interior_decisions(self):
         face = basis_from_unitary(tetra_unitary(TetraPoint(0.5, 0.25, 0.25)))
-        assert decide_max_ent_basis(face).status is VerdictStatus.DISTINGUISHABLE
+        assert decide_multipartite_sch2(magic_basis()[3], face).status is VerdictStatus.DISTINGUISHABLE
         interior = basis_from_unitary(tetra_unitary(TetraPoint(1, 1, 1)))
-        assert decide_max_ent_basis(interior).status is VerdictStatus.INDISTINGUISHABLE
+        assert decide_multipartite_sch2(magic_basis()[3], interior).status is VerdictStatus.INDISTINGUISHABLE
 
     def test_sampled_triples_stay_inside(self, rng):
         xs = sample_unitary_triples(rng, 200)
@@ -273,7 +272,7 @@ class TestLoccBasis:
         assert abs(total - concurrence(phi)) < 1e-10
         ent = [s for s in basis if concurrence(s) > 1e-9]
         assert len(ent) == 1
-        assert decide_2x2_basis(phi, basis).status is VerdictStatus.DISTINGUISHABLE
+        assert decide_multipartite_sch2(phi, basis).status is VerdictStatus.DISTINGUISHABLE
 
     def test_wrong_form_rejected(self):
         from tests.conftest import w_state

@@ -6,20 +6,16 @@ import pytest
 import sepdisc.discrimination as disc
 from sepdisc.config import DEFAULT
 from sepdisc.constructions import FamilyParams, family_sep_not_locc, gamma_range, locc_basis_sch2
-from sepdisc.errors import InvalidInstance, NotMaxEnt, PhiProduct
+from sepdisc.errors import InvalidInstance, PhiProduct
 from sepdisc.linalg import kron_all, partial_transpose
 from sepdisc.discrimination import (
     DiscriminationInstance,
     LoccFlag,
-    SeparableState,
     SubspaceKind,
     VerdictStatus,
     _lambda_certificate,
-    build_separable_operation,
     decide,
-    decide_2x2_basis,
     decide_h3,
-    decide_max_ent_basis,
     decide_multipartite_sch2,
     subspace_verdict,
     try_product_decomposition,
@@ -27,11 +23,12 @@ from sepdisc.discrimination import (
 )
 from sepdisc.sampling import (
     random_basis_of_complement,
+    random_entangled_2x2,
     random_product_basis,
     random_pure_state,
     random_unitary,
 )
-from sepdisc.separability import ProductDecomposition, PptRecord, SepStatus, rank2_separability
+from sepdisc.separability import PptRecord, SepStatus, rank2_separability
 from sepdisc.states import (
     PureState,
     QUBIT_PAIR,
@@ -39,6 +36,7 @@ from sepdisc.states import (
     basis_state,
     concurrence,
     ket,
+    magic_basis,
     orthonormal_completion,
     phi_plus,
 )
@@ -89,7 +87,7 @@ class TestFullBasis:
 class TestTwoQubitBasis:
     def test_family_distinguishable_with_flag(self):
         phi, basis = _family()
-        v = decide_2x2_basis(phi, basis)
+        v = decide_multipartite_sch2(phi, basis)
         assert v.status is VerdictStatus.DISTINGUISHABLE
         assert v.theorem == "T2"
         assert v.locc_flag is LoccFlag.LOCC_INDISTINGUISHABLE
@@ -97,24 +95,24 @@ class TestTwoQubitBasis:
         assert validate_certificate(v.certificate, inst)["valid"]
 
     def test_bell_triple_concurrence_sum(self):
-        v = decide_2x2_basis(phi_plus(), [bell("phi-"), bell("psi+"), bell("psi-")])
+        v = decide_multipartite_sch2(phi_plus(), [bell("phi-"), bell("psi+"), bell("psi-")])
         assert v.status is VerdictStatus.INDISTINGUISHABLE
         assert v.reason.code == "concurrence_sum"
         assert abs(v.reason.data["sum"] - 3.0) < 1e-9
 
     def test_one_zero_zero_basis(self):
-        v = decide_2x2_basis(phi_plus(), [bell("phi-"), ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10")])
+        v = decide_multipartite_sch2(phi_plus(), [bell("phi-"), ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10")])
         assert v.status is VerdictStatus.DISTINGUISHABLE
         assert np.allclose(v.certificate.lambdas, [1.0, 0.0, 0.0])
 
     def test_product_phi_raises(self):
         basis = [ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10"), ket(QUBIT_PAIR, "11")]
         with pytest.raises(PhiProduct):
-            decide_2x2_basis(ket(QUBIT_PAIR, "00"), basis)
+            decide_multipartite_sch2(ket(QUBIT_PAIR, "00"), basis)
 
     def test_lambda_uniqueness_perturbation(self):
         phi, basis = _family()
-        v = decide_2x2_basis(phi, basis)
+        v = decide_multipartite_sch2(phi, basis)
         for psi, lam in zip(basis, v.certificate.lambdas):
             for d in (-1e-3, 1e-3):
                 lam_p = lam + d
@@ -129,7 +127,7 @@ class TestMaxEntBasis:
         from sepdisc.constructions import TetraPoint, basis_from_unitary, tetra_unitary
 
         basis = basis_from_unitary(tetra_unitary(TetraPoint(1 / 3, 1 / 3, 1 / 3)))
-        v = decide_max_ent_basis(basis)
+        v = decide_multipartite_sch2(magic_basis()[3], basis)
         assert v.status is VerdictStatus.DISTINGUISHABLE
         assert v.theorem == "C2"
 
@@ -138,18 +136,13 @@ class TestMaxEntBasis:
         # complete the two products to a basis of {phi+}^perp with bell("phi-")
         basis[2] = bell("phi-")
         # reorder so the residual state is phi+
-        v = decide_max_ent_basis([basis[0], basis[1], basis[2]])
+        v = decide_multipartite_sch2(phi_plus(), [basis[0], basis[1], basis[2]])
         assert v.status is VerdictStatus.DISTINGUISHABLE  # concurrences (0,0,1)
 
         all_product = [ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10"), bell("phi+") if False else None]
         # a genuinely failing sum: three states with concurrences (1,1,1)
-        v = decide_max_ent_basis([bell("phi-"), bell("psi+"), bell("psi-")])
+        v = decide_multipartite_sch2(phi_plus(), [bell("phi-"), bell("psi+"), bell("psi-")])
         assert v.status is VerdictStatus.INDISTINGUISHABLE
-
-    def test_not_max_ent_rejected(self):
-        phi, basis = _family()
-        with pytest.raises(NotMaxEnt):
-            decide_max_ent_basis(basis)
 
 
 class TestDispatcher:
@@ -384,45 +377,6 @@ class TestSubspaceVerdict:
             subspace_verdict(ket(S3, "000"))
 
 
-class TestSeparableOperation:
-    def test_standard_basis_channel(self):
-        basis = [ket(QUBIT_PAIR, f"{i}{j}") for i in range(2) for j in range(2)]
-        inst = DiscriminationInstance.from_pure(QUBIT_PAIR, basis)
-        cert = decide(inst).certificate
-        outputs = [
-            SeparableState(s.density(), ProductDecomposition((1.0,), (try_factor(s.amplitudes, (2, 2)),)))
-            for s in basis
-        ]
-        channel = build_separable_operation(cert, outputs)
-        for j, s in enumerate(basis):
-            out = channel.apply(s.density())
-            assert np.max(np.abs(out - outputs[j].matrix)) < 1e-7
-
-    def test_family_channel_and_trace_preservation(self, rng):
-        phi, basis = _family()
-        v = decide_2x2_basis(phi, basis)
-        sigma = [ket(QUBIT_PAIR, "00"), ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10")]
-        outputs = [
-            SeparableState(s.density(), ProductDecomposition((1.0,), (try_factor(s.amplitudes, (2, 2)),)))
-            for s in sigma
-        ]
-        channel = build_separable_operation(v.certificate, outputs)
-        for j, s in enumerate(basis):
-            assert np.max(np.abs(channel.apply(s.density()) - outputs[j].matrix)) < 1e-7
-        for _ in range(100):
-            psi = random_pure_state(rng, QUBIT_PAIR)
-            out = channel.apply(psi.density())
-            assert abs(np.trace(out).real - 1.0) < 1e-10
-
-    def test_count_mismatch(self):
-        phi, basis = _family()
-        v = decide_2x2_basis(phi, basis)
-        from sepdisc.errors import CountMismatch
-
-        with pytest.raises(CountMismatch):
-            build_separable_operation(v.certificate, [])
-
-
 def test_instance_validation():
     with pytest.raises(InvalidInstance):
         DiscriminationInstance.from_pure(QUBIT_PAIR, [phi_plus(), phi_plus()])
@@ -441,7 +395,7 @@ def test_try_product_decomposition_diagonal():
 
 def test_lambda_certificate_failure_names_member_theorem_and_flag():
     phi, basis = _family()
-    good = decide_2x2_basis(phi, basis)
+    good = decide_multipartite_sch2(phi, basis)
     assert good.status is VerdictStatus.DISTINGUISHABLE
     # moving lambda off C(psi)/C(phi) leaves the first entangled member's
     # element entangled
@@ -481,3 +435,81 @@ def test_ppt_records_carry_the_measured_minimum():
         rho = el / np.trace(el).real
         want = min(np.linalg.eigvalsh(partial_transpose(rho, (2, 2), cut))[0] for cut in rec.cuts)
         assert abs(rec.min_eigenvalue - want) <= 1e-12
+
+
+def _dykstra_two_state(seed: int):
+    u = random_unitary(np.random.default_rng(seed), 4)
+    inst = DiscriminationInstance.from_pure(QUBIT_PAIR, [PureState(QUBIT_PAIR, u[:, k]) for k in range(2)])
+    v = decide(inst)
+    assert v.status is VerdictStatus.DISTINGUISHABLE
+    assert all(isinstance(rec, PptRecord) for rec in v.certificate.evidence)
+    return inst, v.certificate
+
+
+def test_validator_recomputes_ppt_evidence():
+    # seed 0: an element's partial transpose dips to -4.2e-8, below the PSD
+    # bound, so the PPT record proves nothing
+    inst, cert = _dykstra_two_state(0)
+    check = validate_certificate(cert, inst)
+    assert -5e-8 < check["ppt_min"] < -4e-8
+    assert not check["valid"]
+    # the validator reads the matrices, not the recorded minimum
+    forged = disc.PovmCertificate(
+        cert.elements, tuple(PptRecord(0.0, True, rec.cuts) for rec in cert.evidence), cert.lambdas
+    )
+    assert not validate_certificate(forged, inst)["valid"]
+    # seed 5: every partial transpose is PSD with room to spare
+    inst, cert = _dykstra_two_state(5)
+    check = validate_certificate(cert, inst)
+    assert check["ppt_min"] > 1e-3
+    assert check["valid"]
+
+
+def test_ppt_record_outside_2x2_and_2x3_is_rejected():
+    s33 = StateSpace((3, 3))
+    basis = [basis_state(s33, (i, j)) for i in range(3) for j in range(3)]
+    inst = DiscriminationInstance.from_pure(s33, basis)
+    cert = decide(inst).certificate
+    record = PptRecord(0.0, True, ((0,),))
+    forged = disc.PovmCertificate(cert.elements, (record,) * len(cert.elements), None)
+    check = validate_certificate(forged, inst)
+    assert check["ppt_min"] >= 0.0
+    assert not check["evidence_exact"]
+    assert not check["valid"]
+
+
+def _prefixed(phi, basis):
+    """e0 (x) phi and e0 (x) basis, completed by the four products e1 (x) |ij>."""
+    e0, e1 = np.eye(2, dtype=complex)
+    lifted = [PureState(S3, np.kron(e0, s.amplitudes)) for s in basis]
+    lifted += [PureState(S3, kron_all([e1, np.eye(2)[:, i], np.eye(2)[:, j]])) for i in range(2) for j in range(2)]
+    return PureState(S3, np.kron(e0, phi.amplitudes)), lifted
+
+
+def test_product_prefix_leaves_the_2x2_verdict_unchanged():
+    rng = np.random.default_rng(11)
+    cases = [_family(frac=frac) for frac in (0.0, 0.5, 1.0)]
+    for _ in range(6):
+        alpha = float(rng.uniform(0.05, math.pi / 4 - 0.05))
+        phi, basis = _family(alpha, float(rng.uniform(alpha + 0.01, math.pi / 4)), float(rng.uniform(0.1, 0.9)))
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        cases.append((PureState(QUBIT_PAIR, u @ phi.amplitudes), [PureState(QUBIT_PAIR, u @ s.amplitudes) for s in basis]))
+    for _ in range(6):
+        phi = random_entangled_2x2(rng, 0.05)
+        cases.append((phi, random_basis_of_complement(rng, phi)))
+    statuses = set()
+    for phi, basis in cases:
+        flat = decide(DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi))
+        phi3, basis3 = _prefixed(phi, basis)
+        lifted = decide(DiscriminationInstance.from_pure(S3, basis3, phi3))
+        assert lifted.theorem == "T4"
+        assert lifted.status is flat.status
+        assert (lifted.reason is None) == (flat.reason is None)
+        if flat.reason is not None:
+            assert lifted.reason.code == flat.reason.code
+        if flat.certificate is not None:
+            lam = lifted.certificate.lambdas
+            assert np.max(np.abs(np.subtract(lam[:3], flat.certificate.lambdas))) <= 1e-12
+            assert lam[3:] == (0.0,) * 4
+        statuses.add(flat.status)
+    assert statuses == {VerdictStatus.DISTINGUISHABLE, VerdictStatus.INDISTINGUISHABLE}
