@@ -56,8 +56,6 @@ from .discrimination import (
     Verdict,
     VerdictStatus,
     decide,
-    decide_h3,
-    decide_multipartite_sch2,
     subspace_verdict,
     validate_certificate,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 import numpy as np
@@ -21,16 +22,14 @@ from .constructions import (
     TetraPoint,
     basis_for_targets,
     basis_from_unitary,
-    concurrence_triple_of_unitary,
     family_sep_not_locc,
     indistinguishable_subspace,
     locc_basis_sch2,
     subspace_spec_from_pair,
-    tetra_grid,
     tetra_unitary,
     verify_subspace_properties,
 )
-from .discrimination import DiscriminationInstance, VerdictStatus, decide, decide_multipartite_sch2
+from .discrimination import DiscriminationInstance, VerdictStatus, decide
 from .errors import SepdiscError, StateFileError
 from .states import magic_basis, orthonormal_completion
 from .statefile import (
@@ -39,7 +38,7 @@ from .statefile import (
     verdict_report,
     warn,
 )
-from .verify import SUITES
+from .verify import SUITES, tetra_walk
 
 EXIT_BY_STATUS = {
     VerdictStatus.DISTINGUISHABLE: 0,
@@ -133,14 +132,7 @@ def cmd_decide(args, tol) -> int:
             "entangled_members_need_three_products": report.p1.passed,
             "difference_combinations_need_three_products": report.p2.passed,
         }
-        verdict = type(verdict)(
-            status=verdict.status,
-            theorem=verdict.theorem,
-            certificate=verdict.certificate,
-            reason=verdict.reason,
-            locc_flag=verdict.locc_flag,
-            diagnostics=diagnostics,
-        )
+        verdict = dataclasses.replace(verdict, diagnostics=diagnostics)
     print(verdict_report(verdict, text, [name for name, _ in data.states]))
     return EXIT_BY_STATUS[verdict.status]
 
@@ -156,8 +148,7 @@ def cmd_construct(args, tol) -> int:
             names = [f"psi{k+1}" for k in range(3)]
             print(serialize_statefile(phi.space, list(zip(names, basis)), ("phi", phi)))
         elif args.what == "tetra":
-            u = tetra_unitary(TetraPoint(args.x1, args.x2, args.x3), tol)
-            basis = basis_from_unitary(u, tol=tol)
+            basis = basis_from_unitary(tetra_unitary(TetraPoint(args.x1, args.x2, args.x3)))
             phi = magic_basis()[3]
             names = [f"psi{k+1}" for k in range(3)]
             print(serialize_statefile(phi.space, list(zip(names, basis)), ("phi", phi)))
@@ -191,10 +182,7 @@ def cmd_sweep(args, tol) -> int:
         print("error: step must be in (0, 0.25]", file=sys.stderr)
         return EXIT_INPUT_ERROR
     rows = []
-    for x1, x2, x3 in tetra_grid(args.step):
-        u = tetra_unitary(TetraPoint(x1, x2, x3), tol)
-        achieved = concurrence_triple_of_unitary(u)
-        verdict = decide_multipartite_sch2(magic_basis()[3], basis_from_unitary(u, tol=tol), tol)
+    for (x1, x2, x3), _, achieved, verdict in tetra_walk(args.step, tol):
         rows.append(
             [
                 f"{x1:.6f}",

@@ -38,6 +38,7 @@ from .states import (
 )
 from .tensor_rank import (
     ProductVector,
+    Schmidt2Decomposition,
     Schmidt2Kind,
     cut_rank,
     product_vectors_in_span,
@@ -174,7 +175,7 @@ def _householder_with_first_column(u: np.ndarray) -> np.ndarray:
     return h
 
 
-def tetra_unitary(point: TetraPoint, tol: Tolerances = DEFAULT) -> np.ndarray:
+def tetra_unitary(point: TetraPoint) -> np.ndarray:
     """3x3 unitary whose rows achieve |sum_j U[k,j]^2| = x_k.
 
     Writes U = O diag(1, e^{i t}, e^{i t}) with O real orthogonal; the first
@@ -253,21 +254,14 @@ def tetra_unitary(point: TetraPoint, tol: Tolerances = DEFAULT) -> np.ndarray:
     return u_out
 
 
-def basis_from_unitary(u: np.ndarray, phi: PureState | None = None, tol: Tolerances = DEFAULT) -> list[PureState]:
-    """Rotate the three magic-basis states spanning {phi}^perp by a 3x3
-    unitary; the resulting concurrences are |sum of squared row entries|."""
+def basis_from_unitary(u: np.ndarray) -> list[PureState]:
+    """Rotate the first three magic-basis states, which span {phi}^perp for
+    phi the fourth, by a 3x3 unitary; the resulting concurrences are |sum of
+    squared row entries|."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (3, 3) or maxabs(u.conj().T @ u - np.eye(3)) > 1e-9:
         raise NotUnitary("expected a 3x3 unitary matrix")
-    magic = magic_basis()
-    if phi is None:
-        idx = 3
-    else:
-        overlaps = [abs(phi.inner(m)) for m in magic]
-        idx = int(np.argmax(overlaps))
-        if overlaps[idx] < 1.0 - 1e-9:
-            raise WrongForm("phi must be a magic-basis element (up to phase)")
-    others = [m for j, m in enumerate(magic) if j != idx]
+    others = magic_basis()[:3]
     out = []
     for k in range(3):
         vec = sum(u[k, l] * others[l].amplitudes for l in range(3))
@@ -383,7 +377,7 @@ def _sample_grid(n_mag: int, n_phase: int):
             yield math.cos(t), math.sin(t) * np.exp(1j * ph)
 
 
-def verify_subspace_properties(spec: SubspaceSpec, tol: Tolerances = DEFAULT, grid: tuple[int, int] = (10, 10)) -> SubspaceReport:
+def verify_subspace_properties(spec: SubspaceSpec, tol: Tolerances = DEFAULT) -> SubspaceReport:
     """Check the three structural properties behind indistinguishability:
     a unique product direction in the span, three-term entangled members on
     a sampling grid, and the same for the difference combinations that the
@@ -400,7 +394,7 @@ def verify_subspace_properties(spec: SubspaceSpec, tol: Tolerances = DEFAULT, gr
 
     n_checked = 0
     n_failed = 0
-    for a, b in _sample_grid(*grid):
+    for a, b in _sample_grid(10, 10):
         vec = a * spec.phi1.amplitudes + b * spec.phi2.amplitudes
         state = PureState.normalized(spec.space, vec)
         n_checked += 1
@@ -495,9 +489,12 @@ def locc_basis_sch2(phi: PureState, tol: Tolerances = DEFAULT) -> list[PureState
     cls = schmidt2_classify(phi, tol)
     if cls.kind is not Schmidt2Kind.SCHMIDT2 or not cls.decomposition.orthogonal:
         raise WrongForm("state does not split into two orthogonal product terms")
-    dec = cls.decomposition
-    psi = PureState.normalized(phi.space, dec.complement())
+    return _locc_basis(phi, cls.decomposition)
 
+
+def _locc_basis(phi: PureState, dec: Schmidt2Decomposition) -> list[PureState]:
+    """:func:`locc_basis_sch2` from the orthogonal decomposition phi = a + b."""
+    psi = PureState.normalized(phi.space, dec.complement())
     a_hat, b_hat = (v / np.linalg.norm(v) for v in (dec.a.assemble(), dec.b.assemble()))
     full = _product_basis_through(dec.a, dec.b, phi.space)
     others = [

@@ -1,10 +1,11 @@
 """Deciders for perfect discrimination by separable operations.
 
 The dispatcher :func:`decide` routes an instance to the sharpest applicable
-analytic decider (full product-basis criterion, the concurrence-sum decider
-for a product prefix times an entangled pair, of which 2x2 is the
-empty-prefix case, the unique-entangled-member decider) and falls back to
-the PSD+PPT feasibility solver.  Distinguishable verdicts carry a POVM
+analytic decider (full product-basis criterion; for D-1 states, by the
+classification of the residual state phi, the concurrence-sum decider for a
+product prefix times an entangled pair, of which 2x2 is the empty-prefix
+case, or the unique-entangled-member decider) and falls back to the PSD+PPT
+feasibility solver.  Distinguishable verdicts carry a POVM
 certificate whose validity is re-checkable independently of the decider
 that produced it.
 """
@@ -17,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import InvalidInstance, PhiProduct, WrongForm
+from .errors import InvalidInstance, PhiProduct
 from .linalg import hermitian_eig, maxabs
 from .separability import (
     FeasibilityProblem,
@@ -41,15 +42,19 @@ from .states import (
 )
 from .tensor_rank import (
     ProductVector,
+    Schmidt2Decomposition,
     Schmidt2Kind,
     cut_matrix,
-    cut_rank,
-    entry_distance,
     peel_parties,
     proper_cuts,
     schmidt2_classify,
     try_factor,
 )
+
+
+# lowest eigenvalue a certificate may show, for its elements and for the
+# partial transposes behind its PPT records
+_EIGENVALUE_FLOOR = -1e-9
 
 
 class VerdictStatus(Enum):
@@ -184,20 +189,12 @@ def validate_certificate(cert: PovmCertificate, instance: DiscriminationInstance
         "lambdas_ok": lambdas_ok,
         "valid": completeness <= 1e-8
         and correctness <= 1e-7
-        and psd_min >= -1e-9
+        and psd_min >= _EIGENVALUE_FLOOR
         and evidence_resid <= 1e-8
         and evidence_ok
-        and (ppt_min is None or ppt_min >= -1e-9)
+        and (ppt_min is None or ppt_min >= _EIGENVALUE_FLOOR)
         and lambdas_ok,
     }
-
-
-def _locc_flag_2x2(basis, tol: Tolerances) -> LoccFlag:
-    # cited sufficient condition: two or more entangled members of a 2x2
-    # basis cannot be told apart by LOCC
-    if basis[0].space.dims == (2, 2) and sum(concurrence(s) > tol.rank for s in basis) >= 2:
-        return LoccFlag.LOCC_INDISTINGUISHABLE
-    return LoccFlag.UNKNOWN
 
 
 def _lambda_certificate(
@@ -233,68 +230,61 @@ def _lambda_certificate(
     )
 
 
-def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -> Verdict:
+def _decide_concurrence_sum(phi: PureState, basis, dec: Schmidt2Decomposition, tol: Tolerances) -> Verdict | None:
     """Concurrence-sum decider for a residual state that is a product prefix
-    times a bipartite entangled pair; on 2x2 the prefix is empty.  Every
+    times a bipartite entangled pair, read from its two-term decomposition
+    phi = a + b with entry distance 2; on 2x2 the prefix is empty.  Every
     entangled member must share the prefix, embed in the pair's 2x2 Schmidt
     subspace and pass the anti-parallel eigenvalue test there, and the
-    embedded concurrences must sum to C(phi)."""
-    basis = list(basis)
+    embedded concurrences must sum to C(phi).  None when a and b are not
+    the pair's Schmidt terms."""
     dims = phi.space.dims
-    k = phi.space.nparties
-    if len(basis) != phi.space.dim - 1:
-        raise InvalidInstance("expected a full basis of the orthocomplement")
-
-    ranks = [cut_rank(phi.amplitudes, dims, (p,), tol) for p in range(k)]
-    if max(ranks) == 1:
-        raise PhiProduct("residual state is a product state; route through decide()")
-    prefix_parties = [p for p in range(k) if ranks[p] == 1]
-    peeled = None
-    if ranks.count(2) == 2 and max(ranks) == 2:
-        peeled = peel_parties(phi.amplitudes, dims, prefix_parties, tol)
-    if peeled is None:
-        raise WrongForm("residual state is not a product prefix times a bipartite entangled pair")
-    prefix, phi_core, core_dims = peeled
-
-    if core_dims == (2, 2):
-        # the pair's Schmidt subspace is the whole core
-        def embed(core_vec: np.ndarray) -> PureState | None:
-            return PureState(QUBIT_PAIR, core_vec)
-
-    else:
-        u, s, vh = np.linalg.svd(cut_matrix(phi_core, core_dims, (0,)), full_matrices=False)
-        left = u[:, :2]
-        right = vh[:2, :].T
-
-        def embed(core_vec: np.ndarray) -> PureState | None:
-            amp = cut_matrix(core_vec, core_dims, (0,))
-            coeff = left.conj().T @ amp @ right.conj()
-            if abs(np.linalg.norm(coeff) - 1.0) > 1e-8:
-                return None
-            return PureState.normalized(QUBIT_PAIR, coeff.reshape(4))
-
-    phi_emb = embed(phi_core)
+    # schmidt2_classify splits a two-party core by its SVD, so on the pair
+    # the factors of a and b are orthonormal Schmidt vectors and the weights
+    # the Schmidt coefficients; elsewhere a and b share the prefix factors
+    pair = [p for p, (fa, fb) in enumerate(zip(dec.a.factors, dec.b.factors)) if abs(np.vdot(fa, fb)) <= 1e-9]
+    if len(pair) != 2:
+        return None
+    prefix = {p: f for p, f in enumerate(dec.a.factors) if p not in pair}
+    left = np.column_stack([dec.a.factors[pair[0]], dec.b.factors[pair[0]]])
+    right = np.column_stack([dec.a.factors[pair[1]], dec.b.factors[pair[1]]])
+    phi_emb = PureState.normalized(QUBIT_PAIR, [dec.a.weight, 0.0, 0.0, dec.b.weight])
     c_phi = concurrence(phi_emb)
-    flag = _locc_flag_2x2(basis, tol)
     if dims != (2, 2):
         theorem = "T4"
     else:
         theorem = "C2" if c_phi > 1.0 - 1e-8 else "T2"
+
+    def embed(psi: PureState) -> tuple[bool, PureState | None]:
+        """Whether the member carries the prefix, and its state in the
+        pair's Schmidt basis when it stays inside that 2x2 subspace."""
+        # the prefix factors only need to agree up to phase: the embedded
+        # state feeds the concurrence and the anti-parallel test alone
+        peeled = peel_parties(psi.amplitudes, dims, list(prefix), tol)
+        if peeled is None or any(abs(np.vdot(f, prefix[p])) < 1.0 - 1e-9 for p, f in peeled[0].items()):
+            return False, None
+        _, core, core_dims = peeled
+        coeff = left.conj().T @ cut_matrix(core, core_dims, (0,)) @ right.conj()
+        if abs(np.linalg.norm(coeff) - 1.0) > 1e-8:
+            return True, None
+        return True, PureState.normalized(QUBIT_PAIR, coeff.reshape(4))
+
+    members = [embed(psi) for psi in basis]
+    # embedded concurrence of each member, 0.0 for product members
+    cs = [0.0 if emb is None else concurrence(emb) for _, emb in members]
+    # cited sufficient condition: two or more entangled members of a 2x2
+    # basis cannot be told apart by LOCC
+    if dims == (2, 2) and sum(c > tol.rank for c in cs) >= 2:
+        flag = LoccFlag.LOCC_INDISTINGUISHABLE
+    else:
+        flag = LoccFlag.UNKNOWN
 
     def reject(code: str, message: str, data: dict) -> Verdict:
         return Verdict(
             status=VerdictStatus.INDISTINGUISHABLE, theorem=theorem, reason=Reason(code, message, data), locc_flag=flag
         )
 
-    cs = []  # embedded concurrence of each member, 0.0 for product members
-    for j, psi in enumerate(basis):
-        # the prefix factors only need to agree up to phase: the embedded
-        # state feeds the concurrence and the anti-parallel test alone
-        peeled = peel_parties(psi.amplitudes, dims, prefix_parties, tol)
-        shares_prefix = peeled is not None and all(
-            abs(np.vdot(f, prefix[p])) >= 1.0 - 1e-9 for p, f in peeled[0].items()
-        )
-        emb = embed(peeled[1]) if shares_prefix else None
+    for j, (psi, (shares_prefix, emb)) in enumerate(zip(basis, members)):
         if emb is None and try_factor(psi.amplitudes, dims) is None:
             if shares_prefix:
                 return reject(
@@ -307,9 +297,8 @@ def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -
                 f"entangled member {j} does not carry the residual state's product prefix",
                 {"member": j},
             )
-        c = 0.0 if emb is None else concurrence(emb)
-        if c <= tol.rank:
-            cs.append(0.0)
+        if cs[j] <= tol.rank:
+            cs[j] = 0.0
             continue
         res = antiparallel_test(emb, phi_emb, tol)
         if not res.passed:
@@ -318,7 +307,6 @@ def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -
                 f"member {j} fails the anti-parallel eigenvalue condition",
                 {"member": j, "angle_defect": res.angle_defect},
             )
-        cs.append(c)
 
     total = float(sum(cs))
     if abs(total - c_phi) > tol.concurrence_sum:
@@ -331,20 +319,11 @@ def decide_multipartite_sch2(phi: PureState, basis, tol: Tolerances = DEFAULT) -
     return _lambda_certificate(basis, phi, lambdas, theorem, tol, flag, {"concurrences": cs, "c_phi": c_phi})
 
 
-def decide_h3(phi: PureState, basis, tol: Tolerances = DEFAULT) -> Verdict:
+def _decide_unique_entangled_member(phi: PureState, basis, dec: Schmidt2Decomposition, tol: Tolerances) -> Verdict:
     """Decider when the residual state splits into two orthogonal product
     vectors differing in three or more parties: the basis must contain the
     unique complementary entangled state and otherwise products."""
-    basis = list(basis)
-    cls = schmidt2_classify(phi, tol)
-    if cls.kind is not Schmidt2Kind.SCHMIDT2 or not cls.decomposition.orthogonal:
-        raise WrongForm("residual state is not an orthogonal two-term product superposition")
-    dec = cls.decomposition
-    if entry_distance(dec.a, dec.b, tol) < 3:
-        raise WrongForm("product terms differ in fewer than three parties")
-
     candidate = dec.complement()
-
     ent_indices = [j for j, s in enumerate(basis) if try_factor(s.amplitudes, phi.space.dims) is None]
     if len(ent_indices) != 1:
         return Verdict(
@@ -396,9 +375,9 @@ def subspace_verdict(phi: PureState, tol: Tolerances = DEFAULT) -> SubspaceVerdi
     if cls.kind is Schmidt2Kind.AT_LEAST_3:
         return SubspaceVerdict(kind=SubspaceKind.NO_DISTINGUISHABLE_BASIS, classification=cls)
     if cls.kind is Schmidt2Kind.SCHMIDT2 and cls.decomposition.orthogonal:
-        from .constructions import locc_basis_sch2
+        from .constructions import _locc_basis
 
-        basis = tuple(locc_basis_sch2(phi, tol))
+        basis = tuple(_locc_basis(phi, cls.decomposition))
         return SubspaceVerdict(kind=SubspaceKind.HAS_LOCC_BASIS, basis=basis, classification=cls)
     return SubspaceVerdict(kind=SubspaceKind.UNDECIDED, classification=cls)
 
@@ -622,22 +601,19 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
     if outcome.feasible:
         elements = tuple(p + e for p, e in zip(projectors, outcome.e_ops))
         if ppt_is_exact(instance.space):
-            # min over cuts of the lowest eigenvalue of PT_c(E_k / tr E_k)
-            evidence = tuple(
-                PptRecord(
-                    min_eigenvalue=_worst_pt(el / np.trace(el).real, instance.space, problem.cuts, tol).eigenvalue,
-                    exact=True,
-                    cuts=tuple(problem.cuts),
+            # min over cuts of the lowest eigenvalue of PT_c(E_k / tr E_k);
+            # a solver point inside the feasibility tolerance can still dip
+            # below the floor the validator holds PPT evidence to
+            pt_mins = [_worst_pt(el / np.trace(el).real, instance.space, problem.cuts, tol).eigenvalue for el in elements]
+            if min(pt_mins) >= _EIGENVALUE_FLOOR:
+                evidence = tuple(PptRecord(min_eigenvalue=m, exact=True, cuts=tuple(problem.cuts)) for m in pt_mins)
+                cert = PovmCertificate(elements, evidence, None)
+                return Verdict(
+                    status=VerdictStatus.DISTINGUISHABLE,
+                    theorem="T1",
+                    certificate=cert,
+                    diagnostics=diag,
                 )
-                for el in elements
-            )
-            cert = PovmCertificate(elements, evidence, None)
-            return Verdict(
-                status=VerdictStatus.DISTINGUISHABLE,
-                theorem="T1",
-                certificate=cert,
-                diagnostics=diag,
-            )
         upgraded = []
         for el in elements:
             dec = try_product_decomposition(el, instance.space, tol)
@@ -718,10 +694,11 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
                 ),
             )
         if cls.kind is Schmidt2Kind.SCHMIDT2 and cls.decomposition.orthogonal:
-            h = entry_distance(cls.decomposition.a, cls.decomposition.b, tol)
-            if h >= 3:
-                return decide_h3(phi, states, tol)
-            return decide_multipartite_sch2(phi, states, tol)
+            if cls.detail["entry_distance"] >= 3:
+                return _decide_unique_entangled_member(phi, states, cls.decomposition, tol)
+            verdict = _decide_concurrence_sum(phi, states, cls.decomposition, tol)
+            if verdict is not None:
+                return verdict
         return Verdict(
             status=VerdictStatus.UNDECIDED,
             theorem="T6",

@@ -339,18 +339,18 @@ class FeasibilityProblem:
     space: StateSpace
     projectors: list[np.ndarray]
     p0: np.ndarray
-    cuts: list[tuple[int, ...]] = field(default_factory=list)
     tol: Tolerances = DEFAULT
     max_iterations: int | None = None
     # when P0 has rank 1 the blocks are forced to E_k = lam_k P0 and the
     # problem is solved exactly through interval intersection; set False to
     # force the iterative path
     use_rank1_path: bool = True
+    # every bipartition, one per complement pair
+    cuts: list[tuple[int, ...]] = field(init=False)
 
     def __post_init__(self):
         d = self.space.dim
-        if not self.cuts:
-            self.cuts = list(proper_cuts(self.space.nparties))
+        self.cuts = list(proper_cuts(self.space.nparties))
         self.projectors = [np.asarray(p, dtype=complex) for p in self.projectors]
         for p in self.projectors:
             if p.shape != (d, d):

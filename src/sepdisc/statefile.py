@@ -140,7 +140,6 @@ def verdict_report(
     verdict: Verdict,
     input_text: str,
     state_names: list[str] | None = None,
-    include_timestamp: bool = True,
 ) -> str:
     cert: PovmCertificate | None = verdict.certificate
     doc = {
@@ -168,9 +167,8 @@ def verdict_report(
             else None
         ),
         "residuals": _jsonable(verdict.diagnostics) or None,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    if include_timestamp:
-        doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return json.dumps(doc, indent=2)
 
 
@@ -192,10 +190,6 @@ def _jsonable(obj):
     if obj is None or isinstance(obj, (str, bool)):
         return obj
     return str(obj)
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)
 
 
 def warn(msg: str) -> None:

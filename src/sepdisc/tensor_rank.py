@@ -143,7 +143,7 @@ def peel_parties(vec: np.ndarray, dims: tuple[int, ...], parties, tol: Tolerance
     return factors, core, tuple(core_dims)
 
 
-def try_factor(vec: np.ndarray, dims: tuple[int, ...], resid_tol: float = 1e-9) -> ProductVector | None:
+def try_factor(vec: np.ndarray, dims: tuple[int, ...]) -> ProductVector | None:
     """Factor a vector into a product across all parties, or None.
 
     Dominant singular vectors per single-party cut give the candidate
@@ -160,7 +160,7 @@ def try_factor(vec: np.ndarray, dims: tuple[int, ...], resid_tol: float = 1e-9) 
         factors.append(u[:, 0])
     assembled = kron_all(factors)
     w = complex(np.vdot(assembled, vec))
-    if np.linalg.norm(vec - w * assembled) > resid_tol * n:
+    if np.linalg.norm(vec - w * assembled) > 1e-9 * n:
         return None
     return ProductVector(tuple(factors), w)
 
@@ -391,10 +391,11 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
     positions = [p for p in range(k) if p not in fixed]
 
     def _finish(a: ProductVector, b: ProductVector) -> Schmidt2Class:
-        resid = float(np.linalg.norm(a.assemble() + b.assemble() - vec))
+        a_vec, b_vec = a.assemble(), b.assemble()
+        resid = float(np.linalg.norm(a_vec + b_vec - vec))
         if resid > 1e-9:
             return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"reassembly_residual": resid})
-        ov = abs(np.vdot(a.assemble(), b.assemble()))
+        ov = abs(np.vdot(a_vec, b_vec))
         orthogonal = ov <= 1e-9 * a.norm() * b.norm()
         h = entry_distance(a, b, tol)
         if orthogonal:
@@ -428,14 +429,9 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
     span = product_vectors_in_span(r1, r2, tol)
 
     if span.infinitely_many:
-        # unreachable once rank-1 parties are peeled; handled defensively
-        p1 = try_factor(r1.amplitudes, rest_space.dims)
-        p2 = try_factor(r2.amplitudes, rest_space.dims)
-        if p1 is None or p2 is None:
-            return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "inconsistent span"})
-        a = _lift(ProductVector((u[:, 0],) + p1.factors, s[0] * p1.weight), positions, fixed, k)
-        b = _lift(ProductVector((u[:, 1],) + p2.factors, s[1] * p2.weight), positions, fixed, k)
-        return _finish(a, b)
+        # an all-product span makes some core party factor out, and every
+        # rank-1 party has been peeled
+        return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "inconsistent span"})
 
     if len(span.vectors) < 2:
         return Schmidt2Class(

@@ -17,7 +17,7 @@ from .discrimination import (
     DiscriminationInstance,
     LoccFlag,
     VerdictStatus,
-    decide_multipartite_sch2,
+    decide,
     validate_certificate,
 )
 from .constructions import (
@@ -305,7 +305,7 @@ def agreement_experiment(
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             phi = PureState(QUBIT_PAIR, u @ phi.amplitudes)
             basis = [PureState(QUBIT_PAIR, u @ s.amplitudes) for s in basis]
-        verdict = decide_multipartite_sch2(phi, basis, tol)
+        verdict = decide(DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi), tol)
         problem = FeasibilityProblem(
             space=QUBIT_PAIR,
             projectors=[s.density() for s in basis],
@@ -368,9 +368,9 @@ def check_sep_not_locc(seed: int, n_samples: int = 100, tol: Tolerances = DEFAUL
     ok = 0
     for _ in range(n_samples):
         phi, basis, _ = _random_family_pair(rng)
-        verdict = decide_multipartite_sch2(phi, basis, tol)
-        n_ent = sum(concurrence(s) > tol.rank for s in basis)
         inst = DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi)
+        verdict = decide(inst, tol)
+        n_ent = sum(concurrence(s) > tol.rank for s in basis)
         cert_ok = verdict.certificate is not None and validate_certificate(verdict.certificate, inst, tol)["valid"]
         ok += int(
             verdict.status is VerdictStatus.DISTINGUISHABLE
@@ -390,37 +390,39 @@ def suite_theorem2(seed: int = 42, tol: Tolerances = DEFAULT, n_bases: int = 100
     ]
 
 
-def check_tetra_round_trip(step: float = 0.05, tol: Tolerances = DEFAULT) -> CheckResult:
+def tetra_walk(step: float, tol: Tolerances = DEFAULT):
+    """Each tetrahedron grid point with its unitary, the concurrence triple
+    that unitary achieves, and the verdict on the basis it builds over the
+    magic states spanning {phi}^perp, phi the fourth magic state."""
+    phi = magic_basis()[3]
+    for point in tetra_grid(step):
+        u = tetra_unitary(TetraPoint(*point))
+        verdict = decide(DiscriminationInstance.from_pure(QUBIT_PAIR, basis_from_unitary(u), phi), tol)
+        yield point, u, concurrence_triple_of_unitary(u), verdict
+
+
+def check_tetra(step: float = 0.05, tol: Tolerances = DEFAULT) -> tuple[CheckResult, CheckResult]:
+    """Round trip of every grid point through its unitary, and the verdict
+    on its basis: distinguishable exactly on the face x1 + x2 + x3 = 1."""
     worst_err = 0.0
     worst_defect = 0.0
+    ok = 0
     count = 0
-    for x1, x2, x3 in tetra_grid(step):
-        u = tetra_unitary(TetraPoint(x1, x2, x3), tol)
-        achieved = concurrence_triple_of_unitary(u)
+    for (x1, x2, x3), u, achieved, verdict in tetra_walk(step, tol):
         worst_err = max(worst_err, float(np.max(np.abs(achieved - np.array([x1, x2, x3])))))
         worst_defect = max(worst_defect, maxabs(u.conj().T @ u - np.eye(3)))
+        on_face = abs((x1 + x2 + x3) - 1.0) <= 1e-9
+        expected = VerdictStatus.DISTINGUISHABLE if on_face else VerdictStatus.INDISTINGUISHABLE
+        ok += int(verdict.status is expected)
         count += 1
-    return CheckResult(
+    round_trip = CheckResult(
         "tetra_round_trip",
         worst_err < 1e-8 and worst_defect < 1e-10,
         count,
         worst_err,
         detail=f"unitarity defect {worst_defect:.2e}",
     )
-
-
-def check_tetra_decisions(step: float = 0.05, tol: Tolerances = DEFAULT) -> CheckResult:
-    ok = 0
-    count = 0
-    for x1, x2, x3 in tetra_grid(step):
-        u = tetra_unitary(TetraPoint(x1, x2, x3), tol)
-        basis = basis_from_unitary(u, tol=tol)
-        verdict = decide_multipartite_sch2(magic_basis()[3], basis, tol)
-        on_face = abs((x1 + x2 + x3) - 1.0) <= 1e-9
-        expected = VerdictStatus.DISTINGUISHABLE if on_face else VerdictStatus.INDISTINGUISHABLE
-        ok += int(verdict.status is expected)
-        count += 1
-    return CheckResult("tetra_face_interior_decisions", ok == count, count, 0.0)
+    return round_trip, CheckResult("tetra_face_interior_decisions", ok == count, count, 0.0)
 
 
 def check_unitary_triples_membership(seed: int, n: int = 1000) -> CheckResult:
@@ -434,11 +436,7 @@ def check_unitary_triples_membership(seed: int, n: int = 1000) -> CheckResult:
 
 
 def suite_tetra(seed: int = 42, tol: Tolerances = DEFAULT) -> list[CheckResult]:
-    return [
-        check_tetra_round_trip(0.05, tol),
-        check_tetra_decisions(0.05, tol),
-        check_unitary_triples_membership(seed + 7, 1000),
-    ]
+    return [*check_tetra(0.05, tol), check_unitary_triples_membership(seed + 7, 1000)]
 
 
 def check_subspace_properties(kind: SubspaceFamily, tol: Tolerances = DEFAULT) -> CheckResult:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sepdisc.discrimination import DiscriminationInstance, decide
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket
 
 
@@ -36,3 +37,8 @@ def w_state(space: StateSpace) -> PureState:
     k = space.nparties
     vec = sum(ket(space, "0" * i + "1" + "0" * (k - i - 1)).amplitudes for i in range(k))
     return PureState.normalized(space, vec)
+
+
+def decide_with_phi(phi: PureState, basis):
+    """decide() on the D-1 states of a basis of {phi}^perp, phi declared."""
+    return decide(DiscriminationInstance.from_pure(phi.space, basis, phi))

@@ -15,7 +15,6 @@ from sepdisc.discrimination import (
     SubspaceKind,
     VerdictStatus,
     decide,
-    decide_h3,
     subspace_verdict,
 )
 from sepdisc.linalg import kron_all
@@ -31,10 +30,9 @@ from sepdisc.verify import (
     check_sep_not_locc,
     check_subspace_properties,
     check_subspace_stalls,
-    check_tetra_decisions,
-    check_tetra_round_trip,
+    check_tetra,
 )
-from tests.conftest import ghz_theta, w_state
+from tests.conftest import decide_with_phi, ghz_theta, w_state
 
 SEED = 42
 S3 = StateSpace((2, 2, 2))
@@ -64,9 +62,8 @@ def test_criterion_3_sep_not_locc_witness():
 
 
 def test_criterion_4_tetra_round_trip():
-    round_trip = check_tetra_round_trip(0.05)
+    round_trip, decisions = check_tetra(0.05)
     _report(4, round_trip)
-    decisions = check_tetra_decisions(0.05)
     _report(4, decisions)
 
 
@@ -80,7 +77,7 @@ def test_criterion_5_subspace_trichotomy():
         if sv.kind is not SubspaceKind.HAS_LOCC_BASIS:
             failures.append(f"GHZ({theta:.2f})")
             continue
-        v = decide_h3(ghz_theta(S3, theta), list(sv.basis))
+        v = decide_with_phi(ghz_theta(S3, theta), list(sv.basis))
         if v.status is not VerdictStatus.DISTINGUISHABLE:
             failures.append(f"GHZ({theta:.2f}) basis")
     plus = np.array([1, 1], dtype=complex) / math.sqrt(2)

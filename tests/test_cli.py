@@ -156,6 +156,25 @@ class TestSweep:
         assert half[-1] == "distinguishable"
         assert all(float(r.split(",")[6]) < 1e-8 for r in rows[1:])
 
+    def test_grid_is_walked_once(self, tmp_path, capsys, monkeypatch):
+        import sepdisc.verify as verify
+        from sepdisc.constructions import tetra_grid, tetra_unitary
+
+        calls = []
+
+        def counting(point):
+            calls.append(point)
+            return tetra_unitary(point)
+
+        monkeypatch.setattr(verify, "tetra_unitary", counting)
+        size = len(list(tetra_grid(0.25)))
+        round_trip, decisions = verify.check_tetra(0.25)
+        assert round_trip.passed and decisions.passed
+        assert len(calls) == size
+        calls.clear()
+        run_cli(capsys, "sweep", "--step", "0.25", "--output", str(tmp_path / "sweep.csv"))
+        assert len(calls) == size
+
     def test_step_validation(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--step", "0.5", "--output", str(tmp_path / "x.csv"))
         assert code == 3

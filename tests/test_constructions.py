@@ -21,7 +21,7 @@ from sepdisc.constructions import (
     tetra_unitary,
     verify_subspace_properties,
 )
-from sepdisc.discrimination import VerdictStatus, decide_h3, decide_multipartite_sch2
+from sepdisc.discrimination import VerdictStatus
 from sepdisc.errors import (
     NotUnitary,
     ParamsOutOfRange,
@@ -31,7 +31,7 @@ from sepdisc.errors import (
 )
 from sepdisc.states import PureState, QUBIT_PAIR, concurrence, ket, magic_basis
 from sepdisc.tensor_rank import is_product
-from tests.conftest import ghz_theta
+from tests.conftest import decide_with_phi, ghz_theta
 
 
 class TestFamily:
@@ -87,7 +87,7 @@ class TestFamily:
 
     def test_decider_accepts_family(self):
         phi, basis = family_sep_not_locc(FamilyParams(0.3, 0.4, 0.78))
-        assert decide_multipartite_sch2(phi, basis).status is VerdictStatus.DISTINGUISHABLE
+        assert decide_with_phi(phi, basis).status is VerdictStatus.DISTINGUISHABLE
 
 
 class TestTargets:
@@ -117,7 +117,7 @@ class TestTargets:
         phi, basis = basis_for_targets(0.3, 0.2, 0.1)
         cs = [concurrence(s) for s in basis]
         assert np.allclose(cs, [0.3, 0.2, 0.1], atol=1e-8)
-        assert decide_multipartite_sch2(phi, basis).status is VerdictStatus.DISTINGUISHABLE
+        assert decide_with_phi(phi, basis).status is VerdictStatus.DISTINGUISHABLE
 
     def test_random_round_trips(self, rng):
         for _ in range(200):
@@ -194,9 +194,9 @@ class TestBasisFromUnitary:
 
     def test_face_and_interior_decisions(self):
         face = basis_from_unitary(tetra_unitary(TetraPoint(0.5, 0.25, 0.25)))
-        assert decide_multipartite_sch2(magic_basis()[3], face).status is VerdictStatus.DISTINGUISHABLE
+        assert decide_with_phi(magic_basis()[3], face).status is VerdictStatus.DISTINGUISHABLE
         interior = basis_from_unitary(tetra_unitary(TetraPoint(1, 1, 1)))
-        assert decide_multipartite_sch2(magic_basis()[3], interior).status is VerdictStatus.INDISTINGUISHABLE
+        assert decide_with_phi(magic_basis()[3], interior).status is VerdictStatus.INDISTINGUISHABLE
 
     def test_sampled_triples_stay_inside(self, rng):
         xs = sample_unitary_triples(rng, 200)
@@ -260,7 +260,7 @@ class TestLoccBasis:
         gram = np.array([[a.inner(b) for b in basis] for a in basis])
         assert np.max(np.abs(gram - np.eye(7))) < 1e-9
         assert max(abs(phi.inner(s)) for s in basis) < 1e-9
-        assert decide_h3(phi, basis).status is VerdictStatus.DISTINGUISHABLE
+        assert decide_with_phi(phi, basis).status is VerdictStatus.DISTINGUISHABLE
 
     def test_2x2_concurrence_bookkeeping(self):
         beta = 0.55
@@ -272,7 +272,7 @@ class TestLoccBasis:
         assert abs(total - concurrence(phi)) < 1e-10
         ent = [s for s in basis if concurrence(s) > 1e-9]
         assert len(ent) == 1
-        assert decide_multipartite_sch2(phi, basis).status is VerdictStatus.DISTINGUISHABLE
+        assert decide_with_phi(phi, basis).status is VerdictStatus.DISTINGUISHABLE
 
     def test_wrong_form_rejected(self):
         from tests.conftest import w_state

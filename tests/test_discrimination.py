@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import sepdisc.discrimination as disc
+import sepdisc.tensor_rank as tensor_rank
 from sepdisc.config import DEFAULT
 from sepdisc.constructions import FamilyParams, family_sep_not_locc, gamma_range, locc_basis_sch2
 from sepdisc.errors import InvalidInstance, PhiProduct
@@ -15,8 +17,6 @@ from sepdisc.discrimination import (
     VerdictStatus,
     _lambda_certificate,
     decide,
-    decide_h3,
-    decide_multipartite_sch2,
     subspace_verdict,
     try_product_decomposition,
     validate_certificate,
@@ -28,7 +28,7 @@ from sepdisc.sampling import (
     random_pure_state,
     random_unitary,
 )
-from sepdisc.separability import PptRecord, SepStatus, rank2_separability
+from sepdisc.separability import FeasibilityProblem, PptRecord, SepStatus, feasibility_solve, rank2_separability
 from sepdisc.states import (
     PureState,
     QUBIT_PAIR,
@@ -41,7 +41,7 @@ from sepdisc.states import (
     phi_plus,
 )
 from sepdisc.tensor_rank import is_product, try_factor
-from tests.conftest import bell, ghz_theta, w_state
+from tests.conftest import bell, decide_with_phi, ghz_theta, w_state
 
 S3 = StateSpace((2, 2, 2))
 
@@ -87,7 +87,7 @@ class TestFullBasis:
 class TestTwoQubitBasis:
     def test_family_distinguishable_with_flag(self):
         phi, basis = _family()
-        v = decide_multipartite_sch2(phi, basis)
+        v = decide_with_phi(phi, basis)
         assert v.status is VerdictStatus.DISTINGUISHABLE
         assert v.theorem == "T2"
         assert v.locc_flag is LoccFlag.LOCC_INDISTINGUISHABLE
@@ -95,24 +95,19 @@ class TestTwoQubitBasis:
         assert validate_certificate(v.certificate, inst)["valid"]
 
     def test_bell_triple_concurrence_sum(self):
-        v = decide_multipartite_sch2(phi_plus(), [bell("phi-"), bell("psi+"), bell("psi-")])
+        v = decide_with_phi(phi_plus(), [bell("phi-"), bell("psi+"), bell("psi-")])
         assert v.status is VerdictStatus.INDISTINGUISHABLE
         assert v.reason.code == "concurrence_sum"
         assert abs(v.reason.data["sum"] - 3.0) < 1e-9
 
     def test_one_zero_zero_basis(self):
-        v = decide_multipartite_sch2(phi_plus(), [bell("phi-"), ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10")])
+        v = decide_with_phi(phi_plus(), [bell("phi-"), ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10")])
         assert v.status is VerdictStatus.DISTINGUISHABLE
         assert np.allclose(v.certificate.lambdas, [1.0, 0.0, 0.0])
 
-    def test_product_phi_raises(self):
-        basis = [ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10"), ket(QUBIT_PAIR, "11")]
-        with pytest.raises(PhiProduct):
-            decide_multipartite_sch2(ket(QUBIT_PAIR, "00"), basis)
-
     def test_lambda_uniqueness_perturbation(self):
         phi, basis = _family()
-        v = decide_multipartite_sch2(phi, basis)
+        v = decide_with_phi(phi, basis)
         for psi, lam in zip(basis, v.certificate.lambdas):
             for d in (-1e-3, 1e-3):
                 lam_p = lam + d
@@ -127,7 +122,7 @@ class TestMaxEntBasis:
         from sepdisc.constructions import TetraPoint, basis_from_unitary, tetra_unitary
 
         basis = basis_from_unitary(tetra_unitary(TetraPoint(1 / 3, 1 / 3, 1 / 3)))
-        v = decide_multipartite_sch2(magic_basis()[3], basis)
+        v = decide_with_phi(magic_basis()[3], basis)
         assert v.status is VerdictStatus.DISTINGUISHABLE
         assert v.theorem == "C2"
 
@@ -136,12 +131,12 @@ class TestMaxEntBasis:
         # complete the two products to a basis of {phi+}^perp with bell("phi-")
         basis[2] = bell("phi-")
         # reorder so the residual state is phi+
-        v = decide_multipartite_sch2(phi_plus(), [basis[0], basis[1], basis[2]])
+        v = decide_with_phi(phi_plus(), [basis[0], basis[1], basis[2]])
         assert v.status is VerdictStatus.DISTINGUISHABLE  # concurrences (0,0,1)
 
         all_product = [ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10"), bell("phi+") if False else None]
         # a genuinely failing sum: three states with concurrences (1,1,1)
-        v = decide_multipartite_sch2(phi_plus(), [bell("phi-"), bell("psi+"), bell("psi-")])
+        v = decide_with_phi(phi_plus(), [bell("phi-"), bell("psi+"), bell("psi-")])
         assert v.status is VerdictStatus.INDISTINGUISHABLE
 
 
@@ -234,7 +229,7 @@ class TestH3:
     def test_ghz_locc_basis(self):
         phi = ghz_theta(S3, math.pi / 6)
         basis = locc_basis_sch2(phi)
-        v = decide_h3(phi, basis)
+        v = decide_with_phi(phi, basis)
         assert v.status is VerdictStatus.DISTINGUISHABLE
         assert v.theorem == "T5"
         inst = DiscriminationInstance.from_pure(S3, basis, phi)
@@ -263,7 +258,7 @@ class TestH3:
         tampered = [basis[0], mixed1, mixed2] + [
             s for k, s in enumerate(products) if k not in (i, j)
         ]
-        v = decide_h3(phi, tampered)
+        v = decide_with_phi(phi, tampered)
         assert v.status is VerdictStatus.INDISTINGUISHABLE
         assert v.reason.code == "entangled_count"
 
@@ -277,7 +272,7 @@ class TestH3:
         wrong = PureState.normalized(S3, 0.8 * good.amplitudes + 0.6 * prod.amplitudes)
         other = PureState.normalized(S3, 0.6 * good.amplitudes - 0.8 * prod.amplitudes)
         tampered = [wrong, other] + basis[2:]
-        v = decide_h3(phi, tampered)
+        v = decide_with_phi(phi, tampered)
         assert v.status is VerdictStatus.INDISTINGUISHABLE
         assert v.reason.code in ("wrong_entangled_member", "entangled_count")
 
@@ -296,7 +291,7 @@ class TestMultipartiteSch2:
 
     def test_embedded_family_distinguishable(self):
         phi, basis = self._embed_family()
-        v = decide_multipartite_sch2(phi, basis)
+        v = decide_with_phi(phi, basis)
         assert v.status is VerdictStatus.DISTINGUISHABLE
         assert v.theorem == "T4"
         inst = DiscriminationInstance.from_pure(S3, basis, phi)
@@ -363,7 +358,7 @@ class TestSubspaceVerdict:
         for theta in np.linspace(0.2, math.pi / 2 - 0.2, 5):
             sv = subspace_verdict(ghz_theta(S3, theta))
             assert sv.kind is SubspaceKind.HAS_LOCC_BASIS
-            v = decide_h3(ghz_theta(S3, theta), list(sv.basis))
+            v = decide_with_phi(ghz_theta(S3, theta), list(sv.basis))
             assert v.status is VerdictStatus.DISTINGUISHABLE
 
     def test_superposed_product_no_basis(self):
@@ -395,7 +390,7 @@ def test_try_product_decomposition_diagonal():
 
 def test_lambda_certificate_failure_names_member_theorem_and_flag():
     phi, basis = _family()
-    good = decide_multipartite_sch2(phi, basis)
+    good = decide_with_phi(phi, basis)
     assert good.status is VerdictStatus.DISTINGUISHABLE
     # moving lambda off C(psi)/C(phi) leaves the first entangled member's
     # element entangled
@@ -424,9 +419,13 @@ def test_entangled_rank1_projector_costs_one_factor_attempt(monkeypatch):
     assert len(calls) == 1
 
 
+def _two_haar_states(seed: int) -> DiscriminationInstance:
+    u = random_unitary(np.random.default_rng(seed), 4)
+    return DiscriminationInstance.from_pure(QUBIT_PAIR, [PureState(QUBIT_PAIR, u[:, k]) for k in range(2)])
+
+
 def test_ppt_records_carry_the_measured_minimum():
-    u = random_unitary(np.random.default_rng(0), 4)
-    inst = DiscriminationInstance.from_pure(QUBIT_PAIR, [PureState(QUBIT_PAIR, u[:, k]) for k in range(2)])
+    inst = _two_haar_states(5)
     v = decide(inst)
     assert v.status is VerdictStatus.DISTINGUISHABLE
     assert "iterations" in v.diagnostics  # the Dykstra path ran
@@ -437,32 +436,44 @@ def test_ppt_records_carry_the_measured_minimum():
         assert abs(rec.min_eigenvalue - want) <= 1e-12
 
 
-def _dykstra_two_state(seed: int):
-    u = random_unitary(np.random.default_rng(seed), 4)
-    inst = DiscriminationInstance.from_pure(QUBIT_PAIR, [PureState(QUBIT_PAIR, u[:, k]) for k in range(2)])
-    v = decide(inst)
-    assert v.status is VerdictStatus.DISTINGUISHABLE
-    assert all(isinstance(rec, PptRecord) for rec in v.certificate.evidence)
-    return inst, v.certificate
+def _solver_certificate(seed: int):
+    """The relaxed solver's point for two Haar states of 2x2, with a PPT
+    record per element."""
+    inst = _two_haar_states(seed)
+    projectors = inst.projector_list()
+    problem = FeasibilityProblem(space=QUBIT_PAIR, projectors=projectors, p0=np.eye(4) - sum(projectors))
+    outcome = feasibility_solve(problem)
+    assert outcome.feasible
+    elements = tuple(p + e for p, e in zip(projectors, outcome.e_ops))
+    records = tuple(PptRecord(0.0, True, tuple(problem.cuts)) for _ in elements)
+    return inst, disc.PovmCertificate(elements, records, None)
 
 
 def test_validator_recomputes_ppt_evidence():
     # seed 0: an element's partial transpose dips to -4.2e-8, below the PSD
-    # bound, so the PPT record proves nothing
-    inst, cert = _dykstra_two_state(0)
+    # bound, so the PPT record proves nothing, whatever minimum it claims
+    inst, cert = _solver_certificate(0)
     check = validate_certificate(cert, inst)
     assert -5e-8 < check["ppt_min"] < -4e-8
     assert not check["valid"]
-    # the validator reads the matrices, not the recorded minimum
-    forged = disc.PovmCertificate(
-        cert.elements, tuple(PptRecord(0.0, True, rec.cuts) for rec in cert.evidence), cert.lambdas
-    )
-    assert not validate_certificate(forged, inst)["valid"]
     # seed 5: every partial transpose is PSD with room to spare
-    inst, cert = _dykstra_two_state(5)
+    inst, cert = _solver_certificate(5)
     check = validate_certificate(cert, inst)
     assert check["ppt_min"] > 1e-3
     assert check["valid"]
+
+
+def test_solver_verdicts_pass_their_certificate_check():
+    for seed in range(12):
+        inst = _two_haar_states(seed)
+        v = decide(inst)
+        if v.status is VerdictStatus.DISTINGUISHABLE:
+            assert validate_certificate(v.certificate, inst)["valid"], seed
+        if seed == 0:
+            # the solver point is feasible within tolerance but not PPT to
+            # the floor, and it has no product decomposition
+            assert v.status is VerdictStatus.UNDECIDED
+            assert v.reason.code == "ppt_feasible_relaxation"
 
 
 def test_ppt_record_outside_2x2_and_2x3_is_rejected():
@@ -513,3 +524,41 @@ def test_product_prefix_leaves_the_2x2_verdict_unchanged():
             assert lam[3:] == (0.0,) * 4
         statuses.add(flat.status)
     assert statuses == {VerdictStatus.DISTINGUISHABLE, VerdictStatus.INDISTINGUISHABLE}
+
+
+def _counting(monkeypatch, name):
+    """Count the calls to a tensor_rank function through every sepdisc
+    module that binds it."""
+    fn = getattr(tensor_rank, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("sepdisc") and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_t5_residual_state_is_classified_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    us = [random_unitary(rng, 2) for _ in range(3)]
+    a, b = kron_all([u[:, 0] for u in us]), kron_all([u[:, 1] for u in us])
+    phi = PureState.normalized(S3, 0.6 * a + 0.8 * b)
+    inst = DiscriminationInstance.from_pure(S3, locc_basis_sch2(phi), phi)
+    calls = _counting(monkeypatch, "schmidt2_classify")
+    v = decide(inst)
+    assert v.status is VerdictStatus.DISTINGUISHABLE and v.theorem == "T5"
+    assert len(calls) == 1
+
+
+def test_2x2_cut_rank_is_computed_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    phi = random_entangled_2x2(rng, 0.05)
+    inst = DiscriminationInstance.from_pure(QUBIT_PAIR, random_basis_of_complement(rng, phi), phi)
+    calls = _counting(monkeypatch, "cut_rank")
+    v = decide(inst)
+    assert v.theorem == "T2"
+    assert len(calls) == 1
