@@ -33,6 +33,7 @@ from .tensor_rank import (
 )
 from .separability import (
     AntiparallelResult,
+    DualCertificate,
     FeasibilityOutcome,
     FeasibilityProblem,
     Lemma1Result,

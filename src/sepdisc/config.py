@@ -26,14 +26,13 @@ class Tolerances:
     concurrence_sum: float = 1e-8
     # state matching in the unique-entangled-member decider
     match_phase: float = 1e-8
-    # feasibility solver: success threshold on the max constraint violation
+    # feasibility solver: success threshold on the max constraint violation,
+    # and the relative margin by which a dual certificate's objective must
+    # be negative
     feasibility: float = 1e-7
-    # feasibility solver: stall detection window and minimum improvement
-    stall_window: int = 500
-    stall_improvement: float = 1e-12
     max_iterations: int = 20000
-    # residual above which a stalled run is reported as an empirical
-    # infeasibility margin
+    # rank-1 infeasibility margin above which the decider-versus-solver
+    # agreement counts a run as infeasible
     stall_margin: float = 1e-4
 
 

@@ -6,7 +6,8 @@ classification of the residual state phi, the concurrence-sum decider for a
 product prefix times an entangled pair, of which 2x2 is the empty-prefix
 case, or the unique-entangled-member decider) and falls back to the PSD+PPT
 feasibility solver.  Distinguishable verdicts carry a POVM
-certificate whose validity is re-checkable independently of the decider
+certificate, and solver verdicts of indistinguishability a dual
+certificate, whose validity is re-checkable independently of the decider
 that produced it.
 """
 
@@ -21,12 +22,14 @@ from .config import DEFAULT, Tolerances
 from .errors import InvalidInstance, PhiProduct
 from .linalg import hermitian_eig, maxabs
 from .separability import (
+    DualCertificate,
     FeasibilityProblem,
     ProductDecomposition,
     PptRecord,
     SepStatus,
     _worst_pt,
     antiparallel_test,
+    check_dual,
     constraint_residual,
     feasibility_solve,
     ppt_is_exact,
@@ -88,7 +91,7 @@ class PovmCertificate:
 class Verdict:
     status: VerdictStatus
     theorem: str | None = None
-    certificate: PovmCertificate | None = None
+    certificate: PovmCertificate | DualCertificate | None = None
     reason: Reason | None = None
     locc_flag: LoccFlag = LoccFlag.UNKNOWN
     diagnostics: dict = field(default_factory=dict)
@@ -143,10 +146,18 @@ class DiscriminationInstance:
         return list(self.projectors)
 
 
-def validate_certificate(cert: PovmCertificate, instance: DiscriminationInstance, tol: Tolerances = DEFAULT) -> dict:
-    """Independent re-check of a certificate: completeness, correctness, PSD,
-    reassembly of every product decomposition, and the partial transposes
-    behind every PPT record, recomputed from the element itself."""
+def validate_certificate(
+    cert: PovmCertificate | DualCertificate, instance: DiscriminationInstance, tol: Tolerances = DEFAULT
+) -> dict:
+    """Independent re-check of a certificate.  A POVM certificate: its
+    completeness, correctness, PSD, reassembly of every product
+    decomposition, and the partial transposes behind every PPT record,
+    recomputed from the element itself.  A dual certificate: the objective
+    and scale :func:`check_dual` recomputes from its matrices and the
+    instance's projectors."""
+    if isinstance(cert, DualCertificate):
+        checked, valid = check_dual(cert.y, cert.z, cert.cuts, instance.projector_list(), instance.space.dims, tol)
+        return {"objective": checked.objective, "scale": checked.scale, "valid": valid}
     d = instance.space.dim
     total = sum(cert.elements)
     completeness = maxabs(total - np.eye(d))
@@ -598,6 +609,18 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
         **outcome.diagnostics,
     }
 
+    if outcome.dual is not None:
+        return Verdict(
+            status=VerdictStatus.INDISTINGUISHABLE,
+            theorem="PPT-dual",
+            certificate=outcome.dual,
+            reason=Reason(
+                "ppt_dual",
+                "the PSD+PPT relaxation is infeasible by a checked dual certificate, so no separable POVM exists",
+                {},
+            ),
+            diagnostics=diag,
+        )
     if outcome.feasible:
         elements = tuple(p + e for p, e in zip(projectors, outcome.e_ops))
         if ppt_is_exact(instance.space):

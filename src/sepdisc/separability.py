@@ -2,7 +2,8 @@
 
 Four analytic oracles (trace lemma, rank-2 case analysis, anti-parallel
 eigenvalue test, PPT) plus a cyclic-Dykstra solver for the PSD+PPT
-relaxation of the POVM feasibility problem.
+relaxation of the POVM feasibility problem, which ends at a feasible point
+or at a checked dual certificate that the relaxation is infeasible.
 """
 
 from __future__ import annotations
@@ -369,6 +370,56 @@ class FeasibilityProblem:
 
 
 @dataclass(frozen=True)
+class DualCertificate:
+    """Farkas certificate that the PSD+PPT relaxation is infeasible.
+
+    A Hermitian ``y`` and PSD ``z[k, c]`` (member k, cut ``cuts[c]``) with
+    Pi(Y - sum_c PT_c Z[k, c])Pi >= 0 for every k, Pi the support of
+    P0 = I - sum_k P_k, and objective tr(Y P0) + sum_{k,c} tr(Z[k, c]
+    PT_c(P_k)) < 0.  Any feasible point E would give the objective
+    sum_k tr(Pi(Y - sum_c PT_c Z[k, c])Pi E_k) + sum_{k,c} tr(Z[k, c]
+    PT_c(P_k + E_k)) >= 0, so none exists; separable POVM elements are PPT,
+    so no separable POVM distinguishes the states.  ``objective`` and
+    ``scale`` = ||Y||_F + sum ||Z[k, c]||_F are what :func:`check_dual`
+    measured; a checker recomputes them.
+    """
+
+    y: np.ndarray
+    z: np.ndarray
+    cuts: tuple[tuple[int, ...], ...]
+    objective: float
+    scale: float
+
+
+def check_dual(y, z, cuts, projectors, dims, tol: Tolerances = DEFAULT) -> tuple[DualCertificate, bool]:
+    """Re-derive a dual certificate from raw matrices and test it.
+
+    Pi is recomputed from P0 = I - sum_k P_k, every Z is replaced by its
+    PSD part, and the most negative eigenvalue of Pi(Y - sum_c PT_c Z[k,
+    c])Pi over k is absorbed into Y as a multiple of Pi.  Valid iff the
+    objective of the result is below -tol.feasibility times its scale.
+    """
+    p = np.stack([np.asarray(pk, dtype=complex) for pk in projectors])
+    n, d = p.shape[0], p.shape[-1]
+    y = np.asarray(y, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    cuts = tuple(tuple(int(i) for i in c) for c in cuts)
+    if y.shape != (d, d) or z.shape != (n, len(cuts), d, d) or not set(cuts) <= set(proper_cuts(len(dims))):
+        return DualCertificate(y, z, cuts, np.inf, 0.0), False
+    p0 = np.eye(d) - p.sum(axis=0)
+    supp = support_projector(p0, tol)
+    y = (y + dag(y)) / 2.0
+    z = psd_project(z)
+    pt_z = sum(partial_transpose(z[:, c], dims, cut) for c, cut in enumerate(cuts))
+    gap = float(min_eigenvalues(supp @ (y - pt_z) @ supp).min())
+    y = y + max(0.0, -gap) * supp
+    # tr(Z[k, c] PT_c(P_k)) = tr(PT_c(Z[k, c]) P_k)
+    objective = float(np.real(np.trace(y @ p0) + np.einsum("kij,kji->", pt_z, p)))
+    scale = frob(y) + float(np.linalg.norm(z, axis=(-2, -1)).sum())
+    return DualCertificate(y, z, cuts, objective, scale), objective < -tol.feasibility * scale
+
+
+@dataclass(frozen=True)
 class FeasibilityOutcome:
     feasible: bool
     e_ops: np.ndarray | None
@@ -377,6 +428,8 @@ class FeasibilityOutcome:
     iterations: int
     stalled: bool
     diagnostics: dict = field(default_factory=dict)
+    # checked proof of infeasibility, when the solver found one
+    dual: DualCertificate | None = None
 
 
 def constraint_residual(e: np.ndarray, p: np.ndarray, p0: np.ndarray, dims, cuts) -> tuple[float, dict]:
@@ -553,8 +606,14 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
 
     Since every E_k is squeezed between 0 and P0, the iterate is also
     projected onto the support subspace of P0 (an implied linear constraint
-    that sharpens convergence).  Non-convergence is detected by a stall in
-    the best residual and reported as a result, not an error.
+    that sharpens convergence).  On an infeasible problem the corrections
+    grow along a dual certificate: Z[k, c] = -PT_c(r_ppt[c][k]), and Y the
+    Pi-compression of the mean over k of -r_psd[k] - sum_c r_ppt[c][k]
+    (which is W_k + sum_c PT_c Z[k, c], W_k = -r_psd[k]).  It is checked at
+    residual checks 1, 2, 4, 8, ... and at the cap, after the feasibility
+    test, so feasible runs pay O(log iterations) attempts.  A run with
+    neither a feasible point nor a valid certificate by the cap is reported
+    as a result, not an error.
     """
     tol = problem.tol
     dims = problem.space.dims
@@ -580,7 +639,6 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
     r_ppt = {cut: np.zeros_like(e) for cut in cuts}
 
     best = np.inf
-    best_iter = 0
     res = np.inf
     parts: dict = {}
     it = 0
@@ -609,29 +667,33 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
 
         if it % _CHECK_EVERY == 0 or it == cap:
             res, parts = constraint_residual(e, p, p0, dims, cuts)
-            if res < best - tol.stall_improvement:
-                best = res
-                best_iter = it
+            best = min(best, res)
             if res <= tol.feasibility:
                 return FeasibilityOutcome(
                     feasible=True,
                     e_ops=e,
                     residual=res,
-                    best_residual=min(best, res),
+                    best_residual=best,
                     iterations=it,
                     stalled=False,
                     diagnostics=parts,
                 )
-            if it - best_iter >= tol.stall_window:
-                return FeasibilityOutcome(
-                    feasible=False,
-                    e_ops=e,
-                    residual=res,
-                    best_residual=best,
-                    iterations=it,
-                    stalled=True,
-                    diagnostics=parts,
-                )
+            checks = it // _CHECK_EVERY
+            if checks & (checks - 1) == 0 or it == cap:
+                y_dual = supp @ (-r_psd - sum(r_ppt.values())).mean(axis=0) @ supp
+                z_dual = np.stack([-partial_transpose(r_ppt[cut], dims, cut) for cut in cuts], axis=1)
+                dual, valid = check_dual(y_dual, z_dual, cuts, p, dims, tol)
+                if valid:
+                    return FeasibilityOutcome(
+                        feasible=False,
+                        e_ops=e,
+                        residual=res,
+                        best_residual=best,
+                        iterations=it,
+                        stalled=False,
+                        diagnostics=parts,
+                        dual=dual,
+                    )
     return FeasibilityOutcome(
         feasible=False,
         e_ops=e,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .discrimination import PovmCertificate, Verdict
 from .errors import StateFileError
-from .separability import ProductDecomposition, PptRecord
+from .separability import DualCertificate, ProductDecomposition, PptRecord
 from .states import PureState, StateSpace
 
 FORMAT_VERSION = "1"
@@ -136,12 +136,30 @@ def _evidence_to_json(ev) -> dict:
     return {"kind": "none"}
 
 
+def _matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
+    return [_vec_to_pairs(row) for row in m]
+
+
+def _dual_to_json(cert: DualCertificate) -> dict:
+    """Every matrix of a dual certificate, as rows of [re, im] pairs, so
+    that a reader can re-check it by hand."""
+    return {
+        "objective": cert.objective,
+        "scale": cert.scale,
+        "y": _matrix_to_pairs(cert.y),
+        "z": [
+            [{"cut": list(cut), "matrix": _matrix_to_pairs(zk[c])} for c, cut in enumerate(cert.cuts)]
+            for zk in cert.z
+        ],
+    }
+
+
 def verdict_report(
     verdict: Verdict,
     input_text: str,
     state_names: list[str] | None = None,
 ) -> str:
-    cert: PovmCertificate | None = verdict.certificate
+    cert = verdict.certificate if isinstance(verdict.certificate, PovmCertificate) else None
     doc = {
         "version": FORMAT_VERSION,
         "tool": TOOL_VERSION,
@@ -166,9 +184,11 @@ def verdict_report(
             if cert
             else None
         ),
-        "residuals": _jsonable(verdict.diagnostics) or None,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
+    if isinstance(verdict.certificate, DualCertificate):
+        doc["dual_certificate"] = _dual_to_json(verdict.certificate)
+    doc["residuals"] = _jsonable(verdict.diagnostics) or None
+    doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return json.dumps(doc, indent=2)
 
 

@@ -451,40 +451,39 @@ def check_subspace_properties(kind: SubspaceFamily, tol: Tolerances = DEFAULT) -
     return CheckResult(f"subspace_{kind.value}_properties", report.all_passed, count, 0.0, detail=str(detail))
 
 
-def check_subspace_stalls(
+def check_subspace_duals(
     kind: SubspaceFamily,
     seed: int,
     n_bases: int = 20,
     tol: Tolerances = DEFAULT,
-    max_iterations: int = 3000,
 ) -> CheckResult:
+    """Haar-rotated bases of the subspace's orthocomplement: each must end
+    with a dual certificate of PPT infeasibility that validates.  The
+    margin is the least negative relative objective."""
     rng = np.random.default_rng(seed)
     spec = indistinguishable_subspace(kind)
     cols = np.column_stack([s.amplitudes for s in spec.complement])
     p0 = spec.phi1.density() + spec.phi2.density()
     dim = len(spec.complement)
     ok = 0
-    worst = np.inf
+    worst = -np.inf
     for _ in range(n_bases):
         mixed = cols @ random_unitary(rng, dim)
         basis = [PureState(spec.space, mixed[:, j]) for j in range(dim)]
-        problem = FeasibilityProblem(
-            space=spec.space,
-            projectors=[s.density() for s in basis],
-            p0=p0,
-            tol=tol,
-            max_iterations=max_iterations,
-        )
+        problem = FeasibilityProblem(space=spec.space, projectors=[s.density() for s in basis], p0=p0, tol=tol)
         outcome = feasibility_solve(problem)
-        good = (not outcome.feasible) and outcome.residual > tol.stall_margin
-        ok += int(good)
-        worst = min(worst, outcome.residual)
+        if outcome.dual is None:
+            worst = np.inf
+            continue
+        checked = validate_certificate(outcome.dual, DiscriminationInstance.from_pure(spec.space, basis), tol)
+        ok += int(checked["valid"])
+        worst = max(worst, checked["objective"] / checked["scale"])
     return CheckResult(
-        f"subspace_{kind.value}_feasibility_stalls",
+        f"subspace_{kind.value}_ppt_dual",
         ok == n_bases,
         n_bases,
         float(worst),
-        detail=f"smallest stalled residual {worst:.3e}",
+        detail=f"least negative relative dual objective {worst:.3e}",
     )
 
 
@@ -492,8 +491,8 @@ def suite_subspaces(seed: int = 42, tol: Tolerances = DEFAULT) -> list[CheckResu
     return [
         check_subspace_properties(SubspaceFamily.BIPARTITE_3X3_DIM7, tol),
         check_subspace_properties(SubspaceFamily.TRIPARTITE_222_DIM6, tol),
-        check_subspace_stalls(SubspaceFamily.BIPARTITE_3X3_DIM7, seed + 11, 20, tol),
-        check_subspace_stalls(SubspaceFamily.TRIPARTITE_222_DIM6, seed + 12, 20, tol),
+        check_subspace_duals(SubspaceFamily.BIPARTITE_3X3_DIM7, seed + 11, 20, tol),
+        check_subspace_duals(SubspaceFamily.TRIPARTITE_222_DIM6, seed + 12, 20, tol),
     ]
 
 

@@ -28,8 +28,8 @@ from sepdisc.verify import (
     check_lemma4_cases,
     check_lemma5,
     check_sep_not_locc,
+    check_subspace_duals,
     check_subspace_properties,
-    check_subspace_stalls,
     check_tetra,
 )
 from tests.conftest import decide_with_phi, ghz_theta, w_state
@@ -107,8 +107,8 @@ def test_criterion_6_indistinguishable_subspaces():
         overlap = abs(np.vdot(v, spec.phi2.amplitudes))
         print(f"       criterion 6: unique product vector overlap with the product member: {overlap:.12f}")
         assert overlap > 1 - 1e-9
-        stalls = check_subspace_stalls(kind, SEED, 20)
-        _report(6, stalls)
+        duals = check_subspace_duals(kind, SEED, 20)
+        _report(6, duals)
 
 
 def test_criterion_7_lemma_suites():

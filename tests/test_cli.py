@@ -2,9 +2,13 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from sepdisc.cli import main
-from sepdisc.states import QUBIT_PAIR, phi_plus
+from sepdisc.discrimination import DiscriminationInstance, validate_certificate
+from sepdisc.sampling import random_unitary
+from sepdisc.separability import DualCertificate
+from sepdisc.states import QUBIT_PAIR, PureState, phi_plus
 from sepdisc.statefile import parse_statefile, serialize_statefile
 from tests.conftest import bell
 
@@ -71,18 +75,44 @@ class TestDecide:
         assert code == 3
         assert "norm" in err
 
-    def test_undecided_exit_2_subspace(self, tmp_path, capsys):
-        code, out, _ = run_cli(capsys, "construct", "subspace", "dim7")
-        path = tmp_path / "dim7.json"
+    @pytest.mark.parametrize("kind", ["dim7", "dim6"])
+    def test_subspace_exit_1_ppt_dual(self, tmp_path, capsys, kind):
+        code, out, _ = run_cli(capsys, "construct", "subspace", kind)
+        path = tmp_path / f"{kind}.json"
         path.write_text(out)
-        code, out, _ = run_cli(capsys, "decide", str(path), "--max-iterations", "1500")
-        assert code == 2
+        data = parse_statefile(out)
+        code, out, _ = run_cli(capsys, "decide", str(path))
+        assert code == 1
         report = json.loads(out)
-        assert report["status"] == "undecided"
+        assert report["status"] == "indistinguishable"
+        assert report["theorem"] == "PPT-dual"
         props = report["residuals"]["subspace_properties"]
         assert props["unique_product_vector"] is True
         assert props["entangled_members_need_three_products"] is True
         assert props["difference_combinations_need_three_products"] is True
+        # the serialized certificate re-checks from the report alone
+        dual = report["dual_certificate"]
+        matrix = lambda rows: np.array([[complex(*z) for z in row] for row in rows])
+        cuts = tuple(tuple(entry["cut"]) for entry in dual["z"][0])
+        z = np.array([[matrix(entry["matrix"]) for entry in zk] for zk in dual["z"]])
+        cert = DualCertificate(matrix(dual["y"]), z, cuts, dual["objective"], dual["scale"])
+        instance = DiscriminationInstance.from_pure(data.space, [st for _, st in data.states])
+        checked = validate_certificate(cert, instance)
+        assert checked["valid"]
+        assert checked["objective"] == pytest.approx(dual["objective"], rel=1e-9)
+        assert checked["scale"] == pytest.approx(dual["scale"], rel=1e-9)
+
+    def test_undecided_exit_2_two_states(self, tmp_path, capsys):
+        # two orthogonal 2x2 states whose relaxed point has no separability
+        # evidence and whose relaxation is feasible, so no dual exists
+        u = random_unitary(np.random.default_rng(0), 4)[:, :2]
+        path = write_states(tmp_path, "pair.json", [(f"s{j}", PureState(QUBIT_PAIR, u[:, j])) for j in range(2)])
+        code, out, _ = run_cli(capsys, "decide", path)
+        assert code == 2
+        report = json.loads(out)
+        assert report["status"] == "undecided"
+        assert report["reason"]["code"] == "ppt_feasible_relaxation"
+        assert "dual_certificate" not in report
 
 
 class TestConstruct:

@@ -1,10 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sepdisc.constructions import FamilyParams, family_sep_not_locc, gamma_range
+from sepdisc.constructions import (
+    FamilyParams,
+    SubspaceFamily,
+    family_sep_not_locc,
+    gamma_range,
+    indistinguishable_subspace,
+)
 from sepdisc.discrimination import DiscriminationInstance, VerdictStatus, decide, validate_certificate
 from sepdisc.errors import PreconditionViolated
-from sepdisc.sampling import random_basis_of_complement, random_product_basis, random_pure_state
+from sepdisc.sampling import random_basis_of_complement, random_product_basis, random_pure_state, random_unitary
 from sepdisc.separability import (
     FeasibilityProblem,
     _intervals,
@@ -85,7 +93,7 @@ def test_invalid_problem_rejected():
 
 def test_rank2_residual_projector_uses_dykstra():
     # spanning pair of a 7-dimensional complement: the iterative path runs
-    # and stalls well above the feasibility threshold
+    # and ends with a dual certificate that the relaxation is infeasible
     space = StateSpace((3, 3))
     phi1 = PureState.normalized(space, np.eye(3, dtype=complex).reshape(9))
     phi2 = ket(space, "01")
@@ -100,16 +108,63 @@ def test_rank2_residual_projector_uses_dykstra():
     )
     out = feasibility_solve(problem)
     assert not out.feasible
-    assert out.residual > 1e-4
+    assert validate_certificate(out.dual, DiscriminationInstance.from_pure(space, comp))["valid"]
+
+
+# -- dual certificates: soundness on feasible inputs, agreement, tampering ----
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_no_dual_on_feasible_two_state_instances(dims):
+    # two orthogonal pure states are always distinguishable, so the
+    # relaxation is feasible and no dual may fire on the way to it
+    space = StateSpace(dims)
+    for seed in range(12):
+        u = random_unitary(np.random.default_rng(seed), space.dim)[:, :2]
+        projectors = [np.outer(c, c.conj()) for c in u.T]
+        problem = FeasibilityProblem(space=space, projectors=projectors, p0=np.eye(space.dim) - sum(projectors))
+        out = feasibility_solve(problem)
+        assert out.feasible and out.dual is None, seed
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_dykstra_dual_agrees_with_rank1_path(dims):
+    for seed in range(6):
+        assert not feasibility_solve(_haar_rank1(dims, seed)).feasible
+        problem = _haar_rank1(dims, seed, use_rank1_path=False)
+        out = feasibility_solve(problem)
+        instance = DiscriminationInstance.from_projectors(problem.space, problem.projectors)
+        assert validate_certificate(out.dual, instance)["valid"], seed
+
+
+@pytest.mark.parametrize("kind", list(SubspaceFamily))
+def test_tampered_dual_certificates_rejected(kind):
+    spec = indistinguishable_subspace(kind)
+    instance = DiscriminationInstance.from_pure(spec.space, spec.complement)
+    verdict = decide(instance)
+    assert verdict.status is VerdictStatus.INDISTINGUISHABLE and verdict.theorem == "PPT-dual"
+    cert = verdict.certificate
+    assert validate_certificate(cert, instance)["valid"]
+    # a negated Y alone is repaired by the absorption step (Y is near a
+    # multiple of Pi here), so the tampering negates the whole record; the
+    # recorded objective and scale are never read
+    negated = dataclasses.replace(cert, y=-cert.y, z=-cert.z)
+    zeroed = dataclasses.replace(cert, z=np.zeros_like(cert.z), objective=-1.0, scale=1.0)
+    for bad in (negated, zeroed):
+        assert not validate_certificate(bad, instance)["valid"]
+    # the same certificate against a feasible instance of the same shape
+    product = random_product_basis(np.random.default_rng(3), spec.space)[: len(spec.complement)]
+    feasible = DiscriminationInstance.from_pure(spec.space, product)
+    assert decide(feasible).status is VerdictStatus.DISTINGUISHABLE
+    assert not validate_certificate(cert, feasible)["valid"]
 
 
 # -- rank-1 path: exact pencil endpoints and the infeasibility margin ---------
 
-def _haar_rank1(dims, seed):
+def _haar_rank1(dims, seed, **kw):
     rng = np.random.default_rng(seed)
     space = StateSpace(dims)
     phi = random_pure_state(rng, space)
-    return _problem(random_basis_of_complement(rng, phi), phi)
+    return _problem(random_basis_of_complement(rng, phi), phi, **kw)
 
 
 def _stacks(problem):
@@ -166,6 +221,8 @@ def test_rank1_family_feasible_with_valid_certificate(alpha, beta, frac):
     assert abs(lam.sum() - 1.0) < 1e-12
     a, b, peaks, vmins = _stacks(problem)
     _assert_exact_endpoints(a, b, peaks, vmins, 0.0)
+    forced = feasibility_solve(_problem(basis, phi, use_rank1_path=False))
+    assert forced.feasible and forced.dual is None
 
     inst = DiscriminationInstance.from_projectors(QUBIT_PAIR, [s.density() for s in basis])
     verdict = decide(inst)
