@@ -213,12 +213,8 @@ def cmd_verify(args, tol) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:
-        if name == "theorem2" and args.bases:
-            from .verify import suite_theorem2
-
-            results.extend(suite_theorem2(seed=args.seed, tol=tol, n_bases=args.bases))
-        else:
-            results.extend(SUITES[name](seed=args.seed, tol=tol))
+        extra = {"n_bases": args.bases} if name == "theorem2" and args.bases else {}
+        results.extend(SUITES[name](seed=args.seed, tol=tol, **extra))
     failures = 0
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

@@ -28,12 +28,9 @@ class Tolerances:
     match_phase: float = 1e-8
     # feasibility solver: success threshold on the max constraint violation,
     # and the relative margin by which a dual certificate's objective must
-    # be negative
+    # be negative (both solver paths end at one or the other, or undecided)
     feasibility: float = 1e-7
     max_iterations: int = 20000
-    # rank-1 infeasibility margin above which the decider-versus-solver
-    # agreement counts a run as infeasible
-    stall_margin: float = 1e-4
 
 
 DEFAULT = Tolerances()
@@ -45,7 +42,8 @@ def from_env(base: Tolerances = DEFAULT) -> Tolerances:
     """Return ``base`` with the rank/PSD tolerance overridden by $SEPDISC_TOL.
 
     The override is off by default; it only applies when the variable is set
-    to a parseable positive float.
+    to a finite positive float (``nan`` and ``inf`` would make every rank
+    and PSD comparison false).
     """
     raw = os.environ.get(ENV_TOL)
     if raw is None:
@@ -54,6 +52,6 @@ def from_env(base: Tolerances = DEFAULT) -> Tolerances:
         value = float(raw)
     except ValueError:
         return base
-    if value <= 0:
+    if not 0.0 < value < float("inf"):
         return base
     return dataclasses.replace(base, rank=value, psd=value)

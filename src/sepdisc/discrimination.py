@@ -152,13 +152,15 @@ def validate_certificate(
     """Independent re-check of a certificate.  A POVM certificate: its
     completeness, correctness, PSD, reassembly of every product
     decomposition, and the partial transposes behind every PPT record,
-    recomputed from the element itself.  A dual certificate: the objective
-    and scale :func:`check_dual` recomputes from its matrices and the
-    instance's projectors."""
+    recomputed from the element itself, with one element and one piece of
+    evidence (and one lambda, if any) per member.  A dual certificate: the
+    objective and scale :func:`check_dual` recomputes from its matrices and
+    the instance's projectors."""
     if isinstance(cert, DualCertificate):
         checked, valid = check_dual(cert.y, cert.z, cert.cuts, instance.projector_list(), instance.space.dims, tol)
         return {"objective": checked.objective, "scale": checked.scale, "valid": valid}
-    d = instance.space.dim
+    d, n = instance.space.dim, instance.n
+    counts_ok = len(cert.elements) == len(cert.evidence) == n
     total = sum(cert.elements)
     completeness = maxabs(total - np.eye(d))
     psd_min = min(float(hermitian_eig(e, tol).values[0]) for e in cert.elements)
@@ -189,7 +191,7 @@ def validate_certificate(
     lambdas_ok = True
     if cert.lambdas is not None:
         lam = np.asarray(cert.lambdas)
-        lambdas_ok = bool(np.all(lam >= -1e-12) and abs(lam.sum() - 1.0) <= 1e-8)
+        lambdas_ok = bool(len(lam) == n and np.all(lam >= -1e-12) and abs(lam.sum() - 1.0) <= 1e-8)
     return {
         "completeness": completeness,
         "correctness": correctness,
@@ -198,7 +200,9 @@ def validate_certificate(
         "evidence_exact": evidence_ok,
         "ppt_min": ppt_min,
         "lambdas_ok": lambdas_ok,
-        "valid": completeness <= 1e-8
+        "counts_ok": counts_ok,
+        "valid": counts_ok
+        and completeness <= 1e-8
         and correctness <= 1e-7
         and psd_min >= _EIGENVALUE_FLOOR
         and evidence_resid <= 1e-8
@@ -662,8 +666,8 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
         theorem="T1",
         reason=Reason(
             "feasibility_stall",
-            "the relaxed feasibility solver stalled; empirical evidence of infeasibility, not a certificate",
-            {"residual": outcome.residual, "stalled": outcome.stalled},
+            "the relaxed feasibility solver ended with neither a feasible point nor a checked dual certificate",
+            {"residual": outcome.residual},
         ),
         diagnostics=diag,
     )

@@ -421,15 +421,19 @@ def check_dual(y, z, cuts, projectors, dims, tol: Tolerances = DEFAULT) -> tuple
 
 @dataclass(frozen=True)
 class FeasibilityOutcome:
+    """A feasible point, a checked dual proving infeasibility, or neither."""
+
     feasible: bool
     e_ops: np.ndarray | None
     residual: float
     best_residual: float
     iterations: int
-    stalled: bool
     diagnostics: dict = field(default_factory=dict)
-    # checked proof of infeasibility, when the solver found one
     dual: DualCertificate | None = None
+
+    @property
+    def stalled(self) -> bool:
+        return not self.feasible and self.dual is None
 
 
 def constraint_residual(e: np.ndarray, p: np.ndarray, p0: np.ndarray, dims, cuts) -> tuple[float, dict]:
@@ -455,9 +459,6 @@ _WINDOW = 1.5
 # a block whose least violation lies within this of the level touches it at
 # its peak only
 _GRAZING = 1e-12
-# upper end and final width of the bisection for the infeasibility margin
-_MARGIN_CAP = 4.0
-_MARGIN_WIDTH = 1e-11
 _GOLDEN = (5.0**0.5 - 1.0) / 2.0
 
 
@@ -525,14 +526,33 @@ def _intervals(a, b, peaks, vmins, level: float) -> tuple[np.ndarray, np.ndarray
     return np.where(inside, lo, peaks), np.where(inside, hi, peaks)
 
 
+def _cut_duals(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Z[k, c] = x x^H / |tr(x x^H B_c)| on the worst cut c of every block at
+    lams[k], x the lowest eigenvector of A_c + lams[k] B_c, and zero on the
+    other cuts: the affine bound tr(Z (A_c + lam B_c)) >= 0, with slope +-1
+    in lam, that excludes lams[k] when that eigenvalue is negative."""
+    w, v = np.linalg.eigh(a + lams[:, None, None, None] * b)
+    rows = np.arange(len(lams))
+    worst = w[..., 0].argmin(axis=1)
+    x = v[rows, worst, :, 0]
+    slope = np.einsum("ki,kij,kj->k", x.conj(), b[rows, worst], x).real
+    z = np.zeros(a.shape, dtype=complex)
+    z[rows, worst] = x[:, :, None] * x[:, None, :].conj() / np.abs(slope)[:, None, None]
+    return z
+
+
 def _solve_rank1(problem: FeasibilityProblem) -> FeasibilityOutcome:
     """Exact decision when P0 = |w><w|.
 
     PSD blocks summing to a rank-1 projector are forced to E_k = lam_k P0,
     so the problem collapses to intervals of lam intersected with the
-    simplex.  Feasible points are verified by direct eigenvalue checks;
-    infeasibility is reported with the smallest uniform violation level at
-    which the intervals would meet the simplex.
+    simplex.  A feasible point is verified by direct eigenvalue checks.  An
+    infeasible problem ends at a dual certificate whose Z bounds each
+    binding block just outside its binding end (:func:`_cut_duals`, at
+    _PEAK_WIDTH): an empty block takes both sides of its peak, so the
+    slopes cancel and Y = 0; floors summing above 1 take Y = +Pi, and
+    ceilings summing below 1 take Y = -Pi.  :func:`check_dual` decides
+    whether it proves infeasibility; when it does not, the outcome stalls.
     """
     tol = problem.tol
     n = len(problem.projectors)
@@ -542,61 +562,51 @@ def _solve_rank1(problem: FeasibilityProblem) -> FeasibilityOutcome:
     a = np.stack([blk.a for blk in blocks])
     b = np.stack([blk.b for blk in blocks])
     peaks, vmins = _peaks(a, b)
+    # a block grazing the boundary, or missing it, contributes its peak as a
+    # singleton
+    lows, highs = _intervals(a, b, peaks, vmins, 0.0)
 
+    # water-fill from the interval floors toward the target sum, then clamp;
+    # tiny overshoots sit at quadratic minima and stay harmless
+    lam = lows.copy()
+    need = 1.0 - lam.sum()
+    if need > 0:
+        room = highs - lows
+        if room.sum() > 0:
+            lam = lam + room * min(1.0, need / room.sum())
+    excess = lam.sum() - 1.0
+    lam = lam - excess / n
+    res = max(0.0, float(_violations(a, b, lam).max()))
     diagnostics: dict = {"path": "rank1-exact"}
+    if res <= tol.feasibility:
+        diagnostics["lambdas"] = [float(x) for x in lam]
+        return FeasibilityOutcome(
+            feasible=True,
+            e_ops=lam[:, None, None] * p0,
+            residual=res,
+            best_residual=res,
+            iterations=0,
+            diagnostics=diagnostics,
+        )
 
-    if np.all(vmins <= tol.feasibility):
-        # a block grazing the boundary contributes its peak as a singleton
-        lows, highs = _intervals(a, b, peaks, vmins, 0.0)
-        # water-fill from the interval floors toward the target sum, then
-        # clamp; tiny overshoots sit at quadratic minima and stay harmless
-        lam = lows.copy()
-        need = 1.0 - lam.sum()
-        if need > 0:
-            room = highs - lows
-            if room.sum() > 0:
-                lam = lam + room * min(1.0, need / room.sum())
-        excess = lam.sum() - 1.0
-        lam = lam - excess / n
-        e = lam[:, None, None] * p0
-        res = max(0.0, float(_violations(a, b, lam).max()))
-        if res <= tol.feasibility:
-            diagnostics["lambdas"] = [float(x) for x in lam]
-            return FeasibilityOutcome(
-                feasible=True,
-                e_ops=e,
-                residual=res,
-                best_residual=res,
-                iterations=0,
-                stalled=False,
-                diagnostics=diagnostics,
-            )
-
-    # infeasible: the smallest uniform violation level t at which the
-    # sublevel intervals' floors and ceilings bracket 1; intervals only grow
-    # with t, so bisection on t finds it
-    def brackets(t: float) -> bool:
-        lows, highs = _intervals(a, b, peaks, vmins, t)
-        return lows.sum() <= 1.0 <= highs.sum()
-
-    lo_t = hi_t = float(vmins.max())
-    if not brackets(lo_t):
-        hi_t = _MARGIN_CAP
-        while hi_t - lo_t > _MARGIN_WIDTH:
-            mid = (lo_t + hi_t) / 2.0
-            if brackets(mid):
-                hi_t = mid
-            else:
-                lo_t = mid
-    diagnostics["infeasibility_margin"] = hi_t
+    y, z = 0.0, np.zeros_like(a)
+    k = int(vmins.argmax())
+    if vmins[k] > tol.feasibility:
+        z[k] = _cut_duals(a[[k, k]], b[[k, k]], peaks[k] + np.array([-_PEAK_WIDTH, _PEAK_WIDTH])).sum(axis=0)
+    elif lows.sum() > 1.0:
+        # a floor of 0 comes from E_k >= 0, which Y already covers
+        y, z = 1.0, _cut_duals(a, b, lows - _PEAK_WIDTH) * (lows > 0.0)[:, None, None, None]
+    elif highs.sum() < 1.0:
+        y, z = -1.0, _cut_duals(a, b, highs + _PEAK_WIDTH)
+    dual, valid = check_dual(y * p0, z, problem.cuts, problem.projectors, problem.space.dims, tol)
     return FeasibilityOutcome(
         feasible=False,
         e_ops=None,
-        residual=hi_t,
-        best_residual=hi_t,
+        residual=res,
+        best_residual=res,
         iterations=0,
-        stalled=True,
         diagnostics=diagnostics,
+        dual=dual if valid else None,
     )
 
 
@@ -675,7 +685,6 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
                     residual=res,
                     best_residual=best,
                     iterations=it,
-                    stalled=False,
                     diagnostics=parts,
                 )
             checks = it // _CHECK_EVERY
@@ -690,7 +699,6 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
                         residual=res,
                         best_residual=best,
                         iterations=it,
-                        stalled=False,
                         diagnostics=parts,
                         dual=dual,
                     )
@@ -700,6 +708,5 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
         residual=res,
         best_residual=best,
         iterations=it,
-        stalled=False,
         diagnostics={**parts, "iteration_cap": cap},
     )

@@ -283,19 +283,24 @@ def suite_lemmas(seed: int = 42, tol: Tolerances = DEFAULT) -> list[CheckResult]
     ]
 
 
-def agreement_experiment(
-    seed: int,
-    n_bases: int,
-    tol: Tolerances = DEFAULT,
-    max_iterations: int | None = None,
-) -> CheckResult:
+def _checked_dual(outcome, instance: DiscriminationInstance, tol: Tolerances) -> tuple[bool, float]:
+    """Whether a solver outcome carries a dual certificate that validates,
+    and its relative objective (inf without one)."""
+    if outcome.dual is None:
+        return False, np.inf
+    checked = validate_certificate(outcome.dual, instance, tol)
+    return checked["valid"], checked["objective"] / checked["scale"]
+
+
+def agreement_experiment(seed: int, n_bases: int, tol: Tolerances = DEFAULT) -> CheckResult:
     """Analytic decider versus relaxed feasibility solver on random bases of
     {phi}^perp: mixed Haar bases (generically indistinguishable) and
-    locally rotated family bases (distinguishable)."""
+    locally rotated family bases (distinguishable).  A distinguishable
+    basis must be feasible, any other must end with a dual certificate that
+    validates.  The margin is the least negative relative dual objective."""
     rng = np.random.default_rng(seed)
     agree = 0
-    min_feas_margin = np.inf  # worst feasible residual
-    min_infeas_margin = np.inf  # worst infeasibility margin
+    worst = -np.inf
     for i in range(n_bases):
         if i % 2 == 0:
             phi = random_entangled_2x2(rng, 0.05)
@@ -305,28 +310,27 @@ def agreement_experiment(
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             phi = PureState(QUBIT_PAIR, u @ phi.amplitudes)
             basis = [PureState(QUBIT_PAIR, u @ s.amplitudes) for s in basis]
-        verdict = decide(DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi), tol)
+        instance = DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi)
+        verdict = decide(instance, tol)
         problem = FeasibilityProblem(
             space=QUBIT_PAIR,
             projectors=[s.density() for s in basis],
             p0=phi.density(),
             tol=tol,
-            max_iterations=max_iterations,
         )
         outcome = feasibility_solve(problem)
         if verdict.status is VerdictStatus.DISTINGUISHABLE:
             good = outcome.feasible and outcome.residual < tol.feasibility
-            min_feas_margin = min(min_feas_margin, tol.feasibility - outcome.residual)
         else:
-            good = (not outcome.feasible) and outcome.residual > tol.stall_margin
-            min_infeas_margin = min(min_infeas_margin, outcome.residual)
+            good, relative = _checked_dual(outcome, instance, tol)
+            worst = max(worst, relative)
         agree += int(good)
     return CheckResult(
         "decider_solver_agreement",
         agree == n_bases,
         n_bases,
-        float(min_infeas_margin),
-        detail=f"min infeasibility margin {min_infeas_margin:.3e}",
+        float(worst),
+        detail=f"least negative relative dual objective {worst:.3e}",
     )
 
 
@@ -472,12 +476,9 @@ def check_subspace_duals(
         basis = [PureState(spec.space, mixed[:, j]) for j in range(dim)]
         problem = FeasibilityProblem(space=spec.space, projectors=[s.density() for s in basis], p0=p0, tol=tol)
         outcome = feasibility_solve(problem)
-        if outcome.dual is None:
-            worst = np.inf
-            continue
-        checked = validate_certificate(outcome.dual, DiscriminationInstance.from_pure(spec.space, basis), tol)
-        ok += int(checked["valid"])
-        worst = max(worst, checked["objective"] / checked["scale"])
+        valid, relative = _checked_dual(outcome, DiscriminationInstance.from_pure(spec.space, basis), tol)
+        ok += int(valid)
+        worst = max(worst, relative)
     return CheckResult(
         f"subspace_{kind.value}_ppt_dual",
         ok == n_bases,
@@ -502,10 +503,3 @@ SUITES = {
     "tetra": suite_tetra,
     "subspaces": suite_subspaces,
 }
-
-
-def run_suites(names, seed: int = 42, tol: Tolerances = DEFAULT) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for name in names:
-        results.extend(SUITES[name](seed=seed, tol=tol))
-    return results

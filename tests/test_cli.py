@@ -263,7 +263,8 @@ class TestEnvOverride:
         monkeypatch.setenv(config.ENV_TOL, "1e-6")
         tol = config.from_env()
         assert tol.rank == 1e-6 and tol.psd == 1e-6
-        monkeypatch.setenv(config.ENV_TOL, "not-a-number")
-        assert config.from_env() == config.DEFAULT
+        for raw in ("not-a-number", "nan", "inf", "0", "-1e-6"):
+            monkeypatch.setenv(config.ENV_TOL, raw)
+            assert config.from_env() == config.DEFAULT, raw
         monkeypatch.delenv(config.ENV_TOL)
         assert config.from_env() == config.DEFAULT

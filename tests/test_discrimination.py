@@ -489,6 +489,26 @@ def test_ppt_record_outside_2x2_and_2x3_is_rejected():
     assert not check["valid"]
 
 
+def test_certificate_counts_must_match_the_members():
+    # four entangled basis projectors are a complete, correct POVM with no
+    # evidence that its elements are separable
+    u = random_unitary(np.random.default_rng(2), 4)
+    basis = [PureState(QUBIT_PAIR, u[:, j]) for j in range(4)]
+    bare = disc.PovmCertificate(tuple(s.density() for s in basis), (), None)
+    check = validate_certificate(bare, DiscriminationInstance.from_pure(QUBIT_PAIR, basis))
+    assert check["completeness"] <= 1e-8 and check["correctness"] <= 1e-7
+    assert not check["counts_ok"] and not check["valid"]
+    # a valid lambda certificate with its evidence cut short, or a lambda added
+    phi, states = _family()
+    inst = DiscriminationInstance.from_pure(QUBIT_PAIR, states, phi)
+    cert = decide(inst).certificate
+    assert validate_certificate(cert, inst)["valid"]
+    short = disc.PovmCertificate(cert.elements, cert.evidence[:-1], cert.lambdas)
+    padded = disc.PovmCertificate(cert.elements, cert.evidence, cert.lambdas + (0.0,))
+    for forged in (short, padded):
+        assert not validate_certificate(forged, inst)["valid"]
+
+
 def _prefixed(phi, basis):
     """e0 (x) phi and e0 (x) basis, completed by the four products e1 (x) |ij>."""
     e0, e1 = np.eye(2, dtype=complex)

@@ -6,9 +6,12 @@ import pytest
 from sepdisc.constructions import (
     FamilyParams,
     SubspaceFamily,
+    TetraPoint,
+    basis_from_unitary,
     family_sep_not_locc,
     gamma_range,
     indistinguishable_subspace,
+    tetra_unitary,
 )
 from sepdisc.discrimination import DiscriminationInstance, VerdictStatus, decide, validate_certificate
 from sepdisc.errors import PreconditionViolated
@@ -47,9 +50,10 @@ def test_single_block_product_projector():
 
 
 def test_bell_triple_infeasible():
-    out = feasibility_solve(_problem([bell("phi-"), bell("psi+"), bell("psi-")], phi_plus()))
-    assert not out.feasible
-    assert out.residual > 1e-4
+    bells = [bell("phi-"), bell("psi+"), bell("psi-")]
+    out = feasibility_solve(_problem(bells, phi_plus()))
+    assert not out.feasible and not out.stalled
+    assert validate_certificate(out.dual, DiscriminationInstance.from_pure(QUBIT_PAIR, bells))["valid"]
 
 
 def test_concurrence_one_zero_zero_feasible():
@@ -73,7 +77,8 @@ def test_dykstra_path_matches_exact_path():
     exact = feasibility_solve(_problem(bells, phi_plus()))
     iterative = feasibility_solve(_problem(bells, phi_plus(), use_rank1_path=False))
     assert not exact.feasible and not iterative.feasible
-    assert iterative.residual > 1e-4
+    for out in (exact, iterative):
+        assert validate_certificate(out.dual, DiscriminationInstance.from_pure(QUBIT_PAIR, bells))["valid"]
 
 
 def test_invalid_problem_rejected():
@@ -158,7 +163,7 @@ def test_tampered_dual_certificates_rejected(kind):
     assert not validate_certificate(cert, feasible)["valid"]
 
 
-# -- rank-1 path: exact pencil endpoints and the infeasibility margin ---------
+# -- rank-1 path: exact pencil endpoints and the dual certificate -------------
 
 def _haar_rank1(dims, seed, **kw):
     rng = np.random.default_rng(seed)
@@ -190,24 +195,53 @@ def _assert_exact_endpoints(a, b, peaks, vmins, level):
             assert outside > level
 
 
+def _assert_rank1_dual(projectors, space):
+    """The exact path proves the projectors indistinguishable by a PPT dual
+    that validates, through the solver and through decide alike."""
+    instance = DiscriminationInstance.from_projectors(space, projectors)
+    out = feasibility_solve(FeasibilityProblem(space=space, projectors=projectors, p0=np.eye(space.dim) - sum(projectors)))
+    assert out.diagnostics["path"] == "rank1-exact"
+    assert not out.feasible and not out.stalled
+    checked = validate_certificate(out.dual, instance)
+    assert checked["valid"] and checked["objective"] < 0.0
+    verdict = decide(instance)
+    assert verdict.status is VerdictStatus.INDISTINGUISHABLE and verdict.theorem == "PPT-dual"
+    assert verdict.diagnostics["path"] == "rank1-exact"
+    assert validate_certificate(verdict.certificate, instance)["valid"]
+    return out.dual
+
+
+# the margin is the dual's relative objective; the endpoints are those of
+# the level-0 intervals the dual bounds
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(6))
 def test_rank1_haar_margin_and_endpoints(dims, seed):
     problem = _haar_rank1(dims, seed)
-    out = feasibility_solve(problem)
-    assert out.diagnostics["path"] == "rank1-exact"
-    assert not out.feasible
-    a, b, peaks, vmins = _stacks(problem)
-    margin = out.diagnostics["infeasibility_margin"]
-    assert margin >= vmins.max()
-    _assert_exact_endpoints(a, b, peaks, vmins, margin)
+    _assert_rank1_dual(problem.projectors, problem.space)
+    _assert_exact_endpoints(*_stacks(problem), 0.0)
 
-    lows, highs = _intervals(a, b, peaks, vmins, margin)
-    assert lows.sum() <= 1.0 <= highs.sum()
-    # just below the margin some interval is empty or the sums miss 1
-    if 0.999 * margin >= vmins.max():
-        lows, highs = _intervals(a, b, peaks, vmins, 0.999 * margin)
-        assert not lows.sum() <= 1.0 <= highs.sum()
+
+def test_rank1_tetrahedron_interior_projectors_get_duals():
+    # strictly inside the tetrahedron every block grazes the boundary at its
+    # peak lambda* and the lambda* do not sum to 1
+    rng = np.random.default_rng(7)
+    seen = 0
+    while seen < 12:
+        x = rng.uniform(0.05, 0.95, 3)
+        if not (x.sum() > 1.05 and np.all(x.sum() - 2 * x < 0.95)):
+            continue
+        seen += 1
+        basis = basis_from_unitary(tetra_unitary(TetraPoint(*x)))
+        _assert_rank1_dual([s.density() for s in basis], QUBIT_PAIR)
+
+
+def test_rank1_dual_rejected_on_a_feasible_instance():
+    problem = _haar_rank1((2, 2), 0)
+    dual = _assert_rank1_dual(problem.projectors, problem.space)
+    phi, basis = family_sep_not_locc(FamilyParams(0.3, 0.4, sum(gamma_range(0.3, 0.4)) / 2))
+    feasible = DiscriminationInstance.from_projectors(QUBIT_PAIR, [s.density() for s in basis])
+    assert decide(feasible).status is VerdictStatus.DISTINGUISHABLE
+    assert not validate_certificate(dual, feasible)["valid"]
 
 
 @pytest.mark.parametrize("alpha, beta, frac", [(0.2, 0.5, 0.0), (0.3, 0.4, 0.3), (0.1, 0.7, 0.7), (0.3, 0.4, 1.0)])
