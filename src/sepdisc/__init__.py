@@ -3,6 +3,7 @@ operations: deciders, POVM certificates, and state-family constructions."""
 
 from .config import DEFAULT, Tolerances
 from .states import (
+    DiscriminationInstance,
     MagicBasisCoords,
     PureState,
     QUBIT_PAIR,
@@ -16,7 +17,6 @@ from .states import (
     orthocomplement_basis,
     orthonormal_completion,
     phi_plus,
-    product_state,
 )
 from .tensor_rank import (
     ProductVector,
@@ -35,7 +35,6 @@ from .separability import (
     AntiparallelResult,
     DualCertificate,
     FeasibilityOutcome,
-    FeasibilityProblem,
     Lemma1Result,
     ProductDecomposition,
     PptRecord,
@@ -50,7 +49,6 @@ from .separability import (
     rank2_separability,
 )
 from .discrimination import (
-    DiscriminationInstance,
     LoccFlag,
     PovmCertificate,
     SubspaceKind,

@@ -2,7 +2,9 @@
 
 Every decider, oracle and solver in the package compares against the same
 epsilon story, collected here.  Instances are immutable; pass a modified
-copy (``dataclasses.replace``) to tighten or loosen individual knobs.
+copy (``dataclasses.replace``) to tighten or loosen individual knobs.  The
+record holds thresholds only: the Dykstra solver's iteration cap is not a
+tolerance and is set through ``decide(..., max_iterations=...)``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ class Tolerances:
     # and the relative margin by which a dual certificate's objective must
     # be negative (both solver paths end at one or the other, or undecided)
     feasibility: float = 1e-7
-    max_iterations: int = 20000
 
 
 DEFAULT = Tolerances()

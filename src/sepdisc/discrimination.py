@@ -19,11 +19,10 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import InvalidInstance, PhiProduct
+from .errors import PhiProduct, PreconditionViolated
 from .linalg import hermitian_eig, maxabs
 from .separability import (
     DualCertificate,
-    FeasibilityProblem,
     ProductDecomposition,
     PptRecord,
     SepStatus,
@@ -38,6 +37,7 @@ from .separability import (
 )
 from .states import (
     QUBIT_PAIR,
+    DiscriminationInstance,
     PureState,
     StateSpace,
     concurrence,
@@ -95,55 +95,6 @@ class Verdict:
     reason: Reason | None = None
     locc_flag: LoccFlag = LoccFlag.UNKNOWN
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class DiscriminationInstance:
-    """Orthogonal pure states (or support projectors) to be discriminated,
-    with an optional declared residual state phi when they span {phi}^perp."""
-
-    space: StateSpace
-    states: tuple[PureState, ...] = ()
-    projectors: tuple[np.ndarray, ...] = ()
-    phi: PureState | None = None
-
-    @classmethod
-    def from_pure(cls, space: StateSpace, states, phi: PureState | None = None, tol: Tolerances = DEFAULT):
-        states = tuple(states)
-        if not states:
-            raise InvalidInstance("need at least one state")
-        gram = np.array([[a.inner(b) for b in states] for a in states])
-        if maxabs(gram - np.eye(len(states))) > 1e-9:
-            raise InvalidInstance("states must be orthonormal within 1e-9")
-        if phi is not None:
-            if len(states) != space.dim - 1:
-                raise InvalidInstance("a declared phi requires exactly D-1 states")
-            overlaps = [abs(phi.inner(s)) for s in states]
-            if max(overlaps) > 1e-9:
-                raise InvalidInstance("declared phi must be orthogonal to every state")
-        return cls(space=space, states=states, phi=phi)
-
-    @classmethod
-    def from_projectors(cls, space: StateSpace, projectors, tol: Tolerances = DEFAULT):
-        projectors = tuple(np.asarray(p, dtype=complex) for p in projectors)
-        for p in projectors:
-            w = hermitian_eig(p, tol).values
-            if np.any((w > 1e-8) & (np.abs(w - 1.0) > 1e-8)) or w[0] < -1e-8:
-                raise InvalidInstance("inputs must be projectors")
-        for i, p in enumerate(projectors):
-            for q in projectors[i + 1 :]:
-                if maxabs(p @ q) > 1e-9:
-                    raise InvalidInstance("projector supports must be orthogonal")
-        return cls(space=space, projectors=projectors)
-
-    @property
-    def n(self) -> int:
-        return len(self.states) if self.states else len(self.projectors)
-
-    def projector_list(self) -> list[np.ndarray]:
-        if self.states:
-            return [s.density() for s in self.states]
-        return list(self.projectors)
 
 
 def validate_certificate(
@@ -518,7 +469,7 @@ def _decide_full_span_projectors(instance: DiscriminationInstance, tol: Toleranc
             elements.append(p)
             evidence.append(dec)
             continue
-        verdict = ppt_oracle(p, space, None, tol)
+        verdict = ppt_oracle(p, space, tol)
         if verdict.status is SepStatus.ENTANGLED:
             return Verdict(
                 status=VerdictStatus.INDISTINGUISHABLE,
@@ -577,18 +528,16 @@ def _try_completability(instance: DiscriminationInstance, p0: np.ndarray, tol: T
     return None
 
 
-def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_iterations: int | None = None) -> Verdict:
+def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_iterations: int | None) -> Verdict:
     projectors = instance.projector_list()
-    d = instance.space.dim
-    p0 = np.eye(d, dtype=complex) - sum(projectors)
-    p0 = (p0 + p0.conj().T) / 2.0
+    p0 = instance.residual_projector()
+    cuts = list(proper_cuts(instance.space.nparties))
 
     fast = _try_completability(instance, p0, tol)
     if fast is not None:
         # the analytic allocation doubles as an explicit feasible point of
         # the relaxation; verify it directly instead of iterating
         e = np.stack([el - pk for el, pk in zip(fast.certificate.elements, projectors)])
-        cuts = proper_cuts(instance.space.nparties)
         point_res, _ = constraint_residual(e, np.stack(projectors), p0, instance.space.dims, cuts)
         return Verdict(
             status=fast.status,
@@ -597,14 +546,7 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
             diagnostics={**fast.diagnostics, "feasibility": {"residual": point_res, "verified_point": True}},
         )
 
-    problem = FeasibilityProblem(
-        space=instance.space,
-        projectors=projectors,
-        p0=p0,
-        tol=tol,
-        max_iterations=max_iterations,
-    )
-    outcome = feasibility_solve(problem)
+    outcome = feasibility_solve(instance, tol, max_iterations)
     diag = {
         "residual": outcome.residual,
         "best_residual": outcome.best_residual,
@@ -631,9 +573,9 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
             # min over cuts of the lowest eigenvalue of PT_c(E_k / tr E_k);
             # a solver point inside the feasibility tolerance can still dip
             # below the floor the validator holds PPT evidence to
-            pt_mins = [_worst_pt(el / np.trace(el).real, instance.space, problem.cuts, tol).eigenvalue for el in elements]
+            pt_mins = [_worst_pt(el / np.trace(el).real, instance.space, cuts, tol).eigenvalue for el in elements]
             if min(pt_mins) >= _EIGENVALUE_FLOOR:
-                evidence = tuple(PptRecord(min_eigenvalue=m, exact=True, cuts=tuple(problem.cuts)) for m in pt_mins)
+                evidence = tuple(PptRecord(min_eigenvalue=m, exact=True, cuts=tuple(cuts)) for m in pt_mins)
                 cert = PovmCertificate(elements, evidence, None)
                 return Verdict(
                     status=VerdictStatus.DISTINGUISHABLE,
@@ -674,7 +616,12 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
 
 
 def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iterations: int | None = None) -> Verdict:
-    """Dispatch an instance to the sharpest applicable decision path."""
+    """Dispatch an instance to the sharpest applicable decision path.
+
+    ``max_iterations`` caps the Dykstra solver (at least 1; None keeps the
+    solver's default cap)."""
+    if max_iterations is not None and max_iterations < 1:
+        raise PreconditionViolated(f"max_iterations must be at least 1, got {max_iterations}")
     space = instance.space
     d = space.dim
 

@@ -24,7 +24,7 @@ from .linalg import (
     partial_transpose,
     psd_project,
 )
-from .states import PureState, StateSpace, coeff_matrix
+from .states import DiscriminationInstance, PureState, StateSpace, coeff_matrix
 from .tensor_rank import ProductVector, product_vectors_in_span, proper_cuts, span_coordinates, try_factor
 
 
@@ -301,11 +301,9 @@ def ppt_is_exact(space: StateSpace) -> bool:
     return space.nparties == 2 and space.dims in _EXACT_PPT_DIMS
 
 
-def ppt_oracle(
-    rho: np.ndarray, space: StateSpace, bipartition=None, tol: Tolerances = DEFAULT
-) -> SeparabilityVerdict:
-    """PPT criterion: entanglement verdicts are always sound; separability is
-    claimed only on 2x2 and 2x3 spaces where PPT is exact."""
+def ppt_oracle(rho: np.ndarray, space: StateSpace, tol: Tolerances = DEFAULT) -> SeparabilityVerdict:
+    """PPT criterion over every cut: entanglement verdicts are always sound;
+    separability is claimed only on 2x2 and 2x3 spaces where PPT is exact."""
     w = hermitian_eig(rho, tol).values
     scale = max(1.0, float(w[-1]))
     if w[0] < -tol.psd * scale:
@@ -313,60 +311,16 @@ def ppt_oracle(
     tr = float(np.real(np.trace(rho)))
     if tr <= 0:
         raise NotPsd("input has nonpositive trace")
-    cuts = [tuple(bipartition)] if bipartition is not None else list(proper_cuts(space.nparties))
+    cuts = list(proper_cuts(space.nparties))
     worst = _worst_pt(rho / tr, space, cuts, tol)
     min_eig = worst.eigenvalue
     if min_eig < -1e-9:
         return SeparabilityVerdict(SepStatus.ENTANGLED, worst, {"min_pt_eigenvalue": min_eig})
 
-    if bipartition is not None:
-        exact = space.cut_shape(tuple(bipartition)) in _EXACT_PPT_DIMS
-    else:
-        exact = ppt_is_exact(space)
-    record = PptRecord(min_eigenvalue=min_eig, exact=exact, cuts=tuple(cuts))
-    if exact:
+    record = PptRecord(min_eigenvalue=min_eig, exact=ppt_is_exact(space), cuts=tuple(cuts))
+    if record.exact:
         return SeparabilityVerdict(SepStatus.SEPARABLE, record, {})
     return SeparabilityVerdict(SepStatus.UNDECIDED, record, {"reason": "PPT necessary only"})
-
-
-@dataclass
-class FeasibilityProblem:
-    """PSD operators E_k with sum E_k = P0 and P_k + E_k PPT per cut.
-
-    ``projectors`` are the mutually orthogonal support projectors of the
-    states under discrimination; ``p0`` the residual projector.
-    """
-
-    space: StateSpace
-    projectors: list[np.ndarray]
-    p0: np.ndarray
-    tol: Tolerances = DEFAULT
-    max_iterations: int | None = None
-    # when P0 has rank 1 the blocks are forced to E_k = lam_k P0 and the
-    # problem is solved exactly through interval intersection; set False to
-    # force the iterative path
-    use_rank1_path: bool = True
-    # every bipartition, one per complement pair
-    cuts: list[tuple[int, ...]] = field(init=False)
-
-    def __post_init__(self):
-        d = self.space.dim
-        self.cuts = list(proper_cuts(self.space.nparties))
-        self.projectors = [np.asarray(p, dtype=complex) for p in self.projectors]
-        for p in self.projectors:
-            if p.shape != (d, d):
-                raise PreconditionViolated("projector dimension mismatch")
-        total = sum(self.projectors)
-        ident = np.eye(d)
-        p0 = np.asarray(self.p0, dtype=complex)
-        if maxabs(ident - total - p0) > 1e-10:
-            raise PreconditionViolated("P0 must equal I - sum(P_k) within 1e-10")
-        if float(min_eigenvalues(p0)) < -1e-10:
-            raise PreconditionViolated("P0 must be PSD")
-        for i, p in enumerate(self.projectors):
-            for q in self.projectors[i + 1 :]:
-                if maxabs(p @ q) > 1e-9:
-                    raise PreconditionViolated("projectors must be mutually orthogonal")
 
 
 @dataclass(frozen=True)
@@ -449,8 +403,10 @@ def constraint_residual(e: np.ndarray, p: np.ndarray, p0: np.ndarray, dims, cuts
     return max(parts.values()), parts
 
 
-# Dykstra path: iterations between residual checks
+# Dykstra path: iterations between residual checks, and the iteration cap
+# unless the caller sets one
 _CHECK_EVERY = 5
+_MAX_ITERATIONS = 20000
 # rank-1 path: the bracket and final width of the peak search, and the
 # window every sublevel interval is clipped to
 _PEAK_BRACKET = (-0.05, 1.05)
@@ -541,7 +497,7 @@ def _cut_duals(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return z
 
 
-def _solve_rank1(problem: FeasibilityProblem) -> FeasibilityOutcome:
+def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> FeasibilityOutcome:
     """Exact decision when P0 = |w><w|.
 
     PSD blocks summing to a rank-1 projector are forced to E_k = lam_k P0,
@@ -554,11 +510,13 @@ def _solve_rank1(problem: FeasibilityProblem) -> FeasibilityOutcome:
     ceilings summing below 1 take Y = -Pi.  :func:`check_dual` decides
     whether it proves infeasibility; when it does not, the outcome stalls.
     """
-    tol = problem.tol
-    n = len(problem.projectors)
-    p0 = np.asarray(problem.p0, dtype=complex)
+    projectors = instance.projector_list()
+    n = len(projectors)
+    p0 = instance.residual_projector()
+    dims = instance.space.dims
+    cuts = list(proper_cuts(instance.space.nparties))
 
-    blocks = [_PencilBlock(pk, p0, problem.space.dims, problem.cuts) for pk in problem.projectors]
+    blocks = [_PencilBlock(pk, p0, dims, cuts) for pk in projectors]
     a = np.stack([blk.a for blk in blocks])
     b = np.stack([blk.b for blk in blocks])
     peaks, vmins = _peaks(a, b)
@@ -598,7 +556,7 @@ def _solve_rank1(problem: FeasibilityProblem) -> FeasibilityOutcome:
         y, z = 1.0, _cut_duals(a, b, lows - _PEAK_WIDTH) * (lows > 0.0)[:, None, None, None]
     elif highs.sum() < 1.0:
         y, z = -1.0, _cut_duals(a, b, highs + _PEAK_WIDTH)
-    dual, valid = check_dual(y * p0, z, problem.cuts, problem.projectors, problem.space.dims, tol)
+    dual, valid = check_dual(y * p0, z, cuts, projectors, dims, tol)
     return FeasibilityOutcome(
         feasible=False,
         e_ops=None,
@@ -610,9 +568,13 @@ def _solve_rank1(problem: FeasibilityProblem) -> FeasibilityOutcome:
     )
 
 
-def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
+def _solve_dykstra(
+    instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iterations: int = _MAX_ITERATIONS
+) -> FeasibilityOutcome:
     """Cyclic Dykstra projections onto the affine sum constraint, the PSD
-    cones, and the per-cut PPT cones.
+    cones, and the per-cut PPT cones, for at most ``max_iterations``
+    iterations.  Works for any P0; :func:`feasibility_solve` calls it for
+    every P0 that is not rank 1.
 
     Since every E_k is squeezed between 0 and P0, the iterate is also
     projected onto the support subspace of P0 (an implied linear constraint
@@ -625,24 +587,15 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
     neither a feasible point nor a valid certificate by the cap is reported
     as a result, not an error.
     """
-    tol = problem.tol
-    dims = problem.space.dims
-    d = problem.space.dim
-    n = len(problem.projectors)
-    cuts = problem.cuts
-    cap = problem.max_iterations or tol.max_iterations
+    dims = instance.space.dims
+    d = instance.space.dim
+    n = instance.n
+    cuts = list(proper_cuts(instance.space.nparties))
 
-    p = np.stack(problem.projectors)
-    p0 = np.asarray(problem.p0, dtype=complex)
-
+    p = np.stack(instance.projector_list())
+    p0 = instance.residual_projector()
     supp = support_projector(p0, tol)
     rank_p0 = int(round(float(np.real(np.trace(supp)))))
-
-    if problem.use_rank1_path and rank_p0 == 1:
-        eig = hermitian_eig(p0, tol)
-        w = eig.vectors[:, -1]
-        if maxabs(p0 - np.outer(w, w.conj())) <= 1e-9:
-            return _solve_rank1(problem)
 
     e = np.broadcast_to(p0 / n, (n, d, d)).copy()
     r_psd = np.zeros_like(e)
@@ -652,7 +605,7 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
     res = np.inf
     parts: dict = {}
     it = 0
-    while it < cap:
+    while it < max_iterations:
         it += 1
         # PSD cones
         y = e + r_psd
@@ -675,7 +628,7 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
         e = e - shift
         e = (e + dag(e)) / 2.0
 
-        if it % _CHECK_EVERY == 0 or it == cap:
+        if it % _CHECK_EVERY == 0 or it == max_iterations:
             res, parts = constraint_residual(e, p, p0, dims, cuts)
             best = min(best, res)
             if res <= tol.feasibility:
@@ -688,7 +641,7 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
                     diagnostics=parts,
                 )
             checks = it // _CHECK_EVERY
-            if checks & (checks - 1) == 0 or it == cap:
+            if checks & (checks - 1) == 0 or it == max_iterations:
                 y_dual = supp @ (-r_psd - sum(r_ppt.values())).mean(axis=0) @ supp
                 z_dual = np.stack([-partial_transpose(r_ppt[cut], dims, cut) for cut in cuts], axis=1)
                 dual, valid = check_dual(y_dual, z_dual, cuts, p, dims, tol)
@@ -708,5 +661,25 @@ def feasibility_solve(problem: FeasibilityProblem) -> FeasibilityOutcome:
         residual=res,
         best_residual=best,
         iterations=it,
-        diagnostics={**parts, "iteration_cap": cap},
+        diagnostics={**parts, "iteration_cap": max_iterations},
     )
+
+
+def feasibility_solve(
+    instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iterations: int | None = None
+) -> FeasibilityOutcome:
+    """Decide the PSD+PPT relaxation of the instance: operators E_k >= 0
+    with sum_k E_k = P0 = I - sum_k P_k and P_k + E_k PPT across every cut.
+
+    A rank-1 P0 = |w><w| goes to the exact interval reduction
+    (:func:`_solve_rank1`); any other P0 to cyclic Dykstra projections
+    (:func:`_solve_dykstra`), capped at ``max_iterations`` (default 20,000).
+    """
+    p0 = instance.residual_projector()
+    eig = hermitian_eig(p0, tol)
+    # the rank of support_projector(p0), read from the same eigenvalues
+    rank_p0 = int(np.sum(eig.values > tol.rank * max(float(eig.values[-1]), 0.0)))
+    w = eig.vectors[:, -1]
+    if rank_p0 == 1 and maxabs(p0 - np.outer(w, w.conj())) <= 1e-9:
+        return _solve_rank1(instance, tol)
+    return _solve_dykstra(instance, tol, _MAX_ITERATIONS if max_iterations is None else max_iterations)

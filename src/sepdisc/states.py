@@ -1,5 +1,5 @@
-"""State spaces, pure states, the 2x2 coefficient-matrix correspondence,
-concurrence, and the magic basis."""
+"""State spaces, pure states, the discrimination instance, the 2x2
+coefficient-matrix correspondence, concurrence, and the magic basis."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DimensionMismatch, WrongSpace
-from .linalg import kron_all
+from .errors import DimensionMismatch, InvalidInstance, WrongSpace
+from .linalg import hermitian_eig, maxabs
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,6 @@ class StateSpace:
     @property
     def nparties(self) -> int:
         return len(self.dims)
-
-    def cut_shape(self, left: tuple[int, ...]) -> tuple[int, int]:
-        """(d_left, d_right) for a bipartition given by the left party set."""
-        dl = int(np.prod([self.dims[p] for p in left]))
-        return dl, self.dim // dl
 
 
 QUBIT_PAIR = StateSpace((2, 2))
@@ -80,9 +75,6 @@ class PureState:
     def inner(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.space.dims)
-
 
 def basis_state(space: StateSpace, indices) -> PureState:
     """Computational basis ket |i_1 ... i_K>."""
@@ -99,8 +91,66 @@ def ket(space: StateSpace, label: str) -> PureState:
     return basis_state(space, [int(c) for c in label])
 
 
-def product_state(space: StateSpace, factors) -> PureState:
-    return PureState.normalized(space, kron_all([np.asarray(f, dtype=complex) for f in factors]))
+@dataclass(frozen=True)
+class DiscriminationInstance:
+    """Orthogonal pure states (or support projectors) to be discriminated,
+    with an optional declared residual state phi when they span {phi}^perp.
+    Build it with :meth:`from_pure` or :meth:`from_projectors`, the only
+    places an instance is validated."""
+
+    space: StateSpace
+    states: tuple[PureState, ...] = ()
+    projectors: tuple[np.ndarray, ...] = ()
+    phi: PureState | None = None
+
+    @classmethod
+    def from_pure(cls, space: StateSpace, states, phi: PureState | None = None):
+        states = tuple(states)
+        if not states:
+            raise InvalidInstance("need at least one state")
+        if any(s.space != space for s in states) or (phi is not None and phi.space != space):
+            raise InvalidInstance(f"every state must lie in the space with dims {space.dims}")
+        gram = np.array([[a.inner(b) for b in states] for a in states])
+        if maxabs(gram - np.eye(len(states))) > 1e-9:
+            raise InvalidInstance("states must be orthonormal within 1e-9")
+        if phi is not None:
+            if len(states) != space.dim - 1:
+                raise InvalidInstance("a declared phi requires exactly D-1 states")
+            overlaps = [abs(phi.inner(s)) for s in states]
+            if max(overlaps) > 1e-9:
+                raise InvalidInstance("declared phi must be orthogonal to every state")
+        return cls(space=space, states=states, phi=phi)
+
+    @classmethod
+    def from_projectors(cls, space: StateSpace, projectors):
+        projectors = tuple(np.asarray(p, dtype=complex) for p in projectors)
+        if not projectors:
+            raise InvalidInstance("need at least one projector")
+        if any(p.shape != (space.dim, space.dim) for p in projectors):
+            raise InvalidInstance(f"every projector must be {space.dim}x{space.dim}")
+        for p in projectors:
+            w = hermitian_eig(p).values
+            if np.any((w > 1e-8) & (np.abs(w - 1.0) > 1e-8)) or w[0] < -1e-8:
+                raise InvalidInstance("inputs must be projectors")
+        for i, p in enumerate(projectors):
+            for q in projectors[i + 1 :]:
+                if maxabs(p @ q) > 1e-9:
+                    raise InvalidInstance("projector supports must be orthogonal")
+        return cls(space=space, projectors=projectors)
+
+    @property
+    def n(self) -> int:
+        return len(self.states) if self.states else len(self.projectors)
+
+    def projector_list(self) -> list[np.ndarray]:
+        if self.states:
+            return [s.density() for s in self.states]
+        return list(self.projectors)
+
+    def residual_projector(self) -> np.ndarray:
+        """P0 = I - sum_k P_k, the part of the space no member occupies."""
+        p0 = np.eye(self.space.dim, dtype=complex) - sum(self.projector_list())
+        return (p0 + p0.conj().T) / 2.0
 
 
 def phi_plus() -> PureState:

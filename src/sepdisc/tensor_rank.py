@@ -66,9 +66,6 @@ class ProductVector:
             w *= n * ph
         return ProductVector(tuple(outs), w)
 
-    def unit_state(self, space: StateSpace) -> PureState:
-        return PureState.normalized(space, self.assemble())
-
 
 def cut_matrix(vec: np.ndarray, dims: tuple[int, ...], left: tuple[int, ...]) -> np.ndarray:
     """Amplitude matrix of a vector across the bipartition left|rest."""

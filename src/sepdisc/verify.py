@@ -14,7 +14,6 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .discrimination import (
-    DiscriminationInstance,
     LoccFlag,
     VerdictStatus,
     decide,
@@ -30,6 +29,7 @@ from .constructions import (
     gamma_range,
     in_tetrahedron,
     indistinguishable_subspace,
+    sample_unitary_triples,
     tetra_grid,
     tetra_unitary,
     verify_subspace_properties,
@@ -44,7 +44,6 @@ from .sampling import (
     random_unitary,
 )
 from .separability import (
-    FeasibilityProblem,
     Lemma1Status,
     Rank2Case,
     SepStatus,
@@ -54,7 +53,7 @@ from .separability import (
     ppt_oracle,
     rank2_separability,
 )
-from .states import PureState, QUBIT_PAIR, StateSpace, concurrence, magic_basis
+from .states import DiscriminationInstance, PureState, QUBIT_PAIR, StateSpace, concurrence, magic_basis
 from .tensor_rank import product_vectors_in_span, span_coordinates, try_factor
 
 
@@ -139,7 +138,7 @@ def check_lemma4_cases(seed: int, per_case: int = 50, tol: Tolerances = DEFAULT)
 
     def ppt_agrees(psi, phi, lam, verdict) -> bool:
         rho = psi.density() + lam * phi.density()
-        p = ppt_oracle(rho, QUBIT_PAIR, None, tol)
+        p = ppt_oracle(rho, QUBIT_PAIR, tol)
         return (verdict is SepStatus.SEPARABLE) == (p.status is SepStatus.SEPARABLE)
 
     for _ in range(per_case):
@@ -312,13 +311,7 @@ def agreement_experiment(seed: int, n_bases: int, tol: Tolerances = DEFAULT) -> 
             basis = [PureState(QUBIT_PAIR, u @ s.amplitudes) for s in basis]
         instance = DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi)
         verdict = decide(instance, tol)
-        problem = FeasibilityProblem(
-            space=QUBIT_PAIR,
-            projectors=[s.density() for s in basis],
-            p0=phi.density(),
-            tol=tol,
-        )
-        outcome = feasibility_solve(problem)
+        outcome = feasibility_solve(instance, tol)
         if verdict.status is VerdictStatus.DISTINGUISHABLE:
             good = outcome.feasible and outcome.residual < tol.feasibility
         else:
@@ -430,12 +423,8 @@ def check_tetra(step: float = 0.05, tol: Tolerances = DEFAULT) -> tuple[CheckRes
 
 
 def check_unitary_triples_membership(seed: int, n: int = 1000) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    bad = 0
-    for _ in range(n):
-        x = concurrence_triple_of_unitary(random_unitary(rng, 3))
-        if not in_tetrahedron(x, slack=1e-9):
-            bad += 1
+    triples = sample_unitary_triples(np.random.default_rng(seed), n)
+    bad = sum(not in_tetrahedron(x, slack=1e-9) for x in triples)
     return CheckResult("unitary_triples_inside_tetrahedron", bad == 0, n, float(bad))
 
 
@@ -467,16 +456,13 @@ def check_subspace_duals(
     rng = np.random.default_rng(seed)
     spec = indistinguishable_subspace(kind)
     cols = np.column_stack([s.amplitudes for s in spec.complement])
-    p0 = spec.phi1.density() + spec.phi2.density()
     dim = len(spec.complement)
     ok = 0
     worst = -np.inf
     for _ in range(n_bases):
         mixed = cols @ random_unitary(rng, dim)
-        basis = [PureState(spec.space, mixed[:, j]) for j in range(dim)]
-        problem = FeasibilityProblem(space=spec.space, projectors=[s.density() for s in basis], p0=p0, tol=tol)
-        outcome = feasibility_solve(problem)
-        valid, relative = _checked_dual(outcome, DiscriminationInstance.from_pure(spec.space, basis), tol)
+        instance = DiscriminationInstance.from_pure(spec.space, [PureState(spec.space, mixed[:, j]) for j in range(dim)])
+        valid, relative = _checked_dual(feasibility_solve(instance, tol), instance, tol)
         ok += int(valid)
         worst = max(worst, relative)
     return CheckResult(

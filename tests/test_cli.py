@@ -102,6 +102,18 @@ class TestDecide:
         assert checked["objective"] == pytest.approx(dual["objective"], rel=1e-9)
         assert checked["scale"] == pytest.approx(dual["scale"], rel=1e-9)
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_max_iterations_below_one_exit_3(self, tmp_path, capsys, cap):
+        # a cap below 1 is an input error, not the default cap or a run of
+        # zero iterations
+        _, out, _ = run_cli(capsys, "construct", "subspace", "dim7")
+        path = tmp_path / "dim7.json"
+        path.write_text(out)
+        code, out, err = run_cli(capsys, "decide", "--max-iterations", cap, str(path))
+        assert code == 3
+        assert out == ""
+        assert "max_iterations must be at least 1" in err
+
     def test_undecided_exit_2_two_states(self, tmp_path, capsys):
         # two orthogonal 2x2 states whose relaxed point has no separability
         # evidence and whose relaxation is feasible, so no dual exists

@@ -28,7 +28,7 @@ from sepdisc.sampling import (
     random_pure_state,
     random_unitary,
 )
-from sepdisc.separability import FeasibilityProblem, PptRecord, SepStatus, feasibility_solve, rank2_separability
+from sepdisc.separability import PptRecord, SepStatus, feasibility_solve, rank2_separability
 from sepdisc.states import (
     PureState,
     QUBIT_PAIR,
@@ -40,7 +40,7 @@ from sepdisc.states import (
     orthonormal_completion,
     phi_plus,
 )
-from sepdisc.tensor_rank import is_product, try_factor
+from sepdisc.tensor_rank import is_product, proper_cuts, try_factor
 from tests.conftest import bell, decide_with_phi, ghz_theta, w_state
 
 S3 = StateSpace((2, 2, 2))
@@ -377,6 +377,19 @@ def test_instance_validation():
         DiscriminationInstance.from_pure(QUBIT_PAIR, [phi_plus(), phi_plus()])
     with pytest.raises(InvalidInstance):
         DiscriminationInstance.from_pure(QUBIT_PAIR, [phi_plus()], phi_plus())
+    # states and phi from another space
+    s33 = StateSpace((3, 3))
+    with pytest.raises(InvalidInstance):
+        DiscriminationInstance.from_pure(QUBIT_PAIR, [ket(s33, "00"), ket(s33, "01")])
+    with pytest.raises(InvalidInstance):
+        DiscriminationInstance.from_pure(QUBIT_PAIR, [ket(QUBIT_PAIR, l) for l in ("00", "01", "10")], ket(s33, "11"))
+    # no projector, a projector of the wrong shape, overlapping projectors
+    with pytest.raises(InvalidInstance):
+        DiscriminationInstance.from_projectors(QUBIT_PAIR, [])
+    with pytest.raises(InvalidInstance):
+        DiscriminationInstance.from_projectors(QUBIT_PAIR, [np.diag([1, 0, 0])])
+    with pytest.raises(InvalidInstance):
+        DiscriminationInstance.from_projectors(QUBIT_PAIR, [phi_plus().density(), phi_plus().density()])
 
 
 def test_try_product_decomposition_diagonal():
@@ -440,12 +453,10 @@ def _solver_certificate(seed: int):
     """The relaxed solver's point for two Haar states of 2x2, with a PPT
     record per element."""
     inst = _two_haar_states(seed)
-    projectors = inst.projector_list()
-    problem = FeasibilityProblem(space=QUBIT_PAIR, projectors=projectors, p0=np.eye(4) - sum(projectors))
-    outcome = feasibility_solve(problem)
+    outcome = feasibility_solve(inst)
     assert outcome.feasible
-    elements = tuple(p + e for p, e in zip(projectors, outcome.e_ops))
-    records = tuple(PptRecord(0.0, True, tuple(problem.cuts)) for _ in elements)
+    elements = tuple(p + e for p, e in zip(inst.projector_list(), outcome.e_ops))
+    records = tuple(PptRecord(0.0, True, tuple(proper_cuts(2))) for _ in elements)
     return inst, disc.PovmCertificate(elements, records, None)
 
 

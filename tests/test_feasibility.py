@@ -14,13 +14,12 @@ from sepdisc.constructions import (
     tetra_unitary,
 )
 from sepdisc.discrimination import DiscriminationInstance, VerdictStatus, decide, validate_certificate
-from sepdisc.errors import PreconditionViolated
 from sepdisc.sampling import random_basis_of_complement, random_product_basis, random_pure_state, random_unitary
 from sepdisc.separability import (
-    FeasibilityProblem,
     _intervals,
     _peaks,
     _PencilBlock,
+    _solve_dykstra,
     _violations,
     constraint_residual,
     feasibility_solve,
@@ -30,34 +29,28 @@ from sepdisc.tensor_rank import proper_cuts
 from tests.conftest import bell
 
 
-def _problem(states, phi, **kw):
-    return FeasibilityProblem(
-        space=states[0].space,
-        projectors=[s.density() for s in states],
-        p0=phi.density(),
-        **kw,
-    )
+def _instance(states):
+    return DiscriminationInstance.from_pure(states[0].space, states)
 
 
 def test_single_block_product_projector():
     # all but one product state: the residual goes entirely to that block
     space = QUBIT_PAIR
     p1 = np.eye(4, dtype=complex) - ket(space, "11").density()
-    problem = FeasibilityProblem(space=space, projectors=[p1], p0=ket(space, "11").density())
-    out = feasibility_solve(problem)
+    out = feasibility_solve(DiscriminationInstance.from_projectors(space, [p1]))
     assert out.feasible
     assert np.max(np.abs(out.e_ops[0] - ket(space, "11").density())) < 1e-7
 
 
 def test_bell_triple_infeasible():
-    bells = [bell("phi-"), bell("psi+"), bell("psi-")]
-    out = feasibility_solve(_problem(bells, phi_plus()))
+    instance = _instance([bell("phi-"), bell("psi+"), bell("psi-")])
+    out = feasibility_solve(instance)
     assert not out.feasible and not out.stalled
-    assert validate_certificate(out.dual, DiscriminationInstance.from_pure(QUBIT_PAIR, bells))["valid"]
+    assert validate_certificate(out.dual, instance)["valid"]
 
 
 def test_concurrence_one_zero_zero_feasible():
-    out = feasibility_solve(_problem([bell("phi-"), ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10")], phi_plus()))
+    out = feasibility_solve(_instance([bell("phi-"), ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10")]))
     assert out.feasible
     assert out.residual < 1e-7
     assert np.max(np.abs(out.e_ops[0] - phi_plus().density())) < 1e-6
@@ -66,34 +59,19 @@ def test_concurrence_one_zero_zero_feasible():
 
 
 def test_dykstra_path_matches_exact_path():
-    states = [bell("phi-"), ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10")]
-    exact = feasibility_solve(_problem(states, phi_plus()))
-    iterative = feasibility_solve(_problem(states, phi_plus(), use_rank1_path=False))
+    instance = _instance([bell("phi-"), ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10")])
+    exact = feasibility_solve(instance)
+    iterative = _solve_dykstra(instance)
     assert exact.feasible and iterative.feasible
     assert iterative.residual < 1e-7
     assert np.max(np.abs(iterative.e_ops[0] - phi_plus().density())) < 1e-6
 
-    bells = [bell("phi-"), bell("psi+"), bell("psi-")]
-    exact = feasibility_solve(_problem(bells, phi_plus()))
-    iterative = feasibility_solve(_problem(bells, phi_plus(), use_rank1_path=False))
+    bells = _instance([bell("phi-"), bell("psi+"), bell("psi-")])
+    exact = feasibility_solve(bells)
+    iterative = _solve_dykstra(bells)
     assert not exact.feasible and not iterative.feasible
     for out in (exact, iterative):
-        assert validate_certificate(out.dual, DiscriminationInstance.from_pure(QUBIT_PAIR, bells))["valid"]
-
-
-def test_invalid_problem_rejected():
-    with pytest.raises(PreconditionViolated):
-        FeasibilityProblem(
-            space=QUBIT_PAIR,
-            projectors=[phi_plus().density()],
-            p0=phi_plus().density(),  # sum + p0 != identity
-        )
-    with pytest.raises(PreconditionViolated):
-        FeasibilityProblem(
-            space=QUBIT_PAIR,
-            projectors=[phi_plus().density(), phi_plus().density()],
-            p0=np.eye(4) - 2 * phi_plus().density(),  # overlapping projectors
-        )
+        assert validate_certificate(out.dual, bells)["valid"]
 
 
 def test_rank2_residual_projector_uses_dykstra():
@@ -104,16 +82,10 @@ def test_rank2_residual_projector_uses_dykstra():
     phi2 = ket(space, "01")
     from sepdisc.states import orthonormal_completion
 
-    comp = orthonormal_completion([phi1, phi2])
-    problem = FeasibilityProblem(
-        space=space,
-        projectors=[s.density() for s in comp],
-        p0=phi1.density() + phi2.density(),
-        max_iterations=2500,
-    )
-    out = feasibility_solve(problem)
-    assert not out.feasible
-    assert validate_certificate(out.dual, DiscriminationInstance.from_pure(space, comp))["valid"]
+    instance = _instance(orthonormal_completion([phi1, phi2]))
+    out = feasibility_solve(instance, max_iterations=2500)
+    assert not out.feasible and out.iterations > 0  # the Dykstra path ran
+    assert validate_certificate(out.dual, instance)["valid"]
 
 
 # -- dual certificates: soundness on feasible inputs, agreement, tampering ----
@@ -126,18 +98,16 @@ def test_no_dual_on_feasible_two_state_instances(dims):
     for seed in range(12):
         u = random_unitary(np.random.default_rng(seed), space.dim)[:, :2]
         projectors = [np.outer(c, c.conj()) for c in u.T]
-        problem = FeasibilityProblem(space=space, projectors=projectors, p0=np.eye(space.dim) - sum(projectors))
-        out = feasibility_solve(problem)
+        out = feasibility_solve(DiscriminationInstance.from_projectors(space, projectors))
         assert out.feasible and out.dual is None, seed
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
 def test_dykstra_dual_agrees_with_rank1_path(dims):
     for seed in range(6):
-        assert not feasibility_solve(_haar_rank1(dims, seed)).feasible
-        problem = _haar_rank1(dims, seed, use_rank1_path=False)
-        out = feasibility_solve(problem)
-        instance = DiscriminationInstance.from_projectors(problem.space, problem.projectors)
+        instance = _haar_rank1(dims, seed)
+        assert not feasibility_solve(instance).feasible
+        out = _solve_dykstra(instance)
         assert validate_certificate(out.dual, instance)["valid"], seed
 
 
@@ -165,15 +135,15 @@ def test_tampered_dual_certificates_rejected(kind):
 
 # -- rank-1 path: exact pencil endpoints and the dual certificate -------------
 
-def _haar_rank1(dims, seed, **kw):
+def _haar_rank1(dims, seed):
     rng = np.random.default_rng(seed)
-    space = StateSpace(dims)
-    phi = random_pure_state(rng, space)
-    return _problem(random_basis_of_complement(rng, phi), phi, **kw)
+    phi = random_pure_state(rng, StateSpace(dims))
+    return _instance(random_basis_of_complement(rng, phi))
 
 
-def _stacks(problem):
-    blocks = [_PencilBlock(pk, problem.p0, problem.space.dims, problem.cuts) for pk in problem.projectors]
+def _stacks(instance):
+    p0, cuts = instance.residual_projector(), list(proper_cuts(instance.space.nparties))
+    blocks = [_PencilBlock(pk, p0, instance.space.dims, cuts) for pk in instance.projector_list()]
     a = np.stack([blk.a for blk in blocks])
     b = np.stack([blk.b for blk in blocks])
     return (a, b, *_peaks(a, b))
@@ -199,7 +169,7 @@ def _assert_rank1_dual(projectors, space):
     """The exact path proves the projectors indistinguishable by a PPT dual
     that validates, through the solver and through decide alike."""
     instance = DiscriminationInstance.from_projectors(space, projectors)
-    out = feasibility_solve(FeasibilityProblem(space=space, projectors=projectors, p0=np.eye(space.dim) - sum(projectors)))
+    out = feasibility_solve(instance)
     assert out.diagnostics["path"] == "rank1-exact"
     assert not out.feasible and not out.stalled
     checked = validate_certificate(out.dual, instance)
@@ -216,9 +186,9 @@ def _assert_rank1_dual(projectors, space):
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
 @pytest.mark.parametrize("seed", range(6))
 def test_rank1_haar_margin_and_endpoints(dims, seed):
-    problem = _haar_rank1(dims, seed)
-    _assert_rank1_dual(problem.projectors, problem.space)
-    _assert_exact_endpoints(*_stacks(problem), 0.0)
+    instance = _haar_rank1(dims, seed)
+    _assert_rank1_dual(instance.projector_list(), instance.space)
+    _assert_exact_endpoints(*_stacks(instance), 0.0)
 
 
 def test_rank1_tetrahedron_interior_projectors_get_duals():
@@ -236,8 +206,8 @@ def test_rank1_tetrahedron_interior_projectors_get_duals():
 
 
 def test_rank1_dual_rejected_on_a_feasible_instance():
-    problem = _haar_rank1((2, 2), 0)
-    dual = _assert_rank1_dual(problem.projectors, problem.space)
+    instance = _haar_rank1((2, 2), 0)
+    dual = _assert_rank1_dual(instance.projector_list(), instance.space)
     phi, basis = family_sep_not_locc(FamilyParams(0.3, 0.4, sum(gamma_range(0.3, 0.4)) / 2))
     feasible = DiscriminationInstance.from_projectors(QUBIT_PAIR, [s.density() for s in basis])
     assert decide(feasible).status is VerdictStatus.DISTINGUISHABLE
@@ -248,14 +218,14 @@ def test_rank1_dual_rejected_on_a_feasible_instance():
 def test_rank1_family_feasible_with_valid_certificate(alpha, beta, frac):
     lo, hi = gamma_range(alpha, beta)
     phi, basis = family_sep_not_locc(FamilyParams(alpha, beta, lo + frac * (hi - lo)))
-    problem = _problem(basis, phi)
-    out = feasibility_solve(problem)
+    instance = _instance(basis)
+    out = feasibility_solve(instance)
     assert out.feasible
     lam = np.array(out.diagnostics["lambdas"])
     assert abs(lam.sum() - 1.0) < 1e-12
-    a, b, peaks, vmins = _stacks(problem)
+    a, b, peaks, vmins = _stacks(instance)
     _assert_exact_endpoints(a, b, peaks, vmins, 0.0)
-    forced = feasibility_solve(_problem(basis, phi, use_rank1_path=False))
+    forced = _solve_dykstra(instance)
     assert forced.feasible and forced.dual is None
 
     inst = DiscriminationInstance.from_projectors(QUBIT_PAIR, [s.density() for s in basis])
