@@ -43,6 +43,7 @@ from .separability import (
     SeparabilityVerdict,
     SepStatus,
     antiparallel_test,
+    element_separability,
     feasibility_solve,
     lemma1_check,
     ppt_oracle,

@@ -1,14 +1,17 @@
 """Deciders for perfect discrimination by separable operations.
 
 The dispatcher :func:`decide` routes an instance to the sharpest applicable
-analytic decider (full product-basis criterion; for D-1 states, by the
+analytic decider (the full-span criterion, every member's projector
+separable, for pure states or projectors; for D-1 states, by the
 classification of the residual state phi, the concurrence-sum decider for a
 product prefix times an entangled pair, of which 2x2 is the empty-prefix
 case, or the unique-entangled-member decider) and falls back to the PSD+PPT
 feasibility solver.  Distinguishable verdicts carry a POVM
 certificate, and solver verdicts of indistinguishability a dual
 certificate, whose validity is re-checkable independently of the decider
-that produced it.
+that produced it.  Every POVM element outside the rank-2 lemma's own
+certificates gets its evidence from one rule,
+:func:`~sepdisc.separability.element_separability`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .config import DEFAULT, Tolerances
 from .errors import PhiProduct, PreconditionViolated
 from .linalg import hermitian_eig, maxabs
 from .separability import (
+    _EIGENVALUE_FLOOR,
     DualCertificate,
     ProductDecomposition,
     PptRecord,
@@ -30,21 +34,19 @@ from .separability import (
     antiparallel_test,
     check_dual,
     constraint_residual,
+    element_separability,
     feasibility_solve,
     ppt_is_exact,
-    ppt_oracle,
     rank2_separability,
 )
 from .states import (
     QUBIT_PAIR,
     DiscriminationInstance,
     PureState,
-    StateSpace,
     concurrence,
     orthonormal_completion,
 )
 from .tensor_rank import (
-    ProductVector,
     Schmidt2Decomposition,
     Schmidt2Kind,
     cut_matrix,
@@ -53,11 +55,6 @@ from .tensor_rank import (
     schmidt2_classify,
     try_factor,
 )
-
-
-# lowest eigenvalue a certificate may show, for its elements and for the
-# partial transposes behind its PPT records
-_EIGENVALUE_FLOOR = -1e-9
 
 
 class VerdictStatus(Enum):
@@ -104,14 +101,25 @@ def validate_certificate(
     completeness, correctness, PSD, reassembly of every product
     decomposition, and the partial transposes behind every PPT record,
     recomputed from the element itself, with one element and one piece of
-    evidence (and one lambda, if any) per member.  A dual certificate: the
-    objective and scale :func:`check_dual` recomputes from its matrices and
-    the instance's projectors."""
+    evidence (and one lambda, if any) per member; the wrong number of
+    elements, an element that is not D x D, or a product vector without one
+    factor per party of that party's dimension fails ``counts_ok`` before
+    any arithmetic.  A dual certificate: the objective and scale
+    :func:`check_dual` recomputes from its matrices and the instance's
+    projectors."""
     if isinstance(cert, DualCertificate):
         checked, valid = check_dual(cert.y, cert.z, cert.cuts, instance.projector_list(), instance.space.dims, tol)
         return {"objective": checked.objective, "scale": checked.scale, "valid": valid}
-    d, n = instance.space.dim, instance.n
-    counts_ok = len(cert.elements) == len(cert.evidence) == n
+    d, n, dims = instance.space.dim, instance.n, instance.space.dims
+    shapes_ok = all(np.shape(el) == (d, d) for el in cert.elements) and all(
+        [np.shape(f) for f in pv.factors] == [(k,) for k in dims]
+        for ev in cert.evidence
+        if isinstance(ev, ProductDecomposition)
+        for pv in ev.vectors
+    )
+    if len(cert.elements) != n or not shapes_ok:
+        return {"counts_ok": False, "valid": False}
+    counts_ok = len(cert.evidence) == n
     total = sum(cert.elements)
     completeness = maxabs(total - np.eye(d))
     psd_min = min(float(hermitian_eig(e, tol).values[0]) for e in cert.elements)
@@ -348,69 +356,13 @@ def subspace_verdict(phi: PureState, tol: Tolerances = DEFAULT) -> SubspaceVerdi
     return SubspaceVerdict(kind=SubspaceKind.UNDECIDED, classification=cls)
 
 
-def try_product_decomposition(op: np.ndarray, space: StateSpace, tol: Tolerances = DEFAULT) -> ProductDecomposition | None:
-    """Product decomposition of a PSD operator that is diagonal in some
-    orthogonal product basis, found eigenspace by eigenspace; None when an
-    eigenspace admits no orthonormal product basis this way."""
-    eig = hermitian_eig(op, tol)
-    scale = max(1.0, float(eig.values[-1]))
-    weights: list[float] = []
-    vectors: list[ProductVector] = []
-    i = 0
-    vals = eig.values
-    while i < len(vals):
-        j = i
-        while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) <= 1e-8 * scale:
-            j += 1
-        lam = float(np.mean(vals[i : j + 1]))
-        if lam > 1e-9 * scale:
-            block = eig.vectors[:, i : j + 1]
-            # project the standard basis into the eigenspace and pick product
-            # directions greedily
-            proj = block @ block.conj().T
-            chosen: list[np.ndarray] = []
-            resid = proj.copy()
-            for _ in range(j - i + 1):
-                norms = np.linalg.norm(resid, axis=0)
-                order = np.argsort(-norms)
-                found = None
-                for idx in order:
-                    if norms[idx] < 1e-9:
-                        break
-                    cand = resid[:, idx] / norms[idx]
-                    found = try_factor(cand, space.dims)
-                    # with one dimension left every column is the same
-                    # direction, so the first candidate settles it
-                    if found is not None or len(chosen) == j - i:
-                        break
-                if found is None:
-                    return None
-                vec = found.assemble()
-                vec = vec / np.linalg.norm(vec)
-                chosen.append(vec)
-                weights.append(lam)
-                vectors.append(found)
-                resid = resid - np.outer(vec, vec.conj() @ resid)
-        i = j + 1
-    dec = ProductDecomposition(tuple(weights), tuple(vectors))
-    if dec.residual(op) > 1e-8:
-        return None
-    return dec
-
-
-def _pure_projector_separability(state: PureState, tol: Tolerances):
-    pv = try_factor(state.amplitudes, state.space.dims)
-    if pv is not None:
-        return ProductDecomposition((1.0,), (pv,))
-    return None
-
-
-def _decide_full_basis(instance: DiscriminationInstance, tol: Tolerances) -> Verdict:
-    elements = []
+def _decide_full_span(instance: DiscriminationInstance, tol: Tolerances) -> Verdict:
+    """Full-span case: with no residual the POVM is forced to the members'
+    projectors, so the states are distinguishable iff each is separable."""
     evidence = []
-    for j, s in enumerate(instance.states):
-        dec = _pure_projector_separability(s, tol)
-        if dec is None:
+    for j, member in enumerate(instance.states or instance.projectors):
+        verdict = element_separability(member, instance.space, tol)
+        if verdict.status is SepStatus.ENTANGLED:
             return Verdict(
                 status=VerdictStatus.INDISTINGUISHABLE,
                 theorem="T1",
@@ -420,105 +372,39 @@ def _decide_full_basis(instance: DiscriminationInstance, tol: Tolerances) -> Ver
                     {"member": j},
                 ),
             )
-        elements.append(s.density())
-        evidence.append(dec)
-    cert = PovmCertificate(tuple(elements), tuple(evidence), None)
-    return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem="T1", certificate=cert)
-
-
-def _decide_full_span_projectors(instance: DiscriminationInstance, tol: Tolerances) -> Verdict:
-    """Full-span case for projector inputs: distinguishable iff every
-    projector is separable."""
-    elements = []
-    evidence = []
-    space = instance.space
-    for j, p in enumerate(instance.projectors):
-        eig = hermitian_eig(p, tol)
-        rank = int(np.sum(eig.values > 0.5))
-        if rank == 1:
-            st = PureState.normalized(space, eig.vectors[:, -1])
-            dec = _pure_projector_separability(st, tol)
-            if dec is None:
-                return Verdict(
-                    status=VerdictStatus.INDISTINGUISHABLE,
-                    theorem="T1",
-                    reason=Reason("entangled_member", f"projector {j} is an entangled pure projector", {"member": j}),
-                )
-            elements.append(p)
-            evidence.append(dec)
-            continue
-        if rank == 2:
-            cols = eig.vectors[:, eig.values > 0.5]
-            r2 = rank2_separability(
-                PureState.normalized(space, cols[:, 0]),
-                PureState.normalized(space, cols[:, 1]),
-                1.0,
-                tol,
-            )
-            if r2.verdict.status is SepStatus.SEPARABLE:
-                elements.append(p)
-                evidence.append(r2.verdict.evidence)
-                continue
+        if verdict.status is SepStatus.UNDECIDED:
             return Verdict(
-                status=VerdictStatus.INDISTINGUISHABLE,
+                status=VerdictStatus.UNDECIDED,
                 theorem="T1",
-                reason=Reason("entangled_member", f"projector {j} is entangled", {"member": j}),
+                reason=Reason("separability_unknown", f"projector {j} is not certified separable", {"member": j}),
             )
-        dec = try_product_decomposition(p, space, tol)
-        if dec is not None:
-            elements.append(p)
-            evidence.append(dec)
-            continue
-        verdict = ppt_oracle(p, space, tol)
-        if verdict.status is SepStatus.ENTANGLED:
-            return Verdict(
-                status=VerdictStatus.INDISTINGUISHABLE,
-                theorem="T1",
-                reason=Reason("entangled_member", f"projector {j} is entangled (negative partial transpose)", {"member": j}),
-            )
-        if verdict.status is SepStatus.SEPARABLE:
-            elements.append(p)
-            evidence.append(verdict.evidence)
-            continue
-        return Verdict(
-            status=VerdictStatus.UNDECIDED,
-            theorem="T1",
-            reason=Reason("separability_unknown", f"projector {j} is PPT but not certified separable", {"member": j}),
-        )
-    cert = PovmCertificate(tuple(elements), tuple(evidence), None)
+        evidence.append(verdict.evidence)
+    cert = PovmCertificate(tuple(instance.projector_list()), tuple(evidence), None)
     return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem="T1", certificate=cert)
 
 
 def _try_completability(instance: DiscriminationInstance, p0: np.ndarray, tol: Tolerances) -> Verdict | None:
-    """Allocate the whole residual to a single element and check all the
-    resulting elements for explicit product decompositions."""
+    """Allocate the whole residual to a single element, E_k = P_k + P0 and
+    E_j = P_j otherwise, and certify every element separable."""
     projectors = instance.projector_list()
     n = len(projectors)
-    per_element: list[ProductDecomposition | None] = []
-    for p in projectors:
-        per_element.append(try_product_decomposition(p, instance.space, tol))
+    per_element: list[object] = []
+    for member in instance.states or instance.projectors:
+        verdict = element_separability(member, instance.space, tol)
+        per_element.append(verdict.evidence if verdict.status is SepStatus.SEPARABLE else None)
         # every allocation leaves all members but one as they are
         if per_element.count(None) >= 2:
             return None
     for k in range(n):
         if any(per_element[j] is None for j in range(n) if j != k):
             continue
-        big = try_product_decomposition(projectors[k] + p0, instance.space, tol)
-        if big is None:
+        big = projectors[k] + p0
+        verdict = element_separability(big, instance.space, tol)
+        if verdict.status is not SepStatus.SEPARABLE:
             continue
-        elements = []
-        evidence = []
-        lambdas = []
-        for j, p in enumerate(projectors):
-            if j == k:
-                elements.append(p + p0)
-                evidence.append(big)
-                lambdas.append(1.0)
-            else:
-                elements.append(p)
-                evidence.append(per_element[j])
-                lambdas.append(0.0)
-        cert = PovmCertificate(tuple(elements), tuple(evidence), tuple(lambdas))
+        elements = tuple(big if j == k else p for j, p in enumerate(projectors))
+        evidence = tuple(verdict.evidence if j == k else ev for j, ev in enumerate(per_element))
+        cert = PovmCertificate(elements, evidence, tuple(float(j == k) for j in range(n)))
         return Verdict(
             status=VerdictStatus.DISTINGUISHABLE,
             theorem="T1",
@@ -569,40 +455,25 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
         )
     if outcome.feasible:
         elements = tuple(p + e for p, e in zip(projectors, outcome.e_ops))
-        if ppt_is_exact(instance.space):
-            # min over cuts of the lowest eigenvalue of PT_c(E_k / tr E_k);
+        evidence = []
+        for el in elements:
             # a solver point inside the feasibility tolerance can still dip
-            # below the floor the validator holds PPT evidence to
-            pt_mins = [_worst_pt(el / np.trace(el).real, instance.space, cuts, tol).eigenvalue for el in elements]
-            if min(pt_mins) >= _EIGENVALUE_FLOOR:
-                evidence = tuple(PptRecord(min_eigenvalue=m, exact=True, cuts=tuple(cuts)) for m in pt_mins)
-                cert = PovmCertificate(elements, evidence, None)
+            # below the floor the validator holds certificates to
+            verdict = element_separability(el, instance.space, tol)
+            if verdict.status is not SepStatus.SEPARABLE:
                 return Verdict(
-                    status=VerdictStatus.DISTINGUISHABLE,
+                    status=VerdictStatus.UNDECIDED,
                     theorem="T1",
-                    certificate=cert,
+                    reason=Reason(
+                        "ppt_feasible_relaxation",
+                        "PPT-feasible (relaxation): a relaxed solution exists but separability is not certified",
+                        {"residual": outcome.residual},
+                    ),
                     diagnostics=diag,
                 )
-        upgraded = []
-        for el in elements:
-            dec = try_product_decomposition(el, instance.space, tol)
-            if dec is None:
-                upgraded = None
-                break
-            upgraded.append(dec)
-        if upgraded is not None:
-            cert = PovmCertificate(elements, tuple(upgraded), None)
-            return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem="T1", certificate=cert, diagnostics=diag)
-        return Verdict(
-            status=VerdictStatus.UNDECIDED,
-            theorem="T1",
-            reason=Reason(
-                "ppt_feasible_relaxation",
-                "PPT-feasible (relaxation): a relaxed solution exists but separability is not certified",
-                {"residual": outcome.residual},
-            ),
-            diagnostics=diag,
-        )
+            evidence.append(verdict.evidence)
+        cert = PovmCertificate(elements, tuple(evidence), None)
+        return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem="T1", certificate=cert, diagnostics=diag)
     return Verdict(
         status=VerdictStatus.UNDECIDED,
         theorem="T1",
@@ -625,16 +496,17 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
     space = instance.space
     d = space.dim
 
-    if instance.projectors:
+    if instance.states:
+        total_rank = instance.n
+    else:
         total_rank = int(round(sum(float(np.real(np.trace(p))) for p in instance.projectors)))
-        if total_rank == d:
-            return _decide_full_span_projectors(instance, tol)
+    if total_rank == d:
+        return _decide_full_span(instance, tol)
+    if instance.projectors:
         return _decide_feasibility(instance, tol, max_iterations)
 
     states = list(instance.states)
     n = len(states)
-    if n == d:
-        return _decide_full_basis(instance, tol)
 
     phi = instance.phi
     if phi is None and n == d - 1:

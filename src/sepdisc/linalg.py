@@ -15,11 +15,6 @@ from .config import DEFAULT, Tolerances
 from .errors import BadBipartition, DimensionMismatch, NotHermitian
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def kron_all(factors) -> np.ndarray:
     out = np.asarray(factors[0])
     for f in factors[1:]:
@@ -67,21 +62,6 @@ def hermitian_eig(a: np.ndarray, tol: Tolerances = DEFAULT) -> EigenResult:
         )
     w, v = np.linalg.eigh((a + dag(a)) / 2.0)
     return EigenResult(values=w, vectors=v)
-
-
-@dataclass(frozen=True)
-class PsdResult:
-    is_psd: bool
-    min_eigenvalue: float
-
-
-def psd_check(a: np.ndarray, tol: float | None = None, tols: Tolerances = DEFAULT) -> PsdResult:
-    """PSD iff the smallest eigenvalue is above ``-tol``."""
-    if tol is None:
-        tol = tols.psd
-    w = hermitian_eig(a, tols).values
-    lo = float(w[0]) if w.size else 0.0
-    return PsdResult(is_psd=lo >= -tol, min_eigenvalue=lo)
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:

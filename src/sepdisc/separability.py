@@ -1,9 +1,11 @@
 """Separability tests and the convex feasibility solver.
 
 Four analytic oracles (trace lemma, rank-2 case analysis, anti-parallel
-eigenvalue test, PPT) plus a cyclic-Dykstra solver for the PSD+PPT
-relaxation of the POVM feasibility problem, which ends at a feasible point
-or at a checked dual certificate that the relaxation is infeasible.
+eigenvalue test, PPT), the one rule that certifies a POVM element separable
+(:func:`element_separability`, with the product decomposition it falls back
+on), plus a cyclic-Dykstra solver for the PSD+PPT relaxation of the POVM
+feasibility problem, which ends at a feasible point or at a checked dual
+certificate that the relaxation is infeasible.
 """
 
 from __future__ import annotations
@@ -183,22 +185,14 @@ def rank2_separability(
                 Rank2Case.PSI_PRODUCT_LAMBDA_ZERO,
             )
         return Rank2Result(
-            SeparabilityVerdict(
-                SepStatus.ENTANGLED,
-                _pt_witness_if_any(target, psi.space, tol),
-                {"reason": "mixture of a product state and an entangled state"},
-            ),
+            SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": "mixture of a product state and an entangled state"}),
             Rank2Case.ENTANGLED,
         )
 
     if pv_phi is not None or lam <= 1e-12:
         # psi entangled: pure entangled state at lam=0, or entangled+product mixture
         return Rank2Result(
-            SeparabilityVerdict(
-                SepStatus.ENTANGLED,
-                _pt_witness_if_any(target, psi.space, tol),
-                {"reason": "psi is entangled"},
-            ),
+            SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": "psi is entangled"}),
             Rank2Case.ENTANGLED,
         )
 
@@ -206,11 +200,7 @@ def rank2_separability(
     span = product_vectors_in_span(psi, phi, tol)
     if span.infinitely_many or len(span.vectors) < 2:
         return Rank2Result(
-            SeparabilityVerdict(
-                SepStatus.ENTANGLED,
-                _pt_witness_if_any(target, psi.space, tol),
-                {"reason": f"support contains {len(span.vectors)} product directions"},
-            ),
+            SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": f"support contains {len(span.vectors)} product directions"}),
             Rank2Case.ENTANGLED,
         )
     a, b = span.vectors
@@ -230,11 +220,7 @@ def rank2_separability(
                 Rank2Case.TWO_TERM,
             )
     return Rank2Result(
-        SeparabilityVerdict(
-            SepStatus.ENTANGLED,
-            _pt_witness_if_any(target, psi.space, tol),
-            {"reason": "cross terms do not cancel", "cross": abs(cross)},
-        ),
+        SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": "cross terms do not cancel", "cross": abs(cross)}),
         Rank2Case.ENTANGLED,
     )
 
@@ -247,12 +233,6 @@ def _worst_pt(rho: np.ndarray, space: StateSpace, cuts, tol: Tolerances) -> PtWi
         if worst is None or eig.values[0] < worst.eigenvalue:
             worst = PtWitness(cut=cut, eigenvalue=float(eig.values[0]), eigenvector=eig.vectors[:, 0])
     return worst
-
-
-def _pt_witness_if_any(op: np.ndarray, space: StateSpace, tol: Tolerances) -> PtWitness | None:
-    tr = float(np.real(np.trace(op)))
-    worst = _worst_pt(op / tr if tr > 0 else op, space, proper_cuts(space.nparties), tol)
-    return worst if worst.eigenvalue < -1e-9 else None
 
 
 @dataclass(frozen=True)
@@ -294,6 +274,9 @@ def antiparallel_test(psi: PureState, phi: PureState, tol: Tolerances = DEFAULT)
 
 
 _EXACT_PPT_DIMS = {(2, 2), (2, 3), (3, 2)}
+# lowest eigenvalue a certificate may show, for its elements and for the
+# partial transposes behind its PPT records
+_EIGENVALUE_FLOOR = -1e-9
 
 
 def ppt_is_exact(space: StateSpace) -> bool:
@@ -314,13 +297,121 @@ def ppt_oracle(rho: np.ndarray, space: StateSpace, tol: Tolerances = DEFAULT) ->
     cuts = list(proper_cuts(space.nparties))
     worst = _worst_pt(rho / tr, space, cuts, tol)
     min_eig = worst.eigenvalue
-    if min_eig < -1e-9:
+    if min_eig < _EIGENVALUE_FLOOR:
         return SeparabilityVerdict(SepStatus.ENTANGLED, worst, {"min_pt_eigenvalue": min_eig})
 
     record = PptRecord(min_eigenvalue=min_eig, exact=ppt_is_exact(space), cuts=tuple(cuts))
     if record.exact:
         return SeparabilityVerdict(SepStatus.SEPARABLE, record, {})
     return SeparabilityVerdict(SepStatus.UNDECIDED, record, {"reason": "PPT necessary only"})
+
+
+def try_product_decomposition(op: np.ndarray, space: StateSpace, tol: Tolerances = DEFAULT) -> ProductDecomposition | None:
+    """Product decomposition of a PSD operator that is diagonal in some
+    orthogonal product basis, found eigenspace by eigenspace; None when an
+    eigenspace admits no orthonormal product basis this way."""
+    eig = hermitian_eig(op, tol)
+    scale = max(1.0, float(eig.values[-1]))
+    weights: list[float] = []
+    vectors: list[ProductVector] = []
+    i = 0
+    vals = eig.values
+    while i < len(vals):
+        j = i
+        while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) <= 1e-8 * scale:
+            j += 1
+        lam = float(np.mean(vals[i : j + 1]))
+        if lam > 1e-9 * scale:
+            block = eig.vectors[:, i : j + 1]
+            # project the standard basis into the eigenspace and pick product
+            # directions greedily
+            proj = block @ block.conj().T
+            chosen: list[np.ndarray] = []
+            resid = proj.copy()
+            for _ in range(j - i + 1):
+                norms = np.linalg.norm(resid, axis=0)
+                order = np.argsort(-norms)
+                found = None
+                for idx in order:
+                    if norms[idx] < 1e-9:
+                        break
+                    cand = resid[:, idx] / norms[idx]
+                    found = try_factor(cand, space.dims)
+                    # with one dimension left every column is the same
+                    # direction, so the first candidate settles it
+                    if found is not None or len(chosen) == j - i:
+                        break
+                if found is None:
+                    return None
+                vec = found.assemble()
+                vec = vec / np.linalg.norm(vec)
+                chosen.append(vec)
+                weights.append(lam)
+                vectors.append(found)
+                resid = resid - np.outer(vec, vec.conj() @ resid)
+        i = j + 1
+    dec = ProductDecomposition(tuple(weights), tuple(vectors))
+    if dec.residual(op) > 1e-8:
+        return None
+    return dec
+
+
+def _factored(vec: np.ndarray, weight: float, space: StateSpace) -> SeparabilityVerdict:
+    """weight |v><v| is separable iff v is a product vector."""
+    pv = try_factor(vec, space.dims)
+    if pv is None:
+        return SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": "entangled pure element"})
+    return SeparabilityVerdict(SepStatus.SEPARABLE, ProductDecomposition((weight,), (pv,)))
+
+
+def _ppt_or_undecided(rho: np.ndarray, space: StateSpace, tol: Tolerances) -> SeparabilityVerdict:
+    try:
+        return ppt_oracle(rho, space, tol)
+    except NotPsd as exc:
+        return SeparabilityVerdict(SepStatus.UNDECIDED, detail={"reason": str(exc)})
+
+
+def element_separability(
+    member: PureState | np.ndarray, space: StateSpace, tol: Tolerances = DEFAULT
+) -> SeparabilityVerdict:
+    """Separability of one POVM element, with the evidence a certificate
+    carries for it; a pure state stands for its projector.
+
+    In order: an element with an eigenvalue below the floor is undecided,
+    since no certificate may carry it; a pure state or a rank-1 element is
+    settled by factoring it (weight: its eigenvalue); on 2x2 and 2x3 a PPT
+    element is separable; a rank-2 element is settled by the exact rank-2
+    lemma on its eigenvectors; then an eigenspace-wise product
+    decomposition; otherwise the PPT oracle's verdict.  Rank counts the
+    eigenvalues above 1e-9 max(1, lambda_max).
+    """
+    if isinstance(member, PureState):
+        return _factored(member.amplitudes, 1.0, space)
+    eig = hermitian_eig(member, tol)
+    vals = eig.values
+    if vals[0] < _EIGENVALUE_FLOOR:
+        return SeparabilityVerdict(SepStatus.UNDECIDED, detail={"min_eigenvalue": float(vals[0])})
+    rank = int(np.sum(vals > 1e-9 * max(1.0, float(vals[-1]))))
+    if rank == 1:
+        return _factored(eig.vectors[:, -1], float(vals[-1]), space)
+    ppt = None
+    if ppt_is_exact(space):
+        ppt = _ppt_or_undecided(member, space, tol)
+        if ppt.status is SepStatus.SEPARABLE:
+            return ppt
+    if rank == 2:
+        # E = mu_1 (|v_1><v_1| + (mu_2 / mu_1) |v_2><v_2|), mu_1 <= mu_2
+        mu = float(vals[-2])
+        psi, phi = (PureState.normalized(space, eig.vectors[:, i]) for i in (-2, -1))
+        r2 = rank2_separability(psi, phi, float(vals[-1]) / mu, tol).verdict
+        if r2.status is not SepStatus.SEPARABLE:
+            return r2
+        dec = ProductDecomposition(tuple(mu * w for w in r2.evidence.weights), r2.evidence.vectors)
+        return SeparabilityVerdict(SepStatus.SEPARABLE, dec, r2.detail)
+    dec = try_product_decomposition(member, space, tol)
+    if dec is not None:
+        return SeparabilityVerdict(SepStatus.SEPARABLE, dec)
+    return ppt if ppt is not None else _ppt_or_undecided(member, space, tol)
 
 
 @dataclass(frozen=True)
@@ -673,8 +764,11 @@ def feasibility_solve(
 
     A rank-1 P0 = |w><w| goes to the exact interval reduction
     (:func:`_solve_rank1`); any other P0 to cyclic Dykstra projections
-    (:func:`_solve_dykstra`), capped at ``max_iterations`` (default 20,000).
+    (:func:`_solve_dykstra`), capped at ``max_iterations`` (default 20,000,
+    at least 1).
     """
+    if max_iterations is not None and max_iterations < 1:
+        raise PreconditionViolated(f"max_iterations must be at least 1, got {max_iterations}")
     p0 = instance.residual_projector()
     eig = hermitian_eig(p0, tol)
     # the rank of support_projector(p0), read from the same eigenvalues

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sepdisc.discrimination as disc
+import sepdisc.separability as separability
 import sepdisc.tensor_rank as tensor_rank
 from sepdisc.config import DEFAULT
 from sepdisc.constructions import FamilyParams, family_sep_not_locc, gamma_range, locc_basis_sch2
@@ -18,7 +19,6 @@ from sepdisc.discrimination import (
     _lambda_certificate,
     decide,
     subspace_verdict,
-    try_product_decomposition,
     validate_certificate,
 )
 from sepdisc.sampling import (
@@ -28,7 +28,14 @@ from sepdisc.sampling import (
     random_pure_state,
     random_unitary,
 )
-from sepdisc.separability import PptRecord, SepStatus, feasibility_solve, rank2_separability
+from sepdisc.separability import (
+    PptRecord,
+    ProductDecomposition,
+    SepStatus,
+    feasibility_solve,
+    rank2_separability,
+    try_product_decomposition,
+)
 from sepdisc.states import (
     PureState,
     QUBIT_PAIR,
@@ -426,10 +433,39 @@ def test_entangled_rank1_projector_costs_one_factor_attempt(monkeypatch):
         calls.append(1)
         return try_factor(vec, dims, *args, **kwargs)
 
-    monkeypatch.setattr(disc, "try_factor", counting)
+    monkeypatch.setattr(separability, "try_factor", counting)
     psi = random_pure_state(np.random.default_rng(3), S3)
-    assert disc.try_product_decomposition(psi.density(), S3) is None
+    assert separability.try_product_decomposition(psi.density(), S3) is None
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["product", "haar", "bell"])
+def test_full_span_pure_and_projector_forms_agree(kind):
+    rng = np.random.default_rng(8)
+    if kind == "product":
+        basis = random_product_basis(rng, QUBIT_PAIR)
+    elif kind == "haar":
+        u = random_unitary(rng, 4)
+        basis = [PureState(QUBIT_PAIR, u[:, k]) for k in range(4)]
+    else:
+        basis = [bell(w) for w in ("phi+", "phi-", "psi+", "psi-")]
+    pure = decide(DiscriminationInstance.from_pure(QUBIT_PAIR, basis))
+    proj = decide(DiscriminationInstance.from_projectors(QUBIT_PAIR, [s.density() for s in basis]))
+    assert pure.status is proj.status
+    assert pure.theorem == proj.theorem == "T1"
+    assert (pure.reason and pure.reason.code) == (proj.reason and proj.reason.code)
+    assert (pure.reason and pure.reason.message) == (proj.reason and proj.reason.message)
+    want = VerdictStatus.DISTINGUISHABLE if kind == "product" else VerdictStatus.INDISTINGUISHABLE
+    assert pure.status is want
+
+
+def test_two_product_states_take_the_completability_path():
+    basis = random_product_basis(np.random.default_rng(0), QUBIT_PAIR)[:2]
+    inst = DiscriminationInstance.from_pure(QUBIT_PAIR, basis)
+    v = decide(inst)
+    assert v.status is VerdictStatus.DISTINGUISHABLE
+    assert v.diagnostics["path"] == "completability"
+    assert validate_certificate(v.certificate, inst)["valid"]
 
 
 def _two_haar_states(seed: int) -> DiscriminationInstance:
@@ -518,6 +554,25 @@ def test_certificate_counts_must_match_the_members():
     padded = disc.PovmCertificate(cert.elements, cert.evidence, cert.lambdas + (0.0,))
     for forged in (short, padded):
         assert not validate_certificate(forged, inst)["valid"]
+    # elements of the wrong size, and product evidence on 3x3 factors
+    full = DiscriminationInstance.from_pure(QUBIT_PAIR, [ket(QUBIT_PAIR, f"{i}{j}") for i in range(2) for j in range(2)])
+    s33 = StateSpace((3, 3))
+    qutrit = ProductDecomposition((1.0,), (try_factor(basis_state(s33, (0, 0)).amplitudes, s33.dims),))
+    forgeries = [
+        disc.PovmCertificate((np.eye(2) / 2.0,) * 4, (None,) * 4, None),
+        disc.PovmCertificate((np.eye(3) / 3.0,) * 4, (None,) * 4, None),
+        disc.PovmCertificate(decide(full).certificate.elements, (qutrit,) * 4, None),
+    ]
+    for forged in forgeries:
+        check = validate_certificate(forged, full)
+        assert not check["counts_ok"] and not check["valid"]
+    # a one-factor "product" vector is any vector: the Bell projectors with
+    # themselves as evidence reassemble exactly but prove nothing
+    bells = [bell(w) for w in ("phi+", "phi-", "psi+", "psi-")]
+    unfactored = tuple(ProductDecomposition((1.0,), (tensor_rank.ProductVector((s.amplitudes,)),)) for s in bells)
+    forged = disc.PovmCertificate(tuple(s.density() for s in bells), unfactored, None)
+    check = validate_certificate(forged, DiscriminationInstance.from_pure(QUBIT_PAIR, bells))
+    assert not check["counts_ok"] and not check["valid"]
 
 
 def _prefixed(phi, basis):

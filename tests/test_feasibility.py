@@ -14,6 +14,7 @@ from sepdisc.constructions import (
     tetra_unitary,
 )
 from sepdisc.discrimination import DiscriminationInstance, VerdictStatus, decide, validate_certificate
+from sepdisc.errors import PreconditionViolated
 from sepdisc.sampling import random_basis_of_complement, random_product_basis, random_pure_state, random_unitary
 from sepdisc.separability import (
     _intervals,
@@ -40,6 +41,13 @@ def test_single_block_product_projector():
     out = feasibility_solve(DiscriminationInstance.from_projectors(space, [p1]))
     assert out.feasible
     assert np.max(np.abs(out.e_ops[0] - ket(space, "11").density())) < 1e-7
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_iteration_cap_below_one_rejected(cap):
+    spec = indistinguishable_subspace(SubspaceFamily.BIPARTITE_3X3_DIM7)
+    with pytest.raises(PreconditionViolated):
+        feasibility_solve(DiscriminationInstance.from_pure(spec.space, spec.complement), max_iterations=cap)
 
 
 def test_bell_triple_infeasible():

@@ -1,23 +1,31 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import sepdisc.separability as separability
+from sepdisc.config import DEFAULT
 from sepdisc.errors import NotPsd, PhiProduct, PreconditionViolated
-from sepdisc.linalg import partial_transpose
-from sepdisc.sampling import random_basis_of_complement, random_entangled_2x2
+from sepdisc.linalg import kron_all, partial_transpose
+from sepdisc.sampling import random_basis_of_complement, random_entangled_2x2, random_unitary
 from sepdisc.separability import (
     Lemma1Status,
+    PptRecord,
+    ProductDecomposition,
     Rank2Case,
     SepStatus,
     antiparallel_test,
+    element_separability,
     lemma1_check,
     ppt_oracle,
     rank2_separability,
 )
 from sepdisc.states import (
     QUBIT_PAIR,
+    PureState,
     StateSpace,
+    basis_state,
     ket,
     phi_plus,
     state_from_coeff_matrix,
@@ -207,3 +215,70 @@ class TestPptOracle:
             assert (r2.verdict.status is SepStatus.SEPARABLE) == (
                 p.status is SepStatus.SEPARABLE
             )
+
+
+S33 = StateSpace((3, 3))
+
+
+class TestElementSeparability:
+    def test_rank1_weight_is_the_eigenvalue(self):
+        op = 0.7 * ket(QUBIT_PAIR, "01").density()
+        verdict = element_separability(op, QUBIT_PAIR)
+        assert verdict.status is SepStatus.SEPARABLE
+        assert isinstance(verdict.evidence, ProductDecomposition)
+        assert abs(verdict.evidence.weights[0] - 0.7) < 1e-12
+        assert verdict.evidence.residual(op) < 1e-12
+        # a pure state stands for its projector, with weight 1
+        state = element_separability(ket(QUBIT_PAIR, "01"), QUBIT_PAIR)
+        assert state.evidence.weights == (1.0,)
+        assert element_separability(0.5 * phi_plus().density(), QUBIT_PAIR).status is SepStatus.ENTANGLED
+        assert element_separability(phi_plus(), QUBIT_PAIR).status is SepStatus.ENTANGLED
+
+    def test_rank2_on_3x3_uses_the_rank2_lemma(self, monkeypatch):
+        u = kron_all([random_unitary(np.random.default_rng(4), 3) for _ in range(2)])
+        op = u @ (0.4 * basis_state(S33, (0, 0)).density() + 0.9 * basis_state(S33, (1, 1)).density()) @ u.conj().T
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return rank2_separability(*args, **kwargs)
+
+        monkeypatch.setattr(separability, "rank2_separability", counting)
+        verdict = element_separability(op, S33)
+        assert len(calls) == 1
+        assert verdict.status is SepStatus.SEPARABLE
+        assert isinstance(verdict.evidence, ProductDecomposition)
+        assert abs(sum(verdict.evidence.weights) - 1.3) < 1e-9
+        assert verdict.evidence.residual(op) < 1e-9
+        # an entangled pair plus an orthogonal product term
+        pair = PureState.normalized(S33, basis_state(S33, (0, 0)).amplitudes + basis_state(S33, (1, 1)).amplitudes)
+        entangled = pair.density() + 0.5 * basis_state(S33, (2, 2)).density()
+        assert element_separability(entangled, S33).status is SepStatus.ENTANGLED
+        assert len(calls) == 2
+
+    def test_ppt_comes_first_on_2x2(self):
+        op = ket(QUBIT_PAIR, "00").density() + ket(QUBIT_PAIR, "11").density()
+        verdict = element_separability(op, QUBIT_PAIR)
+        assert verdict.status is SepStatus.SEPARABLE
+        assert isinstance(verdict.evidence, PptRecord) and verdict.evidence.exact
+        # the same element on 3x3, where PPT is not exact, is decomposed
+        lifted = basis_state(S33, (0, 0)).density() + basis_state(S33, (1, 1)).density()
+        assert isinstance(element_separability(lifted, S33).evidence, ProductDecomposition)
+
+    def test_below_the_floor_is_undecided(self):
+        verdict = element_separability(np.diag([1.0, 1.0, 1.0, -1e-8]).astype(complex), QUBIT_PAIR)
+        assert verdict.status is SepStatus.UNDECIDED
+        assert verdict.evidence is None
+        assert verdict.detail["min_eigenvalue"] == -1e-8
+
+    def test_not_psd_in_the_ppt_oracle_is_undecided(self):
+        # above the certificate floor but below a tightened PSD tolerance, in
+        # an entangled eigenbasis so that no product decomposition exists
+        tol = dataclasses.replace(DEFAULT, psd=1e-12)
+        u = random_unitary(np.random.default_rng(1), 4)
+        op = u @ np.diag([-1e-10, 0.3, 0.6, 1.0]) @ u.conj().T
+        with pytest.raises(NotPsd):
+            ppt_oracle(op, QUBIT_PAIR, tol)
+        verdict = element_separability(op, QUBIT_PAIR, tol)
+        assert verdict.status is SepStatus.UNDECIDED
+        assert verdict.evidence is None
