@@ -30,6 +30,7 @@ from .separability import (
     ProductDecomposition,
     PptRecord,
     SepStatus,
+    _rank2,
     _worst_pt,
     antiparallel_test,
     check_dual,
@@ -37,7 +38,6 @@ from .separability import (
     element_separability,
     feasibility_solve,
     ppt_is_exact,
-    rank2_separability,
 )
 from .states import (
     QUBIT_PAIR,
@@ -172,15 +172,18 @@ def validate_certificate(
 
 
 def _lambda_certificate(
-    basis, phi: PureState, lambdas, theorem: str, tol: Tolerances, locc_flag: LoccFlag = LoccFlag.UNKNOWN, diagnostics=None
+    basis, phi: PureState, lambdas, theorem: str, tol: Tolerances, factored: dict, pv_phi,
+    locc_flag: LoccFlag = LoccFlag.UNKNOWN, diagnostics=None,
 ) -> Verdict:
     """The certificate E_k = |psi_k><psi_k| + lambda_k |phi><phi|, each
-    element shown separable by the rank-2 lemma."""
+    element shown separable by the rank-2 lemma, from phi's try_factor
+    result and the members' the caller holds in ``factored`` (by index)."""
     p_phi = phi.density()
     elements = []
     evidence = []
     for k, (psi, lam) in enumerate(zip(basis, lambdas)):
-        r2 = rank2_separability(psi, phi, lam, tol)
+        pv = factored[k] if k in factored else try_factor(psi.amplitudes, psi.space.dims)
+        r2 = _rank2(psi, phi, lam, pv, pv_phi, tol)
         if r2.verdict.status is not SepStatus.SEPARABLE:
             return Verdict(
                 status=VerdictStatus.UNDECIDED,
@@ -258,8 +261,9 @@ def _decide_concurrence_sum(phi: PureState, basis, dec: Schmidt2Decomposition, t
             status=VerdictStatus.INDISTINGUISHABLE, theorem=theorem, reason=Reason(code, message, data), locc_flag=flag
         )
 
+    factored = {}
     for j, (psi, (shares_prefix, emb)) in enumerate(zip(basis, members)):
-        if emb is None and try_factor(psi.amplitudes, dims) is None:
+        if emb is None and factored.setdefault(j, try_factor(psi.amplitudes, dims)) is None:
             if shares_prefix:
                 return reject(
                     "embedding_failed",
@@ -290,7 +294,8 @@ def _decide_concurrence_sum(phi: PureState, basis, dec: Schmidt2Decomposition, t
             {"sum": total, "c_phi": c_phi, "concurrences": cs},
         )
     lambdas = tuple(c / c_phi for c in cs)
-    return _lambda_certificate(basis, phi, lambdas, theorem, tol, flag, {"concurrences": cs, "c_phi": c_phi})
+    # phi was classified SCHMIDT2, so try_factor rejected it
+    return _lambda_certificate(basis, phi, lambdas, theorem, tol, factored, None, flag, {"concurrences": cs, "c_phi": c_phi})
 
 
 def _decide_unique_entangled_member(phi: PureState, basis, dec: Schmidt2Decomposition, tol: Tolerances) -> Verdict:
@@ -298,7 +303,8 @@ def _decide_unique_entangled_member(phi: PureState, basis, dec: Schmidt2Decompos
     vectors differing in three or more parties: the basis must contain the
     unique complementary entangled state and otherwise products."""
     candidate = dec.complement()
-    ent_indices = [j for j, s in enumerate(basis) if try_factor(s.amplitudes, phi.space.dims) is None]
+    factored = {j: try_factor(s.amplitudes, phi.space.dims) for j, s in enumerate(basis)}
+    ent_indices = [j for j, pv in factored.items() if pv is None]
     if len(ent_indices) != 1:
         return Verdict(
             status=VerdictStatus.INDISTINGUISHABLE,
@@ -323,7 +329,7 @@ def _decide_unique_entangled_member(phi: PureState, basis, dec: Schmidt2Decompos
         )
 
     lambdas = tuple(1.0 if i == j else 0.0 for i in range(len(basis)))
-    return _lambda_certificate(basis, phi, lambdas, "T5", tol)
+    return _lambda_certificate(basis, phi, lambdas, "T5", tol, factored, None)
 
 
 class SubspaceKind(Enum):
@@ -516,8 +522,10 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
         cls = schmidt2_classify(phi, tol)
         if cls.kind is Schmidt2Kind.PRODUCT:
             # a product residual state admits only product bases
+            factored = {}
             for j, s in enumerate(states):
-                if try_factor(s.amplitudes, space.dims) is None:
+                factored[j] = try_factor(s.amplitudes, space.dims)
+                if factored[j] is None:
                     return Verdict(
                         status=VerdictStatus.INDISTINGUISHABLE,
                         theorem="T1",
@@ -528,7 +536,7 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
                         ),
                     )
             lambdas = [1.0] + [0.0] * (n - 1)
-            return _lambda_certificate(states, phi, lambdas, "T1", tol)
+            return _lambda_certificate(states, phi, lambdas, "T1", tol, factored, cls.product)
         if cls.kind is Schmidt2Kind.AT_LEAST_3:
             return Verdict(
                 status=VerdictStatus.INDISTINGUISHABLE,

@@ -16,9 +16,12 @@ from .errors import BadBipartition, DimensionMismatch, NotHermitian
 
 
 def kron_all(factors) -> np.ndarray:
+    """Kronecker product of vectors or of matrices, left to right."""
     out = np.asarray(factors[0])
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f))
+        f = np.asarray(f)
+        # on vectors the outer product is np.kron's result, entry for entry
+        out = np.multiply.outer(out, f).ravel() if out.ndim == f.ndim == 1 else np.kron(out, f)
     return out
 
 

@@ -27,7 +27,7 @@ from .linalg import (
     psd_project,
 )
 from .states import DiscriminationInstance, PureState, StateSpace, coeff_matrix
-from .tensor_rank import ProductVector, product_vectors_in_span, proper_cuts, span_coordinates, try_factor
+from .tensor_rank import ProductVector, _span_products, proper_cuts, span_coordinates, try_factor
 
 
 class SepStatus(Enum):
@@ -43,18 +43,15 @@ class ProductDecomposition:
     weights: tuple[float, ...]
     vectors: tuple[ProductVector, ...]
 
-    def reassemble(self) -> np.ndarray:
-        out = None
+    def residual(self, target: np.ndarray) -> float:
+        """||sum_i w_i |p_i><p_i| - target|| / ||target||, Frobenius; an
+        empty decomposition sums to the zero matrix of the target's shape."""
+        out = np.zeros(np.shape(target), dtype=complex)
         for w, pv in zip(self.weights, self.vectors):
             v = pv.assemble()
             v = v / np.linalg.norm(v)
-            term = w * np.outer(v, v.conj())
-            out = term if out is None else out + term
-        return out
-
-    def residual(self, target: np.ndarray) -> float:
-        scale = max(frob(target), 1e-300)
-        return frob(self.reassemble() - target) / scale
+            out = out + w * np.outer(v, v.conj())
+        return frob(out - target) / max(frob(target), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -157,14 +154,17 @@ def rank2_separability(
     vectors a, b such that the cross terms |a><b| cancel, which pins lam to a
     single value.
     """
+    pv_psi, pv_phi = (try_factor(s.amplitudes, s.space.dims) for s in (psi, phi))
+    return _rank2(psi, phi, lam, pv_psi, pv_phi, tol)
+
+
+def _rank2(psi: PureState, phi: PureState, lam: float, pv_psi, pv_phi, tol: Tolerances) -> Rank2Result:
+    """rank2_separability, given try_factor's results on psi and phi."""
     if lam < 0:
         raise PreconditionViolated("lam must be nonnegative")
     if abs(psi.inner(phi)) > 1e-9:
         raise PreconditionViolated("states must be orthogonal")
     target = psi.density() + lam * phi.density()
-
-    pv_psi = try_factor(psi.amplitudes, psi.space.dims)
-    pv_phi = try_factor(phi.amplitudes, phi.space.dims)
 
     if pv_psi is not None and pv_phi is not None:
         weights, vectors = [1.0], [pv_psi]
@@ -197,7 +197,7 @@ def rank2_separability(
         )
 
     # both entangled: the support must be spanned by exactly two product vectors
-    span = product_vectors_in_span(psi, phi, tol)
+    span = _span_products(psi, phi, tol, both_entangled=True)
     if span.infinitely_many or len(span.vectors) < 2:
         return Rank2Result(
             SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": f"support contains {len(span.vectors)} product directions"}),

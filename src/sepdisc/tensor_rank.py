@@ -143,17 +143,22 @@ def peel_parties(vec: np.ndarray, dims: tuple[int, ...], parties, tol: Tolerance
 def try_factor(vec: np.ndarray, dims: tuple[int, ...]) -> ProductVector | None:
     """Factor a vector into a product across all parties, or None.
 
-    Dominant singular vectors per single-party cut give the candidate
-    factors; the assembled residual is the acceptance criterion.
+    Dominant singular vectors per single-party cut give the factors, and the
+    vector is accepted iff ||vec - w (x) factors|| <= 1e-9 ||vec|| for the
+    overlap w.  A cut whose singular-value tail ||s[1:]|| exceeds that bound
+    rejects at once, exactly: by Eckart-Young it bounds the residual below.
     """
     vec = np.asarray(vec, dtype=complex)
     n = np.linalg.norm(vec)
     if n == 0:
         return None
+    t = vec.reshape(dims)
     factors = []
-    for p in range(len(dims)):
-        m = cut_matrix(vec, dims, (p,))
-        u, _, _ = np.linalg.svd(m, full_matrices=False)
+    for p, d in enumerate(dims):
+        # the single-party cut matrix of cut_matrix(vec, dims, (p,))
+        u, s, _ = np.linalg.svd(np.moveaxis(t, p, 0).reshape(d, -1), full_matrices=False)
+        if np.linalg.norm(s[1:]) > 1e-9 * n:
+            return None
         factors.append(u[:, 0])
     assembled = kron_all(factors)
     w = complex(np.vdot(assembled, vec))
@@ -224,6 +229,12 @@ def product_vectors_in_span(psi: PureState, phi: PureState, tol: Tolerances = DE
     pencil across each single-party cut; every candidate is verified by
     actual factorization, so spurious roots are filtered out.
     """
+    return _span_products(psi, phi, tol, both_entangled=False)
+
+
+def _span_products(psi: PureState, phi: PureState, tol: Tolerances, both_entangled: bool) -> SpanProducts:
+    """product_vectors_in_span; ``both_entangled`` says the caller's
+    try_factor already rejected psi and phi, so neither is factored again."""
     if psi.space != phi.space:
         raise DimensionMismatch("states live on different spaces")
     space = psi.space
@@ -267,12 +278,12 @@ def product_vectors_in_span(psi: PureState, phi: PureState, tol: Tolerances = DE
 
     for z in uniq:
         vec = psi.amplitudes + z * phi.amplitudes
-        if np.linalg.norm(vec) < 1e-10:
+        if np.linalg.norm(vec) < 1e-10 or (both_entangled and z == 0):
             continue
         pv = try_factor(vec, dims)
         if pv is not None:
             _push(pv)
-    pv_phi = try_factor(phi.amplitudes, dims)
+    pv_phi = None if both_entangled else try_factor(phi.amplitudes, dims)
     if pv_phi is not None:
         _push(pv_phi)
 
@@ -330,7 +341,7 @@ class Schmidt2Decomposition:
 class Schmidt2Class:
     kind: Schmidt2Kind
     decomposition: Schmidt2Decomposition | None = None
-    product: ProductVector | None = None
+    product: ProductVector | None = None  # try_factor's result on a PRODUCT state
     reason: AtLeast3Reason | None = None
     detail: dict = field(default_factory=dict)
 
@@ -376,7 +387,7 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
 
     pv = try_factor(vec, dims)
     if pv is not None:
-        return Schmidt2Class(kind=Schmidt2Kind.PRODUCT, product=pv.normalized())
+        return Schmidt2Class(kind=Schmidt2Kind.PRODUCT, product=pv)
 
     # peel off parties that factor out (single-party cut rank 1); a
     # near-product state that try_factor rejects keeps a two-party core

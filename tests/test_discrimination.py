@@ -417,7 +417,8 @@ def test_lambda_certificate_failure_names_member_theorem_and_flag():
     lambdas = list(good.certificate.lambdas)
     k = next(j for j, s in enumerate(basis) if concurrence(s) > 1e-6)
     lambdas[k] += 1e-3
-    v = _lambda_certificate(basis, phi, lambdas, "T2", DEFAULT, LoccFlag.LOCC_INDISTINGUISHABLE, {})
+    # no member factorization handed down; phi is entangled
+    v = _lambda_certificate(basis, phi, lambdas, "T2", DEFAULT, {}, None, LoccFlag.LOCC_INDISTINGUISHABLE, {})
     assert v.status is VerdictStatus.UNDECIDED
     assert v.theorem == "T2"
     assert v.locc_flag is LoccFlag.LOCC_INDISTINGUISHABLE
@@ -613,13 +614,13 @@ def test_product_prefix_leaves_the_2x2_verdict_unchanged():
 
 
 def _counting(monkeypatch, name):
-    """Count the calls to a tensor_rank function through every sepdisc
-    module that binds it."""
+    """Record the arguments of every call to a tensor_rank function through
+    every sepdisc module that binds it."""
     fn = getattr(tensor_rank, name)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for module in list(sys.modules.values()):
@@ -628,12 +629,16 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_t5_residual_state_is_classified_once(monkeypatch):
+def _ghz_type_t5_instance():
     rng = np.random.default_rng(7)
     us = [random_unitary(rng, 2) for _ in range(3)]
     a, b = kron_all([u[:, 0] for u in us]), kron_all([u[:, 1] for u in us])
     phi = PureState.normalized(S3, 0.6 * a + 0.8 * b)
-    inst = DiscriminationInstance.from_pure(S3, locc_basis_sch2(phi), phi)
+    return DiscriminationInstance.from_pure(S3, locc_basis_sch2(phi), phi)
+
+
+def test_t5_residual_state_is_classified_once(monkeypatch):
+    inst = _ghz_type_t5_instance()
     calls = _counting(monkeypatch, "schmidt2_classify")
     v = decide(inst)
     assert v.status is VerdictStatus.DISTINGUISHABLE and v.theorem == "T5"
@@ -648,3 +653,26 @@ def test_2x2_cut_rank_is_computed_once(monkeypatch):
     v = decide(inst)
     assert v.theorem == "T2"
     assert len(calls) == 1
+
+
+def _assert_each_vector_factored_once(monkeypatch, inst, theorem):
+    calls = _counting(monkeypatch, "try_factor")
+    v = decide(inst)
+    assert v.status is VerdictStatus.DISTINGUISHABLE and v.theorem == theorem
+    vectors = [np.asarray(args[0], dtype=complex).tobytes() for args in calls]
+    assert len(vectors) == len(set(vectors)), f"{len(vectors) - len(set(vectors))} repeated factorizations"
+    # every member and phi itself were factored
+    assert len(vectors) > inst.n
+
+
+def test_t5_decide_factors_each_vector_once(monkeypatch):
+    _assert_each_vector_factored_once(monkeypatch, _ghz_type_t5_instance(), "T5")
+
+
+def test_t2_decide_factors_each_vector_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    phi, basis = _family()
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    phi = PureState(QUBIT_PAIR, u @ phi.amplitudes)
+    basis = [PureState(QUBIT_PAIR, u @ s.amplitudes) for s in basis]
+    _assert_each_vector_factored_once(monkeypatch, DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi), "T2")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sepdisc.errors import DimensionMismatch, NotHermitian
 from sepdisc.linalg import (
     hermitian_eig,
+    kron_all,
     maxabs,
     partial_transpose,
     psd_project,
@@ -25,6 +26,38 @@ def test_kron_flips_basis_vector():
     e0 = np.array([1, 0], dtype=complex)
     e1 = np.array([0, 1], dtype=complex)
     assert np.allclose(np.kron(X, X) @ np.kron(e0, e0), np.kron(e1, e1))
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _kron_fold(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 3, 2), (3, 3, 3)])
+def test_kron_all_of_vectors_is_bitwise_np_kron(dims):
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(20):
+        factors = [_complex(rng, d) for d in dims]
+        got, want = kron_all(factors), _kron_fold(factors)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    # real factors keep their dtype
+    real = [rng.standard_normal(d) for d in dims]
+    assert kron_all(real).tobytes() == _kron_fold(real).tobytes()
+
+
+def test_kron_all_of_matrices_matches_np_kron():
+    # local unitaries, the way rotations are built
+    rng = np.random.default_rng(3)
+    for dims in [(2, 2), (2, 3), (2, 2, 2)]:
+        us = [np.linalg.qr(_complex(rng, (d, d)))[0] for d in dims]
+        assert np.array_equal(kron_all(us), _kron_fold(us))
 
 
 @given(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4), st.integers(0, 2**31 - 1))

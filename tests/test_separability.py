@@ -20,6 +20,7 @@ from sepdisc.separability import (
     lemma1_check,
     ppt_oracle,
     rank2_separability,
+    try_product_decomposition,
 )
 from sepdisc.states import (
     QUBIT_PAIR,
@@ -282,3 +283,17 @@ class TestElementSeparability:
         verdict = element_separability(op, QUBIT_PAIR, tol)
         assert verdict.status is SepStatus.UNDECIDED
         assert verdict.evidence is None
+
+    def test_zero_operator_is_separable_with_an_empty_decomposition(self):
+        # every eigenvalue is under the rank threshold, so nothing is summed:
+        # the residual compares the zero matrix of the target's shape
+        for space in (QUBIT_PAIR, S33, StateSpace((2, 2, 2))):
+            zero = np.zeros((space.dim, space.dim))
+            dec = try_product_decomposition(zero, space)
+            assert dec == ProductDecomposition((), ())
+            assert dec.residual(zero) == 0.0
+            verdict = element_separability(zero, space)
+            assert verdict.status is SepStatus.SEPARABLE
+            assert verdict.evidence == ProductDecomposition((), ())
+        # an empty decomposition is far from a nonzero target
+        assert ProductDecomposition((), ()).residual(np.eye(4)) == 1.0

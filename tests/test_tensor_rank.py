@@ -9,6 +9,7 @@ from sepdisc.sampling import random_entangled_2x2, random_local_vector, random_p
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket, phi_plus
 from sepdisc.tensor_rank import (
     AtLeast3Reason,
+    ProductVector,
     Schmidt2Kind,
     cut_matrix,
     entry_distance,
@@ -235,3 +236,47 @@ def test_peel_parties_prefix_times_pair():
     # party 1 is entangled with party 2
     assert peel_parties(vec, (3, 2, 2), [1], DEFAULT) is None
     assert peel_parties(vec, (3, 2, 2), [0, 2], DEFAULT) is None
+
+
+def _reference_try_factor(vec, dims):
+    """try_factor before its early reject, with np.kron assembly: factors
+    from every cut's SVD, then the residual test alone decides.  Returns
+    (product vector or None, residual / ||vec||)."""
+    vec = np.asarray(vec, dtype=complex)
+    n = np.linalg.norm(vec)
+    factors = []
+    for p in range(len(dims)):
+        u, _, _ = np.linalg.svd(cut_matrix(vec, dims, (p,)), full_matrices=False)
+        factors.append(u[:, 0])
+    assembled = factors[0]
+    for f in factors[1:]:
+        assembled = np.kron(assembled, f)
+    w = complex(np.vdot(assembled, vec))
+    resid = np.linalg.norm(vec - w * assembled)
+    return (None if resid > 1e-9 * n else ProductVector(tuple(factors), w)), resid / n
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_early_reject_matches_the_residual_rule(dims):
+    """Near-product vectors, relative perturbations 1e-12 to 1e-6: the same
+    accept/reject as the residual rule, and bitwise the same factors and
+    weight, except within 1e-12 (relative) of the 1e-9 bound."""
+    rng = np.random.default_rng(len(dims) * 10 + sum(dims))
+    space = StateSpace(dims)
+    outcomes = set()
+    for eps in np.logspace(-12, -6, 31):
+        for _ in range(4):
+            base = random_product_state(rng, space).amplitudes * rng.uniform(0.5, 2.0)
+            noise = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+            vec = base + eps * np.linalg.norm(base) * noise / np.linalg.norm(noise)
+            want, resid = _reference_try_factor(vec, dims)
+            got = try_factor(vec, dims)
+            if abs(resid - 1e-9) <= 1e-12 * 1e-9:
+                continue
+            outcomes.add(want is None)
+            assert (got is None) == (want is None), (eps, resid)
+            if want is not None:
+                assert got.weight == want.weight
+                assert all(g.tobytes() == r.tobytes() for g, r in zip(got.factors, want.factors))
+    # the perturbations straddle the bound
+    assert outcomes == {True, False}
