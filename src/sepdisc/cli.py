@@ -141,25 +141,17 @@ def cmd_construct(args, tol) -> int:
     try:
         if args.what == "family":
             phi, basis = family_sep_not_locc(FamilyParams(args.alpha, args.beta, args.gamma))
-            names = [f"psi{k+1}" for k in range(3)]
-            print(serialize_statefile(phi.space, list(zip(names, basis)), ("phi", phi)))
         elif args.what == "targets":
             phi, basis = basis_for_targets(args.c1, args.c2, args.c3)
-            names = [f"psi{k+1}" for k in range(3)]
-            print(serialize_statefile(phi.space, list(zip(names, basis)), ("phi", phi)))
         elif args.what == "tetra":
             basis = basis_from_unitary(tetra_unitary(TetraPoint(args.x1, args.x2, args.x3)))
             phi = magic_basis()[3]
-            names = [f"psi{k+1}" for k in range(3)]
-            print(serialize_statefile(phi.space, list(zip(names, basis)), ("phi", phi)))
         elif args.what == "subspace":
             kind = SubspaceFamily.BIPARTITE_3X3_DIM7 if args.kind == "dim7" else SubspaceFamily.TRIPARTITE_222_DIM6
             spec = indistinguishable_subspace(kind)
-            names = [f"psi{k+1}" for k in range(len(spec.complement))]
-            print(serialize_statefile(spec.space, list(zip(names, spec.complement))))
+            basis, phi = spec.complement, None
         elif args.what == "locc-basis":
-            text = _read_text(args.file)
-            data = parse_statefile(text)
+            data = parse_statefile(_read_text(args.file))
             if data.phi is not None:
                 phi = data.phi[1]
             elif len(data.states) == 1:
@@ -167,13 +159,13 @@ def cmd_construct(args, tol) -> int:
             else:
                 raise StateFileError("locc-basis needs a phi entry or a single state")
             basis = locc_basis_sch2(phi, tol)
-            names = [f"psi{k+1}" for k in range(len(basis))]
-            print(serialize_statefile(phi.space, list(zip(names, basis)), ("phi", phi)))
         else:  # pragma: no cover
             return EXIT_INPUT_ERROR
     except (OSError, SepdiscError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    named = [(f"psi{k+1}", st) for k, st in enumerate(basis)]
+    print(serialize_statefile(basis[0].space, named, None if phi is None else ("phi", phi)))
     return 0
 
 

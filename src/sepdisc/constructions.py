@@ -145,17 +145,11 @@ class TetraPoint:
 
     def __post_init__(self):
         xs = (self.x1, self.x2, self.x3)
-        if any(not 0.0 - 1e-12 <= x <= 1.0 + 1e-12 for x in xs):
-            raise PointOutsideTetrahedron(f"coordinates must lie in [0,1]; got {xs}")
-        s = sum(xs)
-        if s < 1.0 - 1e-12:
-            raise PointOutsideTetrahedron(f"x1+x2+x3 >= 1 violated: {s}")
-        for i in range(3):
-            excess = s - 2 * xs[i]
-            if excess > 1.0 + 1e-12:
-                raise PointOutsideTetrahedron(
-                    f"pairwise sum minus the third coordinate exceeds 1: {xs}"
-                )
+        if not in_tetrahedron(np.array(xs, dtype=float), slack=1e-12):
+            raise PointOutsideTetrahedron(
+                f"point {xs} is outside the concurrence tetrahedron: need every "
+                "x_k in [0,1], x1+x2+x3 >= 1 and x1+x2+x3 - 2 x_k <= 1"
+            )
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3], dtype=float)
@@ -178,10 +172,18 @@ def _householder_with_first_column(u: np.ndarray) -> np.ndarray:
 def tetra_unitary(point: TetraPoint) -> np.ndarray:
     """3x3 unitary whose rows achieve |sum_j U[k,j]^2| = x_k.
 
-    Writes U = O diag(1, e^{i t}, e^{i t}) with O real orthogonal; the first
-    column magnitudes solve u^2 = (sin t +- sqrt(x^2 - cos^2 t))/(2 sin t)
-    and t is found by bisecting the product of the two admissible
-    sign-pattern functions on [arccos(x_min), pi/2].
+    Writes U = O diag(1, e^{i t}, e^{i t}) with O real orthogonal and first
+    column u.  With x sorted descending, c = cos^2 t and s_k = sqrt(x_k^2 -
+    c), the rows need u_k^2 = (sin t + sign_k s_k)/(2 sin t), and the column
+    is a unit vector iff sin t = s_1 + s_2 +- s_3.  Squared twice, that
+    condition is linear in c:
+
+        c* = (16 K^2 x_3^2 - m^2) / (8 K (m + 2 K (1 + x_3^2))),
+        K = 1 + x_3^2 - x_1^2 - x_2^2,  m = 4 (x_1^2 x_2^2 - x_3^2) - K^2.
+
+    The candidates are c = 0 (t = pi/2) and c* when it lies in [0, x_3^2];
+    the candidate and sign pattern (-,-,-) or (-,-,+) that best satisfy the
+    unsquared condition are kept.
     """
     xs = point.as_array()
     order = np.argsort(-xs, kind="stable")
@@ -190,66 +192,31 @@ def tetra_unitary(point: TetraPoint) -> np.ndarray:
     if x[2] >= 1.0 - 1e-12:
         return np.eye(3, dtype=complex)
 
-    def s_terms(theta: float) -> np.ndarray:
-        c2 = math.cos(theta) ** 2
-        return np.sqrt(np.maximum(x * x - c2, 0.0))
-
-    def f(theta: float) -> float:
-        s = s_terms(theta)
-        return math.sin(theta) - s[0] - s[1] - s[2]
-
-    def g(theta: float) -> float:
-        s = s_terms(theta)
-        return math.sin(theta) - s[0] - s[1] + s[2]
-
-    lo = math.acos(min(x[2], 1.0))
-    hi = math.pi / 2.0
-
-    def fg(theta: float) -> float:
-        return f(theta) * g(theta)
-
-    a, b = lo, hi
-    fa, fb = fg(a), fg(b)
-    if abs(fa) <= 1e-300 or fa <= 0.0:
-        theta0 = a
-    elif fb >= 0.0:
-        theta0 = b
-    else:
-        for _ in range(200):
-            mid = (a + b) / 2.0
-            if mid == a or mid == b:
-                break
-            fm = fg(mid)
-            if abs(fm) < 1e-18:
-                a = b = mid
-                break
-            if fa * fm > 0:
-                a, fa = mid, fm
-            else:
-                b, fb = mid, fm
-        theta0 = (a + b) / 2.0
-
-    st = math.sin(theta0)
-    s = s_terms(theta0)
-    signs = np.array([-1.0, -1.0, -1.0]) if abs(f(theta0)) <= abs(g(theta0)) else np.array([-1.0, -1.0, 1.0])
-    u2 = (st + signs * s) / (2.0 * st)
-    u2 = np.clip(u2, 0.0, 1.0)
-    col = np.sqrt(u2)
+    x1, x2, x3 = x * x
+    k = 1.0 + x3 - x1 - x2
+    m = 4.0 * (x1 * x2 - x3) - k * k
+    den = 8.0 * k * (m + 2.0 * k * (1.0 + x3))
+    c_star = (16.0 * k * k * x3 - m * m) / den if den != 0.0 else math.nan
+    cands = np.array([0.0, c_star] if 0.0 <= c_star <= x3 else [0.0])
+    sin_t = np.sqrt(1.0 - cands)
+    signs = np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, 1.0]])
+    # s[candidate, pattern, k] = sign_k s_k
+    s = signs * np.sqrt(x * x - cands[:, None])[:, None, :]
+    miss = np.abs(sin_t[:, None] + s.sum(axis=-1))
+    i, j = np.unravel_index(np.argmin(miss), miss.shape)
+    # a coordinate up to the slack above 1 makes s_k exceed sin t
+    col = np.sqrt(np.clip((sin_t[i] + s[i, j]) / (2.0 * sin_t[i]), 0.0, 1.0))
     col = col / np.linalg.norm(col)
 
-    o = _householder_with_first_column(col)
-    u_sorted = o.astype(complex) @ np.diag([1.0, np.exp(1j * theta0), np.exp(1j * theta0)])
-
-    u_out = np.empty_like(u_sorted)
-    for k in range(3):
-        u_out[order[k], :] = u_sorted[k, :]
+    phase = np.exp(1j * math.acos(math.sqrt(cands[i])))
+    u_out = np.empty((3, 3), dtype=complex)
+    u_out[order] = _householder_with_first_column(col) @ np.diag([1.0, phase, phase])
 
     defect = maxabs(u_out.conj().T @ u_out - np.eye(3))
-    achieved = np.abs(np.sum(u_out**2, axis=1))
-    if defect > 1e-10 or np.max(np.abs(achieved - xs)) > 1e-8:
+    error = np.max(np.abs(concurrence_triple_of_unitary(u_out) - xs))
+    if not (defect <= 1e-10 and error <= 1e-8):
         raise PointOutsideTetrahedron(
-            f"construction failed numerically: unitarity defect {defect:.2e}, "
-            f"target error {np.max(np.abs(achieved - xs)):.2e}"
+            f"construction failed numerically: unitarity defect {defect:.2e}, target error {error:.2e}"
         )
     return u_out
 

@@ -103,8 +103,11 @@ def validate_certificate(
     recomputed from the element itself, with one element and one piece of
     evidence (and one lambda, if any) per member; the wrong number of
     elements, an element that is not D x D, or a product vector without one
-    factor per party of that party's dimension fails ``counts_ok`` before
-    any arithmetic.  A dual certificate: the objective and scale
+    factor per party of that party's dimension fails ``counts_ok``, and an
+    element with a non-finite entry fails ``finite``, before any
+    arithmetic.  Product evidence needs one real, finite, nonnegative weight
+    per vector, since every Hermitian matrix is a signed sum of product
+    projectors.  A dual certificate: the objective and scale
     :func:`check_dual` recomputes from its matrices and the instance's
     projectors."""
     if isinstance(cert, DualCertificate):
@@ -119,6 +122,8 @@ def validate_certificate(
     )
     if len(cert.elements) != n or not shapes_ok:
         return {"counts_ok": False, "valid": False}
+    if not all(np.isfinite(el).all() for el in cert.elements):
+        return {"finite": False, "valid": False}
     counts_ok = len(cert.evidence) == n
     total = sum(cert.elements)
     completeness = maxabs(total - np.eye(d))
@@ -132,21 +137,29 @@ def validate_certificate(
             tr = float(np.real(np.trace(el @ rho)))
             target = float(np.real(np.trace(rho))) if k == j else 0.0
             correctness = max(correctness, abs(tr - target))
-    evidence_resid = 0.0
+    residuals = [0.0]
     evidence_ok = True
     ppt_min = None
     for el, ev in zip(cert.elements, cert.evidence):
         if isinstance(ev, ProductDecomposition):
-            evidence_resid = max(evidence_resid, ev.residual(el))
+            w = np.asarray(ev.weights)
+            evidence_ok = evidence_ok and bool(
+                w.dtype.kind in "fiu" and w.shape == (len(ev.vectors),) and np.all(np.isfinite(w)) and np.all(w >= 0)
+            )
+            residuals.append(ev.residual(el))
         elif isinstance(ev, PptRecord):
             # PPT proves separability only where it is exact, and only when
             # every partial transpose of the trace-normalized element is PSD
-            evidence_ok = evidence_ok and ppt_is_exact(instance.space)
-            cuts = proper_cuts(instance.space.nparties)
-            pt = _worst_pt(el / np.trace(el).real, instance.space, cuts, tol).eigenvalue
-            ppt_min = pt if ppt_min is None else min(ppt_min, pt)
+            tr = float(np.trace(el).real)
+            evidence_ok = evidence_ok and ppt_is_exact(instance.space) and tr > 0.0
+            if tr > 0.0:
+                cuts = proper_cuts(instance.space.nparties)
+                pt = _worst_pt(el / tr, instance.space, cuts, tol).eigenvalue
+                ppt_min = pt if ppt_min is None else min(ppt_min, pt)
         else:
             evidence_ok = False
+    # np.max keeps a NaN residual (a zero product vector), which fails the bound
+    evidence_resid = float(np.max(residuals))
     lambdas_ok = True
     if cert.lambdas is not None:
         lam = np.asarray(cert.lambdas)

@@ -449,7 +449,12 @@ def check_dual(y, z, cuts, projectors, dims, tol: Tolerances = DEFAULT) -> tuple
     y = np.asarray(y, dtype=complex)
     z = np.asarray(z, dtype=complex)
     cuts = tuple(tuple(int(i) for i in c) for c in cuts)
-    if y.shape != (d, d) or z.shape != (n, len(cuts), d, d) or not set(cuts) <= set(proper_cuts(len(dims))):
+    if (
+        y.shape != (d, d)
+        or z.shape != (n, len(cuts), d, d)
+        or not set(cuts) <= set(proper_cuts(len(dims)))
+        or not (np.isfinite(y).all() and np.isfinite(z).all())
+    ):
         return DualCertificate(y, z, cuts, np.inf, 0.0), False
     p0 = np.eye(d) - p.sum(axis=0)
     supp = support_projector(p0, tol)

@@ -134,6 +134,8 @@ class TestTetra:
             TetraPoint(0.2, 0.2, 0.2)  # sum < 1
         with pytest.raises(PointOutsideTetrahedron):
             TetraPoint(1.0, 1.0, 0.5)  # pairwise excess
+        with pytest.raises(PointOutsideTetrahedron):
+            TetraPoint(0.5, math.nan, 0.5)
         TetraPoint(0.2, 0.2, 0.9)  # valid: sum 1.3, all pairwise fine
 
     def test_corner_identity(self):
@@ -155,11 +157,26 @@ class TestTetra:
         assert np.allclose(achieved, [0.2, 0.9, 0.2], atol=1e-8)
 
     def test_grid_round_trip_small(self):
-        for pt in [(0.5, 0.25, 0.25), (0.6, 0.6, 0.6), (1.0, 0.95, 0.95)]:
-            u = tetra_unitary(TetraPoint(*pt))
+        # the closed form's branches: c* wins at (0.2, 0.9, 0.2) and
+        # (0.6, 0.6, 0.6); the c = 0 end on a face or an edge at
+        # (0.5, 0.25, 0.25) and (0, 0.3, 0.7); c* has a zero denominator on
+        # the K = 0 line through (1, 0.5, 0.5) and (1, 0.3, 0.3); the
+        # point's 1e-12 slack admits a coordinate just above 1
+        pts = [
+            (0.5, 0.25, 0.25), (0.6, 0.6, 0.6), (1.0, 0.95, 0.95), (0.2, 0.9, 0.2),
+            (0.0, 0.3, 0.7), (1.0, 0.5, 0.5), (1.0, 0.3, 0.3), (1.0 + 5e-13, 0.5, 0.5),
+        ]
+        # uniform points of the tetrahedron, and uniform points of its faces
+        vertices = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
+        rng = np.random.default_rng(7)
+        pts += list(rng.dirichlet(np.ones(4), 2000) @ vertices)
+        faces = [np.delete(vertices, k, axis=0) for k in rng.integers(0, 4, 500)]
+        pts += [w @ f for w, f in zip(rng.dirichlet(np.ones(3), 500), faces)]
+        for pt in pts:
+            u = tetra_unitary(TetraPoint(*map(float, pt)))
             achieved = concurrence_triple_of_unitary(u)
-            assert np.max(np.abs(achieved - np.array(pt))) < 1e-8
-            assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
+            assert np.max(np.abs(achieved - np.array(pt))) <= 1e-11, pt
+            assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-11, pt
 
 
 class TestBasisFromUnitary:

@@ -567,13 +567,46 @@ def test_certificate_counts_must_match_the_members():
     for forged in forgeries:
         check = validate_certificate(forged, full)
         assert not check["counts_ok"] and not check["valid"]
+    # a zero product vector (its residual is NaN), a zero element with a PPT
+    # record (its trace is 0), and a NaN element fail without raising
+    cert = decide(full).certificate
+    e00 = np.eye(2)[0]
+    zero_vector = ProductDecomposition((1.0,), (tensor_rank.ProductVector((e00, e00), 0.0),))
+    ppt = PptRecord(0.0, True, tuple(proper_cuts(2)))
+    forgeries = [
+        disc.PovmCertificate(cert.elements, (zero_vector,) + cert.evidence[1:], None),
+        disc.PovmCertificate((np.zeros((4, 4)),) + cert.elements[1:], (ppt,) * 4, None),
+        disc.PovmCertificate((np.full((4, 4), np.nan),) + cert.elements[1:], cert.evidence, None),
+    ]
+    for forged in forgeries:
+        assert not validate_certificate(forged, full)["valid"]
     # a one-factor "product" vector is any vector: the Bell projectors with
     # themselves as evidence reassemble exactly but prove nothing
     bells = [bell(w) for w in ("phi+", "phi-", "psi+", "psi-")]
+    bell_inst = DiscriminationInstance.from_pure(QUBIT_PAIR, bells)
     unfactored = tuple(ProductDecomposition((1.0,), (tensor_rank.ProductVector((s.amplitudes,)),)) for s in bells)
     forged = disc.PovmCertificate(tuple(s.density() for s in bells), unfactored, None)
-    check = validate_certificate(forged, DiscriminationInstance.from_pure(QUBIT_PAIR, bells))
+    check = validate_certificate(forged, bell_inst)
     assert not check["counts_ok"] and not check["valid"]
+    # every Hermitian matrix is a signed sum of product projectors: each Bell
+    # projector is (II +- XX +- YY +- ZZ)/4, split over the Paulis' eigenvectors
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+
+    def signed(rho):
+        weights, vectors = [], []
+        for p in paulis:
+            vals, vecs = np.linalg.eigh(p)
+            for i in range(2):
+                for j in range(2):
+                    weights.append(float(np.real(np.trace(np.kron(p, p) @ rho))) / 4 * vals[i] * vals[j])
+                    vectors.append(tensor_rank.ProductVector((vecs[:, i], vecs[:, j])))
+        return ProductDecomposition(tuple(weights), tuple(vectors))
+
+    forged = disc.PovmCertificate(tuple(s.density() for s in bells), tuple(signed(s.density()) for s in bells), None)
+    check = validate_certificate(forged, bell_inst)
+    assert decide(bell_inst).status is VerdictStatus.INDISTINGUISHABLE
+    assert check["counts_ok"] and check["evidence_residual"] < 1e-12
+    assert not check["evidence_exact"] and not check["valid"]
 
 
 def _prefixed(phi, basis):

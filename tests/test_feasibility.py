@@ -132,7 +132,11 @@ def test_tampered_dual_certificates_rejected(kind):
     # recorded objective and scale are never read
     negated = dataclasses.replace(cert, y=-cert.y, z=-cert.z)
     zeroed = dataclasses.replace(cert, z=np.zeros_like(cert.z), objective=-1.0, scale=1.0)
-    for bad in (negated, zeroed):
+    # non-finite matrices fail before any eigen-decomposition
+    nan_y = dataclasses.replace(cert, y=np.full_like(cert.y, np.nan))
+    with np.errstate(invalid="ignore"):
+        inf_z = dataclasses.replace(cert, z=cert.z * np.inf)
+    for bad in (negated, zeroed, nan_y, inf_z):
         assert not validate_certificate(bad, instance)["valid"]
     # the same certificate against a feasible instance of the same shape
     product = random_product_basis(np.random.default_rng(3), spec.space)[: len(spec.complement)]
