@@ -120,10 +120,11 @@ def basis_for_targets(c1: float, c2: float, c3: float) -> tuple[PureState, list[
     sin^2 g = (c1+c2)/(s+c1); validated by the round trip, with the all-zero
     case handled as a product basis.
     """
-    targets = (c1, c2, c3)
-    if any(c < -1e-12 for c in targets):
-        raise TargetsOutOfRange("concurrence targets must be nonnegative")
-    c1, c2, c3 = (max(0.0, float(c)) for c in targets)
+    targets = tuple(float(c) for c in (c1, c2, c3))
+    # max(0.0, nan) is 0.0, so a NaN target must be caught here
+    if not all(math.isfinite(c) and c >= -1e-12 for c in targets):
+        raise TargetsOutOfRange(f"concurrence targets must be finite and nonnegative; got {targets}")
+    c1, c2, c3 = (max(0.0, c) for c in targets)
     s = c1 + c2 + c3
     if s > 1.0 + 1e-12:
         raise TargetsOutOfRange(f"concurrence targets must satisfy c1+c2+c3 <= 1; got {s}")
@@ -353,9 +354,7 @@ def verify_subspace_properties(spec: SubspaceSpec, tol: Tolerances = DEFAULT) ->
     unique_product = (not span.infinitely_many) and len(span.vectors) == 1
     p0_detail: dict = {"count": len(span.vectors), "infinitely_many": span.infinitely_many}
     if unique_product:
-        pv = span.vectors[0]
-        v = pv.assemble()
-        v = v / np.linalg.norm(v)
+        v = span.vectors[0].unit()
         p0_detail["product_overlap_phi2"] = float(abs(np.vdot(v, spec.phi2.amplitudes)))
     p0 = PropertyReport("unique_product_vector", unique_product, p0_detail)
 
@@ -462,7 +461,7 @@ def locc_basis_sch2(phi: PureState, tol: Tolerances = DEFAULT) -> list[PureState
 def _locc_basis(phi: PureState, dec: Schmidt2Decomposition) -> list[PureState]:
     """:func:`locc_basis_sch2` from the orthogonal decomposition phi = a + b."""
     psi = PureState.normalized(phi.space, dec.complement())
-    a_hat, b_hat = (v / np.linalg.norm(v) for v in (dec.a.assemble(), dec.b.assemble()))
+    a_hat, b_hat = dec.a.unit(), dec.b.unit()
     full = _product_basis_through(dec.a, dec.b, phi.space)
     others = [
         st

@@ -30,7 +30,6 @@ from .separability import (
     ProductDecomposition,
     PptRecord,
     SepStatus,
-    _rank2,
     _worst_pt,
     antiparallel_test,
     check_dual,
@@ -38,6 +37,7 @@ from .separability import (
     element_separability,
     feasibility_solve,
     ppt_is_exact,
+    rank2_separability,
 )
 from .states import (
     QUBIT_PAIR,
@@ -53,7 +53,6 @@ from .tensor_rank import (
     peel_parties,
     proper_cuts,
     schmidt2_classify,
-    try_factor,
 )
 
 
@@ -158,7 +157,8 @@ def validate_certificate(
                 ppt_min = pt if ppt_min is None else min(ppt_min, pt)
         else:
             evidence_ok = False
-    # np.max keeps a NaN residual (a zero product vector), which fails the bound
+    # np.max keeps a NaN residual (a NaN decomposition weight), which fails
+    # the bound
     evidence_resid = float(np.max(residuals))
     lambdas_ok = True
     if cert.lambdas is not None:
@@ -185,18 +185,18 @@ def validate_certificate(
 
 
 def _lambda_certificate(
-    basis, phi: PureState, lambdas, theorem: str, tol: Tolerances, factored: dict, pv_phi,
+    basis, phi: PureState, lambdas, theorem: str, tol: Tolerances,
     locc_flag: LoccFlag = LoccFlag.UNKNOWN, diagnostics=None,
 ) -> Verdict:
     """The certificate E_k = |psi_k><psi_k| + lambda_k |phi><phi|, each
-    element shown separable by the rank-2 lemma, from phi's try_factor
-    result and the members' the caller holds in ``factored`` (by index)."""
+    element shown separable by the rank-2 lemma; every state's product
+    factorization is read from its cache, so a member or phi the decider
+    already factored is not factored again."""
     p_phi = phi.density()
     elements = []
     evidence = []
     for k, (psi, lam) in enumerate(zip(basis, lambdas)):
-        pv = factored[k] if k in factored else try_factor(psi.amplitudes, psi.space.dims)
-        r2 = _rank2(psi, phi, lam, pv, pv_phi, tol)
+        r2 = rank2_separability(psi, phi, lam, tol)
         if r2.verdict.status is not SepStatus.SEPARABLE:
             return Verdict(
                 status=VerdictStatus.UNDECIDED,
@@ -274,9 +274,8 @@ def _decide_concurrence_sum(phi: PureState, basis, dec: Schmidt2Decomposition, t
             status=VerdictStatus.INDISTINGUISHABLE, theorem=theorem, reason=Reason(code, message, data), locc_flag=flag
         )
 
-    factored = {}
     for j, (psi, (shares_prefix, emb)) in enumerate(zip(basis, members)):
-        if emb is None and factored.setdefault(j, try_factor(psi.amplitudes, dims)) is None:
+        if emb is None and psi.product is None:
             if shares_prefix:
                 return reject(
                     "embedding_failed",
@@ -307,8 +306,7 @@ def _decide_concurrence_sum(phi: PureState, basis, dec: Schmidt2Decomposition, t
             {"sum": total, "c_phi": c_phi, "concurrences": cs},
         )
     lambdas = tuple(c / c_phi for c in cs)
-    # phi was classified SCHMIDT2, so try_factor rejected it
-    return _lambda_certificate(basis, phi, lambdas, theorem, tol, factored, None, flag, {"concurrences": cs, "c_phi": c_phi})
+    return _lambda_certificate(basis, phi, lambdas, theorem, tol, flag, {"concurrences": cs, "c_phi": c_phi})
 
 
 def _decide_unique_entangled_member(phi: PureState, basis, dec: Schmidt2Decomposition, tol: Tolerances) -> Verdict:
@@ -316,8 +314,7 @@ def _decide_unique_entangled_member(phi: PureState, basis, dec: Schmidt2Decompos
     vectors differing in three or more parties: the basis must contain the
     unique complementary entangled state and otherwise products."""
     candidate = dec.complement()
-    factored = {j: try_factor(s.amplitudes, phi.space.dims) for j, s in enumerate(basis)}
-    ent_indices = [j for j, pv in factored.items() if pv is None]
+    ent_indices = [j for j, s in enumerate(basis) if s.product is None]
     if len(ent_indices) != 1:
         return Verdict(
             status=VerdictStatus.INDISTINGUISHABLE,
@@ -342,7 +339,7 @@ def _decide_unique_entangled_member(phi: PureState, basis, dec: Schmidt2Decompos
         )
 
     lambdas = tuple(1.0 if i == j else 0.0 for i in range(len(basis)))
-    return _lambda_certificate(basis, phi, lambdas, "T5", tol, factored, None)
+    return _lambda_certificate(basis, phi, lambdas, "T5", tol)
 
 
 class SubspaceKind(Enum):
@@ -535,10 +532,8 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
         cls = schmidt2_classify(phi, tol)
         if cls.kind is Schmidt2Kind.PRODUCT:
             # a product residual state admits only product bases
-            factored = {}
             for j, s in enumerate(states):
-                factored[j] = try_factor(s.amplitudes, space.dims)
-                if factored[j] is None:
+                if s.product is None:
                     return Verdict(
                         status=VerdictStatus.INDISTINGUISHABLE,
                         theorem="T1",
@@ -549,7 +544,7 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
                         ),
                     )
             lambdas = [1.0] + [0.0] * (n - 1)
-            return _lambda_certificate(states, phi, lambdas, "T1", tol, factored, cls.product)
+            return _lambda_certificate(states, phi, lambdas, "T1", tol)
         if cls.kind is Schmidt2Kind.AT_LEAST_3:
             return Verdict(
                 status=VerdictStatus.INDISTINGUISHABLE,

@@ -27,7 +27,7 @@ from .linalg import (
     psd_project,
 )
 from .states import DiscriminationInstance, PureState, StateSpace, coeff_matrix
-from .tensor_rank import ProductVector, _span_products, proper_cuts, span_coordinates, try_factor
+from .tensor_rank import ProductVector, product_vectors_in_span, proper_cuts, span_coordinates, try_factor
 
 
 class SepStatus(Enum):
@@ -48,8 +48,7 @@ class ProductDecomposition:
         empty decomposition sums to the zero matrix of the target's shape."""
         out = np.zeros(np.shape(target), dtype=complex)
         for w, pv in zip(self.weights, self.vectors):
-            v = pv.assemble()
-            v = v / np.linalg.norm(v)
+            v = pv.unit()
             out = out + w * np.outer(v, v.conj())
         return frob(out - target) / max(frob(target), 1e-300)
 
@@ -154,32 +153,26 @@ def rank2_separability(
     vectors a, b such that the cross terms |a><b| cancel, which pins lam to a
     single value.
     """
-    pv_psi, pv_phi = (try_factor(s.amplitudes, s.space.dims) for s in (psi, phi))
-    return _rank2(psi, phi, lam, pv_psi, pv_phi, tol)
-
-
-def _rank2(psi: PureState, phi: PureState, lam: float, pv_psi, pv_phi, tol: Tolerances) -> Rank2Result:
-    """rank2_separability, given try_factor's results on psi and phi."""
     if lam < 0:
         raise PreconditionViolated("lam must be nonnegative")
     if abs(psi.inner(phi)) > 1e-9:
         raise PreconditionViolated("states must be orthogonal")
     target = psi.density() + lam * phi.density()
 
-    if pv_psi is not None and pv_phi is not None:
-        weights, vectors = [1.0], [pv_psi]
+    if psi.product is not None and phi.product is not None:
+        weights, vectors = [1.0], [psi.product]
         if lam > 0:
             weights.append(float(lam))
-            vectors.append(pv_phi)
+            vectors.append(phi.product)
         dec = ProductDecomposition(tuple(weights), tuple(vectors))
         return Rank2Result(
             SeparabilityVerdict(SepStatus.SEPARABLE, dec, {"residual": dec.residual(target)}),
             Rank2Case.BOTH_PRODUCT,
         )
 
-    if pv_psi is not None:  # phi entangled
+    if psi.product is not None:  # phi entangled
         if lam <= 1e-12:
-            dec = ProductDecomposition((1.0,), (pv_psi,))
+            dec = ProductDecomposition((1.0,), (psi.product,))
             return Rank2Result(
                 SeparabilityVerdict(SepStatus.SEPARABLE, dec, {"residual": dec.residual(target)}),
                 Rank2Case.PSI_PRODUCT_LAMBDA_ZERO,
@@ -189,7 +182,7 @@ def _rank2(psi: PureState, phi: PureState, lam: float, pv_psi, pv_phi, tol: Tole
             Rank2Case.ENTANGLED,
         )
 
-    if pv_phi is not None or lam <= 1e-12:
+    if phi.product is not None or lam <= 1e-12:
         # psi entangled: pure entangled state at lam=0, or entangled+product mixture
         return Rank2Result(
             SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": "psi is entangled"}),
@@ -197,7 +190,7 @@ def _rank2(psi: PureState, phi: PureState, lam: float, pv_psi, pv_phi, tol: Tole
         )
 
     # both entangled: the support must be spanned by exactly two product vectors
-    span = _span_products(psi, phi, tol, both_entangled=True)
+    span = product_vectors_in_span(psi, phi, tol)
     if span.infinitely_many or len(span.vectors) < 2:
         return Rank2Result(
             SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": f"support contains {len(span.vectors)} product directions"}),
@@ -343,8 +336,7 @@ def try_product_decomposition(op: np.ndarray, space: StateSpace, tol: Tolerances
                         break
                 if found is None:
                     return None
-                vec = found.assemble()
-                vec = vec / np.linalg.norm(vec)
+                vec = found.unit()
                 chosen.append(vec)
                 weights.append(lam)
                 vectors.append(found)
@@ -356,9 +348,8 @@ def try_product_decomposition(op: np.ndarray, space: StateSpace, tol: Tolerances
     return dec
 
 
-def _factored(vec: np.ndarray, weight: float, space: StateSpace) -> SeparabilityVerdict:
-    """weight |v><v| is separable iff v is a product vector."""
-    pv = try_factor(vec, space.dims)
+def _factored(pv: ProductVector | None, weight: float) -> SeparabilityVerdict:
+    """weight |v><v| is separable iff v has a factorization pv."""
     if pv is None:
         return SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": "entangled pure element"})
     return SeparabilityVerdict(SepStatus.SEPARABLE, ProductDecomposition((weight,), (pv,)))
@@ -386,14 +377,14 @@ def element_separability(
     eigenvalues above 1e-9 max(1, lambda_max).
     """
     if isinstance(member, PureState):
-        return _factored(member.amplitudes, 1.0, space)
+        return _factored(member.product, 1.0)
     eig = hermitian_eig(member, tol)
     vals = eig.values
     if vals[0] < _EIGENVALUE_FLOOR:
         return SeparabilityVerdict(SepStatus.UNDECIDED, detail={"min_eigenvalue": float(vals[0])})
     rank = int(np.sum(vals > 1e-9 * max(1.0, float(vals[-1]))))
     if rank == 1:
-        return _factored(eig.vectors[:, -1], float(vals[-1]), space)
+        return _factored(try_factor(eig.vectors[:, -1], space.dims), float(vals[-1]))
     ppt = None
     if ppt_is_exact(space):
         ppt = _ppt_or_undecided(member, space, tol)

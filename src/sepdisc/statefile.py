@@ -38,10 +38,18 @@ def _vec_to_pairs(vec: np.ndarray) -> list[list[float]]:
 
 
 def _pairs_to_vec(pairs, where: str) -> np.ndarray:
+    # unpacking rejects an entry of any length but 2, complex() one that is
+    # not two numbers; JSON true/false parse to bool, an int subclass, so a
+    # pair holding one is dropped and the count no longer matches
     try:
-        out = np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
-    except (TypeError, IndexError) as exc:
+        vals = [complex(re, im) for re, im in pairs if type(re) is not bool and type(im) is not bool]
+    except (TypeError, ValueError) as exc:
         raise StateFileError(f"{where}: amplitudes must be [re, im] pairs") from exc
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise StateFileError(f"{where}: amplitudes must be finite") from exc
+    if len(vals) != len(pairs):
+        raise StateFileError(f"{where}: amplitudes must be [re, im] pairs")
+    out = np.array(vals, dtype=complex)
     if not np.all(np.isfinite(out.view(float))):
         raise StateFileError(f"{where}: amplitudes must be finite")
     return out

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,14 @@ class PureState:
         if n == 0:
             raise DimensionMismatch("cannot normalize the zero vector")
         return cls(space, vec / n)
+
+    @cached_property
+    def product(self):
+        """The state's ProductVector factorization, or None if entangled;
+        computed on first use and kept, as the amplitudes are read-only."""
+        from .tensor_rank import try_factor
+
+        return try_factor(self.amplitudes, self.space.dims)
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())

@@ -1,6 +1,10 @@
 """Schmidt decompositions, product-vector detection in 2-dimensional spans,
 entry distance, and the orthogonal-Schmidt-number classification.
 
+:func:`try_factor` is the one factoring kernel; a state's own
+factorization is read from :attr:`~sepdisc.states.PureState.product`, which
+calls it once and keeps the result.
+
 The central nontrivial routine is :func:`schmidt2_classify`.  For a state
 whose every bipartition rank is at most 2 it searches for a two-term product
 decomposition through the 2-dimensional "right support" across one cut: the
@@ -27,17 +31,23 @@ from .states import PureState, StateSpace
 
 @dataclass(frozen=True)
 class ProductVector:
-    """weight * (x) factors, one factor per party; factors may be unnormalized."""
+    """weight * (x) factors, one factor per party; factors may be unnormalized
+    but, like the weight, must be finite and nonzero."""
 
     factors: tuple[np.ndarray, ...]
     weight: complex = 1.0 + 0j
 
     def __post_init__(self):
-        factors = tuple(np.asarray(f, dtype=complex) for f in self.factors)
-        if any(np.linalg.norm(f) == 0 for f in factors):
-            raise DimensionMismatch("product vectors cannot have a zero factor")
+        # read-only views: PureState.product hands one instance to every caller
+        factors = tuple(np.asarray(f, dtype=complex).view() for f in self.factors)
+        for f in factors:
+            f.setflags(write=False)
+        weight = complex(self.weight)
+        norms = [np.linalg.norm(f) for f in factors] + [abs(weight)]
+        if not all(0 < n < np.inf for n in norms):
+            raise DimensionMismatch("product vectors cannot have a zero or non-finite factor or weight")
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "weight", complex(self.weight))
+        object.__setattr__(self, "weight", weight)
 
     @property
     def nparties(self) -> int:
@@ -46,11 +56,10 @@ class ProductVector:
     def assemble(self) -> np.ndarray:
         return self.weight * kron_all(self.factors)
 
-    def norm(self) -> float:
-        n = abs(self.weight)
-        for f in self.factors:
-            n *= float(np.linalg.norm(f))
-        return n
+    def unit(self) -> np.ndarray:
+        """The assembled vector divided by its norm."""
+        v = self.assemble()
+        return v / np.linalg.norm(v)
 
     def normalized(self) -> "ProductVector":
         """Unit factors, each with its largest-modulus entry made real
@@ -168,7 +177,7 @@ def try_factor(vec: np.ndarray, dims: tuple[int, ...]) -> ProductVector | None:
 
 
 def is_product(state: PureState, tol: Tolerances = DEFAULT) -> bool:
-    return try_factor(state.amplitudes, state.space.dims) is not None
+    return state.product is not None
 
 
 def entry_distance(a: ProductVector, b: ProductVector, tol: Tolerances = DEFAULT) -> int:
@@ -227,14 +236,10 @@ def product_vectors_in_span(psi: PureState, phi: PureState, tol: Tolerances = DE
 
     Candidate roots come from the vanishing 2x2 minors of the amplitude
     pencil across each single-party cut; every candidate is verified by
-    actual factorization, so spurious roots are filtered out.
+    actual factorization, so spurious roots are filtered out.  psi (the
+    root z = 0) and phi are read through their cached
+    :attr:`~sepdisc.states.PureState.product`, so neither is factored again.
     """
-    return _span_products(psi, phi, tol, both_entangled=False)
-
-
-def _span_products(psi: PureState, phi: PureState, tol: Tolerances, both_entangled: bool) -> SpanProducts:
-    """product_vectors_in_span; ``both_entangled`` says the caller's
-    try_factor already rejected psi and phi, so neither is factored again."""
     if psi.space != phi.space:
         raise DimensionMismatch("states live on different spaces")
     space = psi.space
@@ -267,25 +272,19 @@ def _span_products(psi: PureState, phi: PureState, tol: Tolerances, both_entangl
     found: list[ProductVector] = []
 
     def _push(pv: ProductVector):
-        v = pv.assemble()
-        v = v / np.linalg.norm(v)
-        for other in found:
-            o = other.assemble()
-            o = o / np.linalg.norm(o)
-            if abs(np.vdot(o, v)) > 1.0 - 1e-9:
-                return
-        found.append(pv.normalized())
+        v = pv.unit()
+        if not any(abs(np.vdot(other.unit(), v)) > 1.0 - 1e-9 for other in found):
+            found.append(pv.normalized())
 
     for z in uniq:
         vec = psi.amplitudes + z * phi.amplitudes
-        if np.linalg.norm(vec) < 1e-10 or (both_entangled and z == 0):
+        if np.linalg.norm(vec) < 1e-10:
             continue
-        pv = try_factor(vec, dims)
+        pv = psi.product if z == 0 else try_factor(vec, dims)
         if pv is not None:
             _push(pv)
-    pv_phi = None if both_entangled else try_factor(phi.amplitudes, dims)
-    if pv_phi is not None:
-        _push(pv_phi)
+    if phi.product is not None:
+        _push(phi.product)
 
     if len(found) > 2:
         # a 2-dimensional span with three distinct product directions is
@@ -298,10 +297,7 @@ def span_coordinates(p: ProductVector, q: ProductVector, vecs) -> np.ndarray:
     """Coordinates of vectors in the span of two product vectors: column j
     holds (x, y) with vecs[j] = x p_hat + y q_hat for the unit vectors
     p_hat, q_hat along p and q."""
-    p_hat = p.assemble()
-    p_hat = p_hat / np.linalg.norm(p_hat)
-    q_hat = q.assemble()
-    q_hat = q_hat / np.linalg.norm(q_hat)
+    p_hat, q_hat = p.unit(), q.unit()
     gram = np.array([[1.0, np.vdot(p_hat, q_hat)], [np.vdot(q_hat, p_hat), 1.0]], dtype=complex)
     rhs = np.array([[np.vdot(p_hat, v) for v in vecs], [np.vdot(q_hat, v) for v in vecs]], dtype=complex)
     return np.linalg.solve(gram, rhs)
@@ -341,7 +337,6 @@ class Schmidt2Decomposition:
 class Schmidt2Class:
     kind: Schmidt2Kind
     decomposition: Schmidt2Decomposition | None = None
-    product: ProductVector | None = None  # try_factor's result on a PRODUCT state
     reason: AtLeast3Reason | None = None
     detail: dict = field(default_factory=dict)
 
@@ -385,9 +380,8 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
                 detail={"cut": left},
             )
 
-    pv = try_factor(vec, dims)
-    if pv is not None:
-        return Schmidt2Class(kind=Schmidt2Kind.PRODUCT, product=pv)
+    if phi.product is not None:
+        return Schmidt2Class(kind=Schmidt2Kind.PRODUCT)
 
     # peel off parties that factor out (single-party cut rank 1); a
     # near-product state that try_factor rejects keeps a two-party core
@@ -404,7 +398,7 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
         if resid > 1e-9:
             return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"reassembly_residual": resid})
         ov = abs(np.vdot(a_vec, b_vec))
-        orthogonal = ov <= 1e-9 * a.norm() * b.norm()
+        orthogonal = ov <= 1e-9 * np.linalg.norm(a_vec) * np.linalg.norm(b_vec)
         h = entry_distance(a, b, tol)
         if orthogonal:
             dec = Schmidt2Decomposition(a=a, b=b, orthogonal=True, unique=h >= 3)

@@ -54,7 +54,7 @@ from .separability import (
     rank2_separability,
 )
 from .states import DiscriminationInstance, PureState, QUBIT_PAIR, StateSpace, concurrence, magic_basis
-from .tensor_rank import product_vectors_in_span, span_coordinates, try_factor
+from .tensor_rank import product_vectors_in_span, span_coordinates
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def check_lemma3_uniqueness(seed: int, n_states: int = 20, tol: Tolerances = DEF
         a = random_product_state(rng, space)
         # orthogonal product partner differing in all three parties
         factors_b = []
-        for p, fa in enumerate(try_factor(a.amplitudes, space.dims).factors):
+        for p, fa in enumerate(a.product.factors):
             fb = random_local_vector(rng, 2)
             fb = fb - fa * np.vdot(fa, fb)
             factors_b.append(fb / np.linalg.norm(fb))
@@ -258,7 +258,7 @@ def check_lemma3_uniqueness(seed: int, n_states: int = 20, tol: Tolerances = DEF
                     xy = span_coordinates(*span.vectors, (phi.amplitudes,))[:, 0]
                 except np.linalg.LinAlgError:
                     continue
-                units = (v / np.linalg.norm(v) for v in (pv.assemble() for pv in span.vectors))
+                units = (pv.unit() for pv in span.vectors)
                 terms = [x * u for x, u in zip(xy, units)]
                 if np.linalg.norm(terms[0] + terms[1] - phi.amplitudes) < 1e-8:
                     # the pair decomposes phi, so it must be the original one

@@ -60,6 +60,22 @@ class TestDecide:
         assert code == 3
         assert "dims" in err
 
+    @pytest.mark.parametrize("entry", [{"re": 1}, {"re": 1, "im": 0}, [1, 0, 5], [1], "10", [True, 0], [[1], 0], None])
+    def test_malformed_amplitude_exit_3(self, tmp_path, capsys, entry):
+        amplitudes = [entry, [0, 0], [0, 0], [0, 0]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": "1", "dims": [2, 2], "states": [{"name": "s", "amplitudes": amplitudes}]}))
+        code, _, err = run_cli(capsys, "decide", str(path))
+        assert code == 3
+        assert "[re, im] pairs" in err
+
+    def test_oversized_integer_amplitude_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"version": "1", "dims": [2, 2], "states": [{"name": "s", "amplitudes": [[1%s, 0], [0, 0], [0, 0], [0, 0]]}]}' % ("0" * 400))
+        code, _, err = run_cli(capsys, "decide", str(path))
+        assert code == 3
+        assert "finite" in err
+
     def test_unnormalized_rejected(self, tmp_path, capsys):
         path = tmp_path / "norm.json"
         path.write_text(

@@ -96,6 +96,11 @@ class TestTargets:
             basis_for_targets(0.5, 0.4, 0.3)
         with pytest.raises(TargetsOutOfRange):
             basis_for_targets(-0.1, 0.0, 0.0)
+        for slot in range(3):
+            targets = [0.5, 0.25, 0.25]
+            targets[slot] = math.nan
+            with pytest.raises(TargetsOutOfRange):
+                basis_for_targets(*targets)
 
     def test_zero_targets_product_basis(self):
         phi, basis = basis_for_targets(0.0, 0.0, 0.0)

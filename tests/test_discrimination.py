@@ -9,7 +9,7 @@ import sepdisc.separability as separability
 import sepdisc.tensor_rank as tensor_rank
 from sepdisc.config import DEFAULT
 from sepdisc.constructions import FamilyParams, family_sep_not_locc, gamma_range, locc_basis_sch2
-from sepdisc.errors import InvalidInstance, PhiProduct
+from sepdisc.errors import DimensionMismatch, InvalidInstance, PhiProduct
 from sepdisc.linalg import kron_all, partial_transpose
 from sepdisc.discrimination import (
     DiscriminationInstance,
@@ -417,8 +417,7 @@ def test_lambda_certificate_failure_names_member_theorem_and_flag():
     lambdas = list(good.certificate.lambdas)
     k = next(j for j, s in enumerate(basis) if concurrence(s) > 1e-6)
     lambdas[k] += 1e-3
-    # no member factorization handed down; phi is entangled
-    v = _lambda_certificate(basis, phi, lambdas, "T2", DEFAULT, {}, None, LoccFlag.LOCC_INDISTINGUISHABLE, {})
+    v = _lambda_certificate(basis, phi, lambdas, "T2", DEFAULT, LoccFlag.LOCC_INDISTINGUISHABLE, {})
     assert v.status is VerdictStatus.UNDECIDED
     assert v.theorem == "T2"
     assert v.locc_flag is LoccFlag.LOCC_INDISTINGUISHABLE
@@ -567,14 +566,15 @@ def test_certificate_counts_must_match_the_members():
     for forged in forgeries:
         check = validate_certificate(forged, full)
         assert not check["counts_ok"] and not check["valid"]
-    # a zero product vector (its residual is NaN), a zero element with a PPT
-    # record (its trace is 0), and a NaN element fail without raising
+    # a zero or NaN product vector cannot be built; a zero element with a
+    # PPT record (its trace is 0) and a NaN element fail without raising
     cert = decide(full).certificate
     e00 = np.eye(2)[0]
-    zero_vector = ProductDecomposition((1.0,), (tensor_rank.ProductVector((e00, e00), 0.0),))
+    for factors, weight in (((e00, e00), 0.0), ((e00, e00), np.nan), ((e00, np.full(2, np.nan)), 1.0)):
+        with pytest.raises(DimensionMismatch):
+            tensor_rank.ProductVector(factors, weight)
     ppt = PptRecord(0.0, True, tuple(proper_cuts(2)))
     forgeries = [
-        disc.PovmCertificate(cert.elements, (zero_vector,) + cert.evidence[1:], None),
         disc.PovmCertificate((np.zeros((4, 4)),) + cert.elements[1:], (ppt,) * 4, None),
         disc.PovmCertificate((np.full((4, 4), np.nan),) + cert.elements[1:], cert.evidence, None),
     ]
@@ -709,3 +709,44 @@ def test_t2_decide_factors_each_vector_once(monkeypatch):
     phi = PureState(QUBIT_PAIR, u @ phi.amplitudes)
     basis = [PureState(QUBIT_PAIR, u @ s.amplitudes) for s in basis]
     _assert_each_vector_factored_once(monkeypatch, DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi), "T2")
+
+
+def test_product_phi_t1_decide_factors_each_vector_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    basis = random_product_basis(rng, S3)
+    inst = DiscriminationInstance.from_pure(S3, basis[1:], basis[0])
+    _assert_each_vector_factored_once(monkeypatch, inst, "T1")
+
+
+def test_t4_decide_factors_each_vector_once(monkeypatch):
+    phi, basis = _prefixed(*_family())
+    _assert_each_vector_factored_once(monkeypatch, DiscriminationInstance.from_pure(S3, basis, phi), "T4")
+
+
+def test_state_product_is_factored_once():
+    entangled_state = random_pure_state(np.random.default_rng(4), S3)
+    for state, entangled in ((entangled_state, True), (ket(S3, "010"), False)):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting(mp, "try_factor")
+            first = state.product
+            assert all(state.product is first for _ in range(3))
+        assert len(calls) == 1
+        assert (first is None) is entangled
+
+
+@pytest.mark.parametrize("build", ["t2", "t5"])
+def test_second_decide_factors_no_member_and_not_phi(monkeypatch, build):
+    if build == "t5":
+        inst = _ghz_type_t5_instance()
+    else:
+        phi, basis = _family()
+        inst = DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi)
+    first = decide(inst)
+    calls = _counting(monkeypatch, "try_factor")
+    second = decide(inst)
+    assert second.status is first.status is VerdictStatus.DISTINGUISHABLE
+    assert second.certificate.lambdas == first.certificate.lambdas
+    known = {s.amplitudes.tobytes() for s in inst.states + (inst.phi,)}
+    # only the pencil roots of a span, which are neither members nor phi,
+    # are factored again
+    assert not known & {np.asarray(args[0], dtype=complex).tobytes() for args in calls}

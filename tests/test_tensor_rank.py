@@ -145,7 +145,7 @@ def test_classify_product(rng):
         st = random_product_state(rng, S3)
         cls = schmidt2_classify(st)
         assert cls.kind is Schmidt2Kind.PRODUCT
-        assert cls.product is not None
+        assert st.product is not None
 
 
 def test_classify_ghz_type():
