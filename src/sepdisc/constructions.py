@@ -432,7 +432,7 @@ def _product_basis_through(a: ProductVector, b: ProductVector, space: StateSpace
         }
         shape = [dims[p] if p != ortho_party else 1 for p in range(k)]
         out = []
-        for flat in range(int(np.prod(shape))):
+        for flat in range(math.prod(shape)):
             idx = np.unravel_index(flat, shape)
             factors = [
                 sector_vec if p == ortho_party else cols[p][:, idx[p]] for p in range(k)

@@ -7,6 +7,7 @@ Functions accept stacked operands (leading batch axes) where noted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,7 @@ def partial_transpose(a: np.ndarray, dims, parties) -> np.ndarray:
         parties = (int(parties),)
     parties = tuple(parties)
     a = np.asarray(a)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if a.shape[-2:] != (d, d):
         raise DimensionMismatch(
             f"operator of shape {a.shape[-2:]} does not match total dimension {d}"

@@ -1,18 +1,22 @@
 """State-file and verdict-report serialization.
 
 A state file is a single self-describing JSON document with an explicit
-version field; complex amplitudes are always [re, im] pairs.  Reports
-round-trip losslessly (floats serialized via repr) and are byte-identical
+version field; complex amplitudes are always [re, im] pairs.  One writer
+lays out state files and reports as ``json.dumps`` does with an indent of 2;
+they round-trip losslessly (floats written via repr), and reports are byte-identical
 for identical inputs apart from the timestamp, which the digest excludes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -31,10 +35,6 @@ class StateFileData:
     states: list[tuple[str, PureState]]
     phi: tuple[str, PureState] | None = None
     warnings: list[str] = field(default_factory=list)
-
-
-def _vec_to_pairs(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in vec]
 
 
 def _pairs_to_vec(pairs, where: str) -> np.ndarray:
@@ -59,14 +59,11 @@ def serialize_statefile(space: StateSpace, states, phi=None) -> str:
     doc = {
         "version": FORMAT_VERSION,
         "dims": list(space.dims),
-        "states": [
-            {"name": name, "amplitudes": _vec_to_pairs(st.amplitudes)} for name, st in states
-        ],
+        "states": [{"name": name, "amplitudes": st.amplitudes} for name, st in states],
     }
     if phi is not None:
-        name, st = phi
-        doc["phi"] = {"name": name, "amplitudes": _vec_to_pairs(st.amplitudes)}
-    return json.dumps(doc, indent=2)
+        doc["phi"] = {"name": phi[0], "amplitudes": phi[1].amplitudes}
+    return _dump(doc)
 
 
 def parse_statefile(text: str) -> StateFileData:
@@ -129,7 +126,7 @@ def _evidence_to_json(ev) -> dict:
             "vectors": [
                 {
                     "weight": [float(pv.weight.real), float(pv.weight.imag)],
-                    "factors": [_vec_to_pairs(f) for f in pv.factors],
+                    "factors": pv.factors,
                 }
                 for pv in ev.vectors
             ],
@@ -144,19 +141,15 @@ def _evidence_to_json(ev) -> dict:
     return {"kind": "none"}
 
 
-def _matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [_vec_to_pairs(row) for row in m]
-
-
 def _dual_to_json(cert: DualCertificate) -> dict:
     """Every matrix of a dual certificate, as rows of [re, im] pairs, so
     that a reader can re-check it by hand."""
     return {
         "objective": cert.objective,
         "scale": cert.scale,
-        "y": _matrix_to_pairs(cert.y),
+        "y": cert.y,
         "z": [
-            [{"cut": list(cut), "matrix": _matrix_to_pairs(zk[c])} for c, cut in enumerate(cert.cuts)]
+            [{"cut": list(cut), "matrix": zk[c]} for c, cut in enumerate(cert.cuts)]
             for zk in cert.z
         ],
     }
@@ -197,7 +190,41 @@ def verdict_report(
         doc["dual_certificate"] = _dual_to_json(verdict.certificate)
     doc["residuals"] = _jsonable(verdict.diagnostics) or None
     doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return json.dumps(doc, indent=2)
+    return _dump(doc)
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs_layout(n: int, level: int) -> str:
+    """Indent-2 layout of n [re, im] pairs opened at nesting ``level``, a %r per float."""
+    pad = "\n" + "  " * level
+    return "[" + ",".join([f"{pad}  [{pad}    %r,{pad}    %r{pad}  ]"] * n) + pad + "]"
+
+
+def _dump(obj, level: int = 0) -> str:
+    """What ``json.dumps`` writes with an indent of 2, byte for byte, a complex
+    ndarray standing for its (rows of) [re, im] pairs; where json's indent
+    encoder formats each float in Python, a finite vector is one ``%``
+    against a cached layout."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and len(obj):
+            flat = np.ascontiguousarray(obj, dtype=complex).view(float).tolist()
+            text = _pairs_layout(len(obj), level) % tuple(flat)
+            if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
+                return text
+            obj = [flat[i : i + 2] for i in range(0, len(flat), 2)]
+        obj = list(obj)
+    if isinstance(obj, dict):
+        opening, closing, items = "{", "}", [f"{_quote(k)}: {_dump(v, level + 1)}" for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        opening, closing, items = "[", "]", [_dump(v, level + 1) for v in obj]
+    else:  # null, true, false, an int, NaN or +-Infinity; TypeError for anything else
+        return json.dumps(obj)
+    pad = "\n" + "  " * (level + 1)
+    return opening + pad + ("," + pad).join(items) + pad[:-2] + closing if items else opening + closing
 
 
 def _jsonable(obj):

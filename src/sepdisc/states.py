@@ -30,7 +30,7 @@ class StateSpace:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def nparties(self) -> int:
@@ -40,9 +40,9 @@ class StateSpace:
 QUBIT_PAIR = StateSpace((2, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit-norm complex amplitude vector over a StateSpace."""
+    """Unit-norm complex amplitude vector over a StateSpace; equal only to itself."""
 
     space: StateSpace
     amplitudes: np.ndarray = field(repr=False)
@@ -100,7 +100,7 @@ def ket(space: StateSpace, label: str) -> PureState:
     return basis_state(space, [int(c) for c in label])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscriminationInstance:
     """Orthogonal pure states (or support projectors) to be discriminated,
     with an optional declared residual state phi when they span {phi}^perp.

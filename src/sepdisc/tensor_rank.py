@@ -18,6 +18,7 @@ factors out entirely.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,7 +30,7 @@ from .linalg import kron_all
 from .states import PureState, StateSpace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductVector:
     """weight * (x) factors, one factor per party; factors may be unnormalized
     but, like the weight, must be finite and nonzero."""
@@ -82,7 +83,7 @@ def cut_matrix(vec: np.ndarray, dims: tuple[int, ...], left: tuple[int, ...]) ->
     right = tuple(p for p in range(k) if p not in left)
     t = np.asarray(vec).reshape(dims)
     t = np.transpose(t, left + right)
-    dl = int(np.prod([dims[p] for p in left]))
+    dl = math.prod(dims[p] for p in left)
     return t.reshape(dl, -1)
 
 

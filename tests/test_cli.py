@@ -6,9 +6,9 @@ import pytest
 
 from sepdisc.cli import main
 from sepdisc.discrimination import DiscriminationInstance, validate_certificate
-from sepdisc.sampling import random_unitary
+from sepdisc.sampling import random_product_basis, random_unitary
 from sepdisc.separability import DualCertificate
-from sepdisc.states import QUBIT_PAIR, PureState, phi_plus
+from sepdisc.states import QUBIT_PAIR, PureState, StateSpace, phi_plus
 from sepdisc.statefile import parse_statefile, serialize_statefile
 from tests.conftest import bell
 
@@ -271,15 +271,48 @@ class TestVerifyCommand:
         assert "checks passed" in out
 
 
+def _bell_report(tmp_path, capsys):
+    """A lambda certificate."""
+    path = write_states(
+        tmp_path,
+        "bell.json",
+        [("m1", bell("phi-")), ("m2", bell("psi+")), ("m3", bell("psi-"))],
+        ("phi", phi_plus()),
+    )
+    return run_cli(capsys, "decide", path)[1]
+
+
+def _product_3q_report(tmp_path, capsys):
+    """Product factors of every member."""
+    basis = random_product_basis(np.random.default_rng(5), StateSpace((2, 2, 2)))
+    path = write_states(tmp_path, "product.json", [(f"m{k}", s) for k, s in enumerate(basis)])
+    code, out, _ = run_cli(capsys, "decide", path)
+    assert code == 0
+    return out
+
+
+def _dim7_report(tmp_path, capsys):
+    """A PPT dual: 2-D Y and Z matrices."""
+    path = tmp_path / "dim7.json"
+    path.write_text(run_cli(capsys, "construct", "subspace", "dim7")[1])
+    code, out, _ = run_cli(capsys, "decide", str(path))
+    assert code == 1 and "dual_certificate" in json.loads(out)
+    return out
+
+
+def _family_statefile(tmp_path, capsys):
+    """A state file with phi."""
+    code, out, _ = run_cli(capsys, "construct", "family", "0.3", "0.4", "0.78")
+    assert code == 0
+    return out
+
+
 class TestReportFormat:
-    def test_report_round_trips_losslessly(self, tmp_path, capsys):
-        path = write_states(
-            tmp_path,
-            "bell.json",
-            [("m1", bell("phi-")), ("m2", bell("psi+")), ("m3", bell("psi-"))],
-            ("phi", phi_plus()),
-        )
-        _, out, _ = run_cli(capsys, "decide", path)
+    @pytest.mark.parametrize(
+        "produce", [_bell_report, _product_3q_report, _dim7_report, _family_statefile], ids=lambda f: f.__name__[1:]
+    )
+    def test_report_round_trips_losslessly(self, tmp_path, capsys, produce):
+        out = produce(tmp_path, capsys)
         parsed = json.loads(out)
         assert json.dumps(parsed, indent=2) == out.rstrip("\n")
 

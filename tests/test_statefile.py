@@ -1,0 +1,63 @@
+"""The state-file and report writer against its reference, json.dumps(indent=2)."""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from sepdisc.statefile import _dump
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e300, 5e-324])
+    | st.text()
+    | st.sampled_from(["", "\x00\x1f\x7f\"\\/", "\t\n\r\b\f", "é✓ \U0001f600", "\ud800"])
+)
+KEYS = st.text() | st.sampled_from(["", "\x00", "ключ", "\U0001f600"])
+DOCS = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(KEYS, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+def _pairs(a: np.ndarray) -> list:
+    """The [re, im] list form a complex array stands for."""
+    return [_pairs(row) for row in a] if a.ndim > 1 else [[z.real, z.imag] for z in a.tolist()]
+
+
+@st.composite
+def complex_arrays(draw):
+    """1-D and 2-D complex arrays, some with NaN or infinite entries, some
+    non-contiguous slices of a larger array."""
+    shape = draw(st.sampled_from([(0,), (1,), (3,), (8,), (0, 2), (2, 0), (2, 3), (4, 4)]))
+    big = tuple(2 * n for n in shape)
+    elements = st.complex_numbers(allow_nan=True, allow_infinity=True) | st.sampled_from([0j, complex(-0.0, 1.0)])
+    a = draw(hnp.arrays(np.complex128, big, elements=elements))
+    slicing = draw(st.sampled_from(["head", "strided", "transposed"]))
+    if slicing == "strided":
+        return a[tuple(slice(None, None, 2) for _ in big)]
+    if slicing == "transposed" and len(shape) == 2:
+        return a[: shape[1], : shape[0]].T
+    return a[tuple(slice(n) for n in shape)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCS)
+def test_writer_matches_json_dumps_indent_2(doc):
+    assert _dump(doc) == json.dumps(doc, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_arrays(), st.integers(min_value=0, max_value=3), DOCS)
+def test_complex_arrays_are_written_as_their_pairs(a, depth, sibling):
+    doc, ref = a, _pairs(a)
+    for _ in range(depth):  # the layout depends on the nesting level
+        doc, ref = {"x": [sibling, doc]}, {"x": [sibling, ref]}
+    assert _dump(doc) == json.dumps(ref, indent=2)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sepdisc.errors import DimensionMismatch, WrongSpace
 from sepdisc.sampling import random_pure_state, random_unitary
 from sepdisc.states import (
+    DiscriminationInstance,
     PureState,
     QUBIT_PAIR,
     StateSpace,
@@ -36,6 +37,22 @@ def test_pure_state_normalization_enforced():
         PureState(QUBIT_PAIR, np.array([1.0, 1.0, 0.0, 0.0]))
     st_ = PureState.normalized(QUBIT_PAIR, np.array([1.0, 1.0, 0.0, 0.0]))
     assert abs(np.linalg.norm(st_.amplitudes) - 1.0) < 1e-12
+
+
+def test_states_instances_and_product_vectors_compare_by_identity():
+    # their ndarray fields have no truth value, so field-wise == and hash()
+    # would raise; equal amplitudes do not make two objects the same
+    a, b = ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "01")
+    pairs = [
+        (a, b),
+        (DiscriminationInstance.from_pure(QUBIT_PAIR, [a]), DiscriminationInstance.from_pure(QUBIT_PAIR, [b])),
+        (a.product, b.product),
+    ]
+    for x, twin in pairs:
+        assert x == x and x != twin
+        assert x in [twin, x] and twin not in [x]
+        assert x in {x} and twin not in {x} and len({x, twin}) == 2
+        assert hash(x) == hash(x)
 
 
 def test_coeff_matrix_defining_case():
