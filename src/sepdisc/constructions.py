@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,13 +32,13 @@ from .states import (
     PureState,
     QUBIT_PAIR,
     StateSpace,
+    _pivoted_completion,
     basis_state,
     local_basis_containing,
     magic_basis,
     orthonormal_completion,
 )
 from .tensor_rank import (
-    ProductVector,
     Schmidt2Decomposition,
     Schmidt2Kind,
     cut_rank,
@@ -390,87 +391,46 @@ def verify_subspace_properties(spec: SubspaceSpec, tol: Tolerances = DEFAULT) ->
     return SubspaceReport(p0=p0, p1=p1, p2=p2)
 
 
-def _product_basis_through(a: ProductVector, b: ProductVector, space: StateSpace) -> list[PureState]:
-    """Complete two orthogonal product vectors to a full orthogonal product
-    basis.
-
-    Some party has orthogonal factors; a local basis on that party splits the
-    space into sectors, and each sector gets a product basis aligned with the
-    corresponding factors.
-    """
-    a = a.normalized()
-    b = b.normalized()
-    dims = space.dims
-    k = space.nparties
-    ortho_party = None
-    for p in range(k):
-        if abs(np.vdot(a.factors[p], b.factors[p])) < 1e-9:
-            ortho_party = p
-            break
-    if ortho_party is None:
-        raise WrongForm("the two product vectors are not orthogonal through any single party")
-
-    da = dims[ortho_party]
-    # local basis of the splitting party containing both orthogonal factors
-    local_cols = [a.factors[ortho_party], b.factors[ortho_party]]
-    completion = local_basis_containing(a.factors[ortho_party])
-    for j in range(completion.shape[1]):
-        v = completion[:, j]
-        for u in local_cols:
-            v = v - u * np.vdot(u, v)
-        n = np.linalg.norm(v)
-        if n > 1e-6:
-            local_cols.append(v / n)
-    if len(local_cols) != da:
-        raise WrongForm("local completion failed on the splitting party")
-
-    def _sector_basis(sector_vec: np.ndarray, anchors) -> list[PureState]:
-        cols = {
-            p: (np.eye(dims[p], dtype=complex) if anchors is None else local_basis_containing(anchors[p]))
-            for p in range(k)
-            if p != ortho_party
-        }
-        shape = [dims[p] if p != ortho_party else 1 for p in range(k)]
-        out = []
-        for flat in range(math.prod(shape)):
-            idx = np.unravel_index(flat, shape)
-            factors = [
-                sector_vec if p == ortho_party else cols[p][:, idx[p]] for p in range(k)
-            ]
-            out.append(PureState.normalized(space, kron_all(factors)))
-        return out
-
-    basis: list[PureState] = []
-    for j, lv in enumerate(local_cols):
-        anchors = a.factors if j == 0 else b.factors if j == 1 else None
-        basis.extend(_sector_basis(lv, anchors))
-    return basis
-
-
 def locc_basis_sch2(phi: PureState, tol: Tolerances = DEFAULT) -> list[PureState]:
     """Basis of {phi}^perp distinguishable by local projective measurements,
     for phi = cos(t) a + sin(t) b with a, b orthogonal products: the unique
     entangled member sin(t) a - cos(t) b plus the product completion of
     {a, b}."""
     cls = schmidt2_classify(phi, tol)
-    if cls.kind is not Schmidt2Kind.SCHMIDT2 or not cls.decomposition.orthogonal:
+    if cls.kind is not Schmidt2Kind.SCHMIDT2:
         raise WrongForm("state does not split into two orthogonal product terms")
     return _locc_basis(phi, cls.decomposition)
 
 
 def _locc_basis(phi: PureState, dec: Schmidt2Decomposition) -> list[PureState]:
-    """:func:`locc_basis_sch2` from the orthogonal decomposition phi = a + b."""
-    psi = PureState.normalized(phi.space, dec.complement())
-    a_hat, b_hat = dec.a.unit(), dec.b.unit()
-    full = _product_basis_through(dec.a, dec.b, phi.space)
-    others = [
-        st
-        for st in full
-        if abs(np.vdot(st.amplitudes, a_hat)) < 0.5 and abs(np.vdot(st.amplitudes, b_hat)) < 0.5
-    ]
-    if len(others) != phi.space.dim - 2:
-        raise WrongForm("product completion failed to produce the expected count")
-    return [psi] + others
+    """:func:`locc_basis_sch2` from the orthogonal decomposition phi = a + b.
+
+    On p, the first party where a and b split, their orthogonal factors and
+    the completion of those form a local basis that cuts the space into
+    sectors.  The sector of a's factor holds a product basis through a, that
+    of b's factor one through b, and every other sector a standard basis; a
+    and b, the first vectors of their sectors, are left out.
+    """
+    space, dims = phi.space, phi.space.dims
+    a, b = dec.a.normalized(), dec.b.normalized()
+    p = dec.split[0]
+    local = np.column_stack([a.factors[p], b.factors[p]])
+    local = np.column_stack([local, _pivoted_completion(local, dims[p])])
+    basis = [PureState.normalized(space, dec.complement())]
+    for j in range(dims[p]):
+        anchors = a.factors if j == 0 else b.factors if j == 1 else None
+        cols = [
+            local[:, j : j + 1] if q == p
+            else np.eye(d, dtype=complex) if anchors is None
+            else local_basis_containing(anchors[q])
+            for q, d in enumerate(dims)
+        ]
+        sector = [
+            PureState.normalized(space, kron_all([c[:, i] for c, i in zip(cols, idx)]))
+            for idx in itertools.product(*(range(c.shape[1]) for c in cols))
+        ]
+        basis.extend(sector[1:] if anchors is not None else sector)
+    return basis
 
 
 def sample_unitary_triples(rng: np.random.Generator, n: int) -> np.ndarray:

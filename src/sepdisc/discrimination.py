@@ -229,10 +229,11 @@ def _decide_concurrence_sum(phi: PureState, basis, dec: Schmidt2Decomposition, t
     embedded concurrences must sum to C(phi).  None when a and b are not
     the pair's Schmidt terms."""
     dims = phi.space.dims
-    # schmidt2_classify splits a two-party core by its SVD, so on the pair
-    # the factors of a and b are orthonormal Schmidt vectors and the weights
-    # the Schmidt coefficients; elsewhere a and b share the prefix factors
-    pair = [p for p, (fa, fb) in enumerate(zip(dec.a.factors, dec.b.factors)) if abs(np.vdot(fa, fb)) <= 1e-9]
+    # schmidt2_classify splits a two-party core by its SVD, so the pair is
+    # where a and b split: their factors there are orthonormal Schmidt
+    # vectors and their weights the Schmidt coefficients; elsewhere a and b
+    # share the prefix factors
+    pair = dec.split
     if len(pair) != 2:
         return None
     prefix = {p: f for p, f in enumerate(dec.a.factors) if p not in pair}
@@ -364,7 +365,7 @@ def subspace_verdict(phi: PureState, tol: Tolerances = DEFAULT) -> SubspaceVerdi
         raise PhiProduct("subspace question requires an entangled state")
     if cls.kind is Schmidt2Kind.AT_LEAST_3:
         return SubspaceVerdict(kind=SubspaceKind.NO_DISTINGUISHABLE_BASIS, classification=cls)
-    if cls.kind is Schmidt2Kind.SCHMIDT2 and cls.decomposition.orthogonal:
+    if cls.kind is Schmidt2Kind.SCHMIDT2:
         from .constructions import _locc_basis
 
         basis = tuple(_locc_basis(phi, cls.decomposition))
@@ -526,7 +527,7 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
 
     phi = instance.phi
     if phi is None and n == d - 1:
-        phi = orthonormal_completion(states, tol)[0]
+        phi = orthonormal_completion(states)[0]
 
     if phi is not None and n == d - 1:
         cls = schmidt2_classify(phi, tol)
@@ -555,7 +556,7 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
                     {"reason": cls.reason.value if cls.reason else None},
                 ),
             )
-        if cls.kind is Schmidt2Kind.SCHMIDT2 and cls.decomposition.orthogonal:
+        if cls.kind is Schmidt2Kind.SCHMIDT2:
             if cls.detail["entry_distance"] >= 3:
                 return _decide_unique_entangled_member(phi, states, cls.decomposition, tol)
             verdict = _decide_concurrence_sum(phi, states, cls.decomposition, tol)

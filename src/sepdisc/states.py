@@ -9,7 +9,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, InvalidInstance, WrongSpace
 from .linalg import hermitian_eig, maxabs
 
@@ -119,8 +118,7 @@ class DiscriminationInstance:
             raise InvalidInstance("need at least one state")
         if any(s.space != space for s in states) or (phi is not None and phi.space != space):
             raise InvalidInstance(f"every state must lie in the space with dims {space.dims}")
-        gram = np.array([[a.inner(b) for b in states] for a in states])
-        if maxabs(gram - np.eye(len(states))) > 1e-9:
+        if not _orthonormal_columns(np.column_stack([s.amplitudes for s in states])):
             raise InvalidInstance("states must be orthonormal within 1e-9")
         if phi is not None:
             if len(states) != space.dim - 1:
@@ -232,7 +230,13 @@ def magic_coords(psi: PureState) -> MagicBasisCoords:
     return MagicBasisCoords(lambdas=lam)
 
 
-def _pivoted_completion(seed_cols: np.ndarray, dim: int, tol: Tolerances) -> np.ndarray:
+def _orthonormal_columns(cols: np.ndarray) -> bool:
+    """Whether the columns are orthonormal within 1e-9 by one Gram product:
+    the one test of instances and completions, so an accepted instance completes."""
+    return maxabs(cols.conj().T @ cols - np.eye(cols.shape[1])) <= 1e-9
+
+
+def _pivoted_completion(seed_cols: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal completion of the given orthonormal columns.
 
     Gram-Schmidt seeded from the standard basis, pivoting on the largest
@@ -259,22 +263,21 @@ def _pivoted_completion(seed_cols: np.ndarray, dim: int, tol: Tolerances) -> np.
     return np.column_stack(out) if out else np.zeros((dim, 0), dtype=complex)
 
 
-def orthonormal_completion(states: list[PureState], tol: Tolerances = DEFAULT) -> list[PureState]:
+def orthonormal_completion(states: list[PureState]) -> list[PureState]:
     """Orthonormal basis of the orthogonal complement of the given states."""
     if not states:
         raise DimensionMismatch("need at least one state to complete")
     space = states[0].space
     cols = np.column_stack([s.amplitudes for s in states])
-    gram = cols.conj().T @ cols
-    if np.max(np.abs(gram - np.eye(len(states)))) > 1e-8:
-        raise DimensionMismatch("completion requires an orthonormal seed set")
-    comp = _pivoted_completion(cols, space.dim, tol)
+    if not _orthonormal_columns(cols):
+        raise DimensionMismatch("completion requires a seed set orthonormal within 1e-9")
+    comp = _pivoted_completion(cols, space.dim)
     return [PureState(space, comp[:, j]) for j in range(comp.shape[1])]
 
 
-def orthocomplement_basis(phi: PureState, tol: Tolerances = DEFAULT) -> list[PureState]:
+def orthocomplement_basis(phi: PureState) -> list[PureState]:
     """D-1 orthonormal states spanning {phi}^perp."""
-    return orthonormal_completion([phi], tol)
+    return orthonormal_completion([phi])
 
 
 def local_basis_containing(v: np.ndarray) -> np.ndarray:
@@ -282,5 +285,5 @@ def local_basis_containing(v: np.ndarray) -> np.ndarray:
     is the given unit vector."""
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
-    comp = _pivoted_completion(v[:, None], v.shape[0], DEFAULT)
+    comp = _pivoted_completion(v[:, None], v.shape[0])
     return np.column_stack([v] + [comp[:, j] for j in range(comp.shape[1])])

@@ -177,7 +177,7 @@ def try_factor(vec: np.ndarray, dims: tuple[int, ...]) -> ProductVector | None:
     return ProductVector(tuple(factors), w)
 
 
-def is_product(state: PureState, tol: Tolerances = DEFAULT) -> bool:
+def is_product(state: PureState) -> bool:
     return state.product is not None
 
 
@@ -319,10 +319,13 @@ class AtLeast3Reason(Enum):
 
 @dataclass(frozen=True)
 class Schmidt2Decomposition:
+    """phi = a + b with product a, b.  ``split`` lists the parties whose
+    factors of a and b are orthogonal, |<a_p|b_p>| <= 1e-9 |a_p| |b_p|; a and
+    b are orthogonal iff it is nonempty."""
+
     a: ProductVector
     b: ProductVector
-    orthogonal: bool
-    unique: bool
+    split: tuple[int, ...]
 
     def complement(self) -> np.ndarray:
         """sin(t) a_hat - cos(t) b_hat for phi = cos(t) a_hat + sin(t) b_hat:
@@ -394,18 +397,20 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
     positions = [p for p in range(k) if p not in fixed]
 
     def _finish(a: ProductVector, b: ProductVector) -> Schmidt2Class:
-        a_vec, b_vec = a.assemble(), b.assemble()
-        resid = float(np.linalg.norm(a_vec + b_vec - vec))
+        resid = float(np.linalg.norm(a.assemble() + b.assemble() - vec))
         if resid > 1e-9:
             return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"reassembly_residual": resid})
-        ov = abs(np.vdot(a_vec, b_vec))
-        orthogonal = ov <= 1e-9 * np.linalg.norm(a_vec) * np.linalg.norm(b_vec)
+        # two products are orthogonal exactly when some party's factors are
+        split = tuple(
+            p
+            for p, (fa, fb) in enumerate(zip(a.factors, b.factors))
+            if abs(np.vdot(fa, fb)) <= 1e-9 * np.linalg.norm(fa) * np.linalg.norm(fb)
+        )
+        dec = Schmidt2Decomposition(a=a, b=b, split=split)
         h = entry_distance(a, b, tol)
-        if orthogonal:
-            dec = Schmidt2Decomposition(a=a, b=b, orthogonal=True, unique=h >= 3)
+        if split:
             return Schmidt2Class(kind=Schmidt2Kind.SCHMIDT2, decomposition=dec, detail={"entry_distance": h})
         if h >= 3:
-            dec = Schmidt2Decomposition(a=a, b=b, orthogonal=False, unique=True)
             return Schmidt2Class(
                 kind=Schmidt2Kind.AT_LEAST_3,
                 reason=AtLeast3Reason.NONORTHOGONAL_UNIQUE,

@@ -327,7 +327,7 @@ def agreement_experiment(seed: int, n_bases: int, tol: Tolerances = DEFAULT) -> 
     )
 
 
-def check_concurrence_sum_grid(n: int = 20, tol: Tolerances = DEFAULT) -> CheckResult:
+def check_concurrence_sum_grid(n: int = 20) -> CheckResult:
     worst = 0.0
     count = 0
     alphas = np.linspace(0.03, math.pi / 4, n)
@@ -342,7 +342,7 @@ def check_concurrence_sum_grid(n: int = 20, tol: Tolerances = DEFAULT) -> CheckR
     return CheckResult("concurrence_sum_identity", worst < 1e-9, count, worst)
 
 
-def check_gamma_endpoints(n: int = 20, tol: Tolerances = DEFAULT) -> CheckResult:
+def check_gamma_endpoints(n: int = 20) -> CheckResult:
     ok = 0
     count = 0
     worst = 0.0
@@ -381,8 +381,8 @@ def check_sep_not_locc(seed: int, n_samples: int = 100, tol: Tolerances = DEFAUL
 def suite_theorem2(seed: int = 42, tol: Tolerances = DEFAULT, n_bases: int = 1000) -> list[CheckResult]:
     return [
         agreement_experiment(seed, n_bases, tol),
-        check_concurrence_sum_grid(20, tol),
-        check_gamma_endpoints(20, tol),
+        check_concurrence_sum_grid(20),
+        check_gamma_endpoints(20),
         check_sep_not_locc(seed + 5, 100, tol),
     ]
 

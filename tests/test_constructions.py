@@ -21,7 +21,7 @@ from sepdisc.constructions import (
     tetra_unitary,
     verify_subspace_properties,
 )
-from sepdisc.discrimination import VerdictStatus
+from sepdisc.discrimination import DiscriminationInstance, VerdictStatus, decide, validate_certificate
 from sepdisc.errors import (
     NotUnitary,
     ParamsOutOfRange,
@@ -29,7 +29,7 @@ from sepdisc.errors import (
     TargetsOutOfRange,
     WrongForm,
 )
-from sepdisc.states import PureState, QUBIT_PAIR, concurrence, ket, magic_basis
+from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, concurrence, ket, magic_basis
 from sepdisc.tensor_rank import is_product
 from tests.conftest import decide_with_phi, ghz_theta
 
@@ -295,6 +295,25 @@ class TestLoccBasis:
         ent = [s for s in basis if concurrence(s) > 1e-9]
         assert len(ent) == 1
         assert decide_with_phi(phi, basis).status is VerdictStatus.DISTINGUISHABLE
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3, 3), (3, 3, 2)])
+    def test_qutrit_splitting_party(self, dims):
+        # 0.6|00> + 0.8|11> on two qutrits, with a |+> prefix or suffix: the
+        # splitting party's local basis needs a completion vector
+        plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
+        pair = 0.6 * ket(StateSpace((3, 3)), "00").amplitudes + 0.8 * ket(StateSpace((3, 3)), "11").amplitudes
+        vec = {(3, 3): pair, (2, 3, 3): np.kron(plus, pair), (3, 3, 2): np.kron(pair, plus)}[dims]
+        phi = PureState.normalized(StateSpace(dims), vec)
+        basis = locc_basis_sch2(phi)
+        d = phi.space.dim
+        assert len(basis) == d - 1
+        cols = np.column_stack([s.amplitudes for s in basis + [phi]])
+        assert np.max(np.abs(cols.conj().T @ cols - np.eye(d))) < 1e-9
+        assert sum(not is_product(s) for s in basis) == 1
+        instance = DiscriminationInstance.from_pure(phi.space, basis, phi)
+        verdict = decide(instance)
+        assert verdict.status is VerdictStatus.DISTINGUISHABLE
+        assert validate_certificate(verdict.certificate, instance)["valid"]
 
     def test_wrong_form_rejected(self):
         from tests.conftest import w_state

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepdisc.errors import DimensionMismatch, WrongSpace
+from sepdisc.errors import DimensionMismatch, InvalidInstance, WrongSpace
 from sepdisc.sampling import random_pure_state, random_unitary
 from sepdisc.states import (
     DiscriminationInstance,
@@ -18,6 +18,7 @@ from sepdisc.states import (
     magic_basis,
     magic_coords,
     orthocomplement_basis,
+    orthonormal_completion,
     phi_plus,
     state_from_coeff_matrix,
 )
@@ -154,6 +155,22 @@ def test_orthocomplement_deterministic(rng):
     second = orthocomplement_basis(phi)
     for a, b in zip(first, second):
         assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+@pytest.mark.parametrize("overlap, accepted", [(5e-10, True), (5e-9, False)])
+def test_instances_and_completions_share_one_orthonormality_test(overlap, accepted):
+    # a set that an instance accepts must complete, and one it rejects must
+    # not: both test the same Gram matrix at 1e-9
+    first = ket(QUBIT_PAIR, "00")
+    second = PureState.normalized(QUBIT_PAIR, np.array([overlap, 1.0, 0.0, 0.0]))
+    if accepted:
+        DiscriminationInstance.from_pure(QUBIT_PAIR, [first, second])
+        assert len(orthonormal_completion([first, second])) == 2
+    else:
+        with pytest.raises(InvalidInstance):
+            DiscriminationInstance.from_pure(QUBIT_PAIR, [first, second])
+        with pytest.raises(DimensionMismatch):
+            orthonormal_completion([first, second])
 
 
 def test_ghz_helper(qubit3):

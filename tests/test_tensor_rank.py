@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from sepdisc.config import DEFAULT
-from sepdisc.errors import BadBipartition, NotIndependent
-from sepdisc.sampling import random_entangled_2x2, random_local_vector, random_product_state, random_pure_state
-from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket, phi_plus
+from sepdisc.constructions import locc_basis_sch2
+from sepdisc.discrimination import SubspaceKind, VerdictStatus, decide, subspace_verdict
+from sepdisc.errors import BadBipartition, NotIndependent, WrongForm
+from sepdisc.sampling import (
+    random_basis_of_complement,
+    random_entangled_2x2,
+    random_local_vector,
+    random_product_state,
+    random_pure_state,
+)
+from sepdisc.states import DiscriminationInstance, PureState, QUBIT_PAIR, StateSpace, ket, phi_plus
 from sepdisc.tensor_rank import (
     AtLeast3Reason,
     ProductVector,
@@ -152,8 +160,8 @@ def test_classify_ghz_type():
     for theta in np.linspace(0.15, math.pi / 2 - 0.15, 7):
         cls = schmidt2_classify(ghz_theta(S3, theta))
         assert cls.kind is Schmidt2Kind.SCHMIDT2
-        assert cls.decomposition.orthogonal
-        assert cls.decomposition.unique
+        assert cls.decomposition.split == (0, 1, 2)
+        assert cls.detail["entry_distance"] == 3
         total = cls.decomposition.a.assemble() + cls.decomposition.b.assemble()
         assert np.linalg.norm(total - ghz_theta(S3, theta).amplitudes) < 1e-9
 
@@ -173,6 +181,34 @@ def test_classify_nonorthogonal_unique():
         cls = schmidt2_classify(PureState.normalized(S3, vec))
         assert cls.kind is Schmidt2Kind.AT_LEAST_3
         assert cls.reason is AtLeast3Reason.NONORTHOGONAL_UNIQUE
+
+
+def _near_orthogonal_phi(eps: float) -> PureState:
+    """cos 0.7 |000> + sin 0.7 (eps|0> + |1>)^(x)3, normalized: a unique
+    two-term split whose terms overlap by eps^3 but whose factors overlap by
+    about eps on every party."""
+    v = np.array([eps, 1.0], dtype=complex)
+    vec = math.cos(0.7) * ket(S3, "000").amplitudes + math.sin(0.7) * np.kron(v, np.kron(v, v))
+    return PureState.normalized(S3, vec)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5])
+def test_classify_near_orthogonal_terms_split_on_no_party(eps):
+    # orthogonality is decided per party, within 1e-9, so the assembled
+    # overlap eps^3 <= 1e-9 does not make the terms orthogonal
+    phi = _near_orthogonal_phi(eps)
+    cls = schmidt2_classify(phi)
+    assert cls.kind is Schmidt2Kind.AT_LEAST_3
+    assert cls.reason is AtLeast3Reason.NONORTHOGONAL_UNIQUE
+    assert cls.decomposition.split == ()
+    assert subspace_verdict(phi).kind is SubspaceKind.NO_DISTINGUISHABLE_BASIS
+    with pytest.raises(WrongForm):
+        locc_basis_sch2(phi)
+    basis = random_basis_of_complement(np.random.default_rng(7), phi)
+    verdict = decide(DiscriminationInstance.from_pure(S3, basis, phi))
+    assert verdict.status is VerdictStatus.INDISTINGUISHABLE
+    assert verdict.theorem == "T6"
+    assert verdict.reason.code == "orthogonal_schmidt_number"
 
 
 def test_classify_2x2_never_at_least_3(rng):
