@@ -26,7 +26,6 @@ from .tensor_rank import (
     SchmidtInfo,
     SpanProducts,
     entry_distance,
-    is_product,
     product_vectors_in_span,
     schmidt2_classify,
     schmidt_decompose,

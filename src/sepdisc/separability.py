@@ -502,7 +502,8 @@ _WINDOW = 1.5
 # a block whose least violation lies within this of the level touches it at
 # its peak only
 _GRAZING = 1e-12
-_GOLDEN = (5.0**0.5 - 1.0) / 2.0
+# an eigenvalue gap up to this is a degeneracy, which adds no curvature
+_DEGENERATE_GAP = 1e-9
 
 
 class _PencilBlock:
@@ -525,23 +526,76 @@ def _violations(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return np.maximum(-lams, -low.min(axis=1))
 
 
+def _slopes(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> list[tuple[float, float, float, int]]:
+    """(v, v', v'', piece) of every block of the stacks at lams[k], from one
+    eigh call.  On the -lam piece (piece -1) the slope is -1 and the
+    curvature 0.  On the worst cut c, with A_c + lam B_c = sum_j w_j x_j x_j^H,
+    v = -w_0, v' = -x_0^H B_c x_0 and v'' = 2 sum_{j>0} |x_j^H B_c x_0|^2 /
+    (w_j - w_0) (Lewis & Overton, Acta Numerica 5 (1996) 149-190)."""
+    w, v = np.linalg.eigh(a + lams[:, None, None, None] * b)
+    rows, cut = np.arange(len(lams)), w[..., 0].argmin(axis=1)
+    w, v = w[rows, cut], v[rows, cut]
+    coupling = (dag(v) @ (b[rows, cut] @ v[:, :, :1]))[..., 0]  # x_j^H B_c x_0
+    gap = w[:, 1:] - w[:, :1]
+    terms = np.divide(np.abs(coupling[:, 1:]) ** 2, gap, out=np.zeros_like(gap), where=gap > _DEGENERATE_GAP)
+    on_lam = lams <= w[:, 0]
+    f = np.maximum(-lams, -w[:, 0])
+    g = np.where(on_lam, -1.0, -coupling[:, 0].real)
+    h = np.where(on_lam, 0.0, 2.0 * terms.sum(axis=1))
+    return list(zip(f.tolist(), g.tolist(), h.tolist(), np.where(on_lam, -1, cut).tolist()))
+
+
+def _next_lam(br: list) -> float:
+    """The next point of one open bracket of :func:`_peaks`, which records in
+    ``br`` whether it probes."""
+    lo, hi, (f0, g0, h0, p0), (f1, g1, h1, p1), width2, _, probed = br
+    half = _PEAK_WIDTH / 2.0
+    near_lo = abs(g0) <= abs(g1)
+    end, slope, curv = (lo, g0, h0) if near_lo else (hi, g1, h1)
+    step = -slope / curv if curv > 0.0 else np.inf
+    br[6] = abs(step) <= half and not probed
+    if br[6]:
+        return lo + half if near_lo else hi - half
+    if hi - lo > width2 / 2.0:
+        lam = (lo + hi) / 2.0
+    elif p0 == p1 and g1 - g0 <= 2.0 * max(h0, h1) * (hi - lo) and lo < end + step < hi:
+        lam = end + step
+    else:  # g0 < 0 < g1 on an open bracket
+        lam = (f1 - f0 + g0 * lo - g1 * hi) / (g0 - g1)
+    return min(max(lam, lo + half), hi - half)
+
+
 def _peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lam_peak, v_min) of every block: one golden-section search over the
-    whole stack, one eigenvalue call per step."""
-    lo = np.full(a.shape[0], _PEAK_BRACKET[0])
-    hi = np.full(a.shape[0], _PEAK_BRACKET[1])
-    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f1, f2 = _violations(a, b, x1), _violations(a, b, x2)
-    while hi[0] - lo[0] > _PEAK_WIDTH:
-        right = f1 > f2  # the minimum lies in [x1, hi]
-        lo = np.where(right, x1, lo)
-        hi = np.where(right, hi, x2)
-        new = np.where(right, lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
-        fn = _violations(a, b, new)
-        x1, x2 = np.where(right, x2, new), np.where(right, new, x1)
-        f1, f2 = np.where(right, f2, fn), np.where(right, fn, f1)
-    peaks = (lo + hi) / 2.0
-    return peaks, _violations(a, b, peaks)
+    """(lam_peak, v_min) of every block by a safeguarded Newton search on the
+    convex v_k, one eigh call (:func:`_slopes`) per step over the open brackets.
+
+    A bracket keeps v' < 0 at its lower end and v' > 0 at its upper end.  The
+    end with the smaller |v'| proposes a Newton step; a step of at most
+    _PEAK_WIDTH/2 probes just inside that end instead, which closes the
+    bracket (never twice in a row).  A bracket that two steps failed to halve
+    is bisected.  Ends on one piece whose curvature accounts for their change
+    of slope take the Newton step; ends on different pieces (two cuts cross,
+    -lam meets a cut, or the lowest eigenvalue is degenerate) take the point
+    where their tangents meet.  Points stay _PEAK_WIDTH/2 inside the bracket,
+    which closes at width _PEAK_WIDTH or less; the peak is its end with the
+    smaller v, so a monotone v peaks at the end of _PEAK_BRACKET it falls to.
+    """
+    n = len(a)
+    ends = _slopes(np.concatenate([a, a]), np.concatenate([b, b]), np.repeat(_PEAK_BRACKET, n))
+    # per block: lo, hi, (v, v', v'', piece) at each, the widths two steps and
+    # one step back, whether the last step probed; open while v'(lo) < 0 < v'(hi)
+    brackets = [[*_PEAK_BRACKET, at_lo, at_hi, np.inf, np.inf, False] for at_lo, at_hi in zip(ends[:n], ends[n:])]
+    while k := [j for j, br in enumerate(brackets) if br[1] - br[0] > _PEAK_WIDTH and br[2][1] < 0.0 < br[3][1]]:
+        lams = [_next_lam(brackets[j]) for j in k]
+        for j, lam, at in zip(k, lams, _slopes(a[k], b[k], np.array(lams))):
+            br = brackets[j]
+            br[4], br[5] = br[5], br[1] - br[0]
+            if at[1] <= 0.0:
+                br[0], br[2] = lam, at
+            if at[1] >= 0.0:
+                br[1], br[3] = lam, at
+    peaks = [br[1] if br[3][0] < br[2][0] else br[0] for br in brackets]
+    return np.array(peaks), np.array([min(br[2][0], br[3][0]) for br in brackets])
 
 
 def _intervals(a, b, peaks, vmins, level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -587,15 +641,16 @@ def _cut_duals(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
 def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> FeasibilityOutcome:
     """Exact decision when P0 = |w><w|.
 
-    PSD blocks summing to a rank-1 projector are forced to E_k = lam_k P0,
-    so the problem collapses to intervals of lam intersected with the
-    simplex.  A feasible point is verified by direct eigenvalue checks.  An
-    infeasible problem ends at a dual certificate whose Z bounds each
-    binding block just outside its binding end (:func:`_cut_duals`, at
-    _PEAK_WIDTH): an empty block takes both sides of its peak, so the
-    slopes cancel and Y = 0; floors summing above 1 take Y = +Pi, and
-    ceilings summing below 1 take Y = -Pi.  :func:`check_dual` decides
-    whether it proves infeasibility; when it does not, the outcome stalls.
+    PSD blocks summing to a rank-1 projector are forced to E_k = lam_k P0, so
+    the problem collapses to intervals of lam around each block's peak
+    (:func:`_peaks`, about ten eigh calls) intersected with the simplex.  A
+    feasible point is verified by direct eigenvalue checks.  An infeasible
+    problem ends at a dual certificate whose Z bounds each binding block just
+    outside its binding end (:func:`_cut_duals`, at _PEAK_WIDTH): an empty
+    block takes both sides of its peak, so the slopes cancel and Y = 0; floors
+    summing above 1 take Y = +Pi, and ceilings summing below 1 take Y = -Pi.
+    :func:`check_dual` decides whether it proves infeasibility; when it does
+    not, the outcome stalls.
     """
     projectors = instance.projector_list()
     n = len(projectors)

@@ -177,10 +177,6 @@ def try_factor(vec: np.ndarray, dims: tuple[int, ...]) -> ProductVector | None:
     return ProductVector(tuple(factors), w)
 
 
-def is_product(state: PureState) -> bool:
-    return state.product is not None
-
-
 def entry_distance(a: ProductVector, b: ProductVector, tol: Tolerances = DEFAULT) -> int:
     """Number of parties where the factors are not proportional (2x2 Gram
     rank per party)."""

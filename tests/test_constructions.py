@@ -30,7 +30,6 @@ from sepdisc.errors import (
     WrongForm,
 )
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, concurrence, ket, magic_basis
-from sepdisc.tensor_rank import is_product
 from tests.conftest import decide_with_phi, ghz_theta
 
 
@@ -104,8 +103,8 @@ class TestTargets:
 
     def test_zero_targets_product_basis(self):
         phi, basis = basis_for_targets(0.0, 0.0, 0.0)
-        assert is_product(phi)
-        assert all(is_product(s) for s in basis)
+        assert phi.product is not None
+        assert all(s.product is not None for s in basis)
         # product phi: the basis is trivially distinguishable through decide()
         from sepdisc.discrimination import DiscriminationInstance, decide
 
@@ -271,7 +270,7 @@ class TestLoccBasis:
         phi = ghz_theta(StateSpace((2, 2, 2)), math.pi / 6)
         basis = locc_basis_sch2(phi)
         assert len(basis) == 7
-        ent = [s for s in basis if not is_product(s)]
+        ent = [s for s in basis if s.product is None]
         assert len(ent) == 1
         expected = PureState.normalized(
             phi.space,
@@ -309,7 +308,7 @@ class TestLoccBasis:
         assert len(basis) == d - 1
         cols = np.column_stack([s.amplitudes for s in basis + [phi]])
         assert np.max(np.abs(cols.conj().T @ cols - np.eye(d))) < 1e-9
-        assert sum(not is_product(s) for s in basis) == 1
+        assert sum(s.product is None for s in basis) == 1
         instance = DiscriminationInstance.from_pure(phi.space, basis, phi)
         verdict = decide(instance)
         assert verdict.status is VerdictStatus.DISTINGUISHABLE

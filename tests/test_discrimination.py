@@ -47,7 +47,7 @@ from sepdisc.states import (
     orthonormal_completion,
     phi_plus,
 )
-from sepdisc.tensor_rank import is_product, proper_cuts, try_factor
+from sepdisc.tensor_rank import proper_cuts, try_factor
 from tests.conftest import bell, decide_with_phi, ghz_theta, w_state
 
 S3 = StateSpace((2, 2, 2))
@@ -261,7 +261,7 @@ class TestH3:
         v1, v2 = products[i].amplitudes, products[j].amplitudes
         mixed1 = PureState.normalized(S3, (v1 + v2) / math.sqrt(2))
         mixed2 = PureState.normalized(S3, (v1 - v2) / math.sqrt(2))
-        assert not is_product(mixed1)
+        assert mixed1.product is None
         tampered = [basis[0], mixed1, mixed2] + [
             s for k, s in enumerate(products) if k not in (i, j)
         ]

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from sepdisc.discrimination import DiscriminationInstance, VerdictStatus, decide
 from sepdisc.errors import PreconditionViolated
 from sepdisc.sampling import random_basis_of_complement, random_product_basis, random_pure_state, random_unitary
 from sepdisc.separability import (
+    _GRAZING,
+    _PEAK_BRACKET,
+    _PEAK_WIDTH,
     _intervals,
     _peaks,
     _PencilBlock,
@@ -203,18 +207,22 @@ def test_rank1_haar_margin_and_endpoints(dims, seed):
     _assert_exact_endpoints(*_stacks(instance), 0.0)
 
 
+def _tetra_interior_projectors(count=12):
+    """Projector triples of bases at seeded points strictly inside the
+    tetrahedron."""
+    rng = np.random.default_rng(7)
+    while count:
+        x = rng.uniform(0.05, 0.95, 3)
+        if x.sum() > 1.05 and np.all(x.sum() - 2 * x < 0.95):
+            count -= 1
+            yield [s.density() for s in basis_from_unitary(tetra_unitary(TetraPoint(*x)))]
+
+
 def test_rank1_tetrahedron_interior_projectors_get_duals():
     # strictly inside the tetrahedron every block grazes the boundary at its
     # peak lambda* and the lambda* do not sum to 1
-    rng = np.random.default_rng(7)
-    seen = 0
-    while seen < 12:
-        x = rng.uniform(0.05, 0.95, 3)
-        if not (x.sum() > 1.05 and np.all(x.sum() - 2 * x < 0.95)):
-            continue
-        seen += 1
-        basis = basis_from_unitary(tetra_unitary(TetraPoint(*x)))
-        _assert_rank1_dual([s.density() for s in basis], QUBIT_PAIR)
+    for projectors in _tetra_interior_projectors():
+        _assert_rank1_dual(projectors, QUBIT_PAIR)
 
 
 def test_rank1_dual_rejected_on_a_feasible_instance():
@@ -245,6 +253,110 @@ def test_rank1_family_feasible_with_valid_certificate(alpha, beta, frac):
     assert verdict.status is VerdictStatus.DISTINGUISHABLE
     assert verdict.diagnostics["path"] == "rank1-exact"
     assert validate_certificate(verdict.certificate, inst)["valid"]
+
+
+# -- the peak search: bracket ends, kinks, smooth minima, grazing, budget -----
+
+def _grid_vmin(a, b):
+    """The least v of one (C, d, d) block on a 201-point grid over
+    _PEAK_BRACKET, refined eight times around its best point: for a convex v
+    the two neighbours of the best grid point bracket the peak."""
+    lo, hi = _PEAK_BRACKET
+    for _ in range(8):
+        lams = np.linspace(lo, hi, 201)
+        v = _violations(a[None], b[None], lams)
+        i = int(v.argmin())
+        lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, 200)]
+    return v[i]
+
+
+def _assert_peak_matches_grid(a, b):
+    """The search on a one-block stack, with RuntimeWarnings raised, against
+    the grid; returns the peak."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        peaks, vmins = _peaks(a[None], b[None])
+    assert abs(vmins[0] - _grid_vmin(a, b)) <= 1e-12
+    assert abs(vmins[0] - _violations(a[None], b[None], peaks)[0]) <= 1e-14  # v at the peak
+    return peaks[0]
+
+
+def _worst_cut(a, b, lam):
+    return int(np.linalg.eigvalsh(a + lam * b)[:, 0].argmin())
+
+
+@pytest.mark.parametrize("sign, end", [(-1.0, _PEAK_BRACKET[0]), (1.0, _PEAK_BRACKET[1])])
+def test_peak_at_each_bracket_end(sign, end):
+    # A = -I/2: with B = -I, v = 1/2 + lam rises across the bracket; with
+    # B = +I, v = 1/2 - lam falls across it
+    a, b = -0.5 * np.eye(2)[None], sign * np.eye(2)[None]
+    assert _assert_peak_matches_grid(a, b) == end
+
+
+def test_peak_at_a_kink_of_minus_lam_and_one_cut():
+    # one curved cut rising through the falling -lam piece
+    a = np.array([[[0.3, 0.2], [0.2, 0.7]]], dtype=complex)
+    b = -np.diag([1.0, 0.5]).astype(complex)[None]
+    peak = _assert_peak_matches_grid(a, b)
+    assert 0.0 < peak < 0.3
+    low = np.linalg.eigvalsh(a + peak * b)[:, 0].min()
+    assert abs(peak - low) <= 1e-12  # -lam and the cut meet at the peak
+
+
+def test_peak_at_a_kink_of_two_cuts():
+    # a 2x2x2 Haar block whose worst cut changes at its peak
+    a, b, peaks, _ = _stacks(_haar_rank1((2, 2, 2), 2))
+    k = 2
+    assert _worst_cut(a[k], b[k], peaks[k] - 1e-7) != _worst_cut(a[k], b[k], peaks[k] + 1e-7)
+    assert _assert_peak_matches_grid(a[k], b[k]) == peaks[k]
+
+
+def test_peak_at_a_smooth_minimum():
+    # a 2x3 Haar block whose one cut has a simple lowest eigenvalue at its
+    # interior peak, where -lam is not active
+    a, b, peaks, vmins = _stacks(_haar_rank1((2, 3), 0))
+    k = 1
+    w = np.linalg.eigvalsh(a[k, 0] + peaks[k] * b[k, 0])
+    assert w[1] - w[0] > 0.1 and vmins[k] > -peaks[k]
+    assert _PEAK_BRACKET[0] < _assert_peak_matches_grid(a[k], b[k]) < _PEAK_BRACKET[1]
+
+
+def _grazing_cases():
+    for alpha, beta, frac in [(0.2, 0.5, 0.0), (0.3, 0.4, 0.3), (0.1, 0.7, 0.7), (0.3, 0.4, 1.0), (0.25, 0.45, 0.5)]:
+        lo, hi = gamma_range(alpha, beta)
+        _, basis = family_sep_not_locc(FamilyParams(alpha, beta, lo + frac * (hi - lo)))
+        yield [s.density() for s in basis]
+    yield from _tetra_interior_projectors()
+
+
+@pytest.mark.parametrize("projectors", list(_grazing_cases()))
+def test_grazing_blocks_keep_their_peak_alone(projectors):
+    # rank-1 family and tetrahedron-interior blocks touch v = 0 at their peak
+    # only; the peak must sit within _PEAK_WIDTH of that kink, or the dual
+    # built at lows - _PEAK_WIDTH lands on the wrong side of it
+    a, b, peaks, vmins = _stacks(DiscriminationInstance.from_projectors(QUBIT_PAIR, projectors))
+    assert np.all(vmins <= _GRAZING)
+    lows, highs = _intervals(a, b, peaks, vmins, 0.0)
+    assert np.array_equal(lows, peaks) and np.array_equal(highs, peaks)
+    for side in (-_PEAK_WIDTH, _PEAK_WIDTH):
+        assert np.all(_violations(a, b, peaks + side) > vmins)
+
+
+def test_rank1_solve_eigen_budget(monkeypatch):
+    # a fixed-step search over the stack would take dozens of calls
+    instance = _haar_rank1((2, 2, 2), 3)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    out = feasibility_solve(instance)
+    assert out.diagnostics["path"] == "rank1-exact" and out.dual is not None
+    assert 0 < len(calls) <= 30
 
 
 def test_constraint_residual_vanishes_at_completability_point():

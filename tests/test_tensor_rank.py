@@ -21,7 +21,6 @@ from sepdisc.tensor_rank import (
     Schmidt2Kind,
     cut_matrix,
     entry_distance,
-    is_product,
     peel_parties,
     product_vectors_in_span,
     schmidt2_classify,
@@ -254,10 +253,10 @@ def test_lemma3_uniqueness_property(rng):
 
 def test_is_product_and_try_factor(rng):
     st = random_product_state(rng, S3)
-    assert is_product(st)
+    assert st.product is not None
     pv = try_factor(st.amplitudes, S3.dims)
     assert np.linalg.norm(pv.assemble() - st.amplitudes) < 1e-10
-    assert not is_product(w_state(S3))
+    assert w_state(S3).product is None
 
 
 def test_peel_parties_prefix_times_pair():
