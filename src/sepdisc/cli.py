@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -101,6 +102,17 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _emit(text: str) -> None:
+    """Print to stdout; when the reader has closed the pipe (``| head``),
+    the rest of the output is dropped without a traceback."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def cmd_decide(args, tol) -> int:
     try:
         text = _read_text(args.file)
@@ -133,7 +145,7 @@ def cmd_decide(args, tol) -> int:
             "difference_combinations_need_three_products": report.p2.passed,
         }
         verdict = dataclasses.replace(verdict, diagnostics=diagnostics)
-    print(verdict_report(verdict, text, [name for name, _ in data.states]))
+    _emit(verdict_report(verdict, text, [name for name, _ in data.states]))
     return EXIT_BY_STATUS[verdict.status]
 
 
@@ -165,7 +177,7 @@ def cmd_construct(args, tol) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     named = [(f"psi{k+1}", st) for k, st in enumerate(basis)]
-    print(serialize_statefile(basis[0].space, named, None if phi is None else ("phi", phi)))
+    _emit(serialize_statefile(basis[0].space, named, None if phi is None else ("phi", phi)))
     return 0
 
 
@@ -197,7 +209,7 @@ def cmd_sweep(args, tol) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    print(f"wrote {len(rows)} rows to {args.output}")
+    _emit(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
 
@@ -211,9 +223,9 @@ def cmd_verify(args, tol) -> int:
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         extra = f"  {r.detail}" if r.detail else ""
-        print(f"[{mark}] {r.name}: count={r.count} worst={r.worst:.3e}{extra}")
+        _emit(f"[{mark}] {r.name}: count={r.count} worst={r.worst:.3e}{extra}")
         failures += int(not r.passed)
-    print(f"{len(results) - failures}/{len(results)} checks passed")
+    _emit(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 
 

@@ -24,10 +24,8 @@ class Tolerances:
     hermiticity: float = 1e-8
     # angular tolerance for the anti-parallel eigenvalue test (radians)
     angular: float = 1e-8
-    # concurrence-sum identity in the three-state deciders
+    # Σλ = 1 identity
     concurrence_sum: float = 1e-8
-    # state matching in the unique-entangled-member decider
-    match_phase: float = 1e-8
     # feasibility solver: success threshold on the max constraint violation,
     # and the relative margin by which a dual certificate's objective must
     # be negative (both solver paths end at one or the other, or undecided)

@@ -1,16 +1,17 @@
 """Deciders for perfect discrimination by separable operations.
 
 The dispatcher :func:`decide` routes an instance to the sharpest applicable
-analytic decider (the full-span criterion, every member's projector
-separable, for pure states or projectors; for D-1 states, by the
-classification of the residual state phi, the concurrence-sum decider for a
-product prefix times an entangled pair, of which 2x2 is the empty-prefix
-case, or the unique-entangled-member decider) and falls back to the PSD+PPT
-feasibility solver.  Distinguishable verdicts carry a POVM
-certificate, and solver verdicts of indistinguishability a dual
-certificate, whose validity is re-checkable independently of the decider
-that produced it.  Every POVM element outside the rank-2 lemma's own
-certificates gets its evidence from one rule,
+analytic decider and falls back to the PSD+PPT feasibility solver.  The full
+span is distinguishable iff every member's projector is separable.  D-1
+states are decided by the classification of the residual state phi: a
+product phi admits only product members, a phi needing three orthogonal
+product terms no distinguishable basis, and any other phi, in every
+dimension, goes to one lambda rule (:func:`separable_lambdas`): every
+element is forced to |psi_k><psi_k| + lambda_k |phi><phi| with sum_k
+lambda_k = 1.  Distinguishable verdicts carry a POVM certificate, and
+solver verdicts of indistinguishability a dual certificate, whose validity
+is re-checkable independently of the decider that produced it.  Every POVM
+element outside the lambda certificates gets its evidence from one rule,
 :func:`~sepdisc.separability.element_separability`.
 """
 
@@ -31,29 +32,19 @@ from .separability import (
     PptRecord,
     SepStatus,
     _worst_pt,
-    antiparallel_test,
     check_dual,
     constraint_residual,
     element_separability,
     feasibility_solve,
     ppt_is_exact,
-    rank2_separability,
 )
 from .states import (
-    QUBIT_PAIR,
     DiscriminationInstance,
     PureState,
     concurrence,
     orthonormal_completion,
 )
-from .tensor_rank import (
-    Schmidt2Decomposition,
-    Schmidt2Kind,
-    cut_matrix,
-    peel_parties,
-    proper_cuts,
-    schmidt2_classify,
-)
+from .tensor_rank import ProductVector, Schmidt2Kind, proper_cuts, schmidt2_classify
 
 
 class VerdictStatus(Enum):
@@ -184,163 +175,86 @@ def validate_certificate(
     }
 
 
-def _lambda_certificate(
-    basis, phi: PureState, lambdas, theorem: str, tol: Tolerances,
-    locc_flag: LoccFlag = LoccFlag.UNKNOWN, diagnostics=None,
-) -> Verdict:
+def _lambda_certificate(basis, phi: PureState, lambdas, decompositions, theorem: str, locc_flag=LoccFlag.UNKNOWN) -> Verdict:
     """The certificate E_k = |psi_k><psi_k| + lambda_k |phi><phi|, each
-    element shown separable by the rank-2 lemma; every state's product
-    factorization is read from its cache, so a member or phi the decider
-    already factored is not factored again."""
-    p_phi = phi.density()
-    elements = []
-    evidence = []
-    for k, (psi, lam) in enumerate(zip(basis, lambdas)):
-        r2 = rank2_separability(psi, phi, lam, tol)
-        if r2.verdict.status is not SepStatus.SEPARABLE:
-            return Verdict(
-                status=VerdictStatus.UNDECIDED,
-                theorem=theorem,
-                reason=Reason(
-                    "internal_inconsistency",
-                    f"analytic conditions hold but certificate element {k} failed its separability check",
-                    {"member": k, "lambda": lam},
-                ),
-                locc_flag=locc_flag,
-            )
-        elements.append(psi.density() + lam * p_phi)
-        evidence.append(r2.verdict.evidence)
-    cert = PovmCertificate(tuple(elements), tuple(evidence), tuple(lambdas))
-    return Verdict(
-        status=VerdictStatus.DISTINGUISHABLE,
-        theorem=theorem,
-        certificate=cert,
-        locc_flag=locc_flag,
-        diagnostics=diagnostics or {},
-    )
+    element with the product decomposition the decider found for it, which
+    must reassemble the element within the validator's 1e-8."""
+    elements = [psi.density() + lam * phi.density() for psi, lam in zip(basis, lambdas)]
+    for k, (element, dec) in enumerate(zip(elements, decompositions)):
+        if not dec.residual(element) <= 1e-8:
+            message = f"analytic conditions hold but certificate element {k} failed its separability check"
+            reason = Reason("internal_inconsistency", message, {"member": k, "lambda": lambdas[k]})
+            return Verdict(status=VerdictStatus.UNDECIDED, theorem=theorem, reason=reason, locc_flag=locc_flag)
+    cert = PovmCertificate(tuple(elements), tuple(decompositions), tuple(lambdas))
+    return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem=theorem, certificate=cert, locc_flag=locc_flag)
 
 
-def _decide_concurrence_sum(phi: PureState, basis, dec: Schmidt2Decomposition, tol: Tolerances) -> Verdict | None:
-    """Concurrence-sum decider for a residual state that is a product prefix
-    times a bipartite entangled pair, read from its two-term decomposition
-    phi = a + b with entry distance 2; on 2x2 the prefix is empty.  Every
-    entangled member must share the prefix, embed in the pair's 2x2 Schmidt
-    subspace and pass the anti-parallel eigenvalue test there, and the
-    embedded concurrences must sum to C(phi).  None when a and b are not
-    the pair's Schmidt terms."""
+# a root is a product vector when every single-party cut has a singular-value
+# tail ||s[1:]|| of at most this times ||s||, its norm: try_factor's test
+_PRODUCT_TAIL = 1e-9
+
+
+def separable_lambdas(phi: PureState, members, tol: Tolerances = DEFAULT):
+    """For an entangled phi and members orthogonal to it: per member, the one
+    lambda >= 0 at which E = |psi><psi| + lambda |phi><phi| is separable, or
+    None; and a function that builds member k's E's product decomposition.
+
+    A product member has lambda = 0.  The span of an entangled member holds
+    at most two product directions a = psi + z1 phi and b = psi + z2 phi, and
+    E = ((|z2|^2 + lambda) |a><a| + (|z1|^2 + lambda) |b><b|) / |z1 - z2|^2
+    at lambda* = -conj(z1) z2 alone, where the cross terms cancel; it counts
+    when real and positive, within ``tol.angular`` in phase (which puts z1
+    and z2 on opposite rays, so they are distinct).  z1, z2 solve one 2x2
+    minor of the single-party cut matrices of psi + z phi, the one whose
+    leading coefficient, a minor of phi, is largest; one batched SVD per cut
+    verifies them.
+    """
     dims = phi.space.dims
-    # schmidt2_classify splits a two-party core by its SVD, so the pair is
-    # where a and b split: their factors there are orthonormal Schmidt
-    # vectors and their weights the Schmidt coefficients; elsewhere a and b
-    # share the prefix factors
-    pair = dec.split
-    if len(pair) != 2:
-        return None
-    prefix = {p: f for p, f in enumerate(dec.a.factors) if p not in pair}
-    left = np.column_stack([dec.a.factors[pair[0]], dec.b.factors[pair[0]]])
-    right = np.column_stack([dec.a.factors[pair[1]], dec.b.factors[pair[1]]])
-    phi_emb = PureState.normalized(QUBIT_PAIR, [dec.a.weight, 0.0, 0.0, dec.b.weight])
-    c_phi = concurrence(phi_emb)
-    if dims != (2, 2):
-        theorem = "T4"
-    else:
-        theorem = "C2" if c_phi > 1.0 - 1e-8 else "T2"
+    lambdas: list = [0.0 if psi.product is not None else None for psi in members]
+    entangled = [k for k, lam in enumerate(lambdas) if lam is None]
+    m = len(entangled)
+    if m:
+        # the (p | rest) cut matrices of phi (row 0) and of every entangled
+        # member; those of psi + z phi follow from them linearly
+        stack = np.stack([phi.amplitudes] + [members[k].amplitudes for k in entangled]).reshape(-1, *dims)
+        cuts = [np.moveaxis(stack, p + 1, 1).reshape(m + 1, d, -1) for p, d in enumerate(dims)]
+        # the largest minor b[i1, j1] b[i2, j2] - b[i1, j2] b[i2, j1] of phi's cut matrices b
+        best = (0.0,)
+        for c in cuts:
+            b = c[0]
+            minors = b[:, None, :, None] * b[None, :, None, :] - b[:, None, None, :] * b[None, :, :, None]
+            at = np.unravel_index(np.abs(minors).argmax(), minors.shape)
+            if abs(minors[at]) > abs(best[0]):
+                best = (minors[at], c, at)
+        c2, c, (i1, i2, j1, j2) = best
+        a, b = c[1:], c[0]
+        c1 = a[:, i1, j1] * b[i2, j2] + b[i1, j1] * a[:, i2, j2] - a[:, i1, j2] * b[i2, j1] - b[i1, j2] * a[:, i2, j1]
+        c0 = a[:, i1, j1] * a[:, i2, j2] - a[:, i1, j2] * a[:, i2, j1]
+        root = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        q = -(c1 + np.where((c1.conj() * root).real < 0.0, -root, root)) / 2.0
+        z = np.concatenate([q / c2, np.divide(c0, q, out=np.zeros_like(q), where=q != 0)])
 
-    def embed(psi: PureState) -> tuple[bool, PureState | None]:
-        """Whether the member carries the prefix, and its state in the
-        pair's Schmidt basis when it stays inside that 2x2 subspace."""
-        # the prefix factors only need to agree up to phase: the embedded
-        # state feeds the concurrence and the anti-parallel test alone
-        peeled = peel_parties(psi.amplitudes, dims, list(prefix), tol)
-        if peeled is None or any(abs(np.vdot(f, prefix[p])) < 1.0 - 1e-9 for p, f in peeled[0].items()):
-            return False, None
-        _, core, core_dims = peeled
-        coeff = left.conj().T @ cut_matrix(core, core_dims, (0,)) @ right.conj()
-        if abs(np.linalg.norm(coeff) - 1.0) > 1e-8:
-            return True, None
-        return True, PureState.normalized(QUBIT_PAIR, coeff.reshape(4))
+        # ||s|| of any cut matrix is the norm of its vector
+        product = np.ones(2 * m, dtype=bool)
+        factors = []
+        for c in cuts:
+            u, sv, _ = np.linalg.svd(np.concatenate([c[1:], c[1:]]) + z[:, None, None] * c[0], full_matrices=False)
+            norms2 = (sv * sv).sum(axis=1)
+            product &= (sv[:, 1:] ** 2).sum(axis=1) <= _PRODUCT_TAIL**2 * norms2
+            factors.append(u[:, :, 0])
+        lam = -z[:m].conj() * z[m:]
+        for i in np.flatnonzero(product[:m] & product[m:] & (lam.real > 0.0) & (np.abs(np.angle(lam)) < tol.angular)):
+            lambdas[entangled[i]] = float(lam[i].real)
 
-    members = [embed(psi) for psi in basis]
-    # embedded concurrence of each member, 0.0 for product members
-    cs = [0.0 if emb is None else concurrence(emb) for _, emb in members]
-    # cited sufficient condition: two or more entangled members of a 2x2
-    # basis cannot be told apart by LOCC
-    if dims == (2, 2) and sum(c > tol.rank for c in cs) >= 2:
-        flag = LoccFlag.LOCC_INDISTINGUISHABLE
-    else:
-        flag = LoccFlag.UNKNOWN
+    def decomposition(k: int) -> ProductDecomposition:
+        if members[k].product is not None:
+            return ProductDecomposition((1.0,), (members[k].product,))
+        i = entangled.index(k)
+        lam_k, gap = lambdas[k], abs(z[i] - z[m + i]) ** 2
+        weights = tuple(float(norms2[j] * (abs(z[o]) ** 2 + lam_k) / gap) for j, o in ((i, m + i), (m + i, i)))
+        return ProductDecomposition(weights, tuple(ProductVector(tuple(f[j] for f in factors)) for j in (i, m + i)))
 
-    def reject(code: str, message: str, data: dict) -> Verdict:
-        return Verdict(
-            status=VerdictStatus.INDISTINGUISHABLE, theorem=theorem, reason=Reason(code, message, data), locc_flag=flag
-        )
-
-    for j, (psi, (shares_prefix, emb)) in enumerate(zip(basis, members)):
-        if emb is None and psi.product is None:
-            if shares_prefix:
-                return reject(
-                    "embedding_failed",
-                    f"entangled member {j} leaves the 2x2 subspace spanned by the residual pair",
-                    {"member": j},
-                )
-            return reject(
-                "prefix_mismatch",
-                f"entangled member {j} does not carry the residual state's product prefix",
-                {"member": j},
-            )
-        if cs[j] <= tol.rank:
-            cs[j] = 0.0
-            continue
-        res = antiparallel_test(emb, phi_emb, tol)
-        if not res.passed:
-            return reject(
-                "antiparallel_failed",
-                f"member {j} fails the anti-parallel eigenvalue condition",
-                {"member": j, "angle_defect": res.angle_defect},
-            )
-
-    total = float(sum(cs))
-    if abs(total - c_phi) > tol.concurrence_sum:
-        return reject(
-            "concurrence_sum",
-            f"concurrence sum {total:.9f} != {c_phi:.9f}",
-            {"sum": total, "c_phi": c_phi, "concurrences": cs},
-        )
-    lambdas = tuple(c / c_phi for c in cs)
-    return _lambda_certificate(basis, phi, lambdas, theorem, tol, flag, {"concurrences": cs, "c_phi": c_phi})
-
-
-def _decide_unique_entangled_member(phi: PureState, basis, dec: Schmidt2Decomposition, tol: Tolerances) -> Verdict:
-    """Decider when the residual state splits into two orthogonal product
-    vectors differing in three or more parties: the basis must contain the
-    unique complementary entangled state and otherwise products."""
-    candidate = dec.complement()
-    ent_indices = [j for j, s in enumerate(basis) if s.product is None]
-    if len(ent_indices) != 1:
-        return Verdict(
-            status=VerdictStatus.INDISTINGUISHABLE,
-            theorem="T5",
-            reason=Reason(
-                "entangled_count",
-                f"basis has {len(ent_indices)} entangled members; exactly one is required",
-                {"count": len(ent_indices)},
-            ),
-        )
-    j = ent_indices[0]
-    match = abs(np.vdot(candidate, basis[j].amplitudes))
-    if match < 1.0 - tol.match_phase:
-        return Verdict(
-            status=VerdictStatus.INDISTINGUISHABLE,
-            theorem="T5",
-            reason=Reason(
-                "wrong_entangled_member",
-                "the entangled member is not the complementary superposition of the residual pair",
-                {"overlap": float(match)},
-            ),
-        )
-
-    lambdas = tuple(1.0 if i == j else 0.0 for i in range(len(basis)))
-    return _lambda_certificate(basis, phi, lambdas, "T5", tol)
+    return lambdas, decomposition
 
 
 class SubspaceKind(Enum):
@@ -544,8 +458,9 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
                             {"member": j},
                         ),
                     )
-            lambdas = [1.0] + [0.0] * (n - 1)
-            return _lambda_certificate(states, phi, lambdas, "T1", tol)
+            decompositions = [ProductDecomposition((1.0,), (s.product,)) for s in states]
+            decompositions[0] = ProductDecomposition((1.0, 1.0), (states[0].product, phi.product))
+            return _lambda_certificate(states, phi, [1.0] + [0.0] * (n - 1), decompositions, "T1")
         if cls.kind is Schmidt2Kind.AT_LEAST_3:
             return Verdict(
                 status=VerdictStatus.INDISTINGUISHABLE,
@@ -556,16 +471,31 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
                     {"reason": cls.reason.value if cls.reason else None},
                 ),
             )
-        if cls.kind is Schmidt2Kind.SCHMIDT2:
-            if cls.detail["entry_distance"] >= 3:
-                return _decide_unique_entangled_member(phi, states, cls.decomposition, tol)
-            verdict = _decide_concurrence_sum(phi, states, cls.decomposition, tol)
-            if verdict is not None:
-                return verdict
-        return Verdict(
-            status=VerdictStatus.UNDECIDED,
-            theorem="T6",
-            reason=Reason("classification_undecided", "the residual state's product structure could not be settled", {}),
-        )
+        if cls.kind is Schmidt2Kind.UNDECIDED:
+            theorem = "T1"
+        elif cls.detail["entry_distance"] >= 3:
+            theorem = "T5"
+        elif space.dims != (2, 2):
+            theorem = "T4"
+        else:
+            theorem = "C2" if concurrence(phi) > 1.0 - 1e-8 else "T2"
+        # cited sufficient condition: two or more entangled members of a 2x2
+        # basis cannot be told apart by LOCC
+        two_entangled = space.dims == (2, 2) and sum(concurrence(s) > tol.rank for s in states) >= 2
+        flag = LoccFlag.LOCC_INDISTINGUISHABLE if two_entangled else LoccFlag.UNKNOWN
+        # every POVM element is forced to |psi_k><psi_k| + lambda_k |phi><phi|
+        # with sum_k lambda_k = 1
+        lambdas, decomposition = separable_lambdas(phi, states, tol)
+        total = sum(lam for lam in lambdas if lam is not None)
+        if None in lambdas:
+            j = lambdas.index(None)
+            message = f"entangled member {j} has no lambda at which its POVM element is separable"
+            reason = Reason("no_separable_lambda", message, {"member": j})
+        elif abs(total - 1.0) > tol.concurrence_sum:
+            reason = Reason("lambda_sum", f"lambda sum {total:.9f} != 1", {"sum": total, "lambdas": lambdas})
+        else:
+            decompositions = [decomposition(k) for k in range(n)]
+            return _lambda_certificate(states, phi, lambdas, decompositions, theorem, flag)
+        return Verdict(status=VerdictStatus.INDISTINGUISHABLE, theorem=theorem, reason=reason, locc_flag=flag)
 
     return _decide_feasibility(instance, tol, max_iterations)

@@ -500,8 +500,10 @@ _PEAK_BRACKET = (-0.05, 1.05)
 _PEAK_WIDTH = 1e-13
 _WINDOW = 1.5
 # a block whose least violation lies within this of the level touches it at
-# its peak only
+# its peak only; one within this of 0 takes its interval at _GRAZING_LEVEL,
+# a tenth of the eigenvalue floor a certificate may show
 _GRAZING = 1e-12
+_GRAZING_LEVEL = 1e-10
 # an eigenvalue gap up to this is a degeneracy, which adds no curvature
 _DEGENERATE_GAP = 1e-9
 
@@ -598,9 +600,9 @@ def _peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(peaks), np.array([min(br[2][0], br[3][0]) for br in brackets])
 
 
-def _intervals(a, b, peaks, vmins, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sublevel intervals {lam : v_k(lam) <= level} of every block, clipped
-    to the window.
+def _intervals(a, b, peaks, vmins, level) -> tuple[np.ndarray, np.ndarray]:
+    """Sublevel intervals {lam : v_k(lam) <= level_k} of every block, clipped
+    to the window; ``level`` is one level for every block or one per block.
 
     The peak is an interior point: M = A_c + level I + lam_p B_c = L L^H is
     positive definite, and M + mu B_c >= 0 iff 1 + mu nu >= 0 for every
@@ -610,15 +612,16 @@ def _intervals(a, b, peaks, vmins, level: float) -> tuple[np.ndarray, np.ndarray
     the level (or above it) grazes it at its peak alone.
     """
     eye = np.eye(a.shape[-1])
+    level = np.broadcast_to(level, peaks.shape)
     inside = level - vmins > _GRAZING
-    m = a + level * eye + peaks[:, None, None, None] * b
+    m = a + level[:, None, None, None] * eye + peaks[:, None, None, None] * b
     m[~inside] = eye
     linv = np.linalg.inv(np.linalg.cholesky(m))
     nu = np.linalg.eigvalsh(linv @ b @ dag(linv))
     tiny = np.finfo(float).tiny
     lo = peaks - 1.0 / np.maximum(nu[..., -1].max(axis=1), tiny)
     hi = peaks - 1.0 / np.minimum(nu[..., 0].min(axis=1), -tiny)
-    lo = np.maximum(lo, max(-level, -_WINDOW))
+    lo = np.maximum(lo, np.maximum(-level, -_WINDOW))
     hi = np.minimum(hi, 1.0 + _WINDOW)
     return np.where(inside, lo, peaks), np.where(inside, hi, peaks)
 
@@ -662,9 +665,10 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
     a = np.stack([blk.a for blk in blocks])
     b = np.stack([blk.b for blk in blocks])
     peaks, vmins = _peaks(a, b)
-    # a block grazing the boundary, or missing it, contributes its peak as a
-    # singleton
-    lows, highs = _intervals(a, b, peaks, vmins, 0.0)
+    # a block that grazes v = 0, at its peak or along a plateau, is measured
+    # at _GRAZING_LEVEL, which leaves its elements above the eigenvalue floor;
+    # a block missing v = 0 contributes its peak as a singleton
+    lows, highs = _intervals(a, b, peaks, vmins, np.where(np.abs(vmins) <= _GRAZING, _GRAZING_LEVEL, 0.0))
 
     # water-fill from the interval floors toward the target sum, then clamp;
     # tiny overshoots sit at quadratic minima and stay harmless

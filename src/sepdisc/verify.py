@@ -17,6 +17,7 @@ from .discrimination import (
     LoccFlag,
     VerdictStatus,
     decide,
+    separable_lambdas,
     validate_certificate,
 )
 from .constructions import (
@@ -215,8 +216,12 @@ def check_lemma5(seed: int, n_pairs: int = 100, tol: Tolerances = DEFAULT) -> Ch
             psi = next(s for s in comp if concurrence(s) > 0.1)
         res = antiparallel_test(psi, phi, tol)
         r_at = rank2_separability(psi, phi, res.lambda_star, tol)
+        (kernel,), _ = separable_lambdas(phi, [psi], tol)
         total += 1
-        consistent = res.passed == (r_at.verdict.status is SepStatus.SEPARABLE)
+        # the rank-2 lemma and the lambda kernel both follow the anti-parallel
+        # test, and the kernel's lambda* is C(psi)/C(phi)
+        consistent = res.passed == (r_at.verdict.status is SepStatus.SEPARABLE) == (kernel is not None)
+        consistent = consistent and (kernel is None or abs(kernel - res.lambda_star) <= 1e-9)
         flipped = True
         if res.passed:
             for d in (-1e-3, 1e-3):

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -37,8 +38,34 @@ class TestDecide:
         assert code == 1
         report = json.loads(out)
         assert report["status"] == "indistinguishable"
-        assert report["reason"]["code"] == "concurrence_sum"
+        assert report["reason"]["code"] == "lambda_sum"
         assert abs(report["reason"]["data"]["sum"] - 3.0) < 1e-9
+
+    def test_closed_stdout_exits_quietly_with_the_verdict_code(self, tmp_path, capsys, monkeypatch):
+        # `sepdisc decide FILE | head`: the reader closes the pipe before the
+        # report is written
+        path = write_states(
+            tmp_path,
+            "bell.json",
+            [("m1", bell("phi-")), ("m2", bell("psi+")), ("m3", bell("psi-"))],
+            ("phi", phi_plus()),
+        )
+        with open(tmp_path / "stdout", "w") as sink:
+
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def flush(self):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return sink.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main(["decide", path])
+        assert code == 1
+        assert capsys.readouterr().err == ""
 
     def test_family_exit_0_with_lambdas_and_flag(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "construct", "family", "0.3", "0.4", "0.78")

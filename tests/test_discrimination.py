@@ -18,6 +18,7 @@ from sepdisc.discrimination import (
     VerdictStatus,
     _lambda_certificate,
     decide,
+    separable_lambdas,
     subspace_verdict,
     validate_certificate,
 )
@@ -104,8 +105,9 @@ class TestTwoQubitBasis:
     def test_bell_triple_concurrence_sum(self):
         v = decide_with_phi(phi_plus(), [bell("phi-"), bell("psi+"), bell("psi-")])
         assert v.status is VerdictStatus.INDISTINGUISHABLE
-        assert v.reason.code == "concurrence_sum"
+        assert v.reason.code == "lambda_sum"
         assert abs(v.reason.data["sum"] - 3.0) < 1e-9
+        assert np.allclose(v.reason.data["lambdas"], [1.0, 1.0, 1.0])
 
     def test_one_zero_zero_basis(self):
         v = decide_with_phi(phi_plus(), [bell("phi-"), ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10")])
@@ -267,11 +269,12 @@ class TestH3:
         ]
         v = decide_with_phi(phi, tampered)
         assert v.status is VerdictStatus.INDISTINGUISHABLE
-        assert v.reason.code == "entangled_count"
+        assert v.reason.code == "no_separable_lambda"
+        assert v.reason.data == {"member": 1}
 
     def test_wrong_entangled_member(self):
         # swap the unique entangled member for an orthogonal state that mixes
-        # in a product of the complement: the overlap check rejects it
+        # in a product of the complement: no lambda makes its element separable
         phi = ghz_theta(S3, 0.5)
         basis = locc_basis_sch2(phi)
         good = basis[0]
@@ -281,7 +284,8 @@ class TestH3:
         tampered = [wrong, other] + basis[2:]
         v = decide_with_phi(phi, tampered)
         assert v.status is VerdictStatus.INDISTINGUISHABLE
-        assert v.reason.code in ("wrong_entangled_member", "entangled_count")
+        assert v.reason.code == "no_separable_lambda"
+        assert v.reason.data == {"member": 0}
 
 
 class TestMultipartiteSch2:
@@ -313,7 +317,8 @@ class TestMultipartiteSch2:
         inst = DiscriminationInstance.from_pure(S3, [bad] + rest, phi)
         v = decide(inst)
         assert v.status is VerdictStatus.INDISTINGUISHABLE
-        assert v.reason.code == "prefix_mismatch"
+        assert v.reason.code == "no_separable_lambda"
+        assert v.reason.data == {"member": 0}
 
     def test_bipartite_3x3_embedded_family(self):
         # two qutrits, residual state entangled on the {0,1}x{0,1} block: the
@@ -338,7 +343,7 @@ class TestMultipartiteSch2:
 
     def test_embedding_violation_indistinguishable(self):
         # an entangled member sharing the prefix but using a third level of
-        # the second pair needs a 2x3 embedding, which is disallowed
+        # the second pair: no lambda makes its element separable
         s223 = StateSpace((2, 2, 3))
         e0 = np.array([1, 0], dtype=complex)
         phi22, _ = _family()
@@ -353,7 +358,37 @@ class TestMultipartiteSch2:
         inst = DiscriminationInstance.from_pure(s223, [bad] + rest, phi)
         v = decide(inst)
         assert v.status is VerdictStatus.INDISTINGUISHABLE
-        assert v.reason.code in ("embedding_failed", "antiparallel_failed", "concurrence_sum")
+        assert v.reason.code == "no_separable_lambda"
+        assert v.reason.data == {"member": 0}
+
+
+class TestLambdaKernel:
+    """One lambda rule for D-1 states against an entangled residual state."""
+
+    @staticmethod
+    def _phi(dims, seed):
+        # cos(t) a + sin(t) b for products a, b orthogonal on every party
+        rng = np.random.default_rng(seed)
+        us = [random_unitary(rng, d) for d in dims]
+        a, b = kron_all([u[:, 0] for u in us]), kron_all([u[:, 1] for u in us])
+        return PureState.normalized(StateSpace(dims), 0.6 * a + 0.8 * b)
+
+    @pytest.mark.parametrize("dims, theorem", [((2, 3), "T4"), ((3, 3), "T4"), ((2, 2, 3), "T5")])
+    def test_locc_bases_distinguishable(self, dims, theorem):
+        phi = self._phi(dims, 3)
+        inst = DiscriminationInstance.from_pure(phi.space, locc_basis_sch2(phi), phi)
+        v = decide(inst)
+        assert v.status is VerdictStatus.DISTINGUISHABLE and v.theorem == theorem
+        assert validate_certificate(v.certificate, inst)["valid"]
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 3)])
+    def test_haar_complements_have_no_separable_lambda(self, dims):
+        phi = self._phi(dims, 3)
+        basis = random_basis_of_complement(np.random.default_rng(4), phi)
+        v = decide_with_phi(phi, basis)
+        assert v.status is VerdictStatus.INDISTINGUISHABLE
+        assert v.reason.code == "no_separable_lambda"
+        assert v.reason.data == {"member": 0}
 
 
 class TestSubspaceVerdict:
@@ -417,7 +452,9 @@ def test_lambda_certificate_failure_names_member_theorem_and_flag():
     lambdas = list(good.certificate.lambdas)
     k = next(j for j, s in enumerate(basis) if concurrence(s) > 1e-6)
     lambdas[k] += 1e-3
-    v = _lambda_certificate(basis, phi, lambdas, "T2", DEFAULT, LoccFlag.LOCC_INDISTINGUISHABLE, {})
+    _, decomposition = separable_lambdas(phi, basis)
+    decompositions = [decomposition(j) for j in range(len(basis))]
+    v = _lambda_certificate(basis, phi, lambdas, decompositions, "T2", LoccFlag.LOCC_INDISTINGUISHABLE)
     assert v.status is VerdictStatus.UNDECIDED
     assert v.theorem == "T2"
     assert v.locc_flag is LoccFlag.LOCC_INDISTINGUISHABLE

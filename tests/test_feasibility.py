@@ -26,7 +26,9 @@ from sepdisc.separability import (
     _PencilBlock,
     _solve_dykstra,
     _violations,
+    SepStatus,
     constraint_residual,
+    element_separability,
     feasibility_solve,
 )
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket, phi_plus
@@ -340,6 +342,20 @@ def test_grazing_blocks_keep_their_peak_alone(projectors):
     assert np.array_equal(lows, peaks) and np.array_equal(highs, peaks)
     for side in (-_PEAK_WIDTH, _PEAK_WIDTH):
         assert np.all(_violations(a, b, peaks + side) > vmins)
+
+
+@pytest.mark.parametrize("seed, drop", [(1, 0), (7, 1), (9, 3), (15, 2)])
+def test_rank1_plateau_blocks_take_an_interval(seed, drop):
+    # a product basis minus one member: every block's violation is 0 along a
+    # plateau, which the solver must meet with a feasible point, not a stall
+    # at a zero-slope dual
+    space = StateSpace((2, 2, 2))
+    basis = random_product_basis(np.random.default_rng(seed), space)
+    inst = DiscriminationInstance.from_projectors(space, [s.density() for k, s in enumerate(basis) if k != drop])
+    out = feasibility_solve(inst)
+    assert out.diagnostics["path"] == "rank1-exact" and out.feasible
+    for pk, e in zip(inst.projector_list(), out.e_ops):
+        assert element_separability(pk + e, space).status is SepStatus.SEPARABLE
 
 
 def test_rank1_solve_eigen_budget(monkeypatch):
