@@ -316,7 +316,9 @@ def _decide_full_span(instance: DiscriminationInstance, tol: Tolerances) -> Verd
 
 def _try_completability(instance: DiscriminationInstance, p0: np.ndarray, tol: Tolerances) -> Verdict | None:
     """Allocate the whole residual to a single element, E_k = P_k + P0 and
-    E_j = P_j otherwise, and certify every element separable."""
+    E_j = P_j otherwise, and certify every element separable.  P0 is
+    certified once; E_k carries P_k's product decomposition joined with P0's
+    when both have one, and otherwise its own."""
     projectors = instance.projector_list()
     n = len(projectors)
     per_element: list[object] = []
@@ -326,15 +328,21 @@ def _try_completability(instance: DiscriminationInstance, p0: np.ndarray, tol: T
         # every allocation leaves all members but one as they are
         if per_element.count(None) >= 2:
             return None
+    p0_evidence = element_separability(p0, instance.space, tol).evidence
     for k in range(n):
         if any(per_element[j] is None for j in range(n) if j != k):
             continue
         big = projectors[k] + p0
-        verdict = element_separability(big, instance.space, tol)
-        if verdict.status is not SepStatus.SEPARABLE:
-            continue
+        own = per_element[k]
+        if isinstance(own, ProductDecomposition) and isinstance(p0_evidence, ProductDecomposition):
+            joined = ProductDecomposition(own.weights + p0_evidence.weights, own.vectors + p0_evidence.vectors)
+        else:
+            verdict = element_separability(big, instance.space, tol)
+            if verdict.status is not SepStatus.SEPARABLE:
+                continue
+            joined = verdict.evidence
         elements = tuple(big if j == k else p for j, p in enumerate(projectors))
-        evidence = tuple(verdict.evidence if j == k else ev for j, ev in enumerate(per_element))
+        evidence = tuple(joined if j == k else ev for j, ev in enumerate(per_element))
         cert = PovmCertificate(elements, evidence, tuple(float(j == k) for j in range(n)))
         return Verdict(
             status=VerdictStatus.DISTINGUISHABLE,

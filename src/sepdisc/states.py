@@ -130,7 +130,8 @@ class DiscriminationInstance:
 
     @classmethod
     def from_projectors(cls, space: StateSpace, projectors):
-        projectors = tuple(np.asarray(p, dtype=complex) for p in projectors)
+        # read-only views: the caller's arrays keep their write flag
+        projectors = tuple(_read_only(np.asarray(p, dtype=complex).view()) for p in projectors)
         if not projectors:
             raise InvalidInstance("need at least one projector")
         if any(p.shape != (space.dim, space.dim) for p in projectors):
@@ -150,14 +151,28 @@ class DiscriminationInstance:
         return len(self.states) if self.states else len(self.projectors)
 
     def projector_list(self) -> list[np.ndarray]:
-        if self.states:
-            return [s.density() for s in self.states]
-        return list(self.projectors)
+        """Every member's projector, read-only and built once per instance."""
+        return list(self._projectors)
 
     def residual_projector(self) -> np.ndarray:
-        """P0 = I - sum_k P_k, the part of the space no member occupies."""
-        p0 = np.eye(self.space.dim, dtype=complex) - sum(self.projector_list())
-        return (p0 + p0.conj().T) / 2.0
+        """P0 = I - sum_k P_k, the part of the space no member occupies, read-only and built once."""
+        return self._residual
+
+    @cached_property
+    def _projectors(self) -> tuple[np.ndarray, ...]:
+        if self.states:
+            return tuple(_read_only(s.density()) for s in self.states)
+        return self.projectors
+
+    @cached_property
+    def _residual(self) -> np.ndarray:
+        p0 = np.eye(self.space.dim, dtype=complex) - sum(self._projectors)
+        return _read_only((p0 + p0.conj().T) / 2.0)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def phi_plus() -> PureState:

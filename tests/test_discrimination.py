@@ -34,6 +34,7 @@ from sepdisc.separability import (
     ProductDecomposition,
     SepStatus,
     feasibility_solve,
+    ppt_is_exact,
     rank2_separability,
     try_product_decomposition,
 )
@@ -502,6 +503,59 @@ def test_two_product_states_take_the_completability_path():
     v = decide(inst)
     assert v.status is VerdictStatus.DISTINGUISHABLE
     assert v.diagnostics["path"] == "completability"
+    assert validate_certificate(v.certificate, inst)["valid"]
+
+
+def _hadamard_basis_minus_two() -> list[PureState]:
+    """Columns 0-5 of H (x) H (x) H: a locally rotated 2x2x2 product basis
+    minus two members, with residual |--><--| (x) I."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    cols = kron_all([h, h, h])
+    return [PureState(S3, cols[:, j]) for j in range(6)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _hadamard_basis_minus_two,
+        lambda: random_product_basis(np.random.default_rng(11), S3)[:-2],
+        lambda: random_product_basis(np.random.default_rng(12), StateSpace((3, 3)))[:-2],
+        lambda: random_product_basis(np.random.default_rng(13), StateSpace((2, 3)))[:-2],
+    ],
+    ids=["hadamard_2x2x2", "random_2x2x2", "random_3x3", "random_2x3"],
+)
+def test_product_basis_minus_two_completes_without_the_solver(monkeypatch, build):
+    basis = build()
+    inst = DiscriminationInstance.from_pure(basis[0].space, basis)
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return feasibility_solve(*args, **kwargs)
+
+    monkeypatch.setattr(disc, "feasibility_solve", counting)
+    v = decide(inst)
+    assert solves == []
+    assert v.status is VerdictStatus.DISTINGUISHABLE
+    assert v.diagnostics["path"] == "completability"
+    assert validate_certificate(v.certificate, inst)["valid"]
+    if not ppt_is_exact(inst.space):
+        # the residual's two product terms follow the member's own
+        k = v.diagnostics["residual_assigned_to"]
+        joined = v.certificate.evidence[k]
+        assert joined.vectors[0] is basis[k].product and len(joined.vectors) == 3
+
+
+def test_entangled_residual_completes_through_the_member_plus_residual():
+    # P0 = |phi-><phi-| is entangled, so E_2 = |phi+><phi+| + P0 is certified
+    # on its own, by PPT on 2x2
+    members = [ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10"), phi_plus()]
+    inst = DiscriminationInstance.from_projectors(QUBIT_PAIR, [s.density() for s in members])
+    v = decide(inst)
+    assert v.status is VerdictStatus.DISTINGUISHABLE
+    assert v.diagnostics["path"] == "completability"
+    assert v.diagnostics["residual_assigned_to"] == 2
+    assert isinstance(v.certificate.evidence[2], PptRecord)
     assert validate_certificate(v.certificate, inst)["valid"]
 
 

@@ -56,6 +56,21 @@ def test_states_instances_and_product_vectors_compare_by_identity():
         assert hash(x) == hash(x)
 
 
+def test_instance_projectors_are_built_once_and_read_only():
+    p = ket(QUBIT_PAIR, "00").density()
+    inst = DiscriminationInstance.from_projectors(QUBIT_PAIR, [p])
+    pure = DiscriminationInstance.from_pure(QUBIT_PAIR, [ket(QUBIT_PAIR, "00")])
+    for instance in (inst, pure):
+        assert instance.projector_list()[0] is instance.projector_list()[0]
+        assert instance.residual_projector() is instance.residual_projector()
+        for built in instance.projector_list() + [instance.residual_projector()]:
+            with pytest.raises(ValueError):
+                built[0, 0] = 2.0
+    # the instance holds its own view: the caller's array stays writeable
+    assert p.flags.writeable
+    p[3, 3] = 0.0
+
+
 def test_coeff_matrix_defining_case():
     assert np.allclose(coeff_matrix(phi_plus()), np.eye(2))
 
