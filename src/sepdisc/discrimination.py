@@ -8,11 +8,12 @@ product phi admits only product members, a phi needing three orthogonal
 product terms no distinguishable basis, and any other phi, in every
 dimension, goes to one lambda rule (:func:`separable_lambdas`): every
 element is forced to |psi_k><psi_k| + lambda_k |phi><phi| with sum_k
-lambda_k = 1.  Distinguishable verdicts carry a POVM certificate, and
-solver verdicts of indistinguishability a dual certificate, whose validity
-is re-checkable independently of the decider that produced it.  Every POVM
-element outside the lambda certificates gets its evidence from one rule,
-:func:`~sepdisc.separability.element_separability`.
+lambda_k = 1, each lambda_k read from the product vectors of span{psi_k, phi}
+(:func:`~sepdisc.tensor_rank.span_roots`).  Distinguishable verdicts carry a
+POVM certificate, and solver verdicts of indistinguishability a dual
+certificate, whose validity is re-checkable independently of the decider
+that produced it.  Every POVM element outside the lambda certificates gets
+its evidence from one rule, :func:`~sepdisc.separability.element_separability`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .separability import (
     element_separability,
     feasibility_solve,
     ppt_is_exact,
+    two_term_decomposition,
 )
 from .states import (
     DiscriminationInstance,
@@ -44,7 +46,7 @@ from .states import (
     concurrence,
     orthonormal_completion,
 )
-from .tensor_rank import ProductVector, Schmidt2Kind, proper_cuts, schmidt2_classify
+from .tensor_rank import Schmidt2Kind, proper_cuts, schmidt2_classify, span_roots
 
 
 class VerdictStatus(Enum):
@@ -189,70 +191,34 @@ def _lambda_certificate(basis, phi: PureState, lambdas, decompositions, theorem:
     return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem=theorem, certificate=cert, locc_flag=locc_flag)
 
 
-# a root is a product vector when every single-party cut has a singular-value
-# tail ||s[1:]|| of at most this times ||s||, its norm: try_factor's test
-_PRODUCT_TAIL = 1e-9
-
-
 def separable_lambdas(phi: PureState, members, tol: Tolerances = DEFAULT):
     """For an entangled phi and members orthogonal to it: per member, the one
     lambda >= 0 at which E = |psi><psi| + lambda |phi><phi| is separable, or
     None; and a function that builds member k's E's product decomposition.
 
     A product member has lambda = 0.  The span of an entangled member holds
-    at most two product directions a = psi + z1 phi and b = psi + z2 phi, and
-    E = ((|z2|^2 + lambda) |a><a| + (|z1|^2 + lambda) |b><b|) / |z1 - z2|^2
-    at lambda* = -conj(z1) z2 alone, where the cross terms cancel; it counts
-    when real and positive, within ``tol.angular`` in phase (which puts z1
-    and z2 on opposite rays, so they are distinct).  z1, z2 solve one 2x2
-    minor of the single-party cut matrices of psi + z phi, the one whose
-    leading coefficient, a minor of phi, is largest; one batched SVD per cut
-    verifies them.
+    at most two product directions psi + z phi, z = t/s for the roots (s : t)
+    that :func:`~sepdisc.tensor_rank.span_roots` finds for all members at
+    once, and E is separable at lambda* = -conj(z1) z2 alone, where the cross
+    terms cancel; it counts when real and positive, within ``tol.angular`` in
+    phase (which puts z1 and z2 on opposite rays, so they are distinct).
     """
-    dims = phi.space.dims
     lambdas: list = [0.0 if psi.product is not None else None for psi in members]
     entangled = [k for k, lam in enumerate(lambdas) if lam is None]
-    m = len(entangled)
-    if m:
-        # the (p | rest) cut matrices of phi (row 0) and of every entangled
-        # member; those of psi + z phi follow from them linearly
-        stack = np.stack([phi.amplitudes] + [members[k].amplitudes for k in entangled]).reshape(-1, *dims)
-        cuts = [np.moveaxis(stack, p + 1, 1).reshape(m + 1, d, -1) for p, d in enumerate(dims)]
-        # the largest minor b[i1, j1] b[i2, j2] - b[i1, j2] b[i2, j1] of phi's cut matrices b
-        best = (0.0,)
-        for c in cuts:
-            b = c[0]
-            minors = b[:, None, :, None] * b[None, :, None, :] - b[:, None, None, :] * b[None, :, :, None]
-            at = np.unravel_index(np.abs(minors).argmax(), minors.shape)
-            if abs(minors[at]) > abs(best[0]):
-                best = (minors[at], c, at)
-        c2, c, (i1, i2, j1, j2) = best
-        a, b = c[1:], c[0]
-        c1 = a[:, i1, j1] * b[i2, j2] + b[i1, j1] * a[:, i2, j2] - a[:, i1, j2] * b[i2, j1] - b[i1, j2] * a[:, i2, j1]
-        c0 = a[:, i1, j1] * a[:, i2, j2] - a[:, i1, j2] * a[:, i2, j1]
-        root = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-        q = -(c1 + np.where((c1.conj() * root).real < 0.0, -root, root)) / 2.0
-        z = np.concatenate([q / c2, np.divide(c0, q, out=np.zeros_like(q), where=q != 0)])
-
-        # ||s|| of any cut matrix is the norm of its vector
-        product = np.ones(2 * m, dtype=bool)
-        factors = []
-        for c in cuts:
-            u, sv, _ = np.linalg.svd(np.concatenate([c[1:], c[1:]]) + z[:, None, None] * c[0], full_matrices=False)
-            norms2 = (sv * sv).sum(axis=1)
-            product &= (sv[:, 1:] ** 2).sum(axis=1) <= _PRODUCT_TAIL**2 * norms2
-            factors.append(u[:, :, 0])
-        lam = -z[:m].conj() * z[m:]
-        for i in np.flatnonzero(product[:m] & product[m:] & (lam.real > 0.0) & (np.abs(np.angle(lam)) < tol.angular)):
-            lambdas[entangled[i]] = float(lam[i].real)
+    if entangled:
+        span = span_roots(np.stack([members[k].amplitudes for k in entangled]), phi.amplitudes, phi.space.dims)
+        (s1, t1), (s2, t2) = span.roots.transpose(1, 2, 0)
+        # lambda* |s1 s2|^2: real and positive exactly when lambda* is, and
+        # zero, not 0/0, when a root is phi itself
+        scaled = -(np.conj(t1) * s1) * (t2 * np.conj(s2))
+        good = span.product.all(axis=1) & (scaled.real > 0.0) & (np.abs(np.angle(scaled)) < tol.angular)
+        for i in np.flatnonzero(good):
+            lambdas[entangled[i]] = float(scaled[i].real / abs(s1[i] * s2[i]) ** 2)
 
     def decomposition(k: int) -> ProductDecomposition:
         if members[k].product is not None:
             return ProductDecomposition((1.0,), (members[k].product,))
-        i = entangled.index(k)
-        lam_k, gap = lambdas[k], abs(z[i] - z[m + i]) ** 2
-        weights = tuple(float(norms2[j] * (abs(z[o]) ** 2 + lam_k) / gap) for j, o in ((i, m + i), (m + i, i)))
-        return ProductDecomposition(weights, tuple(ProductVector(tuple(f[j] for f in factors)) for j in (i, m + i)))
+        return two_term_decomposition(span, entangled.index(k), lambdas[k])
 
     return lambdas, decomposition
 

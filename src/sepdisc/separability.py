@@ -27,7 +27,7 @@ from .linalg import (
     psd_project,
 )
 from .states import DiscriminationInstance, PureState, StateSpace, coeff_matrix
-from .tensor_rank import ProductVector, product_vectors_in_span, proper_cuts, span_coordinates, try_factor
+from .tensor_rank import ProductVector, SpanRoots, proper_cuts, span_roots, try_factor
 
 
 class SepStatus(Enum):
@@ -159,63 +159,54 @@ def rank2_separability(
         raise PreconditionViolated("states must be orthogonal")
     target = psi.density() + lam * phi.density()
 
+    def separable(dec: ProductDecomposition, case: Rank2Case) -> Rank2Result:
+        return Rank2Result(SeparabilityVerdict(SepStatus.SEPARABLE, dec, {"residual": dec.residual(target)}), case)
+
+    def entangled(reason: str, **detail) -> Rank2Result:
+        verdict = SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": reason, **detail})
+        return Rank2Result(verdict, Rank2Case.ENTANGLED)
+
     if psi.product is not None and phi.product is not None:
         weights, vectors = [1.0], [psi.product]
         if lam > 0:
             weights.append(float(lam))
             vectors.append(phi.product)
-        dec = ProductDecomposition(tuple(weights), tuple(vectors))
-        return Rank2Result(
-            SeparabilityVerdict(SepStatus.SEPARABLE, dec, {"residual": dec.residual(target)}),
-            Rank2Case.BOTH_PRODUCT,
-        )
+        return separable(ProductDecomposition(tuple(weights), tuple(vectors)), Rank2Case.BOTH_PRODUCT)
 
     if psi.product is not None:  # phi entangled
         if lam <= 1e-12:
-            dec = ProductDecomposition((1.0,), (psi.product,))
-            return Rank2Result(
-                SeparabilityVerdict(SepStatus.SEPARABLE, dec, {"residual": dec.residual(target)}),
-                Rank2Case.PSI_PRODUCT_LAMBDA_ZERO,
-            )
-        return Rank2Result(
-            SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": "mixture of a product state and an entangled state"}),
-            Rank2Case.ENTANGLED,
-        )
+            return separable(ProductDecomposition((1.0,), (psi.product,)), Rank2Case.PSI_PRODUCT_LAMBDA_ZERO)
+        return entangled("mixture of a product state and an entangled state")
 
     if phi.product is not None or lam <= 1e-12:
         # psi entangled: pure entangled state at lam=0, or entangled+product mixture
-        return Rank2Result(
-            SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": "psi is entangled"}),
-            Rank2Case.ENTANGLED,
-        )
+        return entangled("psi is entangled")
 
-    # both entangled: the support must be spanned by exactly two product vectors
-    span = product_vectors_in_span(psi, phi, tol)
-    if span.infinitely_many or len(span.vectors) < 2:
-        return Rank2Result(
-            SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": f"support contains {len(span.vectors)} product directions"}),
-            Rank2Case.ENTANGLED,
-        )
-    a, b = span.vectors
-    coords = span_coordinates(a, b, (psi.amplitudes, phi.amplitudes))
-    alpha, beta = coords[0, 0], coords[1, 0]
-    gamma, delta = coords[0, 1], coords[1, 1]
-    cross = alpha * np.conj(beta) + lam * gamma * np.conj(delta)
-    scale = abs(alpha * beta) + lam * abs(gamma * delta)
-    if abs(cross) <= 1e-9 * max(scale, 1e-30):
-        wa = float(abs(alpha) ** 2 + lam * abs(gamma) ** 2)
-        wb = float(abs(beta) ** 2 + lam * abs(delta) ** 2)
-        dec = ProductDecomposition((wa, wb), (a, b))
-        resid = dec.residual(target)
-        if resid <= 1e-8:
-            return Rank2Result(
-                SeparabilityVerdict(SepStatus.SEPARABLE, dec, {"residual": resid}),
-                Rank2Case.TWO_TERM,
-            )
-    return Rank2Result(
-        SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": "cross terms do not cancel", "cross": abs(cross)}),
-        Rank2Case.ENTANGLED,
-    )
+    # both entangled: two product vectors v_j = s_j psi + t_j phi, psi + z_j phi
+    # for z_j = t_j / s_j, whose cross terms cancel: |lam + conj(z1) z2| <= 1e-9 (|z1 z2| + lam)
+    span = span_roots(psi.amplitudes[None], phi.amplitudes, psi.space.dims)
+    if not span.product[0].all():
+        return entangled(f"support contains {span.product[0].sum()} product directions")
+    (s1, t1), (s2, t2) = span.roots[0]
+    cross = abs(lam * np.conj(s1) * s2 + np.conj(t1) * t2) / (abs(t1 * t2) + lam * abs(s1 * s2))
+    if cross <= 1e-9:
+        result = separable(two_term_decomposition(span, 0, lam), Rank2Case.TWO_TERM)
+        if result.verdict.detail["residual"] <= 1e-8:
+            return result
+    return entangled("cross terms do not cancel", cross=float(cross))
+
+
+def two_term_decomposition(span: SpanRoots, i: int, lam: float) -> ProductDecomposition:
+    """|psi_i><psi_i| + lam |phi><phi| on the unit vectors of its product
+    vectors v_j = s_j psi_i + t_j phi, at the lam where the cross terms
+    cancel: weights ||v_1||^2 (|t2|^2 + lam |s2|^2) / |s1 t2 - s2 t1|^2 and
+    the same with 1 and 2 swapped, that is ((|z2|^2 + lam) ||a||^2,
+    (|z1|^2 + lam) ||b||^2) / |z1 - z2|^2 for a, b = psi + z1 phi, psi + z2 phi."""
+    (s1, t1), (s2, t2) = span.roots[i]
+    gap = abs(s1 * t2 - s2 * t1) ** 2
+    weights = (abs(t2) ** 2 + lam * abs(s2) ** 2, abs(t1) ** 2 + lam * abs(s1) ** 2)
+    weights = tuple(float(np.vdot(v, v).real * w / gap) for v, w in zip(span.vectors[i], weights))
+    return ProductDecomposition(weights, (span.product_vector(i, 0), span.product_vector(i, 1)))
 
 
 def _worst_pt(rho: np.ndarray, space: StateSpace, cuts, tol: Tolerances) -> PtWitness:

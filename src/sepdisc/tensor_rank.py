@@ -3,7 +3,9 @@ entry distance, and the orthogonal-Schmidt-number classification.
 
 :func:`try_factor` is the one factoring kernel; a state's own
 factorization is read from :attr:`~sepdisc.states.PureState.product`, which
-calls it once and keeps the result.
+calls it once and keeps the result.  :func:`span_roots` is the one kernel for
+the product vectors of two-dimensional spans, which the lambda rule, the
+rank-2 lemma and the two-term classification all read.
 
 The central nontrivial routine is :func:`schmidt2_classify`.  For a state
 whose every bipartition rank is at most 2 it searches for a two-term product
@@ -27,7 +29,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import BadBipartition, DimensionMismatch, NotIndependent
 from .linalg import kron_all
-from .states import PureState, StateSpace
+from .states import PureState
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,13 +152,18 @@ def peel_parties(vec: np.ndarray, dims: tuple[int, ...], parties, tol: Tolerance
     return factors, core, tuple(core_dims)
 
 
+# a vector is product when it lies within this times its norm of a product,
+# and no single-party cut matrix has a singular-value tail ||s[1:]|| above it
+PRODUCT_TOL = 1e-9
+
+
 def try_factor(vec: np.ndarray, dims: tuple[int, ...]) -> ProductVector | None:
     """Factor a vector into a product across all parties, or None.
 
     Dominant singular vectors per single-party cut give the factors, and the
-    vector is accepted iff ||vec - w (x) factors|| <= 1e-9 ||vec|| for the
-    overlap w.  A cut whose singular-value tail ||s[1:]|| exceeds that bound
-    rejects at once, exactly: by Eckart-Young it bounds the residual below.
+    vector is accepted iff ||vec - w (x) factors|| <= PRODUCT_TOL ||vec|| for
+    the overlap w.  A cut whose singular-value tail ||s[1:]|| exceeds that
+    bound rejects at once, exactly: by Eckart-Young it bounds the residual.
     """
     vec = np.asarray(vec, dtype=complex)
     n = np.linalg.norm(vec)
@@ -167,12 +174,12 @@ def try_factor(vec: np.ndarray, dims: tuple[int, ...]) -> ProductVector | None:
     for p, d in enumerate(dims):
         # the single-party cut matrix of cut_matrix(vec, dims, (p,))
         u, s, _ = np.linalg.svd(np.moveaxis(t, p, 0).reshape(d, -1), full_matrices=False)
-        if np.linalg.norm(s[1:]) > 1e-9 * n:
+        if np.linalg.norm(s[1:]) > PRODUCT_TOL * n:
             return None
         factors.append(u[:, 0])
     assembled = kron_all(factors)
     w = complex(np.vdot(assembled, vec))
-    if np.linalg.norm(vec - w * assembled) > 1e-9 * n:
+    if np.linalg.norm(vec - w * assembled) > PRODUCT_TOL * n:
         return None
     return ProductVector(tuple(factors), w)
 
@@ -202,102 +209,108 @@ class SpanProducts:
     infinitely_many: bool = False
 
 
-def _minor_polys(a: np.ndarray, b: np.ndarray):
-    """Quadratic coefficients (c0, c1, c2) of every 2x2 minor of A + z B."""
-    out = []
-    for i1, i2 in itertools.combinations(range(a.shape[0]), 2):
-        for j1, j2 in itertools.combinations(range(a.shape[1]), 2):
-            a11, a12, a21, a22 = a[i1, j1], a[i1, j2], a[i2, j1], a[i2, j2]
-            b11, b12, b21, b22 = b[i1, j1], b[i1, j2], b[i2, j1], b[i2, j2]
-            c2 = b11 * b22 - b12 * b21
-            c1 = a11 * b22 + b11 * a22 - a12 * b21 - b12 * a21
-            c0 = a11 * a22 - a12 * a21
-            out.append((c0, c1, c2))
-    return out
+@dataclass(frozen=True, eq=False)
+class SpanRoots:
+    """Per member i of :func:`span_roots`: its two roots [[s1, t1], [s2, t2]],
+    each up to scale, the vectors v = s psi_i + t phi, whether each is
+    product, with unit factors ``factors[p][i, j]`` per party p, and whether
+    the whole span is product."""
+
+    roots: np.ndarray
+    vectors: np.ndarray
+    product: np.ndarray
+    factors: tuple[np.ndarray, ...]
+    all_product: np.ndarray
+
+    def product_vector(self, i: int, j: int) -> ProductVector:
+        return ProductVector(tuple(f[i, j] for f in self.factors))
+
+    def product_roots(self, i: int) -> list[int]:
+        """Member i's product roots j by z = t/s, real part first, both rounded
+        to 12 decimals, and phi itself (|s| <= PRODUCT_TOL |t|) last."""
+        roots = enumerate(self.roots[i])
+        z = {j: t / s if abs(s) > PRODUCT_TOL * abs(t) else np.inf for j, (s, t) in roots if self.product[i, j]}
+        return sorted(z, key=lambda j: (round(z[j].real, 12), round(z[j].imag, 12)))
 
 
-def _roots_of_best_minor(minors, scale: float):
-    best = max(minors, key=lambda m: max(abs(m[0]), abs(m[1]), abs(m[2])))
-    c0, c1, c2 = best
-    if abs(c2) > 1e-12 * scale:
-        return list(np.roots([c2, c1, c0]))
-    # near-degenerate leading coefficient: treat as degree <= 1; the point at
-    # infinity is handled by checking phi itself
-    if abs(c1) > 1e-12 * scale:
-        return [-c0 / c1]
-    return []
+def span_roots(psis: np.ndarray, phi: np.ndarray, dims: tuple[int, ...]) -> SpanRoots:
+    """The product vectors s psi_i + t phi of the spans of unit vectors psi_i
+    (rows of ``psis``) with a unit vector phi.
+
+    Every 2x2 minor of a single-party cut of s psi_i + t phi is a form
+    c0 s^2 + c1 st + c2 t^2, and a product vector is a root of all of them.
+    Per member, the form with the largest coefficient over every cut is
+    solved without cancellation: q = -(c1 +- sqrt(c1^2 - 4 c0 c2)) / 2 gives
+    the roots (c2 : q) and (q : c0).  Roots within the angle at which unit
+    vectors overlap by 1 - PRODUCT_TOL are one double root, tested at their
+    midpoint; a form below 1e-13 vanishes, and with it the whole span is
+    product.  One batched SVD per cut (one in all on two parties) tests every
+    root with try_factor's tail bound and gives its factors.
+    """
+    m = len(psis)
+
+    def cuts(t: np.ndarray, p: int) -> np.ndarray:  # the (p | rest) cut matrices of a stack
+        return t.transpose(0, p + 1, *(q + 1 for q in range(len(dims)) if q != p)).reshape(len(t), dims[p], -1)
+
+    def minors(x: np.ndarray, y: np.ndarray) -> np.ndarray:  # x[i1, j1] y[i2, j2] - x[i1, j2] y[i2, j1]
+        out = x[..., :, None, :, None] * y[..., None, :, None, :] - x[..., :, None, None, :] * y[..., None, :, :, None]
+        return out.reshape(*out.shape[:-4], -1)
+
+    stack = np.concatenate([phi[None], psis]).reshape(m + 1, *dims)
+    forms = []
+    # on two parties, cut 1 is cut 0 transposed, with the same minors
+    for p in range(len(dims) if len(dims) > 2 else 1):
+        c = cuts(stack, p)
+        own = minors(c, c)
+        forms.append((own[1:], minors(c[1:], c[0]) + minors(c[0], c[1:]), own[0]))
+    c0, c1, c2 = (np.concatenate(f, axis=-1) for f in zip(*forms))
+    size = np.maximum(np.maximum(abs(c0), abs(c1)), abs(c2))
+    best = size.argmax(axis=1)
+    c0, c1, c2 = c0[np.arange(m), best], c1[np.arange(m), best], c2[best]
+    all_product = size[np.arange(m), best] <= 1e-13
+
+    disc = np.sqrt(c1 * c1 - 4.0 * c0 * c2)
+    disc = np.where((c1.conj() * disc).real < 0.0, -disc, disc)
+    q = -(c1 + disc) / 2.0
+    roots = np.empty((m, 2, 2), dtype=complex)
+    roots[:, 0, 0], roots[:, 0, 1], roots[:, 1, 0], roots[:, 1, 1] = c2, q, q, c0
+    # s1 t2 - s2 t1 = q disc for the roots (c2 : q) and (q : c0); the one
+    # that the larger end coefficient leads is never zero, and the other,
+    # at a double root, moves to the midpoint
+    double = abs(q * disc) ** 2 <= 2.0 * PRODUCT_TOL * (abs(c2) ** 2 + abs(q) ** 2) * (abs(q) ** 2 + abs(c0) ** 2)
+    lead = abs(c2) >= abs(c0)
+    if double.any():
+        roots[double & lead, 1] = np.stack([2.0 * c2, -c1], axis=1)[double & lead]
+        roots[double & ~lead, 0] = np.stack([-c1, 2.0 * c0], axis=1)[double & ~lead]
+
+    vectors = roots[:, :, :1] * psis[:, None, :] + roots[:, :, 1:] * phi
+    tensors, bound = vectors.reshape(2 * m, *dims), PRODUCT_TOL**2 * (abs(vectors) ** 2).sum(axis=2).reshape(-1)
+    product, factors = np.ones(2 * m, dtype=bool), []
+    for p, d in enumerate(dims):
+        u, sv, vh = np.linalg.svd(cuts(tensors, p), full_matrices=False)
+        product &= (sv[:, 1:] ** 2).sum(axis=1) <= bound
+        factors.append(u[:, :, 0].reshape(m, 2, d))
+        if len(dims) == 2:  # cut 1 is cut 0 transposed: vh's first rows factor party 1
+            factors.append(vh[:, 0].reshape(m, 2, -1))
+            break
+    product = product.reshape(m, 2)
+    if double.any():  # a double root gives one vector
+        product[:, 1] &= ~(double & lead & product[:, 0])
+        product[:, 0] &= ~(double & ~lead & product[:, 1])
+    return SpanRoots(roots, vectors, product, tuple(factors), all_product)
 
 
 def product_vectors_in_span(psi: PureState, phi: PureState, tol: Tolerances = DEFAULT) -> SpanProducts:
-    """All product vectors (up to scale) of the form psi + z*phi, plus phi.
-
-    Candidate roots come from the vanishing 2x2 minors of the amplitude
-    pencil across each single-party cut; every candidate is verified by
-    actual factorization, so spurious roots are filtered out.  psi (the
-    root z = 0) and phi are read through their cached
-    :attr:`~sepdisc.states.PureState.product`, so neither is factored again.
-    """
+    """All product vectors (up to scale) in span{psi, phi}: at most two, as
+    :meth:`SpanRoots.product_roots` orders them, or infinitely many."""
     if psi.space != phi.space:
         raise DimensionMismatch("states live on different spaces")
-    space = psi.space
     if abs(psi.inner(phi)) > 1.0 - 1e-10:
         raise NotIndependent("span requires linearly independent states")
-
-    dims = space.dims
-    candidates: list[complex] = [0.0 + 0j]
-    all_cuts_unconstrained = True
-    for p in range(space.nparties):
-        a = cut_matrix(psi.amplitudes, dims, (p,))
-        b = cut_matrix(phi.amplitudes, dims, (p,))
-        minors = _minor_polys(a, b)
-        scale = max(max(abs(c0), abs(c1), abs(c2)) for c0, c1, c2 in minors)
-        if scale < 1e-13:
-            continue  # this cut puts no constraint on z
-        all_cuts_unconstrained = False
-        candidates.extend(_roots_of_best_minor(minors, scale))
-
-    if all_cuts_unconstrained:
+    span = span_roots(psi.amplitudes[None], phi.amplitudes, psi.space.dims)
+    if span.all_product[0]:
         return SpanProducts(vectors=[], infinitely_many=True)
-
-    uniq: list[complex] = []
-    for z in candidates:
-        z = complex(z)
-        if not any(abs(z - u) <= 1e-8 * (1.0 + abs(u)) for u in uniq):
-            uniq.append(z)
-    uniq.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-
-    found: list[ProductVector] = []
-
-    def _push(pv: ProductVector):
-        v = pv.unit()
-        if not any(abs(np.vdot(other.unit(), v)) > 1.0 - 1e-9 for other in found):
-            found.append(pv.normalized())
-
-    for z in uniq:
-        vec = psi.amplitudes + z * phi.amplitudes
-        if np.linalg.norm(vec) < 1e-10:
-            continue
-        pv = psi.product if z == 0 else try_factor(vec, dims)
-        if pv is not None:
-            _push(pv)
-    if phi.product is not None:
-        _push(phi.product)
-
-    if len(found) > 2:
-        # a 2-dimensional span with three distinct product directions is
-        # entirely product
-        return SpanProducts(vectors=[], infinitely_many=True)
-    return SpanProducts(vectors=found, infinitely_many=False)
-
-
-def span_coordinates(p: ProductVector, q: ProductVector, vecs) -> np.ndarray:
-    """Coordinates of vectors in the span of two product vectors: column j
-    holds (x, y) with vecs[j] = x p_hat + y q_hat for the unit vectors
-    p_hat, q_hat along p and q."""
-    p_hat, q_hat = p.unit(), q.unit()
-    gram = np.array([[1.0, np.vdot(p_hat, q_hat)], [np.vdot(q_hat, p_hat), 1.0]], dtype=complex)
-    rhs = np.array([[np.vdot(p_hat, v) for v in vecs], [np.vdot(q_hat, v) for v in vecs]], dtype=complex)
-    return np.linalg.solve(gram, rhs)
+    return SpanProducts(vectors=[span.product_vector(0, j).normalized() for j in span.product_roots(0)])
 
 
 class Schmidt2Kind(Enum):
@@ -426,33 +439,29 @@ def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Clas
         b = _lift(ProductVector((u[:, 1], vh[1, :]), complex(s[1])), positions, fixed, k)
         return _finish(a, b)
 
-    # core with >= 3 parties, every single-party cut rank equal to 2
-    rest_space = StateSpace(core_dims[1:])
-    r1 = PureState.normalized(rest_space, vh[0, :])
-    r2 = PureState.normalized(rest_space, vh[1, :])
-    span = product_vectors_in_span(r1, r2, tol)
-
-    if span.infinitely_many:
+    # core with >= 3 parties, every single-party cut rank equal to 2: a
+    # two-term split takes its right factors from the product vectors
+    # v_j = s_j r1 + t_j r2 of the right singular vectors' span, and
+    # top r1 + low r2 = ((t2 top - s2 low) v1 + (s1 low - t1 top) v2) / (s1 t2 - s2 t1)
+    span = span_roots(vh[:1], vh[1], core_dims[1:])
+    if span.all_product[0]:
         # an all-product span makes some core party factor out, and every
         # rank-1 party has been peeled
         return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "inconsistent span"})
-
-    if len(span.vectors) < 2:
+    found = span.product_roots(0)
+    if len(found) < 2:
         return Schmidt2Class(
             kind=Schmidt2Kind.AT_LEAST_3,
             reason=AtLeast3Reason.PRODUCT_SHORTAGE,
-            detail={"span_products": len(span.vectors)},
+            detail={"span_products": len(found)},
         )
+    (s1, t1), (s2, t2) = span.roots[0]
+    top, low = u[:, 0] * s[0], u[:, 1] * s[1]
+    coefs = ((t2 * top - s2 * low) / (s1 * t2 - s2 * t1), (s1 * low - t1 * top) / (s1 * t2 - s2 * t1))
 
-    p, q = span.vectors
-    coords = span_coordinates(p, q, (r1.amplitudes, r2.amplitudes))
-    uvec = u[:, 0] * s[0] * coords[0, 0] + u[:, 1] * s[1] * coords[0, 1]
-    vvec = u[:, 0] * s[0] * coords[1, 0] + u[:, 1] * s[1] * coords[1, 1]
-    if np.linalg.norm(uvec) < 1e-10 or np.linalg.norm(vvec) < 1e-10:
-        return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "degenerate coordinates"})
-    # p_hat = phase * (x) p.factors with unit factors, so carry that phase
-    ph_p = p.weight / abs(p.weight)
-    ph_q = q.weight / abs(q.weight)
-    a = _lift(ProductVector((uvec,) + p.factors, ph_p), positions, fixed, k)
-    b = _lift(ProductVector((vvec,) + q.factors, ph_q), positions, fixed, k)
-    return _finish(a, b)
+    def term(j: int) -> ProductVector:
+        pv = span.product_vector(0, j)  # v_j is pv times their overlap
+        left = coefs[j] * np.vdot(pv.assemble(), span.vectors[0, j])
+        return _lift(ProductVector((left,) + pv.factors), positions, fixed, k)
+
+    return _finish(*(term(j) for j in found))

@@ -55,7 +55,7 @@ from .separability import (
     rank2_separability,
 )
 from .states import DiscriminationInstance, PureState, QUBIT_PAIR, StateSpace, concurrence, magic_basis
-from .tensor_rank import product_vectors_in_span, span_coordinates
+from .tensor_rank import span_roots
 
 
 @dataclass(frozen=True)
@@ -255,25 +255,16 @@ def check_lemma3_uniqueness(seed: int, n_states: int = 20, tol: Tolerances = DEF
             companion = random_pure_state(rng, space)
             if abs(companion.inner(phi)) > 0.99:
                 continue
-            span = product_vectors_in_span(phi, companion, tol)
+            span = span_roots(phi.amplitudes[None], companion.amplitudes, space.dims)
             total += 1
             good = True
-            if len(span.vectors) == 2 and not span.infinitely_many:
-                try:
-                    xy = span_coordinates(*span.vectors, (phi.amplitudes,))[:, 0]
-                except np.linalg.LinAlgError:
-                    continue
-                units = (pv.unit() for pv in span.vectors)
-                terms = [x * u for x, u in zip(xy, units)]
-                if np.linalg.norm(terms[0] + terms[1] - phi.amplitudes) < 1e-8:
-                    # the pair decomposes phi, so it must be the original one
-                    def matches(term, ref):
-                        return np.linalg.norm(term - ref) < 1e-7
-                    ra = math.cos(t) * a.amplitudes
-                    rb = math.sin(t) * b.amplitudes
-                    good = (matches(terms[0], ra) and matches(terms[1], rb)) or (
-                        matches(terms[0], rb) and matches(terms[1], ra)
-                    )
+            if span.product[0].all() and not span.all_product[0]:
+                # the product vectors v_j = s_j phi + t_j companion split phi as
+                # (t2 v1 - t1 v2) / (s1 t2 - s2 t1), which must be the original split
+                (s1, t1), (s2, t2) = span.roots[0]
+                terms = np.array([t2, -t1])[:, None] * span.vectors[0] / (s1 * t2 - s2 * t1)
+                refs = np.array([math.cos(t) * a.amplitudes, math.sin(t) * b.amplitudes])
+                good = min(np.linalg.norm(terms - r, axis=1).max() for r in (refs, refs[::-1])) < 1e-7
             ok += int(good)
     return CheckResult("lemma3_unique_two_term_decomposition", ok == total, total, 0.0)
 

@@ -758,7 +758,9 @@ def _ghz_type_t5_instance():
     us = [random_unitary(rng, 2) for _ in range(3)]
     a, b = kron_all([u[:, 0] for u in us]), kron_all([u[:, 1] for u in us])
     phi = PureState.normalized(S3, 0.6 * a + 0.8 * b)
-    return DiscriminationInstance.from_pure(S3, locc_basis_sch2(phi), phi)
+    # a fresh phi, which decide factors itself instead of reading the
+    # factorization that building the basis cached
+    return DiscriminationInstance.from_pure(S3, locc_basis_sch2(phi), PureState(S3, phi.amplitudes))
 
 
 def test_t5_residual_state_is_classified_once(monkeypatch):

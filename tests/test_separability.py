@@ -132,6 +132,24 @@ class TestRank2:
                 ] or [g for g in grid if abs(g - res.lambda_star) < step]
                 assert bracketed
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 2)])
+    def test_schmidt2_pairs_beyond_two_qubits(self, rng, dims):
+        # phi = cos t a + sin t b and psi = sin t a - cos t b for orthogonal
+        # products a, b: the cross terms of |psi><psi| + lam |phi><phi|
+        # cancel at lam* = 1 alone
+        space = StateSpace(dims)
+        for _ in range(10):
+            us = [random_unitary(rng, d) for d in dims]
+            a, b = (kron_all([u[:, j] for u in us]) for j in (0, 1))
+            t = float(rng.uniform(0.2, math.pi / 2 - 0.2))
+            phi = PureState.normalized(space, math.cos(t) * a + math.sin(t) * b)
+            psi = PureState.normalized(space, math.sin(t) * a - math.cos(t) * b)
+            at = rank2_separability(psi, phi, 1.0)
+            assert at.verdict.status is SepStatus.SEPARABLE and at.case is Rank2Case.TWO_TERM
+            assert at.verdict.evidence.residual(psi.density() + phi.density()) <= 1e-8
+            for lam in (1.0 - 1e-3, 1.0 + 1e-3):
+                assert rank2_separability(psi, phi, lam).verdict.status is SepStatus.ENTANGLED
+
     def test_requires_orthogonality(self):
         with pytest.raises(PreconditionViolated):
             rank2_separability(phi_plus(), phi_plus(), 1.0)

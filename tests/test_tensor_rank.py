@@ -13,8 +13,10 @@ from sepdisc.sampling import (
     random_local_vector,
     random_product_state,
     random_pure_state,
+    random_unitary,
 )
-from sepdisc.states import DiscriminationInstance, PureState, QUBIT_PAIR, StateSpace, ket, phi_plus
+from sepdisc.linalg import kron_all
+from sepdisc.states import DiscriminationInstance, PureState, QUBIT_PAIR, StateSpace, basis_state, ket, phi_plus
 from sepdisc.tensor_rank import (
     AtLeast3Reason,
     ProductVector,
@@ -111,6 +113,23 @@ def test_span_products_unique_case_two_qutrits():
     assert abs(abs(np.vdot(v / np.linalg.norm(v), phi2.amplitudes)) - 1.0) < 1e-9
 
 
+def _assert_span_products(psi, phi, planted, count=None):
+    """Every planted product direction is found, and every returned vector
+    is a product (by try_factor) lying in span{psi, phi}."""
+    res = product_vectors_in_span(psi, phi)
+    assert not res.infinitely_many and len(res.vectors) <= 2
+    if count is not None:
+        assert len(res.vectors) == count
+    basis = np.linalg.qr(np.column_stack([psi.amplitudes, phi.amplitudes]))[0]
+    units = [pv.unit() for pv in res.vectors]
+    for u in units:
+        assert try_factor(u, psi.space.dims) is not None
+        assert np.linalg.norm(u - basis @ (basis.conj().T @ u)) < 1e-8
+    for p in planted:
+        p = p / np.linalg.norm(p)
+        assert max((abs(np.vdot(u, p)) for u in units), default=0.0) > 1 - 1e-7
+
+
 def test_span_products_completeness_against_roots(rng):
     # oracle: roots of the determinant quadratic of the amplitude pencil
     for _ in range(200):
@@ -125,21 +144,34 @@ def test_span_products_completeness_against_roots(rng):
             a[0, 0] * b[1, 1] + b[0, 0] * a[1, 1] - a[0, 1] * b[1, 0] - b[0, 1] * a[1, 0],
             a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0],
         ]
-        roots = np.roots(coeffs)
-        res = product_vectors_in_span(psi, phi)
-        assert len(res.vectors) <= 2
-        for pv in res.vectors:
-            v = pv.assemble()
-            s = np.linalg.svd(v.reshape(2, 2), compute_uv=False)
-            assert s[1] <= 1e-9 * s[0]
-        for z in roots:
-            vec = psi.amplitudes + z * phi.amplitudes
-            vec /= np.linalg.norm(vec)
-            hits = [
-                abs(np.vdot(vec, pv.assemble() / np.linalg.norm(pv.assemble())))
-                for pv in res.vectors
-            ]
-            assert max(hits, default=0.0) > 1 - 1e-7
+        _assert_span_products(psi, phi, [psi.amplitudes + z * phi.amplitudes for z in np.roots(coeffs)])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)])
+def test_span_products_on_every_shape(rng, dims):
+    # oracle: directions planted in the span, and try_factor on every answer
+    space = StateSpace(dims)
+    for _ in range(20):
+        a, b = (random_product_state(rng, space).amplitudes for _ in range(2))
+        entangled = random_pure_state(rng, space)
+        _assert_span_products(PureState(space, a), PureState(space, b), [a, b], count=2)
+        _assert_span_products(PureState(space, a), entangled, [a])
+        _assert_span_products(entangled, PureState(space, a), [a])
+        _assert_span_products(PureState.normalized(space, a + b), PureState.normalized(space, a - 2 * b), [a, b], count=2)
+        _assert_span_products(entangled, random_pure_state(rng, space), [])
+    # an all-product span: the factors differ on one party only
+    zero, one = (basis_state(space, (0,) * (len(dims) - 1) + (j,)) for j in (0, 1))
+    assert product_vectors_in_span(zero, one).infinitely_many
+    u = kron_all([random_unitary(rng, d) for d in dims])
+    assert product_vectors_in_span(PureState(space, u @ zero.amplitudes), PureState(space, u @ one.amplitudes)).infinitely_many
+    # a tangent span, |0...0> with the W-type sum of one-party flips: its one
+    # product direction is a double root, rounded apart by the rotation
+    flips = sum(basis_state(space, tuple(int(q == p) for q in range(len(dims)))).amplitudes for p in range(len(dims)))
+    for _ in range(10):
+        u = kron_all([random_unitary(rng, d) for d in dims])
+        p0, w = PureState(space, u @ zero.amplitudes), PureState.normalized(space, u @ flips)
+        _assert_span_products(p0, w, [p0.amplitudes], count=1)
+        _assert_span_products(w, p0, [p0.amplitudes], count=1)
 
 
 def test_span_products_requires_independence():
