@@ -39,11 +39,15 @@ from .states import (
     orthonormal_completion,
 )
 from .tensor_rank import (
+    AtLeast3Reason,
     Schmidt2Decomposition,
     Schmidt2Kind,
-    cut_rank,
+    cut_matrix,
     product_vectors_in_span,
+    proper_cuts,
     schmidt2_classify,
+    span_roots,
+    try_factor,
 )
 
 
@@ -327,31 +331,43 @@ class SubspaceReport:
         return self.p0.passed and self.p1.passed and self.p2.passed
 
 
-def _needs_three_products(state: PureState, tol: Tolerances) -> bool:
-    """True when the state provably needs >= 3 product terms (not merely >= 3
-    orthogonal ones)."""
-    if state.space.nparties == 2:
-        return cut_rank(state.amplitudes, state.space.dims, (0,), tol) >= 3
-    cls = schmidt2_classify(state, tol)
-    if cls.kind is not Schmidt2Kind.AT_LEAST_3:
-        return False
-    from .tensor_rank import AtLeast3Reason
-
-    return cls.reason in (AtLeast3Reason.CUT_RANK, AtLeast3Reason.PRODUCT_SHORTAGE)
-
-
-def _sample_grid(n_mag: int, n_phase: int):
-    for t in np.linspace(0.08, math.pi / 2 - 0.08, n_mag):
-        for ph in np.linspace(0.0, 2 * math.pi, n_phase, endpoint=False):
-            yield math.cos(t), math.sin(t) * np.exp(1j * ph)
+def _need_three_products(vecs: np.ndarray, space: StateSpace, tol: Tolerances) -> np.ndarray:
+    """Per unit row of ``vecs``: whether it provably needs >= 3 product terms
+    (not merely >= 3 orthogonal ones), the stack checked as
+    :func:`schmidt2_classify` checks one state.  Some cut rank >= 3 proves
+    it, and on two parties nothing else can; a product row needs one term.
+    Rows with every single-party cut rank 2 look for two product vectors in
+    the span of their cut-0 right singular vectors, and fewer than two in a
+    span that is not all product proves it.  Any other row is classified
+    alone."""
+    dims, k = space.dims, space.nparties
+    ranks = {}
+    for left in proper_cuts(k):
+        s = np.linalg.svd(cut_matrix(vecs, dims, left), compute_uv=False)
+        ranks[left] = (s > tol.rank * s[:, :1]).sum(axis=1)
+    need = np.any([r >= 3 for r in ranks.values()], axis=0)
+    if k == 2:
+        return need
+    rest = np.flatnonzero(~need)
+    rest = rest[[pv is None for pv in try_factor(vecs[rest], dims)]]
+    spans = rest[np.all([ranks[(p,)][rest] == 2 for p in range(k)], axis=0)]
+    if spans.size:
+        _, s, vh = np.linalg.svd(cut_matrix(vecs[spans], dims, (0,)), full_matrices=False)
+        span = span_roots(vh[:, 0], vh[:, 1], dims[1:])
+        shortage = (s[:, 1] > tol.rank * s[:, 0]) & ~span.all_product & (span.product.sum(axis=1) < 2)
+        need[spans[shortage]] = True
+    for i in rest[~need[rest]]:
+        cls = schmidt2_classify(PureState(space, vecs[i]), tol)
+        need[i] = cls.reason in (AtLeast3Reason.CUT_RANK, AtLeast3Reason.PRODUCT_SHORTAGE)
+    return need
 
 
 def verify_subspace_properties(spec: SubspaceSpec, tol: Tolerances = DEFAULT) -> SubspaceReport:
     """Check the three structural properties behind indistinguishability:
     a unique product direction in the span, three-term entangled members on
     a sampling grid, and the same for the difference combinations that the
-    rank-bound argument uses."""
-    span = product_vectors_in_span(spec.phi1, spec.phi2, tol)
+    rank-bound argument uses.  Both grids are checked as one stack."""
+    span = product_vectors_in_span(spec.phi1, spec.phi2)
     unique_product = (not span.infinitely_many) and len(span.vectors) == 1
     p0_detail: dict = {"count": len(span.vectors), "infinitely_many": span.infinitely_many}
     if unique_product:
@@ -359,35 +375,18 @@ def verify_subspace_properties(spec: SubspaceSpec, tol: Tolerances = DEFAULT) ->
         p0_detail["product_overlap_phi2"] = float(abs(np.vdot(v, spec.phi2.amplitudes)))
     p0 = PropertyReport("unique_product_vector", unique_product, p0_detail)
 
-    n_checked = 0
-    n_failed = 0
-    for a, b in _sample_grid(10, 10):
-        vec = a * spec.phi1.amplitudes + b * spec.phi2.amplitudes
-        state = PureState.normalized(spec.space, vec)
-        n_checked += 1
-        if not _needs_three_products(state, tol):
-            n_failed += 1
-    p1 = PropertyReport(
-        "entangled_members_need_three_products",
-        n_failed == 0 and n_checked >= 100,
-        {"checked": n_checked, "failed": n_failed},
-    )
-
-    n2 = 0
-    f2 = 0
-    for mag in np.linspace(0.15, 6.0, 20):
-        for ph in np.linspace(0.0, 2 * math.pi, 5, endpoint=False):
-            alpha_inv = mag * np.exp(1j * ph)
-            vec = spec.phi1.amplitudes - alpha_inv * spec.phi2.amplitudes
-            state = PureState.normalized(spec.space, vec)
-            n2 += 1
-            if not _needs_three_products(state, tol):
-                f2 += 1
-    p2 = PropertyReport(
-        "difference_combinations_need_three_products",
-        f2 == 0,
-        {"checked": n2, "failed": f2},
-    )
+    # p1: cos(t) phi1 + sin(t) e^{i ph} phi2 on a 10 x 10 grid; p2:
+    # phi1 - m e^{i ph} phi2 on 20 magnitudes x 5 phases
+    turns = [np.linspace(0.0, 2 * math.pi, n, endpoint=False) for n in (10, 5)]
+    t, ph1 = np.meshgrid(np.linspace(0.08, math.pi / 2 - 0.08, 10), turns[0], indexing="ij")
+    mag, ph2 = np.meshgrid(np.linspace(0.15, 6.0, 20), turns[1], indexing="ij")
+    a = np.concatenate([np.cos(t).ravel(), np.ones(100)])
+    b = np.concatenate([(np.sin(t) * np.exp(1j * ph1)).ravel(), (-mag * np.exp(1j * ph2)).ravel()])
+    vecs = a[:, None] * spec.phi1.amplitudes + b[:, None] * spec.phi2.amplitudes
+    failed = ~_need_three_products(vecs / np.linalg.norm(vecs, axis=1, keepdims=True), spec.space, tol)
+    f1, f2 = int(failed[:100].sum()), int(failed[100:].sum())
+    p1 = PropertyReport("entangled_members_need_three_products", f1 == 0, {"checked": 100, "failed": f1})
+    p2 = PropertyReport("difference_combinations_need_three_products", f2 == 0, {"checked": 100, "failed": f2})
     return SubspaceReport(p0=p0, p1=p1, p2=p2)
 
 

@@ -44,6 +44,7 @@ from .states import (
     DiscriminationInstance,
     PureState,
     concurrence,
+    factor_states,
     orthonormal_completion,
 )
 from .tensor_rank import Schmidt2Kind, proper_cuts, schmidt2_classify, span_roots
@@ -257,6 +258,7 @@ def _decide_full_span(instance: DiscriminationInstance, tol: Tolerances) -> Verd
     """Full-span case: with no residual the POVM is forced to the members'
     projectors, so the states are distinguishable iff each is separable."""
     evidence = []
+    factor_states(instance.states)
     for j, member in enumerate(instance.states or instance.projectors):
         verdict = element_separability(member, instance.space, tol)
         if verdict.status is SepStatus.ENTANGLED:
@@ -419,6 +421,17 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
 
     if phi is not None and n == d - 1:
         cls = schmidt2_classify(phi, tol)
+        if cls.kind is Schmidt2Kind.AT_LEAST_3:
+            return Verdict(
+                status=VerdictStatus.INDISTINGUISHABLE,
+                theorem="T6",
+                reason=Reason(
+                    "orthogonal_schmidt_number",
+                    "the residual state needs at least three orthogonal product terms, so no basis of its orthocomplement is distinguishable",
+                    {"reason": cls.reason.value if cls.reason else None},
+                ),
+            )
+        factor_states(states)
         if cls.kind is Schmidt2Kind.PRODUCT:
             # a product residual state admits only product bases
             for j, s in enumerate(states):
@@ -435,16 +448,6 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
             decompositions = [ProductDecomposition((1.0,), (s.product,)) for s in states]
             decompositions[0] = ProductDecomposition((1.0, 1.0), (states[0].product, phi.product))
             return _lambda_certificate(states, phi, [1.0] + [0.0] * (n - 1), decompositions, "T1")
-        if cls.kind is Schmidt2Kind.AT_LEAST_3:
-            return Verdict(
-                status=VerdictStatus.INDISTINGUISHABLE,
-                theorem="T6",
-                reason=Reason(
-                    "orthogonal_schmidt_number",
-                    "the residual state needs at least three orthogonal product terms, so no basis of its orthocomplement is distinguishable",
-                    {"reason": cls.reason.value if cls.reason else None},
-                ),
-            )
         if cls.kind is Schmidt2Kind.UNDECIDED:
             theorem = "T1"
         elif cls.detail["entry_distance"] >= 3:

@@ -142,9 +142,7 @@ class Rank2Result:
     case: Rank2Case
 
 
-def rank2_separability(
-    psi: PureState, phi: PureState, lam: float, tol: Tolerances = DEFAULT
-) -> Rank2Result:
+def rank2_separability(psi: PureState, phi: PureState, lam: float) -> Rank2Result:
     """Exact separability of |psi><psi| + lam |phi><phi| for orthogonal unit
     states.
 
@@ -320,7 +318,7 @@ def try_product_decomposition(op: np.ndarray, space: StateSpace, tol: Tolerances
                     if norms[idx] < 1e-9:
                         break
                     cand = resid[:, idx] / norms[idx]
-                    found = try_factor(cand, space.dims)
+                    found = try_factor(cand[None], space.dims)[0]
                     # with one dimension left every column is the same
                     # direction, so the first candidate settles it
                     if found is not None or len(chosen) == j - i:
@@ -375,7 +373,7 @@ def element_separability(
         return SeparabilityVerdict(SepStatus.UNDECIDED, detail={"min_eigenvalue": float(vals[0])})
     rank = int(np.sum(vals > 1e-9 * max(1.0, float(vals[-1]))))
     if rank == 1:
-        return _factored(try_factor(eig.vectors[:, -1], space.dims), float(vals[-1]))
+        return _factored(try_factor(eig.vectors[None, :, -1], space.dims)[0], float(vals[-1]))
     ppt = None
     if ppt_is_exact(space):
         ppt = _ppt_or_undecided(member, space, tol)
@@ -385,7 +383,7 @@ def element_separability(
         # E = mu_1 (|v_1><v_1| + (mu_2 / mu_1) |v_2><v_2|), mu_1 <= mu_2
         mu = float(vals[-2])
         psi, phi = (PureState.normalized(space, eig.vectors[:, i]) for i in (-2, -1))
-        r2 = rank2_separability(psi, phi, float(vals[-1]) / mu, tol).verdict
+        r2 = rank2_separability(psi, phi, float(vals[-1]) / mu).verdict
         if r2.status is not SepStatus.SEPARABLE:
             return r2
         dec = ProductDecomposition(tuple(mu * w for w in r2.evidence.weights), r2.evidence.vectors)

@@ -75,13 +75,24 @@ class PureState:
         computed on first use and kept, as the amplitudes are read-only."""
         from .tensor_rank import try_factor
 
-        return try_factor(self.amplitudes, self.space.dims)
+        return try_factor(self.amplitudes[None], self.space.dims)[0]
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def inner(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+
+def factor_states(states) -> None:
+    """Fill the cached :attr:`PureState.product` of every state not factored
+    yet, with one :func:`~sepdisc.tensor_rank.try_factor` call over them all."""
+    todo = [s for s in states if "product" not in vars(s)]
+    if todo:
+        from .tensor_rank import try_factor
+
+        for state, pv in zip(todo, try_factor(np.stack([s.amplitudes for s in todo]), todo[0].space.dims)):
+            vars(state)["product"] = pv
 
 
 def basis_state(space: StateSpace, indices) -> PureState:

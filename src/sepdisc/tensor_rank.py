@@ -80,13 +80,14 @@ class ProductVector:
 
 
 def cut_matrix(vec: np.ndarray, dims: tuple[int, ...], left: tuple[int, ...]) -> np.ndarray:
-    """Amplitude matrix of a vector across the bipartition left|rest."""
-    k = len(dims)
-    right = tuple(p for p in range(k) if p not in left)
-    t = np.asarray(vec).reshape(dims)
-    t = np.transpose(t, left + right)
-    dl = math.prod(dims[p] for p in left)
-    return t.reshape(dl, -1)
+    """Amplitude matrix of a vector across the bipartition left|rest; a
+    stack of vectors (rows) gives the stack of their matrices."""
+    vec = np.asarray(vec)
+    n = vec.ndim - 1
+    axes = list(range(n)) + [n + p for p in left] + [n + p for p in range(len(dims)) if p not in left]
+    rows = math.prod([dims[p] for p in left])
+    t = vec.reshape(*vec.shape[:-1], *dims).transpose(axes)
+    return t.reshape(*vec.shape[:-1], rows, math.prod(dims) // rows)
 
 
 @dataclass(frozen=True)
@@ -157,31 +158,33 @@ def peel_parties(vec: np.ndarray, dims: tuple[int, ...], parties, tol: Tolerance
 PRODUCT_TOL = 1e-9
 
 
-def try_factor(vec: np.ndarray, dims: tuple[int, ...]) -> ProductVector | None:
-    """Factor a vector into a product across all parties, or None.
+def try_factor(vecs: np.ndarray, dims: tuple[int, ...]) -> list[ProductVector | None]:
+    """Factor each row of a stack into a product across all parties, or None.
 
-    Dominant singular vectors per single-party cut give the factors, and the
-    vector is accepted iff ||vec - w (x) factors|| <= PRODUCT_TOL ||vec|| for
-    the overlap w.  A cut whose singular-value tail ||s[1:]|| exceeds that
-    bound rejects at once, exactly: by Eckart-Young it bounds the residual.
+    Dominant singular vectors per single-party cut give the factors, and a
+    row is accepted iff ||vec - w (x) factors|| <= PRODUCT_TOL ||vec|| for the
+    overlap w.  A cut whose singular-value tail ||s[1:]|| exceeds that bound
+    rejects the row at once, exactly: by Eckart-Young it bounds the residual.
+    One batched SVD per cut covers the stack, until every row is rejected.
     """
-    vec = np.asarray(vec, dtype=complex)
-    n = np.linalg.norm(vec)
-    if n == 0:
-        return None
-    t = vec.reshape(dims)
-    factors = []
-    for p, d in enumerate(dims):
-        # the single-party cut matrix of cut_matrix(vec, dims, (p,))
-        u, s, _ = np.linalg.svd(np.moveaxis(t, p, 0).reshape(d, -1), full_matrices=False)
-        if np.linalg.norm(s[1:]) > PRODUCT_TOL * n:
-            return None
-        factors.append(u[:, 0])
-    assembled = kron_all(factors)
-    w = complex(np.vdot(assembled, vec))
-    if np.linalg.norm(vec - w * assembled) > PRODUCT_TOL * n:
-        return None
-    return ProductVector(tuple(factors), w)
+    vecs = np.asarray(vecs, dtype=complex)
+    # squared: PRODUCT_TOL^2 ||vec||^2 against squared tails and residuals
+    bound = PRODUCT_TOL**2 * (abs(vecs) ** 2).sum(axis=1)
+    ok, factors, out = bound > 0, [], [None] * len(vecs)
+    for p in range(len(dims)):
+        u, s, _ = np.linalg.svd(cut_matrix(vecs, dims, (p,)), full_matrices=False)
+        ok &= (s[:, 1:] ** 2).sum(axis=1) <= bound
+        if not ok.any():
+            return out
+        factors.append(u[:, :, 0])
+    for i in np.flatnonzero(ok):
+        row = tuple(f[i] for f in factors)
+        assembled = kron_all(row)
+        w = complex(np.vdot(assembled, vecs[i]))
+        resid = vecs[i] - w * assembled
+        if np.vdot(resid, resid).real <= bound[i]:
+            out[i] = ProductVector(row, w)
+    return out
 
 
 def entry_distance(a: ProductVector, b: ProductVector, tol: Tolerances = DEFAULT) -> int:
@@ -234,10 +237,11 @@ class SpanRoots:
 
 
 def span_roots(psis: np.ndarray, phi: np.ndarray, dims: tuple[int, ...]) -> SpanRoots:
-    """The product vectors s psi_i + t phi of the spans of unit vectors psi_i
-    (rows of ``psis``) with a unit vector phi.
+    """The product vectors s psi_i + t phi_i of the spans of unit vectors
+    psi_i (rows of ``psis``) with unit vectors phi_i: one phi shared by every
+    member, or one per member (rows of ``phi``).
 
-    Every 2x2 minor of a single-party cut of s psi_i + t phi is a form
+    Every 2x2 minor of a single-party cut of s psi_i + t phi_i is a form
     c0 s^2 + c1 st + c2 t^2, and a product vector is a root of all of them.
     Per member, the form with the largest coefficient over every cut is
     solved without cancellation: q = -(c1 +- sqrt(c1^2 - 4 c0 c2)) / 2 gives
@@ -247,27 +251,25 @@ def span_roots(psis: np.ndarray, phi: np.ndarray, dims: tuple[int, ...]) -> Span
     product.  One batched SVD per cut (one in all on two parties) tests every
     root with try_factor's tail bound and gives its factors.
     """
-    m = len(psis)
-
-    def cuts(t: np.ndarray, p: int) -> np.ndarray:  # the (p | rest) cut matrices of a stack
-        return t.transpose(0, p + 1, *(q + 1 for q in range(len(dims)) if q != p)).reshape(len(t), dims[p], -1)
+    m, shared = len(psis), phi.ndim == 1
 
     def minors(x: np.ndarray, y: np.ndarray) -> np.ndarray:  # x[i1, j1] y[i2, j2] - x[i1, j2] y[i2, j1]
         out = x[..., :, None, :, None] * y[..., None, :, None, :] - x[..., :, None, None, :] * y[..., None, :, :, None]
         return out.reshape(*out.shape[:-4], -1)
 
-    stack = np.concatenate([phi[None], psis]).reshape(m + 1, *dims)
+    stack = np.concatenate([phi.reshape(-1, psis.shape[1]), psis])
     forms = []
     # on two parties, cut 1 is cut 0 transposed, with the same minors
     for p in range(len(dims) if len(dims) > 2 else 1):
-        c = cuts(stack, p)
-        own = minors(c, c)
-        forms.append((own[1:], minors(c[1:], c[0]) + minors(c[0], c[1:]), own[0]))
+        c = cut_matrix(stack, dims, (p,))
+        own, cphi = minors(c, c), c[0] if shared else c[:m]
+        forms.append((own[-m:], minors(c[-m:], cphi) + minors(cphi, c[-m:]), own[:-m]))
     c0, c1, c2 = (np.concatenate(f, axis=-1) for f in zip(*forms))
     size = np.maximum(np.maximum(abs(c0), abs(c1)), abs(c2))
-    best = size.argmax(axis=1)
-    c0, c1, c2 = c0[np.arange(m), best], c1[np.arange(m), best], c2[best]
-    all_product = size[np.arange(m), best] <= 1e-13
+    rows, best = np.arange(m), size.argmax(axis=1)
+    # c2 has one row per phi
+    c0, c1, c2 = c0[rows, best], c1[rows, best], c2[rows % len(c2), best]
+    all_product = size[rows, best] <= 1e-13
 
     disc = np.sqrt(c1 * c1 - 4.0 * c0 * c2)
     disc = np.where((c1.conj() * disc).real < 0.0, -disc, disc)
@@ -283,11 +285,11 @@ def span_roots(psis: np.ndarray, phi: np.ndarray, dims: tuple[int, ...]) -> Span
         roots[double & lead, 1] = np.stack([2.0 * c2, -c1], axis=1)[double & lead]
         roots[double & ~lead, 0] = np.stack([-c1, 2.0 * c0], axis=1)[double & ~lead]
 
-    vectors = roots[:, :, :1] * psis[:, None, :] + roots[:, :, 1:] * phi
-    tensors, bound = vectors.reshape(2 * m, *dims), PRODUCT_TOL**2 * (abs(vectors) ** 2).sum(axis=2).reshape(-1)
+    vectors = roots[:, :, :1] * psis[:, None, :] + roots[:, :, 1:] * (phi if shared else phi[:, None, :])
+    flat, bound = vectors.reshape(2 * m, -1), PRODUCT_TOL**2 * (abs(vectors) ** 2).sum(axis=2).reshape(-1)
     product, factors = np.ones(2 * m, dtype=bool), []
     for p, d in enumerate(dims):
-        u, sv, vh = np.linalg.svd(cuts(tensors, p), full_matrices=False)
+        u, sv, vh = np.linalg.svd(cut_matrix(flat, dims, (p,)), full_matrices=False)
         product &= (sv[:, 1:] ** 2).sum(axis=1) <= bound
         factors.append(u[:, :, 0].reshape(m, 2, d))
         if len(dims) == 2:  # cut 1 is cut 0 transposed: vh's first rows factor party 1
@@ -300,7 +302,7 @@ def span_roots(psis: np.ndarray, phi: np.ndarray, dims: tuple[int, ...]) -> Span
     return SpanRoots(roots, vectors, product, tuple(factors), all_product)
 
 
-def product_vectors_in_span(psi: PureState, phi: PureState, tol: Tolerances = DEFAULT) -> SpanProducts:
+def product_vectors_in_span(psi: PureState, phi: PureState) -> SpanProducts:
     """All product vectors (up to scale) in span{psi, phi}: at most two, as
     :meth:`SpanRoots.product_roots` orders them, or infinitely many."""
     if psi.space != phi.space:

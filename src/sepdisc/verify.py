@@ -146,7 +146,7 @@ def check_lemma4_cases(seed: int, per_case: int = 50, tol: Tolerances = DEFAULT)
         # case i: two orthogonal products, any weight
         psi, phi = _random_orthogonal_product_pair(rng)
         lam = float(rng.uniform(0.0, 2.0))
-        r = rank2_separability(psi, phi, lam, tol)
+        r = rank2_separability(psi, phi, lam)
         counts[r.case] += 1
         total += 1
         agree += int(r.case is Rank2Case.BOTH_PRODUCT and ppt_agrees(psi, phi, lam, r.verdict.status))
@@ -156,12 +156,12 @@ def check_lemma4_cases(seed: int, per_case: int = 50, tol: Tolerances = DEFAULT)
         psi = random_product_state(rng, QUBIT_PAIR)
         comp = random_basis_of_complement(rng, psi)
         phi = next(s for s in comp if concurrence(s) > 0.05)
-        r = rank2_separability(psi, phi, 0.0, tol)
+        r = rank2_separability(psi, phi, 0.0)
         counts[r.case] += 1
         total += 1
         agree += int(r.case is Rank2Case.PSI_PRODUCT_LAMBDA_ZERO and ppt_agrees(psi, phi, 0.0, r.verdict.status))
         lam = float(rng.uniform(0.2, 1.5))
-        r = rank2_separability(psi, phi, lam, tol)
+        r = rank2_separability(psi, phi, lam)
         counts[r.case] += 1
         total += 1
         agree += int(r.case is Rank2Case.ENTANGLED and ppt_agrees(psi, phi, lam, r.verdict.status))
@@ -172,7 +172,7 @@ def check_lemma4_cases(seed: int, per_case: int = 50, tol: Tolerances = DEFAULT)
         c_psi, c_phi = concurrence(psi), concurrence(phi_f)
         if c_psi > 1e-6:
             lam = c_psi / c_phi
-            r = rank2_separability(psi, phi_f, lam, tol)
+            r = rank2_separability(psi, phi_f, lam)
             counts[r.case] += 1
             total += 1
             good = r.case is Rank2Case.TWO_TERM and ppt_agrees(psi, phi_f, lam, r.verdict.status)
@@ -184,7 +184,7 @@ def check_lemma4_cases(seed: int, per_case: int = 50, tol: Tolerances = DEFAULT)
         comp = random_basis_of_complement(rng, phi0)
         psi = next(s for s in comp if concurrence(s) > 0.05)
         lam = float(rng.uniform(0.1, 2.0))
-        r = rank2_separability(psi, phi0, lam, tol)
+        r = rank2_separability(psi, phi0, lam)
         counts[r.case] += 1
         total += 1
         agree += int(ppt_agrees(psi, phi0, lam, r.verdict.status))
@@ -215,7 +215,7 @@ def check_lemma5(seed: int, n_pairs: int = 100, tol: Tolerances = DEFAULT) -> Ch
             comp = random_basis_of_complement(rng, phi)
             psi = next(s for s in comp if concurrence(s) > 0.1)
         res = antiparallel_test(psi, phi, tol)
-        r_at = rank2_separability(psi, phi, res.lambda_star, tol)
+        r_at = rank2_separability(psi, phi, res.lambda_star)
         (kernel,), _ = separable_lambdas(phi, [psi], tol)
         total += 1
         # the rank-2 lemma and the lambda kernel both follow the anti-parallel
@@ -228,7 +228,7 @@ def check_lemma5(seed: int, n_pairs: int = 100, tol: Tolerances = DEFAULT) -> Ch
                 lam = res.lambda_star + d
                 if lam < 0:
                     continue
-                r_off = rank2_separability(psi, phi, lam, tol)
+                r_off = rank2_separability(psi, phi, lam)
                 flipped = flipped and r_off.verdict.status is SepStatus.ENTANGLED
         ok += int(consistent and flipped)
         worst = max(worst, res.angle_defect if res.passed else 0.0)

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from sepdisc.config import DEFAULT
 from sepdisc.constructions import (
     FamilyParams,
     SubspaceFamily,
     TetraPoint,
+    _need_three_products,
     basis_for_targets,
     basis_from_unitary,
     concurrence_triple_of_unitary,
@@ -29,8 +32,11 @@ from sepdisc.errors import (
     TargetsOutOfRange,
     WrongForm,
 )
+from sepdisc.linalg import kron_all
+from sepdisc.sampling import random_local_vector, random_product_state, random_pure_state, random_unitary
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, concurrence, ket, magic_basis
-from tests.conftest import decide_with_phi, ghz_theta
+from sepdisc.tensor_rank import AtLeast3Reason, cut_rank, schmidt2_classify
+from tests.conftest import decide_with_phi, ghz_theta, w_state
 
 
 class TestFamily:
@@ -261,6 +267,85 @@ class TestSubspaces:
         report = verify_subspace_properties(subspace_spec_from_pair(phi1p, spec.phi2))
         assert isinstance(report.p0.passed, bool)
         assert report.p0.detail["count"] in (0, 1, 2)
+
+
+def _needs_three_alone(row, space, tol):
+    """One row through the per-state rule: cut rank >= 3 on two parties,
+    a CUT_RANK or PRODUCT_SHORTAGE classification otherwise."""
+    if space.nparties == 2:
+        return cut_rank(row, space.dims, (0,), tol) >= 3
+    reason = schmidt2_classify(PureState(space, row), tol).reason
+    return reason in (AtLeast3Reason.CUT_RANK, AtLeast3Reason.PRODUCT_SHORTAGE)
+
+
+def _mixed_stack(rng, dims, kind=None):
+    """Unit rows of one space: members of locally rotated spans of a
+    subspace pair, Haar states, products, products of one party's vector
+    with a Haar (or, on 2x2x2, a locally rotated W) rest, and products plus
+    relative noise 1e-11 to 1e-6."""
+    space, rows = StateSpace(dims), []
+    for _ in range(4 if kind else 0):
+        spec = indistinguishable_subspace(kind)
+        u = kron_all([random_unitary(rng, d) for d in dims])
+        phi1, phi2 = u @ spec.phi1.amplitudes, u @ spec.phi2.amplitudes
+        for t in np.linspace(0.08, math.pi / 2 - 0.08, 5):
+            for ph in np.linspace(0.0, 2 * math.pi, 4, endpoint=False):
+                rows.append(math.cos(t) * phi1 + math.sin(t) * np.exp(1j * ph) * phi2)
+                rows.append(phi1 - 4 * math.sin(t) * np.exp(1j * ph) * phi2)
+    rows += [random_pure_state(rng, space).amplitudes for _ in range(20)]
+    rows += [random_product_state(rng, space).amplitudes for _ in range(10)]
+    if len(dims) > 2:
+        rest = StateSpace(dims[1:])
+        cores = [random_pure_state(rng, rest).amplitudes for _ in range(10)]
+        if rest.dims == (2, 2, 2):
+            cores += [kron_all([random_unitary(rng, 2) for _ in range(3)]) @ w_state(rest).amplitudes for _ in range(10)]
+        rows += [np.kron(random_local_vector(rng, dims[0]), core) for core in cores]
+    for eps in np.logspace(-11, -6, 16):
+        noise = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        rows.append(random_product_state(rng, space).amplitudes + eps * noise / np.linalg.norm(noise))
+    rows = np.array(rows)
+    return space, rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestSubspaceGridStack:
+    @pytest.mark.parametrize(
+        "dims, kind",
+        [((3, 3), SubspaceFamily.BIPARTITE_3X3_DIM7), ((2, 2, 2), SubspaceFamily.TRIPARTITE_222_DIM6), ((2, 2, 3), None), ((2, 2, 2, 2), None)],
+    )
+    @pytest.mark.parametrize("rank", [None, 1e-7, 1e-11])
+    def test_stack_matches_each_row_alone(self, dims, kind, rank):
+        tol = DEFAULT if rank is None else dataclasses.replace(DEFAULT, rank=rank)
+        space, rows = _mixed_stack(np.random.default_rng(11), dims, kind)
+        got = _need_three_products(rows, space, tol)
+        want = [_needs_three_alone(row, space, tol) for row in rows]
+        assert got.tolist() == want
+        # the mix holds rows on both sides of the rule
+        assert 0 < sum(want) < len(want)
+
+    @pytest.mark.parametrize("kind", list(SubspaceFamily))
+    def test_svd_calls_do_not_grow_with_the_grid(self, monkeypatch, kind):
+        svd, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert verify_subspace_properties(indistinguishable_subspace(kind)).all_passed
+        assert len(calls) < 20
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2)])
+    def test_cat_state_spans_fail_every_member(self, dims):
+        space = StateSpace(dims)
+        zeros, ones = ket(space, "0" * len(dims)).amplitudes, ket(space, "1" * len(dims)).amplitudes
+        report = verify_subspace_properties(
+            subspace_spec_from_pair(
+                PureState.normalized(space, zeros + ones), PureState.normalized(space, zeros - ones)
+            )
+        )
+        assert report.p0.detail["count"] == 2 and not report.p0.passed
+        assert report.p1.detail == {"checked": 100, "failed": 100}
+        assert report.p2.detail == {"checked": 100, "failed": 100}
 
 
 class TestLoccBasis:

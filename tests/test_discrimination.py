@@ -254,9 +254,9 @@ class TestH3:
         i, j = 0, None
         from sepdisc.tensor_rank import entry_distance, try_factor
 
-        pv_i = try_factor(products[i].amplitudes, S3.dims)
+        pv_i = try_factor(products[i].amplitudes[None], S3.dims)[0]
         for cand in range(1, len(products)):
-            pv_c = try_factor(products[cand].amplitudes, S3.dims)
+            pv_c = try_factor(products[cand].amplitudes[None], S3.dims)[0]
             if entry_distance(pv_i, pv_c) >= 2:
                 j = cand
                 break
@@ -648,7 +648,7 @@ def test_certificate_counts_must_match_the_members():
     # elements of the wrong size, and product evidence on 3x3 factors
     full = DiscriminationInstance.from_pure(QUBIT_PAIR, [ket(QUBIT_PAIR, f"{i}{j}") for i in range(2) for j in range(2)])
     s33 = StateSpace((3, 3))
-    qutrit = ProductDecomposition((1.0,), (try_factor(basis_state(s33, (0, 0)).amplitudes, s33.dims),))
+    qutrit = ProductDecomposition((1.0,), (try_factor(basis_state(s33, (0, 0)).amplitudes[None], s33.dims)[0],))
     forgeries = [
         disc.PovmCertificate((np.eye(2) / 2.0,) * 4, (None,) * 4, None),
         disc.PovmCertificate((np.eye(3) / 3.0,) * 4, (None,) * 4, None),
@@ -781,14 +781,21 @@ def test_2x2_cut_rank_is_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _factored_rows(calls) -> list[bytes]:
+    """Every row of every stack handed to try_factor."""
+    return [row.tobytes() for args in calls for row in np.asarray(args[0], dtype=complex)]
+
+
 def _assert_each_vector_factored_once(monkeypatch, inst, theorem):
     calls = _counting(monkeypatch, "try_factor")
     v = decide(inst)
     assert v.status is VerdictStatus.DISTINGUISHABLE and v.theorem == theorem
-    vectors = [np.asarray(args[0], dtype=complex).tobytes() for args in calls]
+    vectors = _factored_rows(calls)
     assert len(vectors) == len(set(vectors)), f"{len(vectors) - len(set(vectors))} repeated factorizations"
-    # every member and phi itself were factored
-    assert len(vectors) > inst.n
+    # every member and phi itself were factored, phi in one call and the
+    # members in at most one more
+    assert set(vectors) >= {s.amplitudes.tobytes() for s in inst.states + (inst.phi,)}
+    assert len(calls) <= 2
 
 
 def test_t5_decide_factors_each_vector_once(monkeypatch):
@@ -840,6 +847,5 @@ def test_second_decide_factors_no_member_and_not_phi(monkeypatch, build):
     assert second.status is first.status is VerdictStatus.DISTINGUISHABLE
     assert second.certificate.lambdas == first.certificate.lambdas
     known = {s.amplitudes.tobytes() for s in inst.states + (inst.phi,)}
-    # only the pencil roots of a span, which are neither members nor phi,
-    # are factored again
-    assert not known & {np.asarray(args[0], dtype=complex).tobytes() for args in calls}
+    # neither a member nor phi is factored again
+    assert not known & set(_factored_rows(calls))

@@ -27,6 +27,7 @@ from sepdisc.tensor_rank import (
     product_vectors_in_span,
     schmidt2_classify,
     schmidt_decompose,
+    span_roots,
     try_factor,
 )
 from tests.conftest import ghz_theta, w_state
@@ -76,7 +77,7 @@ def test_schmidt_bad_bipartition():
 
 
 def _pv(space, label_a):
-    return try_factor(ket(space, label_a).amplitudes, space.dims)
+    return try_factor(ket(space, label_a).amplitudes[None], space.dims)[0]
 
 
 def test_entry_distance_examples():
@@ -123,7 +124,7 @@ def _assert_span_products(psi, phi, planted, count=None):
     basis = np.linalg.qr(np.column_stack([psi.amplitudes, phi.amplitudes]))[0]
     units = [pv.unit() for pv in res.vectors]
     for u in units:
-        assert try_factor(u, psi.space.dims) is not None
+        assert try_factor(u[None], psi.space.dims)[0] is not None
         assert np.linalg.norm(u - basis @ (basis.conj().T @ u)) < 1e-8
     for p in planted:
         p = p / np.linalg.norm(p)
@@ -172,6 +173,49 @@ def test_span_products_on_every_shape(rng, dims):
         p0, w = PureState(space, u @ zero.amplitudes), PureState.normalized(space, u @ flips)
         _assert_span_products(p0, w, [p0.amplitudes], count=1)
         _assert_span_products(w, p0, [p0.amplitudes], count=1)
+
+
+def _span_bytes(span, i):
+    return (
+        span.roots[i].tobytes(),
+        span.vectors[i].tobytes(),
+        span.product[i].tobytes(),
+        span.all_product[i],
+        tuple(f[i].tobytes() for f in span.factors),
+    )
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2), (2, 2, 3)])
+def test_span_roots_phi_per_row_is_the_shared_phi_kernel(rng, dims):
+    """One phi per row gives, row for row and bit for bit, what the
+    shared-phi call gives for that row's pair: generic pairs, pairs of two
+    products, tangent spans (a double root) and all-product spans."""
+    space = StateSpace(dims)
+    flips = sum(basis_state(space, tuple(int(q == p) for q in range(len(dims)))).amplitudes for p in range(len(dims)))
+    zero, one = (basis_state(space, (0,) * (len(dims) - 1) + (j,)).amplitudes for j in (0, 1))
+    pairs = []
+    for _ in range(6):
+        a, b = (random_product_state(rng, space).amplitudes for _ in range(2))
+        u = kron_all([random_unitary(rng, d) for d in dims])
+        pairs += [
+            (random_pure_state(rng, space).amplitudes, random_pure_state(rng, space).amplitudes),
+            (a + b, a - 2 * b),
+            (u @ flips, u @ zero),
+            (u @ zero, u @ one),
+        ]
+    psis, phis = [], []
+    for x, y in pairs:
+        y = y / np.linalg.norm(y)
+        x = x - np.vdot(y, x) * y
+        psis.append(x / np.linalg.norm(x))
+        phis.append(y)
+    psis, phis = np.array(psis), np.array(phis)
+    stacked = span_roots(psis, phis, dims)
+    for i in range(len(psis)):
+        assert _span_bytes(stacked, i) == _span_bytes(span_roots(psis[i : i + 1], phis[i], dims), 0)
+    # and a shared phi repeated on every row is the shared-phi call
+    shared, repeated = span_roots(psis, phis[0], dims), span_roots(psis, np.tile(phis[0], (len(psis), 1)), dims)
+    assert all(_span_bytes(shared, i) == _span_bytes(repeated, i) for i in range(len(psis)))
 
 
 def test_span_products_requires_independence():
@@ -286,9 +330,13 @@ def test_lemma3_uniqueness_property(rng):
 def test_is_product_and_try_factor(rng):
     st = random_product_state(rng, S3)
     assert st.product is not None
-    pv = try_factor(st.amplitudes, S3.dims)
+    pv = try_factor(st.amplitudes[None], S3.dims)[0]
     assert np.linalg.norm(pv.assemble() - st.amplitudes) < 1e-10
     assert w_state(S3).product is None
+    # a stack: one answer per row, in order, and none for an empty stack
+    stack = np.stack([w_state(S3).amplitudes, st.amplitudes, np.zeros(8)])
+    assert [f is None for f in try_factor(stack, S3.dims)] == [True, False, True]
+    assert try_factor(np.empty((0, 8)), S3.dims) == []
 
 
 def test_peel_parties_prefix_times_pair():
@@ -337,7 +385,7 @@ def test_early_reject_matches_the_residual_rule(dims):
             noise = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
             vec = base + eps * np.linalg.norm(base) * noise / np.linalg.norm(noise)
             want, resid = _reference_try_factor(vec, dims)
-            got = try_factor(vec, dims)
+            got = try_factor(vec[None], dims)[0]
             if abs(resid - 1e-9) <= 1e-12 * 1e-9:
                 continue
             outcomes.add(want is None)
