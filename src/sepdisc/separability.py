@@ -479,8 +479,9 @@ def constraint_residual(e: np.ndarray, p: np.ndarray, p0: np.ndarray, dims, cuts
     return max(parts.values()), parts
 
 
-# Dykstra path: iterations between residual checks, and the iteration cap
-# unless the caller sets one
+# Dykstra path: iterations between residual checks (the first check is at
+# iteration 1, then every _CHECK_EVERY), and the iteration cap unless the
+# caller sets one
 _CHECK_EVERY = 5
 _MAX_ITERATIONS = 20000
 # rank-1 path: the bracket and final width of the peak search, and the
@@ -716,11 +717,12 @@ def _solve_dykstra(
     that sharpens convergence).  On an infeasible problem the corrections
     grow along a dual certificate: Z[k, c] = -PT_c(r_ppt[c][k]), and Y the
     Pi-compression of the mean over k of -r_psd[k] - sum_c r_ppt[c][k]
-    (which is W_k + sum_c PT_c Z[k, c], W_k = -r_psd[k]).  It is checked at
-    residual checks 1, 2, 4, 8, ... and at the cap, after the feasibility
-    test, so feasible runs pay O(log iterations) attempts.  A run with
-    neither a feasible point nor a valid certificate by the cap is reported
-    as a result, not an error.
+    (which is W_k + sum_c PT_c Z[k, c], W_k = -r_psd[k]).  The residual is
+    checked at iteration 1, every ``_CHECK_EVERY`` iterations and at the
+    cap; the dual is tried after the feasibility test at iteration 1,
+    iterations 5, 10, 20, 40, ... and the cap, so long runs pay O(log
+    iterations) attempts.  A run with neither a feasible point nor a valid
+    certificate by the cap is reported as a result, not an error.
     """
     dims = instance.space.dims
     d = instance.space.dim
@@ -763,7 +765,7 @@ def _solve_dykstra(
         e = e - shift
         e = (e + dag(e)) / 2.0
 
-        if it % _CHECK_EVERY == 0 or it == max_iterations:
+        if it == 1 or it % _CHECK_EVERY == 0 or it == max_iterations:
             res, parts = constraint_residual(e, p, p0, dims, cuts)
             best = min(best, res)
             if res <= tol.feasibility:
@@ -775,6 +777,8 @@ def _solve_dykstra(
                     iterations=it,
                     diagnostics=parts,
                 )
+            # iteration 1 gives checks = 0, and 0 & -1 == 0 passes the
+            # power-of-two test, so the dual is tried there too
             checks = it // _CHECK_EVERY
             if checks & (checks - 1) == 0 or it == max_iterations:
                 y_dual = supp @ (-r_psd - sum(r_ppt.values())).mean(axis=0) @ supp

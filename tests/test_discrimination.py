@@ -849,3 +849,34 @@ def test_second_decide_factors_no_member_and_not_phi(monkeypatch, build):
     known = {s.amplitudes.tobytes() for s in inst.states + (inst.phi,)}
     # neither a member nor phi is factored again
     assert not known & set(_factored_rows(calls))
+
+
+# -- census guard: the cells that reach Dykstra and decide in milliseconds ---
+
+_PPT_DUAL = (VerdictStatus.INDISTINGUISHABLE, "PPT-dual", "ppt_dual")
+_PPT_FEASIBLE = (VerdictStatus.UNDECIDED, "T1", "ppt_feasible_relaxation")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "dims, n, expected",
+    [
+        ((2, 3), 3, _PPT_DUAL),
+        ((2, 3), 4, _PPT_DUAL),
+        ((3, 3), 2, _PPT_FEASIBLE),
+        ((3, 3), 5, _PPT_DUAL),
+        ((3, 3), 6, _PPT_DUAL),
+        ((3, 3), 7, _PPT_DUAL),
+        ((2, 2, 2), 2, _PPT_FEASIBLE),
+        ((2, 2, 2), 4, _PPT_DUAL),
+        ((2, 2, 2), 5, _PPT_DUAL),
+        ((2, 2, 2), 6, _PPT_DUAL),
+    ],
+)
+def test_census_cells_keep_their_verdicts(dims, n, expected, seed):
+    # the first n columns of a Haar unitary (census seed 100 + s), capped at
+    # 2,000 iterations: the solver ends at its first check on every cell
+    space = StateSpace(dims)
+    u = random_unitary(np.random.default_rng(100 + seed), space.dim)
+    v = decide(DiscriminationInstance.from_pure(space, [PureState(space, c) for c in u[:, :n].T]), max_iterations=2000)
+    assert (v.status, v.theorem, v.reason.code) == expected

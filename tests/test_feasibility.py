@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sepdisc.separability as separability
 from sepdisc.constructions import (
     FamilyParams,
     SubspaceFamily,
@@ -114,6 +115,44 @@ def test_no_dual_on_feasible_two_state_instances(dims):
         projectors = [np.outer(c, c.conj()) for c in u.T]
         out = feasibility_solve(DiscriminationInstance.from_projectors(space, projectors))
         assert out.feasible and out.dual is None, seed
+
+
+def test_dykstra_check_schedule(monkeypatch):
+    # census 2x2x3, n = 3, s = 2 stalls at 2,000 iterations; capped at 40 it
+    # checks the residual at iteration 1, every 5 iterations and the cap
+    # (1, 5, 10, ..., 40), and tries the dual at 1, 5, 10, 20 and 40
+    space = StateSpace((2, 2, 3))
+    u = random_unitary(np.random.default_rng(102), space.dim)[:, :3]
+    instance = _instance([PureState(space, c) for c in u.T])
+    calls = {"check_dual": 0, "constraint_residual": 0}
+    for name in calls:
+        original = getattr(separability, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(separability, name, counted)
+    out = _solve_dykstra(instance, max_iterations=40)
+    assert not out.feasible and out.dual is None and out.iterations == 40
+    assert calls == {"check_dual": 5, "constraint_residual": 9}
+
+
+@pytest.mark.parametrize("kind", list(SubspaceFamily))
+def test_subspace_rotations_get_their_dual_at_iteration_1(kind):
+    # Haar rotations of the dim7 and dim6 complements, built as the
+    # benchmark builds them: the first dual attempt already proves them
+    spec = indistinguishable_subspace(kind)
+    cols = np.column_stack([s.amplitudes for s in spec.complement])
+    rng = np.random.default_rng(21)
+    for trial in range(12):
+        mixed = cols @ random_unitary(rng, cols.shape[1])
+        instance = _instance([PureState(spec.space, c) for c in mixed.T])
+        verdict = decide(instance)
+        assert verdict.status is VerdictStatus.INDISTINGUISHABLE and verdict.theorem == "PPT-dual", trial
+        assert verdict.diagnostics["iterations"] == 1, trial
+        check = validate_certificate(verdict.certificate, instance)
+        assert check["valid"] and check["objective"] / check["scale"] <= -0.1, trial
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
