@@ -138,7 +138,7 @@ def cmd_decide(args, tol) -> int:
     if not data.phi and len(data.states) == data.space.dim - 2:
         comp = orthonormal_completion([st for _, st in data.states])
         spec = subspace_spec_from_pair(comp[0], comp[1])
-        report = verify_subspace_properties(spec)
+        report = verify_subspace_properties(spec, tol)
         diagnostics["subspace_properties"] = {
             "unique_product_vector": report.p0.passed,
             "entangled_members_need_three_products": report.p1.passed,
@@ -214,10 +214,13 @@ def cmd_sweep(args, tol) -> int:
 
 
 def cmd_verify(args, tol) -> int:
+    if args.bases is not None and args.bases < 1:
+        print("error: --bases must be at least 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:
-        extra = {"n_bases": args.bases} if name == "theorem2" and args.bases else {}
+        extra = {"n_bases": args.bases} if name == "theorem2" and args.bases is not None else {}
         results.extend(SUITES[name](seed=args.seed, tol=tol, **extra))
     failures = 0
     for r in results:

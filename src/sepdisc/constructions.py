@@ -42,12 +42,8 @@ from .tensor_rank import (
     AtLeast3Reason,
     Schmidt2Decomposition,
     Schmidt2Kind,
-    cut_matrix,
     product_vectors_in_span,
-    proper_cuts,
     schmidt2_classify,
-    span_roots,
-    try_factor,
 )
 
 
@@ -331,42 +327,13 @@ class SubspaceReport:
         return self.p0.passed and self.p1.passed and self.p2.passed
 
 
-def _need_three_products(vecs: np.ndarray, space: StateSpace, tol: Tolerances) -> np.ndarray:
-    """Per unit row of ``vecs``: whether it provably needs >= 3 product terms
-    (not merely >= 3 orthogonal ones), the stack checked as
-    :func:`schmidt2_classify` checks one state.  Some cut rank >= 3 proves
-    it, and on two parties nothing else can; a product row needs one term.
-    Rows with every single-party cut rank 2 look for two product vectors in
-    the span of their cut-0 right singular vectors, and fewer than two in a
-    span that is not all product proves it.  Any other row is classified
-    alone."""
-    dims, k = space.dims, space.nparties
-    ranks = {}
-    for left in proper_cuts(k):
-        s = np.linalg.svd(cut_matrix(vecs, dims, left), compute_uv=False)
-        ranks[left] = (s > tol.rank * s[:, :1]).sum(axis=1)
-    need = np.any([r >= 3 for r in ranks.values()], axis=0)
-    if k == 2:
-        return need
-    rest = np.flatnonzero(~need)
-    rest = rest[[pv is None for pv in try_factor(vecs[rest], dims)]]
-    spans = rest[np.all([ranks[(p,)][rest] == 2 for p in range(k)], axis=0)]
-    if spans.size:
-        _, s, vh = np.linalg.svd(cut_matrix(vecs[spans], dims, (0,)), full_matrices=False)
-        span = span_roots(vh[:, 0], vh[:, 1], dims[1:])
-        shortage = (s[:, 1] > tol.rank * s[:, 0]) & ~span.all_product & (span.product.sum(axis=1) < 2)
-        need[spans[shortage]] = True
-    for i in rest[~need[rest]]:
-        cls = schmidt2_classify(PureState(space, vecs[i]), tol)
-        need[i] = cls.reason in (AtLeast3Reason.CUT_RANK, AtLeast3Reason.PRODUCT_SHORTAGE)
-    return need
-
-
 def verify_subspace_properties(spec: SubspaceSpec, tol: Tolerances = DEFAULT) -> SubspaceReport:
     """Check the three structural properties behind indistinguishability:
     a unique product direction in the span, three-term entangled members on
     a sampling grid, and the same for the difference combinations that the
-    rank-bound argument uses.  Both grids are checked as one stack."""
+    rank-bound argument uses.  Both grids are one :func:`schmidt2_classify`
+    call; a member passes when a cut rank or a product shortage makes it
+    AT_LEAST_3, as these rule out any two-term split, orthogonal or not."""
     span = product_vectors_in_span(spec.phi1, spec.phi2)
     unique_product = (not span.infinitely_many) and len(span.vectors) == 1
     p0_detail: dict = {"count": len(span.vectors), "infinitely_many": span.infinitely_many}
@@ -383,8 +350,10 @@ def verify_subspace_properties(spec: SubspaceSpec, tol: Tolerances = DEFAULT) ->
     a = np.concatenate([np.cos(t).ravel(), np.ones(100)])
     b = np.concatenate([(np.sin(t) * np.exp(1j * ph1)).ravel(), (-mag * np.exp(1j * ph2)).ravel()])
     vecs = a[:, None] * spec.phi1.amplitudes + b[:, None] * spec.phi2.amplitudes
-    failed = ~_need_three_products(vecs / np.linalg.norm(vecs, axis=1, keepdims=True), spec.space, tol)
-    f1, f2 = int(failed[:100].sum()), int(failed[100:].sum())
+    three = (AtLeast3Reason.CUT_RANK, AtLeast3Reason.PRODUCT_SHORTAGE)
+    classes = schmidt2_classify(vecs / np.linalg.norm(vecs, axis=1, keepdims=True), spec.space.dims, tol)
+    failed = [cls.reason not in three for cls in classes]
+    f1, f2 = sum(failed[:100]), sum(failed[100:])
     p1 = PropertyReport("entangled_members_need_three_products", f1 == 0, {"checked": 100, "failed": f1})
     p2 = PropertyReport("difference_combinations_need_three_products", f2 == 0, {"checked": 100, "failed": f2})
     return SubspaceReport(p0=p0, p1=p1, p2=p2)
@@ -395,7 +364,7 @@ def locc_basis_sch2(phi: PureState, tol: Tolerances = DEFAULT) -> list[PureState
     for phi = cos(t) a + sin(t) b with a, b orthogonal products: the unique
     entangled member sin(t) a - cos(t) b plus the product completion of
     {a, b}."""
-    cls = schmidt2_classify(phi, tol)
+    cls = schmidt2_classify(phi.amplitudes[None], phi.space.dims, tol, [phi.product])[0]
     if cls.kind is not Schmidt2Kind.SCHMIDT2:
         raise WrongForm("state does not split into two orthogonal product terms")
     return _locc_basis(phi, cls.decomposition)

@@ -241,7 +241,7 @@ def subspace_verdict(phi: PureState, tol: Tolerances = DEFAULT) -> SubspaceVerdi
     """Trichotomy for the orthocomplement of an entangled state: either no
     basis is distinguishable by separable operations, or an explicitly
     LOCC-distinguishable basis exists."""
-    cls = schmidt2_classify(phi, tol)
+    cls = schmidt2_classify(phi.amplitudes[None], phi.space.dims, tol, [phi.product])[0]
     if cls.kind is Schmidt2Kind.PRODUCT:
         raise PhiProduct("subspace question requires an entangled state")
     if cls.kind is Schmidt2Kind.AT_LEAST_3:
@@ -420,7 +420,7 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
         phi = orthonormal_completion(states)[0]
 
     if phi is not None and n == d - 1:
-        cls = schmidt2_classify(phi, tol)
+        cls = schmidt2_classify(phi.amplitudes[None], space.dims, tol, [phi.product])[0]
         if cls.kind is Schmidt2Kind.AT_LEAST_3:
             return Verdict(
                 status=VerdictStatus.INDISTINGUISHABLE,

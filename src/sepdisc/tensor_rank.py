@@ -7,8 +7,10 @@ calls it once and keeps the result.  :func:`span_roots` is the one kernel for
 the product vectors of two-dimensional spans, which the lambda rule, the
 rank-2 lemma and the two-term classification all read.
 
-The central nontrivial routine is :func:`schmidt2_classify`.  For a state
-whose every bipartition rank is at most 2 it searches for a two-term product
+The central nontrivial routine is :func:`schmidt2_classify`, the one
+classifier, which takes a stack of states, one per row: one state is a
+one-row stack, and a sampling grid is one call.  For a state whose every
+bipartition rank is at most 2 it searches for a two-term product
 decomposition through the 2-dimensional "right support" across one cut: the
 candidate right factors must be product vectors of that span, so counting
 those settles the classification.  Fewer than two product vectors in the
@@ -122,11 +124,11 @@ def schmidt_decompose(psi: PureState, left_parties, tol: Tolerances = DEFAULT) -
     )
 
 
-def cut_rank(vec: np.ndarray, dims: tuple[int, ...], left: tuple[int, ...], tol: Tolerances) -> int:
-    s = np.linalg.svd(cut_matrix(vec, dims, left), compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol.rank * s[0]))
+def cut_rank(vecs: np.ndarray, dims: tuple[int, ...], left: tuple[int, ...], tol: Tolerances) -> np.ndarray:
+    """Rank across the cut left|rest of each row of a stack, counted above
+    the relative tolerance; 0 for a zero row."""
+    s = np.linalg.svd(cut_matrix(vecs, dims, left), compute_uv=False)
+    return (s > tol.rank * s[:, :1]).sum(axis=1)
 
 
 def peel_parties(vec: np.ndarray, dims: tuple[int, ...], parties, tol: Tolerances):
@@ -365,105 +367,128 @@ def proper_cuts(k: int):
             yield left
 
 
-def _lift(core_pv: ProductVector, positions: list[int], fixed: dict[int, np.ndarray], k: int) -> ProductVector:
+def _lift(core, weight, positions: list[int], fixed: dict[int, np.ndarray], k: int) -> ProductVector:
     factors: list[np.ndarray | None] = [None] * k
     for pos, f in fixed.items():
         factors[pos] = f
-    for pos, f in zip(positions, core_pv.factors):
+    for pos, f in zip(positions, core):
         factors[pos] = f
-    return ProductVector(tuple(factors), core_pv.weight)
+    return ProductVector(tuple(factors), weight)
 
 
-def schmidt2_classify(phi: PureState, tol: Tolerances = DEFAULT) -> Schmidt2Class:
-    """Classify a pure state by how many orthogonal product terms it needs.
+def _rows(a: np.ndarray, idx: list[int]) -> np.ndarray:
+    """a[idx] for ascending row indices idx, with no copy when idx takes every row."""
+    return a if len(idx) == len(a) else a[idx]
+
+
+def _at_least_3(reason: AtLeast3Reason, **detail) -> Schmidt2Class:
+    return Schmidt2Class(kind=Schmidt2Kind.AT_LEAST_3, reason=reason, detail=detail)
+
+
+def _two_terms(a: ProductVector, b: ProductVector, vec: np.ndarray, tol: Tolerances) -> Schmidt2Class:
+    """The class of vec from its unique two-term split vec = a + b."""
+    resid = float(np.linalg.norm(a.assemble() + b.assemble() - vec))
+    if resid > 1e-9:
+        return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"reassembly_residual": resid})
+    # two products are orthogonal exactly when some party's factors are
+    pairs = enumerate(zip(a.factors, b.factors))
+    split = tuple(p for p, (x, y) in pairs if abs(np.vdot(x, y)) <= 1e-9 * np.linalg.norm(x) * np.linalg.norm(y))
+    dec, detail = Schmidt2Decomposition(a=a, b=b, split=split), {"entry_distance": entry_distance(a, b, tol)}
+    if split:
+        return Schmidt2Class(kind=Schmidt2Kind.SCHMIDT2, decomposition=dec, detail=detail)
+    if detail["entry_distance"] >= 3:
+        reason = AtLeast3Reason.NONORTHOGONAL_UNIQUE
+        return Schmidt2Class(kind=Schmidt2Kind.AT_LEAST_3, decomposition=dec, reason=reason, detail=detail)
+    return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail=detail)
+
+
+def schmidt2_classify(vecs: np.ndarray, dims: tuple[int, ...], tol: Tolerances = DEFAULT, products=None) -> list[Schmidt2Class]:
+    """Classify each unit row of a stack by how many orthogonal product
+    terms it needs, as a list of :class:`Schmidt2Class`.
 
     PRODUCT and SCHMIDT2 are exact findings; AT_LEAST_3 carries the reason
     it was established; UNDECIDED is the honest fallback when the search
-    cannot settle the question.
+    cannot settle the question.  One batched SVD per cut gives the cut
+    ranks, one :func:`try_factor` call factors the rows that no cut settles
+    (``products`` may give every row's factorization instead), and per set
+    of peeled parties one core SVD and one :func:`span_roots` call cover the
+    rest.  Rows that a reason alone settles share one class object.
     """
-    dims = phi.space.dims
-    k = phi.space.nparties
-    vec = phi.amplitudes
-
-    ranks = {}
+    vecs = np.asarray(vecs, dtype=complex)
+    k, out = len(dims), [None] * len(vecs)
+    rest, ones = list(range(len(vecs))), {}
     for left in proper_cuts(k):
-        ranks[left] = cut_rank(vec, dims, left, tol)
-        if ranks[left] >= 3:
-            return Schmidt2Class(
-                kind=Schmidt2Kind.AT_LEAST_3,
-                reason=AtLeast3Reason.CUT_RANK,
-                detail={"cut": left},
-            )
+        keep, hit = [], None
+        for i, r in zip(rest, cut_rank(_rows(vecs, rest), dims, left, tol).tolist()):
+            if r >= 3:
+                out[i] = hit = hit or _at_least_3(AtLeast3Reason.CUT_RANK, cut=left)
+            else:
+                keep.append(i)
+                if r == 1 and len(left) == 1:
+                    ones[i] = ones.get(i, ()) + left
+        rest = keep
+        if not rest:
+            return out
 
-    if phi.product is not None:
-        return Schmidt2Class(kind=Schmidt2Kind.PRODUCT)
-
-    # peel off parties that factor out (single-party cut rank 1); a
-    # near-product state that try_factor rejects keeps a two-party core
-    ones = [p for p in range(k) if ranks.get((p,)) == 1]
-    peeled = peel_parties(vec, dims, ones[: k - 2], tol)
-    if peeled is None:
-        return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "peeling failed"})
-    fixed, core, core_dims = peeled
-    positions = [p for p in range(k) if p not in fixed]
-
-    def _finish(a: ProductVector, b: ProductVector) -> Schmidt2Class:
-        resid = float(np.linalg.norm(a.assemble() + b.assemble() - vec))
-        if resid > 1e-9:
-            return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"reassembly_residual": resid})
-        # two products are orthogonal exactly when some party's factors are
-        split = tuple(
-            p
-            for p, (fa, fb) in enumerate(zip(a.factors, b.factors))
-            if abs(np.vdot(fa, fb)) <= 1e-9 * np.linalg.norm(fa) * np.linalg.norm(fb)
-        )
-        dec = Schmidt2Decomposition(a=a, b=b, split=split)
-        h = entry_distance(a, b, tol)
-        if split:
-            return Schmidt2Class(kind=Schmidt2Kind.SCHMIDT2, decomposition=dec, detail={"entry_distance": h})
-        if h >= 3:
-            return Schmidt2Class(
-                kind=Schmidt2Kind.AT_LEAST_3,
-                reason=AtLeast3Reason.NONORTHOGONAL_UNIQUE,
-                decomposition=dec,
-                detail={"entry_distance": h},
-            )
-        return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"entry_distance": h})
-
-    kc = len(core_dims)
-    m = cut_matrix(core, core_dims, (0,))
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size < 2 or s[1] <= tol.rank * s[0]:
-        return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "unexpected rank"})
-
-    if kc == 2:
-        a = _lift(ProductVector((u[:, 0], vh[0, :]), complex(s[0])), positions, fixed, k)
-        b = _lift(ProductVector((u[:, 1], vh[1, :]), complex(s[1])), positions, fixed, k)
-        return _finish(a, b)
-
-    # core with >= 3 parties, every single-party cut rank equal to 2: a
-    # two-term split takes its right factors from the product vectors
-    # v_j = s_j r1 + t_j r2 of the right singular vectors' span, and
-    # top r1 + low r2 = ((t2 top - s2 low) v1 + (s1 low - t1 top) v2) / (s1 t2 - s2 t1)
-    span = span_roots(vh[:1], vh[1], core_dims[1:])
-    if span.all_product[0]:
-        # an all-product span makes some core party factor out, and every
-        # rank-1 party has been peeled
-        return Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "inconsistent span"})
-    found = span.product_roots(0)
-    if len(found) < 2:
-        return Schmidt2Class(
-            kind=Schmidt2Kind.AT_LEAST_3,
-            reason=AtLeast3Reason.PRODUCT_SHORTAGE,
-            detail={"span_products": len(found)},
-        )
-    (s1, t1), (s2, t2) = span.roots[0]
-    top, low = u[:, 0] * s[0], u[:, 1] * s[1]
-    coefs = ((t2 * top - s2 * low) / (s1 * t2 - s2 * t1), (s1 * low - t1 * top) / (s1 * t2 - s2 * t1))
-
-    def term(j: int) -> ProductVector:
-        pv = span.product_vector(0, j)  # v_j is pv times their overlap
-        left = coefs[j] * np.vdot(pv.assemble(), span.vectors[0, j])
-        return _lift(ProductVector((left,) + pv.factors), positions, fixed, k)
-
-    return _finish(*(term(j) for j in found))
+    product, shortage, groups = None, [None, None], {}
+    for i, pv in zip(rest, try_factor(_rows(vecs, rest), dims) if products is None else [products[i] for i in rest]):
+        if pv is not None:
+            out[i] = product = product or Schmidt2Class(Schmidt2Kind.PRODUCT)
+        else:
+            # peel off parties that factor out (single-party cut rank 1); a
+            # near-product row that try_factor rejects keeps a two-party core
+            groups.setdefault(ones.get(i, ())[: k - 2], []).append(i)
+    for peel, rows in groups.items():
+        positions = [p for p in range(k) if p not in peel]
+        core_dims = tuple(dims[p] for p in positions)
+        if peel:
+            peeled = {i: peel_parties(vecs[i], dims, peel, tol) for i in rows}
+            for i in rows:
+                if peeled[i] is None:
+                    out[i] = Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "peeling failed"})
+            rows = [i for i in rows if peeled[i] is not None]
+            if not rows:
+                continue
+            fixed, cores = [peeled[i][0] for i in rows], np.array([peeled[i][1] for i in rows])
+        else:
+            fixed, cores = [{}] * len(rows), _rows(vecs, rows)
+        u, s, vh = np.linalg.svd(cut_matrix(cores, core_dims, (0,)), full_matrices=False)
+        spans = []
+        for j, (s0, s1) in enumerate(s[:, :2].tolist()):
+            if s1 > tol.rank * s0:
+                spans.append(j)
+            else:
+                out[rows[j]] = Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "unexpected rank"})
+        if len(core_dims) == 2:
+            for j in spans:
+                a = _lift((u[j, :, 0], vh[j, 0]), complex(s[j, 0]), positions, fixed[j], k)
+                b = _lift((u[j, :, 1], vh[j, 1]), complex(s[j, 1]), positions, fixed[j], k)
+                out[rows[j]] = _two_terms(a, b, vecs[rows[j]], tol)
+        elif spans:
+            # core with >= 3 parties, every single-party cut rank equal to 2:
+            # a two-term split takes its right factors from the product
+            # vectors v_r = s_r r1 + t_r r2 of the right singular vectors'
+            # span, and top r1 + low r2 =
+            # ((t2 top - s2 low) v1 + (s1 low - t1 top) v2) / (s1 t2 - s2 t1)
+            right = _rows(vh, spans)
+            span = span_roots(right[:, 0], right[:, 1], core_dims[1:])
+            counts, all_products = span.product.sum(axis=1).tolist(), span.all_product.tolist()
+            for n, (j, c, all_product) in enumerate(zip(spans, counts, all_products)):
+                if all_product:
+                    # an all-product span makes some core party factor out,
+                    # and every rank-1 party has been peeled
+                    out[rows[j]] = Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "inconsistent span"})
+                elif c < 2:
+                    shortage[c] = shortage[c] or _at_least_3(AtLeast3Reason.PRODUCT_SHORTAGE, span_products=c)
+                    out[rows[j]] = shortage[c]
+                else:
+                    (s1, t1), (s2, t2) = span.roots[n]
+                    top, low, det = u[j, :, 0] * s[j, 0], u[j, :, 1] * s[j, 1], s1 * t2 - s2 * t1
+                    coefs = ((t2 * top - s2 * low) / det, (s1 * low - t1 * top) / det)
+                    terms = []
+                    for r in span.product_roots(n):
+                        pv = span.product_vector(n, r)  # v_r is pv times their overlap
+                        left = coefs[r] * np.vdot(pv.assemble(), span.vectors[n, r])
+                        terms.append(_lift((left,) + pv.factors, 1.0, positions, fixed[j], k))
+                    out[rows[j]] = _two_terms(*terms, vecs[rows[j]], tol)
+    return out

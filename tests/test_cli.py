@@ -145,6 +145,24 @@ class TestDecide:
         assert checked["objective"] == pytest.approx(dual["objective"], rel=1e-9)
         assert checked["scale"] == pytest.approx(dual["scale"], rel=1e-9)
 
+    def test_subspace_report_reads_the_env_tolerance(self, tmp_path, capsys, monkeypatch):
+        import sepdisc.cli as cli
+
+        path = tmp_path / "dim7.json"
+        path.write_text(run_cli(capsys, "construct", "subspace", "dim7")[1])
+        ranks, verify = [], cli.verify_subspace_properties
+
+        def recording(spec, tol=cli.config.DEFAULT):
+            ranks.append(tol.rank)
+            return verify(spec, tol)
+
+        monkeypatch.setattr(cli, "verify_subspace_properties", recording)
+        monkeypatch.setenv(cli.config.ENV_TOL, "1e-7")
+        code, out, _ = run_cli(capsys, "decide", str(path))
+        assert code == 1
+        assert ranks == [1e-7]
+        assert all(json.loads(out)["residuals"]["subspace_properties"].values())
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_max_iterations_below_one_exit_3(self, tmp_path, capsys, cap):
         # a cap below 1 is an input error, not the default cap or a run of
@@ -296,6 +314,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "lemma1_both_directions" in out
         assert "checks passed" in out
+
+    @pytest.mark.parametrize("bases", ["0", "-3"])
+    def test_bases_below_one_exit_3(self, capsys, monkeypatch, bases):
+        import sepdisc.cli as cli
+
+        monkeypatch.setitem(cli.SUITES, "theorem2", lambda **kwargs: pytest.fail("the suite ran"))
+        code, out, err = run_cli(capsys, "verify", "theorem2", "--bases", bases)
+        assert code == 3
+        assert out == "" and "--bases" in err
 
 
 def _bell_report(tmp_path, capsys):

@@ -9,7 +9,6 @@ from sepdisc.constructions import (
     FamilyParams,
     SubspaceFamily,
     TetraPoint,
-    _need_three_products,
     basis_for_targets,
     basis_from_unitary,
     concurrence_triple_of_unitary,
@@ -35,7 +34,8 @@ from sepdisc.errors import (
 from sepdisc.linalg import kron_all
 from sepdisc.sampling import random_local_vector, random_product_state, random_pure_state, random_unitary
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, concurrence, ket, magic_basis
-from sepdisc.tensor_rank import AtLeast3Reason, cut_rank, schmidt2_classify
+from sepdisc import tensor_rank
+from sepdisc.tensor_rank import AtLeast3Reason, Schmidt2Kind, cut_rank, schmidt2_classify
 from tests.conftest import decide_with_phi, ghz_theta, w_state
 
 
@@ -270,19 +270,32 @@ class TestSubspaces:
 
 
 def _needs_three_alone(row, space, tol):
-    """One row through the per-state rule: cut rank >= 3 on two parties,
-    a CUT_RANK or PRODUCT_SHORTAGE classification otherwise."""
+    """One row alone, as a one-row stack: cut rank >= 3 on two parties, a
+    CUT_RANK or PRODUCT_SHORTAGE classification otherwise."""
     if space.nparties == 2:
-        return cut_rank(row, space.dims, (0,), tol) >= 3
-    reason = schmidt2_classify(PureState(space, row), tol).reason
+        return cut_rank(row[None], space.dims, (0,), tol)[0] >= 3
+    reason = schmidt2_classify(row[None], space.dims, tol)[0].reason
     return reason in (AtLeast3Reason.CUT_RANK, AtLeast3Reason.PRODUCT_SHORTAGE)
+
+
+def _two_terms(rng, dims, orthogonal):
+    """cos(t) a + sin(t) b for products a, b whose factors are orthogonal on
+    every party, or on none (Haar factors)."""
+    us = [random_unitary(rng, d) for d in dims]
+    a = kron_all([u[:, 0] for u in us])
+    b = kron_all([u[:, 1] for u in us]) if orthogonal else random_product_state(rng, StateSpace(dims)).amplitudes
+    t = rng.uniform(0.2, 1.3)
+    return math.cos(t) * a + math.sin(t) * b
 
 
 def _mixed_stack(rng, dims, kind=None):
     """Unit rows of one space: members of locally rotated spans of a
     subspace pair, Haar states, products, products of one party's vector
-    with a Haar (or, on 2x2x2, a locally rotated W) rest, and products plus
-    relative noise 1e-11 to 1e-6."""
+    with a Haar (or, on 2x2x2, a locally rotated W) rest, products plus
+    relative noise 1e-11 to 1e-6, and two-term rows: orthogonal (SCHMIDT2)
+    and, on three or more parties, nonorthogonal, alone and beside a
+    product factor on the last party (and on four parties, on two parties),
+    so that a stack is peeled on more than one set of parties."""
     space, rows = StateSpace(dims), []
     for _ in range(4 if kind else 0):
         spec = indistinguishable_subspace(kind)
@@ -303,6 +316,17 @@ def _mixed_stack(rng, dims, kind=None):
     for eps in np.logspace(-11, -6, 16):
         noise = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         rows.append(random_product_state(rng, space).amplitudes + eps * noise / np.linalg.norm(noise))
+    for orthogonal in (True, False) if len(dims) > 2 else (True,):
+        rows += [_two_terms(rng, dims, orthogonal) for _ in range(5)]
+    if len(dims) > 2:
+        head, last = dims[:-1], dims[-1]
+        rows += [np.kron(_two_terms(rng, head, True), random_local_vector(rng, last)) for _ in range(5)]
+        rows += [np.kron(random_pure_state(rng, StateSpace(head)).amplitudes, random_local_vector(rng, last)) for _ in range(5)]
+    if len(dims) == 4:
+        for _ in range(5):
+            x, y = random_local_vector(rng, dims[0]), random_local_vector(rng, dims[3])
+            rows.append(kron_all([x, random_local_vector(rng, dims[1]), _two_terms(rng, dims[2:], True)]))
+            rows.append(kron_all([x, _two_terms(rng, dims[1:3], True), y]))
     rows = np.array(rows)
     return space, rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
@@ -313,13 +337,36 @@ class TestSubspaceGridStack:
         [((3, 3), SubspaceFamily.BIPARTITE_3X3_DIM7), ((2, 2, 2), SubspaceFamily.TRIPARTITE_222_DIM6), ((2, 2, 3), None), ((2, 2, 2, 2), None)],
     )
     @pytest.mark.parametrize("rank", [None, 1e-7, 1e-11])
-    def test_stack_matches_each_row_alone(self, dims, kind, rank):
+    def test_stack_matches_each_row_alone(self, monkeypatch, dims, kind, rank):
         tol = DEFAULT if rank is None else dataclasses.replace(DEFAULT, rank=rank)
         space, rows = _mixed_stack(np.random.default_rng(11), dims, kind)
-        got = _need_three_products(rows, space, tol)
-        want = [_needs_three_alone(row, space, tol) for row in rows]
-        assert got.tolist() == want
+        peel, peeled = tensor_rank.peel_parties, set()
+
+        def recording(vec, dims, parties, tol):
+            peeled.add(tuple(parties))
+            return peel(vec, dims, parties, tol)
+
+        monkeypatch.setattr(tensor_rank, "peel_parties", recording)
+        got = schmidt2_classify(rows, space.dims, tol)
+        # on three or more parties the stack is peeled on more than one set
+        # of parties: party 0 or the last, and on four parties 0-1 or 0-3
+        assert (len(peeled) >= 2) is (len(dims) > 2)
+        for row, cls in zip(rows, got):
+            alone = schmidt2_classify(row[None], space.dims, tol)[0]
+            assert (cls.kind, cls.reason, cls.detail) == (alone.kind, alone.reason, alone.detail)
+            assert (cls.decomposition is None) is (alone.decomposition is None)
+            if cls.decomposition is not None:
+                assert cls.decomposition.split == alone.decomposition.split
+                for x, y in ((cls.decomposition.a, alone.decomposition.a), (cls.decomposition.b, alone.decomposition.b)):
+                    assert abs(x.weight - y.weight) <= 1e-12
+                    assert all(np.max(np.abs(f - g)) <= 1e-12 for f, g in zip(x.factors, y.factors))
+        # the later branches run in the stack: two-term splits, orthogonal
+        # and (on three or more parties) not
+        reasons = {cls.reason for cls in got}
+        assert Schmidt2Kind.SCHMIDT2 in {cls.kind for cls in got}
+        assert (AtLeast3Reason.NONORTHOGONAL_UNIQUE in reasons) is (len(dims) > 2)
         # the mix holds rows on both sides of the rule
+        want = [_needs_three_alone(row, space, tol) for row in rows]
         assert 0 < sum(want) < len(want)
 
     @pytest.mark.parametrize("kind", list(SubspaceFamily))

@@ -226,14 +226,14 @@ def test_span_products_requires_independence():
 def test_classify_product(rng):
     for _ in range(10):
         st = random_product_state(rng, S3)
-        cls = schmidt2_classify(st)
+        cls = schmidt2_classify(st.amplitudes[None], S3.dims)[0]
         assert cls.kind is Schmidt2Kind.PRODUCT
         assert st.product is not None
 
 
 def test_classify_ghz_type():
     for theta in np.linspace(0.15, math.pi / 2 - 0.15, 7):
-        cls = schmidt2_classify(ghz_theta(S3, theta))
+        cls = schmidt2_classify(ghz_theta(S3, theta).amplitudes[None], S3.dims)[0]
         assert cls.kind is Schmidt2Kind.SCHMIDT2
         assert cls.decomposition.split == (0, 1, 2)
         assert cls.detail["entry_distance"] == 3
@@ -242,7 +242,7 @@ def test_classify_ghz_type():
 
 
 def test_classify_w_state():
-    cls = schmidt2_classify(w_state(S3))
+    cls = schmidt2_classify(w_state(S3).amplitudes[None], S3.dims)[0]
     assert cls.kind is Schmidt2Kind.AT_LEAST_3
     assert cls.reason in (AtLeast3Reason.PRODUCT_SHORTAGE, AtLeast3Reason.CUT_RANK)
 
@@ -253,7 +253,7 @@ def test_classify_nonorthogonal_unique():
     for alpha in (0.3, 0.5, 0.8):
         beta = math.sqrt(1 - alpha**2)
         vec = alpha * ket(S3, "000").amplitudes + beta * ppp
-        cls = schmidt2_classify(PureState.normalized(S3, vec))
+        cls = schmidt2_classify(PureState.normalized(S3, vec).amplitudes[None], S3.dims)[0]
         assert cls.kind is Schmidt2Kind.AT_LEAST_3
         assert cls.reason is AtLeast3Reason.NONORTHOGONAL_UNIQUE
 
@@ -272,7 +272,7 @@ def test_classify_near_orthogonal_terms_split_on_no_party(eps):
     # orthogonality is decided per party, within 1e-9, so the assembled
     # overlap eps^3 <= 1e-9 does not make the terms orthogonal
     phi = _near_orthogonal_phi(eps)
-    cls = schmidt2_classify(phi)
+    cls = schmidt2_classify(phi.amplitudes[None], S3.dims)[0]
     assert cls.kind is Schmidt2Kind.AT_LEAST_3
     assert cls.reason is AtLeast3Reason.NONORTHOGONAL_UNIQUE
     assert cls.decomposition.split == ()
@@ -289,7 +289,7 @@ def test_classify_near_orthogonal_terms_split_on_no_party(eps):
 def test_classify_2x2_never_at_least_3(rng):
     for _ in range(50):
         psi = random_pure_state(rng, QUBIT_PAIR)
-        cls = schmidt2_classify(psi)
+        cls = schmidt2_classify(psi.amplitudes[None], QUBIT_PAIR.dims)[0]
         assert cls.kind in (Schmidt2Kind.PRODUCT, Schmidt2Kind.SCHMIDT2)
         from sepdisc.states import concurrence
 
@@ -300,7 +300,7 @@ def test_classify_2x2_never_at_least_3(rng):
 def test_classify_bell_times_bell_rank_witness():
     s4 = StateSpace((2, 2, 2, 2))
     vec = np.kron(phi_plus().amplitudes, phi_plus().amplitudes)
-    cls = schmidt2_classify(PureState(s4, vec))
+    cls = schmidt2_classify(PureState(s4, vec).amplitudes[None], s4.dims)[0]
     assert cls.kind is Schmidt2Kind.AT_LEAST_3
     assert cls.reason is AtLeast3Reason.CUT_RANK
 
@@ -308,7 +308,7 @@ def test_classify_bell_times_bell_rank_witness():
 def test_lemma3_uniqueness_property(rng):
     # a two-term split differing in three parties admits no rival split
     ghz = ghz_theta(S3, 0.5)
-    cls = schmidt2_classify(ghz)
+    cls = schmidt2_classify(ghz.amplitudes[None], S3.dims)[0]
     a, b = cls.decomposition.a, cls.decomposition.b
     assert entry_distance(a, b) == 3
     for _ in range(10):
