@@ -46,8 +46,14 @@ class EigenResult:
     vectors: np.ndarray
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    return maxabs(a - dag(a))
+def check_hermitian(a: np.ndarray, tol: Tolerances = DEFAULT) -> None:
+    """Reject the first matrix of a square stack ``(..., D, D)`` whose
+    asymmetry exceeds the ``hermiticity`` tolerance relative to its scale."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    defect = np.abs(a - dag(a)).max(axis=(-2, -1), initial=0.0)
+    if (bad := defect > tol.hermiticity * scale).any():
+        j = bad.argmax()
+        raise NotHermitian(f"asymmetry {defect.flat[j]:.3e} exceeds {tol.hermiticity:.1e}*{scale.flat[j]:.3e}")
 
 
 def hermitian_eig(a: np.ndarray, tol: Tolerances = DEFAULT) -> EigenResult:
@@ -59,11 +65,7 @@ def hermitian_eig(a: np.ndarray, tol: Tolerances = DEFAULT) -> EigenResult:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, maxabs(a))
-    if hermiticity_defect(a) > tol.hermiticity * scale:
-        raise NotHermitian(
-            f"asymmetry {hermiticity_defect(a):.3e} exceeds {tol.hermiticity:.1e}*{scale:.3e}"
-        )
+    check_hermitian(a, tol)
     w, v = np.linalg.eigh((a + dag(a)) / 2.0)
     return EigenResult(values=w, vectors=v)
 

@@ -488,6 +488,8 @@ _MAX_ITERATIONS = 20000
 # window every sublevel interval is clipped to
 _PEAK_BRACKET = (-0.05, 1.05)
 _PEAK_WIDTH = 1e-13
+# a block's v_min bound from above this far below another's bound from below cannot be the worst
+_PRUNE_MARGIN = 1e-12
 _WINDOW = 1.5
 # a block whose least violation lies within this of the level touches it at
 # its peak only; one within this of 0 takes its interval at _GRAZING_LEVEL,
@@ -537,6 +539,13 @@ def _slopes(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> list[tuple[float,
     return list(zip(f.tolist(), g.tolist(), h.tolist(), np.where(on_lam, -1, cut).tolist()))
 
 
+def _meet(br: list) -> tuple[float, float]:
+    """(lam, v) where the end tangents of one bracket of :func:`_peaks` meet."""
+    lo, hi, (f0, g0, _, _), (f1, g1, _, _) = br[:4]
+    lam = (f1 - f0 + g0 * lo - g1 * hi) / (g0 - g1)
+    return lam, f0 + g0 * (lam - lo)
+
+
 def _next_lam(br: list) -> float:
     """The next point of one open bracket of :func:`_peaks`, which records in
     ``br`` whether it probes."""
@@ -553,11 +562,11 @@ def _next_lam(br: list) -> float:
     elif p0 == p1 and g1 - g0 <= 2.0 * max(h0, h1) * (hi - lo) and lo < end + step < hi:
         lam = end + step
     else:  # g0 < 0 < g1 on an open bracket
-        lam = (f1 - f0 + g0 * lo - g1 * hi) / (g0 - g1)
+        lam = _meet(br)[0]
     return min(max(lam, lo + half), hi - half)
 
 
-def _peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _peaks(a: np.ndarray, b: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """(lam_peak, v_min) of every block by a safeguarded Newton search on the
     convex v_k, one eigh call (:func:`_slopes`) per step over the open brackets.
 
@@ -571,13 +580,25 @@ def _peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where their tangents meet.  Points stay _PEAK_WIDTH/2 inside the bracket,
     which closes at width _PEAK_WIDTH or less; the peak is its end with the
     smaller v, so a monotone v peaks at the end of _PEAK_BRACKET it falls to.
+
+    Branch and bound: a bracket's smaller end value U bounds v_min above, and
+    the value L where its end tangents meet bounds it below (L = U once
+    closed).  Once the largest L exceeds ``threshold``, a block whose U lies
+    over _PRUNE_MARGIN below it cannot be the worst and stops, reporting U;
+    the worst block takes the full search's steps.  inf refines every block.
     """
     n = len(a)
     ends = _slopes(np.concatenate([a, a]), np.concatenate([b, b]), np.repeat(_PEAK_BRACKET, n))
     # per block: lo, hi, (v, v', v'', piece) at each, the widths two steps and
     # one step back, whether the last step probed; open while v'(lo) < 0 < v'(hi)
     brackets = [[*_PEAK_BRACKET, at_lo, at_hi, np.inf, np.inf, False] for at_lo, at_hi in zip(ends[:n], ends[n:])]
-    while k := [j for j, br in enumerate(brackets) if br[1] - br[0] > _PEAK_WIDTH and br[2][1] < 0.0 < br[3][1]]:
+    while True:
+        is_open = [br[1] - br[0] > _PEAK_WIDTH and br[2][1] < 0.0 < br[3][1] for br in brackets]
+        upper = [min(br[2][0], br[3][0]) for br in brackets]
+        lower = max(_meet(br)[1] if op else u for br, op, u in zip(brackets, is_open, upper))
+        keep = lower - _PRUNE_MARGIN if lower > threshold else -np.inf
+        if not (k := [j for j, op in enumerate(is_open) if op and upper[j] >= keep]):
+            break
         lams = [_next_lam(brackets[j]) for j in k]
         for j, lam, at in zip(k, lams, _slopes(a[k], b[k], np.array(lams))):
             br = brackets[j]
@@ -587,7 +608,7 @@ def _peaks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if at[1] >= 0.0:
                 br[1], br[3] = lam, at
     peaks = [br[1] if br[3][0] < br[2][0] else br[0] for br in brackets]
-    return np.array(peaks), np.array([min(br[2][0], br[3][0]) for br in brackets])
+    return np.array(peaks), np.array(upper)
 
 
 def _intervals(a, b, peaks, vmins, level) -> tuple[np.ndarray, np.ndarray]:
@@ -637,13 +658,14 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
     PSD blocks summing to a rank-1 projector are forced to E_k = lam_k P0, so
     the problem collapses to intervals of lam around each block's peak
     (:func:`_peaks`, about ten eigh calls) intersected with the simplex.  A
-    feasible point is verified by direct eigenvalue checks.  An infeasible
-    problem ends at a dual certificate whose Z bounds each binding block just
-    outside its binding end (:func:`_cut_duals`, at _PEAK_WIDTH): an empty
-    block takes both sides of its peak, so the slopes cancel and Y = 0; floors
-    summing above 1 take Y = +Pi, and ceilings summing below 1 take Y = -Pi.
-    :func:`check_dual` decides whether it proves infeasibility; when it does
-    not, the outcome stalls.
+    dual's Z bounds each binding block just outside its binding end
+    (:func:`_cut_duals`, at _PEAK_WIDTH).  A block whose least violation
+    exceeds tol.feasibility, the only one the search then refines, is
+    infeasible alone: Z bounds both sides of its peak, the slopes cancel and
+    Y = 0.  Otherwise a feasible point is verified by direct eigenvalue
+    checks; floors summing above 1 take Y = +Pi, and ceilings summing below
+    1 take Y = -Pi.  :func:`check_dual` decides whether the dual proves
+    infeasibility; when it does not, the outcome stalls.
     """
     projectors = instance.projector_list()
     n = len(projectors)
@@ -654,44 +676,40 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
     blocks = [_PencilBlock(pk, p0, dims, cuts) for pk in projectors]
     a = np.stack([blk.a for blk in blocks])
     b = np.stack([blk.b for blk in blocks])
-    peaks, vmins = _peaks(a, b)
-    # a block that grazes v = 0, at its peak or along a plateau, is measured
-    # at _GRAZING_LEVEL, which leaves its elements above the eigenvalue floor;
-    # a block missing v = 0 contributes its peak as a singleton
-    lows, highs = _intervals(a, b, peaks, vmins, np.where(np.abs(vmins) <= _GRAZING, _GRAZING_LEVEL, 0.0))
-
-    # water-fill from the interval floors toward the target sum, then clamp;
-    # tiny overshoots sit at quadratic minima and stay harmless
-    lam = lows.copy()
-    need = 1.0 - lam.sum()
-    if need > 0:
-        room = highs - lows
-        if room.sum() > 0:
-            lam = lam + room * min(1.0, need / room.sum())
-    excess = lam.sum() - 1.0
-    lam = lam - excess / n
-    res = max(0.0, float(_violations(a, b, lam).max()))
+    peaks, vmins = _peaks(a, b, tol.feasibility)
     diagnostics: dict = {"path": "rank1-exact"}
-    if res <= tol.feasibility:
-        diagnostics["lambdas"] = [float(x) for x in lam]
-        return FeasibilityOutcome(
-            feasible=True,
-            e_ops=lam[:, None, None] * p0,
-            residual=res,
-            best_residual=res,
-            iterations=0,
-            diagnostics=diagnostics,
-        )
-
     y, z = 0.0, np.zeros_like(a)
     k = int(vmins.argmax())
     if vmins[k] > tol.feasibility:
+        res = float(vmins[k])
         z[k] = _cut_duals(a[[k, k]], b[[k, k]], peaks[k] + np.array([-_PEAK_WIDTH, _PEAK_WIDTH])).sum(axis=0)
-    elif lows.sum() > 1.0:
-        # a floor of 0 comes from E_k >= 0, which Y already covers
-        y, z = 1.0, _cut_duals(a, b, lows - _PEAK_WIDTH) * (lows > 0.0)[:, None, None, None]
-    elif highs.sum() < 1.0:
-        y, z = -1.0, _cut_duals(a, b, highs + _PEAK_WIDTH)
+    else:
+        # a block that grazes v = 0, at its peak or along a plateau, is
+        # measured at _GRAZING_LEVEL, which leaves its elements above the
+        # eigenvalue floor; a block missing v = 0 contributes its peak alone
+        lows, highs = _intervals(a, b, peaks, vmins, np.where(np.abs(vmins) <= _GRAZING, _GRAZING_LEVEL, 0.0))
+        # water-fill from the interval floors toward the target sum, then
+        # clamp; tiny overshoots sit at quadratic minima and stay harmless
+        lam, room = lows.copy(), highs - lows
+        if (need := 1.0 - lam.sum()) > 0 and room.sum() > 0:
+            lam = lam + room * min(1.0, need / room.sum())
+        lam = lam - (lam.sum() - 1.0) / n
+        res = max(0.0, float(_violations(a, b, lam).max()))
+        if res <= tol.feasibility:
+            diagnostics["lambdas"] = [float(x) for x in lam]
+            return FeasibilityOutcome(
+                feasible=True,
+                e_ops=lam[:, None, None] * p0,
+                residual=res,
+                best_residual=res,
+                iterations=0,
+                diagnostics=diagnostics,
+            )
+        if lows.sum() > 1.0:
+            # a floor of 0 comes from E_k >= 0, which Y already covers
+            y, z = 1.0, _cut_duals(a, b, lows - _PEAK_WIDTH) * (lows > 0.0)[:, None, None, None]
+        elif highs.sum() < 1.0:
+            y, z = -1.0, _cut_duals(a, b, highs + _PEAK_WIDTH)
     dual, valid = check_dual(y * p0, z, cuts, projectors, dims, tol)
     return FeasibilityOutcome(
         feasible=False,

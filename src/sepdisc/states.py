@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInstance, WrongSpace
-from .linalg import hermitian_eig, maxabs
+from .linalg import check_hermitian, dag, maxabs
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,8 @@ class PureState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vec = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        # a copy: a later write to the caller's buffer cannot reach the state
+        vec = np.array(self.amplitudes, dtype=complex)
         if vec.shape != (self.space.dim,):
             raise DimensionMismatch(
                 f"amplitude vector of length {vec.shape} does not match D={self.space.dim}"
@@ -141,21 +142,23 @@ class DiscriminationInstance:
 
     @classmethod
     def from_projectors(cls, space: StateSpace, projectors):
-        # read-only views: the caller's arrays keep their write flag
-        projectors = tuple(_read_only(np.asarray(p, dtype=complex).view()) for p in projectors)
+        projectors = [np.asarray(p, dtype=complex) for p in projectors]
         if not projectors:
             raise InvalidInstance("need at least one projector")
         if any(p.shape != (space.dim, space.dim) for p in projectors):
             raise InvalidInstance(f"every projector must be {space.dim}x{space.dim}")
-        for p in projectors:
-            w = hermitian_eig(p).values
-            if np.any((w > 1e-8) & (np.abs(w - 1.0) > 1e-8)) or w[0] < -1e-8:
-                raise InvalidInstance("inputs must be projectors")
-        for i, p in enumerate(projectors):
-            for q in projectors[i + 1 :]:
-                if maxabs(p @ q) > 1e-9:
-                    raise InvalidInstance("projector supports must be orthogonal")
-        return cls(space=space, projectors=projectors)
+        # the instance owns this copy: later writes to the caller's arrays miss it
+        p = np.stack(projectors)
+        if not np.isfinite(p).all():
+            raise InvalidInstance("projector entries must be finite")
+        check_hermitian(p)
+        w = np.linalg.eigvalsh((p + dag(p)) / 2.0)
+        if np.any((w > 1e-8) & (np.abs(w - 1.0) > 1e-8)) or w[:, 0].min() < -1e-8:
+            raise InvalidInstance("inputs must be projectors")
+        i, j = np.triu_indices(len(p), 1)
+        if maxabs(p[i] @ p[j]) > 1e-9:
+            raise InvalidInstance("projector supports must be orthogonal")
+        return cls(space=space, projectors=tuple(_read_only(p)))
 
     @property
     def n(self) -> int:

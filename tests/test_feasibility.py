@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sepdisc.separability as separability
+from sepdisc.config import DEFAULT
 from sepdisc.constructions import (
     FamilyParams,
     SubspaceFamily,
@@ -203,7 +204,7 @@ def _stacks(instance):
     blocks = [_PencilBlock(pk, p0, instance.space.dims, cuts) for pk in instance.projector_list()]
     a = np.stack([blk.a for blk in blocks])
     b = np.stack([blk.b for blk in blocks])
-    return (a, b, *_peaks(a, b))
+    return (a, b, *_peaks(a, b, np.inf))
 
 
 def _assert_exact_endpoints(a, b, peaks, vmins, level):
@@ -316,7 +317,7 @@ def _assert_peak_matches_grid(a, b):
     the grid; returns the peak."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        peaks, vmins = _peaks(a[None], b[None])
+        peaks, vmins = _peaks(a[None], b[None], np.inf)
     assert abs(vmins[0] - _grid_vmin(a, b)) <= 1e-12
     assert abs(vmins[0] - _violations(a[None], b[None], peaks)[0]) <= 1e-14  # v at the peak
     return peaks[0]
@@ -395,6 +396,58 @@ def test_rank1_plateau_blocks_take_an_interval(seed, drop):
     assert out.diagnostics["path"] == "rank1-exact" and out.feasible
     for pk, e in zip(inst.projector_list(), out.e_ops):
         assert element_separability(pk + e, space).status is SepStatus.SEPARABLE
+
+
+# -- branch and bound: once one block proves infeasibility, only it is refined -
+
+_HAAR_DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("dims", _HAAR_DIMS)
+@pytest.mark.parametrize("seed", range(6))
+def test_pruned_search_keeps_the_worst_block_exact(dims, seed):
+    a, b, peaks, vmins = _stacks(_haar_rank1(dims, seed))
+    k = int(vmins.argmax())
+    assert vmins[k] > DEFAULT.feasibility  # the block alone is infeasible
+    pruned_peaks, pruned_vmins = _peaks(a, b, DEFAULT.feasibility)
+    assert int(pruned_vmins.argmax()) == k
+    assert pruned_peaks[k] == peaks[k] and pruned_vmins[k] == vmins[k]
+    # a block stopped early keeps an upper bound on its least violation
+    assert np.all(pruned_vmins >= vmins)
+
+
+def test_pruned_search_keeps_the_first_of_two_worst_blocks():
+    a, b, _, vmins = _stacks(_haar_rank1((2, 2, 2), 1))
+    k = int(vmins.argmax())
+    order = [k, k] + [j for j in range(len(a)) if j != k]
+    peaks, twice = _peaks(a[order], b[order], DEFAULT.feasibility)
+    assert int(twice.argmax()) == 0
+    assert twice[0] == twice[1] == vmins[k] and peaks[0] == peaks[1]
+
+
+@pytest.mark.parametrize("dims", _HAAR_DIMS)
+def test_block_proved_residual_is_the_worst_least_violation(dims):
+    instance = _haar_rank1(dims, 2)
+    out = feasibility_solve(instance)
+    assert out.dual is not None
+    assert out.residual == out.best_residual == _stacks(instance)[3].max()
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3)])
+def test_pruned_search_rows(dims, monkeypatch):
+    # every block refined to its peak hands 405 (2x2x2) and 424 (3x3) rows to
+    # _slopes over these seeds; only the worst block's bracket needs them
+    rows = []
+    slopes = separability._slopes
+
+    def counted(a, b, lams):
+        rows.append(len(lams))
+        return slopes(a, b, lams)
+
+    monkeypatch.setattr(separability, "_slopes", counted)
+    for seed in range(6):
+        assert feasibility_solve(_haar_rank1(dims, seed)).dual is not None
+    assert sum(rows) <= 200
 
 
 def test_rank1_solve_eigen_budget(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepdisc.errors import DimensionMismatch, InvalidInstance, WrongSpace
+from sepdisc.errors import DimensionMismatch, InvalidInstance, NotHermitian, WrongSpace
 from sepdisc.sampling import random_pure_state, random_unitary
 from sepdisc.states import (
     DiscriminationInstance,
@@ -66,9 +66,43 @@ def test_instance_projectors_are_built_once_and_read_only():
         for built in instance.projector_list() + [instance.residual_projector()]:
             with pytest.raises(ValueError):
                 built[0, 0] = 2.0
-    # the instance holds its own view: the caller's array stays writeable
+    # the instance holds its own copy: the caller's array stays writeable
     assert p.flags.writeable
     p[3, 3] = 0.0
+
+
+def test_instance_ignores_later_writes_to_the_callers_projectors():
+    projectors = [ket(QUBIT_PAIR, label).density() for label in ("00", "01", "10")]
+    inst = DiscriminationInstance.from_projectors(QUBIT_PAIR, projectors)
+    projectors[0][0, 0] = 0.3
+    projectors[2][2, 2] = 5.0
+    assert inst.projector_list()[0][0, 0] == 1.0 and inst.projector_list()[2][2, 2] == 1.0
+    assert np.array_equal(inst.residual_projector(), ket(QUBIT_PAIR, "11").density())
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_non_finite_projector_entries_rejected(entry):
+    # before any eigen call: NaN stopped LAPACK, and an infinite diagonal
+    # entry passed as a projector
+    p = ket(QUBIT_PAIR, "00").density()
+    p[1, 1] = entry
+    with pytest.raises(InvalidInstance, match="finite"):
+        DiscriminationInstance.from_projectors(QUBIT_PAIR, [ket(QUBIT_PAIR, "11").density(), p])
+
+
+def test_non_hermitian_projector_after_the_first_rejected():
+    members = [ket(QUBIT_PAIR, label).density() for label in ("00", "01", "10")]
+    members[2][2, 3] = 1e-3
+    with pytest.raises(NotHermitian, match="asymmetry 1.000e-03 exceeds 1.0e-08"):
+        DiscriminationInstance.from_projectors(QUBIT_PAIR, members)
+
+
+def test_pure_state_copies_the_callers_buffer():
+    m = np.eye(4, dtype=complex)
+    s = PureState(QUBIT_PAIR, m[1])
+    m[1] = 0.5
+    assert np.array_equal(s.amplitudes, [0, 1, 0, 0])
+    assert np.array_equal(s.product.unit(), [0, 1, 0, 0])
 
 
 def test_coeff_matrix_defining_case():
