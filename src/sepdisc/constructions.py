@@ -32,10 +32,10 @@ from .states import (
     PureState,
     QUBIT_PAIR,
     StateSpace,
+    _MAGIC_VECTORS,
     _pivoted_completion,
     basis_state,
     local_basis_containing,
-    magic_basis,
     orthonormal_completion,
 )
 from .tensor_rank import (
@@ -45,16 +45,6 @@ from .tensor_rank import (
     product_vectors_in_span,
     schmidt2_classify,
 )
-
-
-def psi_angle(theta: float) -> PureState:
-    """cos(t)|01> + sin(t)|10>."""
-    return PureState(QUBIT_PAIR, np.array([0.0, math.cos(theta), math.sin(theta), 0.0], dtype=complex))
-
-
-def phi_angle(theta: float) -> PureState:
-    """cos(t)|00> + sin(t)|11>."""
-    return PureState(QUBIT_PAIR, np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex))
 
 
 def gamma_range(alpha: float, beta: float) -> tuple[float, float]:
@@ -83,19 +73,20 @@ class FamilyParams:
 
 
 def _family_states(alpha: float, beta: float, gamma: float):
-    phi = phi_angle(beta)
-    psi1 = psi_angle(alpha)
-    psi2 = PureState(
-        QUBIT_PAIR,
-        math.cos(gamma) * psi_angle(alpha - math.pi / 2).amplitudes
-        + math.sin(gamma) * phi_angle(beta - math.pi / 2).amplitudes,
-    )
-    psi3 = PureState(
-        QUBIT_PAIR,
-        math.sin(gamma) * psi_angle(alpha - math.pi / 2).amplitudes
-        - math.cos(gamma) * phi_angle(beta - math.pi / 2).amplitudes,
-    )
-    return phi, [psi1, psi2, psi3]
+    """phi(beta), psi(alpha) and two rotations by gamma of psi(alpha - pi/2) and phi(beta - pi/2),
+    for psi(t) = cos(t)|01> + sin(t)|10> and phi(t) = cos(t)|00> + sin(t)|11>."""
+
+    def psi(t):
+        return np.array([0.0, math.cos(t), math.sin(t), 0.0], dtype=complex)
+
+    def phi(t):
+        return np.array([math.cos(t), 0.0, 0.0, math.sin(t)], dtype=complex)
+
+    a, b = psi(alpha - math.pi / 2), phi(beta - math.pi / 2)
+    c, s = math.cos(gamma), math.sin(gamma)
+    vectors = [phi(beta), psi(alpha), c * a + s * b, s * a - c * b]
+    phi_state, *basis = (PureState(QUBIT_PAIR, v) for v in vectors)
+    return phi_state, basis
 
 
 def family_sep_not_locc(params: FamilyParams) -> tuple[PureState, list[PureState]]:
@@ -230,10 +221,9 @@ def basis_from_unitary(u: np.ndarray) -> list[PureState]:
     u = np.asarray(u, dtype=complex)
     if u.shape != (3, 3) or maxabs(u.conj().T @ u - np.eye(3)) > 1e-9:
         raise NotUnitary("expected a 3x3 unitary matrix")
-    others = magic_basis()[:3]
     out = []
     for k in range(3):
-        vec = sum(u[k, l] * others[l].amplitudes for l in range(3))
+        vec = sum(u[k, l] * _MAGIC_VECTORS[l] for l in range(3))
         out.append(PureState.normalized(QUBIT_PAIR, vec))
     return out
 

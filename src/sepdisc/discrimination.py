@@ -12,8 +12,10 @@ lambda_k = 1, each lambda_k read from the product vectors of span{psi_k, phi}
 (:func:`~sepdisc.tensor_rank.span_roots`).  Distinguishable verdicts carry a
 POVM certificate, and solver verdicts of indistinguishability a dual
 certificate, whose validity is re-checkable independently of the decider
-that produced it.  Every POVM element outside the lambda certificates gets
-its evidence from one rule, :func:`~sepdisc.separability.element_separability`.
+that produced it.  One builder, :func:`_distinguishable`, makes every POVM
+certificate and checks that each product decomposition reassembles its
+element.  Every element outside the lambda certificates gets its evidence
+from one rule, :func:`~sepdisc.separability.element_separability`.
 """
 
 from __future__ import annotations
@@ -178,18 +180,22 @@ def validate_certificate(
     }
 
 
-def _lambda_certificate(basis, phi: PureState, lambdas, decompositions, theorem: str, locc_flag=LoccFlag.UNKNOWN) -> Verdict:
-    """The certificate E_k = |psi_k><psi_k| + lambda_k |phi><phi|, each
-    element with the product decomposition the decider found for it, which
-    must reassemble the element within the validator's 1e-8."""
-    elements = [psi.density() + lam * phi.density() for psi, lam in zip(basis, lambdas)]
-    for k, (element, dec) in enumerate(zip(elements, decompositions)):
-        if not dec.residual(element) <= 1e-8:
-            message = f"analytic conditions hold but certificate element {k} failed its separability check"
-            reason = Reason("internal_inconsistency", message, {"member": k, "lambda": lambdas[k]})
-            return Verdict(status=VerdictStatus.UNDECIDED, theorem=theorem, reason=reason, locc_flag=locc_flag)
-    cert = PovmCertificate(tuple(elements), tuple(decompositions), tuple(lambdas))
-    return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem=theorem, certificate=cert, locc_flag=locc_flag)
+def _distinguishable(
+    elements, evidence, theorem: str = "T1", lambdas=None, locc_flag=LoccFlag.UNKNOWN, diagnostics=None
+) -> Verdict:
+    """The one builder of a POVM certificate and of a distinguishable
+    verdict: every product decomposition must reassemble its element within
+    the validator's 1e-8, or the verdict is undecided, naming the element
+    (and its lambda, if any)."""
+    diagnostics = diagnostics or {}
+    for k, (element, ev) in enumerate(zip(elements, evidence)):
+        if isinstance(ev, ProductDecomposition) and not ev.residual(element) <= 1e-8:
+            message = f"a POVM was found but certificate element {k} failed its separability check"
+            data = {"member": k} if lambdas is None else {"member": k, "lambda": lambdas[k]}
+            reason = Reason("internal_inconsistency", message, data)
+            return Verdict(VerdictStatus.UNDECIDED, theorem, reason=reason, locc_flag=locc_flag, diagnostics=diagnostics)
+    cert = PovmCertificate(tuple(elements), tuple(evidence), None if lambdas is None else tuple(lambdas))
+    return Verdict(VerdictStatus.DISTINGUISHABLE, theorem, cert, locc_flag=locc_flag, diagnostics=diagnostics)
 
 
 def separable_lambdas(phi: PureState, members, tol: Tolerances = DEFAULT):
@@ -278,16 +284,17 @@ def _decide_full_span(instance: DiscriminationInstance, tol: Tolerances) -> Verd
                 reason=Reason("separability_unknown", f"projector {j} is not certified separable", {"member": j}),
             )
         evidence.append(verdict.evidence)
-    cert = PovmCertificate(tuple(instance.projector_list()), tuple(evidence), None)
-    return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem="T1", certificate=cert)
+    return _distinguishable(instance.projector_list(), evidence)
 
 
-def _try_completability(instance: DiscriminationInstance, p0: np.ndarray, tol: Tolerances) -> Verdict | None:
+def _try_completability(instance: DiscriminationInstance, tol: Tolerances) -> Verdict | None:
     """Allocate the whole residual to a single element, E_k = P_k + P0 and
     E_j = P_j otherwise, and certify every element separable.  P0 is
     certified once; E_k carries P_k's product decomposition joined with P0's
-    when both have one, and otherwise its own."""
-    projectors = instance.projector_list()
+    when both have one, and otherwise its own.  The allocation doubles as an
+    explicit feasible point of the relaxation, verified directly instead of
+    iterating."""
+    projectors, p0 = instance.projector_list(), instance.residual_projector()
     n = len(projectors)
     per_element: list[object] = []
     for member in instance.states or instance.projectors:
@@ -309,35 +316,27 @@ def _try_completability(instance: DiscriminationInstance, p0: np.ndarray, tol: T
             if verdict.status is not SepStatus.SEPARABLE:
                 continue
             joined = verdict.evidence
-        elements = tuple(big if j == k else p for j, p in enumerate(projectors))
-        evidence = tuple(joined if j == k else ev for j, ev in enumerate(per_element))
-        cert = PovmCertificate(elements, evidence, tuple(float(j == k) for j in range(n)))
-        return Verdict(
-            status=VerdictStatus.DISTINGUISHABLE,
-            theorem="T1",
-            certificate=cert,
-            diagnostics={"path": "completability", "residual_assigned_to": k},
+        e = np.zeros((n,) + p0.shape, dtype=complex)
+        e[k] = big - projectors[k]
+        cuts = proper_cuts(instance.space.nparties)
+        point_res, _ = constraint_residual(e, np.stack(projectors), p0, instance.space.dims, cuts)
+        return _distinguishable(
+            [big if j == k else p for j, p in enumerate(projectors)],
+            [joined if j == k else ev for j, ev in enumerate(per_element)],
+            lambdas=[float(j == k) for j in range(n)],
+            diagnostics={
+                "path": "completability",
+                "residual_assigned_to": k,
+                "feasibility": {"residual": point_res, "verified_point": True},
+            },
         )
     return None
 
 
 def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_iterations: int | None) -> Verdict:
-    projectors = instance.projector_list()
-    p0 = instance.residual_projector()
-    cuts = list(proper_cuts(instance.space.nparties))
-
-    fast = _try_completability(instance, p0, tol)
+    fast = _try_completability(instance, tol)
     if fast is not None:
-        # the analytic allocation doubles as an explicit feasible point of
-        # the relaxation; verify it directly instead of iterating
-        e = np.stack([el - pk for el, pk in zip(fast.certificate.elements, projectors)])
-        point_res, _ = constraint_residual(e, np.stack(projectors), p0, instance.space.dims, cuts)
-        return Verdict(
-            status=fast.status,
-            theorem=fast.theorem,
-            certificate=fast.certificate,
-            diagnostics={**fast.diagnostics, "feasibility": {"residual": point_res, "verified_point": True}},
-        )
+        return fast
 
     outcome = feasibility_solve(instance, tol, max_iterations)
     diag = {
@@ -361,7 +360,7 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
             diagnostics=diag,
         )
     if outcome.feasible:
-        elements = tuple(p + e for p, e in zip(projectors, outcome.e_ops))
+        elements = [p + e for p, e in zip(instance.projector_list(), outcome.e_ops)]
         evidence = []
         for el in elements:
             # a solver point inside the feasibility tolerance can still dip
@@ -379,8 +378,7 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
                     diagnostics=diag,
                 )
             evidence.append(verdict.evidence)
-        cert = PovmCertificate(elements, tuple(evidence), None)
-        return Verdict(status=VerdictStatus.DISTINGUISHABLE, theorem="T1", certificate=cert, diagnostics=diag)
+        return _distinguishable(elements, evidence, diagnostics=diag)
     return Verdict(
         status=VerdictStatus.UNDECIDED,
         theorem="T1",
@@ -447,7 +445,9 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
                     )
             decompositions = [ProductDecomposition((1.0,), (s.product,)) for s in states]
             decompositions[0] = ProductDecomposition((1.0, 1.0), (states[0].product, phi.product))
-            return _lambda_certificate(states, phi, [1.0] + [0.0] * (n - 1), decompositions, "T1")
+            lambdas = [1.0] + [0.0] * (n - 1)
+            elements = [s.density() + lam * phi.density() for s, lam in zip(states, lambdas)]
+            return _distinguishable(elements, decompositions, lambdas=lambdas)
         if cls.kind is Schmidt2Kind.UNDECIDED:
             theorem = "T1"
         elif cls.detail["entry_distance"] >= 3:
@@ -471,8 +471,8 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
         elif abs(total - 1.0) > tol.concurrence_sum:
             reason = Reason("lambda_sum", f"lambda sum {total:.9f} != 1", {"sum": total, "lambdas": lambdas})
         else:
-            decompositions = [decomposition(k) for k in range(n)]
-            return _lambda_certificate(states, phi, lambdas, decompositions, theorem, flag)
+            elements = [psi.density() + lam * phi.density() for psi, lam in zip(states, lambdas)]
+            return _distinguishable(elements, [decomposition(k) for k in range(n)], theorem, lambdas, flag)
         return Verdict(status=VerdictStatus.INDISTINGUISHABLE, theorem=theorem, reason=reason, locc_flag=flag)
 
     return _decide_feasibility(instance, tol, max_iterations)

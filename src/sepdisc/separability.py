@@ -504,32 +504,26 @@ class _PencilBlock:
     """One block in the rank-1 parametrization E_k = lam * P0.
 
     The block constraints read lam >= 0 and A_c + lam B_c >= 0 per cut c,
-    with A_c = PT_c(P_k) and B_c = PT_c(P0) held as (C, d, d) stacks.  The
-    violation v(lam) = max(-lam, max_c -lambda_min(A_c + lam B_c)) is convex
-    in lam, so its sublevel sets are intervals.
+    with A_c = PT_c(P_k) a (C, d, d) stack and B_c = PT_c(P0) shared by all
+    blocks.  The violation v(lam) = max(-lam, max_c -lambda_min(A_c + lam
+    B_c)) is convex in lam, so its sublevel sets are intervals.
     """
 
-    def __init__(self, pk: np.ndarray, p0: np.ndarray, dims, cuts):
+    def __init__(self, pk: np.ndarray, dims, cuts):
         self.a = np.stack([partial_transpose(pk, dims, cut) for cut in cuts])
-        self.b = np.stack([partial_transpose(p0, dims, cut) for cut in cuts])
-
-
-def _violations(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """v_k(lams[k]) for every block of the (n, C, d, d) stacks at once."""
-    low = np.linalg.eigvalsh(a + lams[:, None, None, None] * b)[..., 0]
-    return np.maximum(-lams, -low.min(axis=1))
 
 
 def _slopes(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> list[tuple[float, float, float, int]]:
-    """(v, v', v'', piece) of every block of the stacks at lams[k], from one
-    eigh call.  On the -lam piece (piece -1) the slope is -1 and the
-    curvature 0.  On the worst cut c, with A_c + lam B_c = sum_j w_j x_j x_j^H,
-    v = -w_0, v' = -x_0^H B_c x_0 and v'' = 2 sum_{j>0} |x_j^H B_c x_0|^2 /
-    (w_j - w_0) (Lewis & Overton, Acta Numerica 5 (1996) 149-190)."""
+    """(v, v', v'', piece) of every block of the (n, C, d, d) stack a at
+    lams[k], with the shared (C, d, d) stack b, from one eigh call.  On the
+    -lam piece (piece -1) the slope is -1 and the curvature 0.  On the worst
+    cut c, with A_c + lam B_c = sum_j w_j x_j x_j^H, v = -w_0, v' = -x_0^H
+    B_c x_0 and v'' = 2 sum_{j>0} |x_j^H B_c x_0|^2 / (w_j - w_0) (Lewis &
+    Overton, Acta Numerica 5 (1996) 149-190)."""
     w, v = np.linalg.eigh(a + lams[:, None, None, None] * b)
     rows, cut = np.arange(len(lams)), w[..., 0].argmin(axis=1)
     w, v = w[rows, cut], v[rows, cut]
-    coupling = (dag(v) @ (b[rows, cut] @ v[:, :, :1]))[..., 0]  # x_j^H B_c x_0
+    coupling = (dag(v) @ (b[cut] @ v[:, :, :1]))[..., 0]  # x_j^H B_c x_0
     gap = w[:, 1:] - w[:, :1]
     terms = np.divide(np.abs(coupling[:, 1:]) ** 2, gap, out=np.zeros_like(gap), where=gap > _DEGENERATE_GAP)
     on_lam = lams <= w[:, 0]
@@ -588,7 +582,7 @@ def _peaks(a: np.ndarray, b: np.ndarray, threshold: float) -> tuple[np.ndarray, 
     the worst block takes the full search's steps.  inf refines every block.
     """
     n = len(a)
-    ends = _slopes(np.concatenate([a, a]), np.concatenate([b, b]), np.repeat(_PEAK_BRACKET, n))
+    ends = _slopes(np.concatenate([a, a]), b, np.repeat(_PEAK_BRACKET, n))
     # per block: lo, hi, (v, v', v'', piece) at each, the widths two steps and
     # one step back, whether the last step probed; open while v'(lo) < 0 < v'(hi)
     brackets = [[*_PEAK_BRACKET, at_lo, at_hi, np.inf, np.inf, False] for at_lo, at_hi in zip(ends[:n], ends[n:])]
@@ -600,7 +594,7 @@ def _peaks(a: np.ndarray, b: np.ndarray, threshold: float) -> tuple[np.ndarray, 
         if not (k := [j for j, op in enumerate(is_open) if op and upper[j] >= keep]):
             break
         lams = [_next_lam(brackets[j]) for j in k]
-        for j, lam, at in zip(k, lams, _slopes(a[k], b[k], np.array(lams))):
+        for j, lam, at in zip(k, lams, _slopes(a[k], b, np.array(lams))):
             br = brackets[j]
             br[4], br[5] = br[5], br[1] - br[0]
             if at[1] <= 0.0:
@@ -646,7 +640,7 @@ def _cut_duals(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
     rows = np.arange(len(lams))
     worst = w[..., 0].argmin(axis=1)
     x = v[rows, worst, :, 0]
-    slope = np.einsum("ki,kij,kj->k", x.conj(), b[rows, worst], x).real
+    slope = np.einsum("ki,kij,kj->k", x.conj(), b[worst], x).real
     z = np.zeros(a.shape, dtype=complex)
     z[rows, worst] = x[:, :, None] * x[:, None, :].conj() / np.abs(slope)[:, None, None]
     return z
@@ -662,10 +656,11 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
     (:func:`_cut_duals`, at _PEAK_WIDTH).  A block whose least violation
     exceeds tol.feasibility, the only one the search then refines, is
     infeasible alone: Z bounds both sides of its peak, the slopes cancel and
-    Y = 0.  Otherwise a feasible point is verified by direct eigenvalue
-    checks; floors summing above 1 take Y = +Pi, and ceilings summing below
-    1 take Y = -Pi.  :func:`check_dual` decides whether the dual proves
-    infeasibility; when it does not, the outcome stalls.
+    Y = 0.  Otherwise the water-filled point is measured by
+    :func:`constraint_residual`, as Dykstra's points are; floors summing
+    above 1 take Y = +Pi, and ceilings summing below 1 take Y = -Pi.
+    :func:`check_dual` decides whether the dual proves infeasibility; when
+    it does not, the outcome stalls.
     """
     projectors = instance.projector_list()
     n = len(projectors)
@@ -673,16 +668,15 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
     dims = instance.space.dims
     cuts = list(proper_cuts(instance.space.nparties))
 
-    blocks = [_PencilBlock(pk, p0, dims, cuts) for pk in projectors]
-    a = np.stack([blk.a for blk in blocks])
-    b = np.stack([blk.b for blk in blocks])
+    a = np.stack([_PencilBlock(pk, dims, cuts).a for pk in projectors])
+    b = np.stack([partial_transpose(p0, dims, cut) for cut in cuts])
     peaks, vmins = _peaks(a, b, tol.feasibility)
     diagnostics: dict = {"path": "rank1-exact"}
     y, z = 0.0, np.zeros_like(a)
     k = int(vmins.argmax())
     if vmins[k] > tol.feasibility:
         res = float(vmins[k])
-        z[k] = _cut_duals(a[[k, k]], b[[k, k]], peaks[k] + np.array([-_PEAK_WIDTH, _PEAK_WIDTH])).sum(axis=0)
+        z[k] = _cut_duals(a[[k, k]], b, peaks[k] + np.array([-_PEAK_WIDTH, _PEAK_WIDTH])).sum(axis=0)
     else:
         # a block that grazes v = 0, at its peak or along a plateau, is
         # measured at _GRAZING_LEVEL, which leaves its elements above the
@@ -694,16 +688,16 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
         if (need := 1.0 - lam.sum()) > 0 and room.sum() > 0:
             lam = lam + room * min(1.0, need / room.sum())
         lam = lam - (lam.sum() - 1.0) / n
-        res = max(0.0, float(_violations(a, b, lam).max()))
+        e = lam[:, None, None] * p0
+        res, parts = constraint_residual(e, np.stack(projectors), p0, dims, cuts)
         if res <= tol.feasibility:
-            diagnostics["lambdas"] = [float(x) for x in lam]
             return FeasibilityOutcome(
                 feasible=True,
-                e_ops=lam[:, None, None] * p0,
+                e_ops=e,
                 residual=res,
                 best_residual=res,
                 iterations=0,
-                diagnostics=diagnostics,
+                diagnostics={**diagnostics, "lambdas": [float(x) for x in lam], **parts},
             )
         if lows.sum() > 1.0:
             # a floor of 0 comes from E_k >= 0, which Y already covers

@@ -235,10 +235,12 @@ _MAGIC_VECTORS = np.array(
     ],
     dtype=complex,
 )
+_MAGIC_BASIS = tuple(PureState(QUBIT_PAIR, v) for v in _MAGIC_VECTORS)
 
 
 def magic_basis() -> list[PureState]:
-    return [PureState(QUBIT_PAIR, v) for v in _MAGIC_VECTORS]
+    """The four magic-basis states, built once; each call returns a new list."""
+    return list(_MAGIC_BASIS)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from sepdisc.discrimination import (
     LoccFlag,
     SubspaceKind,
     VerdictStatus,
-    _lambda_certificate,
+    _distinguishable,
     decide,
     separable_lambdas,
     subspace_verdict,
@@ -455,7 +455,8 @@ def test_lambda_certificate_failure_names_member_theorem_and_flag():
     lambdas[k] += 1e-3
     _, decomposition = separable_lambdas(phi, basis)
     decompositions = [decomposition(j) for j in range(len(basis))]
-    v = _lambda_certificate(basis, phi, lambdas, decompositions, "T2", LoccFlag.LOCC_INDISTINGUISHABLE)
+    elements = [psi.density() + lam * phi.density() for psi, lam in zip(basis, lambdas)]
+    v = _distinguishable(elements, decompositions, "T2", lambdas, LoccFlag.LOCC_INDISTINGUISHABLE)
     assert v.status is VerdictStatus.UNDECIDED
     assert v.theorem == "T2"
     assert v.locc_flag is LoccFlag.LOCC_INDISTINGUISHABLE
@@ -544,6 +545,30 @@ def test_product_basis_minus_two_completes_without_the_solver(monkeypatch, build
         k = v.diagnostics["residual_assigned_to"]
         joined = v.certificate.evidence[k]
         assert joined.vectors[0] is basis[k].product and len(joined.vectors) == 3
+
+
+def test_completability_join_that_does_not_reassemble_is_undecided(monkeypatch):
+    # the residual's product decomposition off by 1e-6 in weight: the joined
+    # evidence of E_k = P_k + P0 no longer reassembles E_k within 1e-8
+    inst = DiscriminationInstance.from_pure(S3, _hadamard_basis_minus_two())
+    p0 = inst.residual_projector()
+    element_separability = disc.element_separability
+
+    def perturbed(member, *args, **kwargs):
+        verdict = element_separability(member, *args, **kwargs)
+        if member is p0:
+            dec = verdict.evidence
+            weights = tuple(w + 1e-6 for w in dec.weights)
+            verdict = separability.SeparabilityVerdict(verdict.status, ProductDecomposition(weights, dec.vectors))
+        return verdict
+
+    monkeypatch.setattr(disc, "element_separability", perturbed)
+    v = decide(inst)
+    assert v.status is VerdictStatus.UNDECIDED
+    assert v.reason.code == "internal_inconsistency"
+    assert v.diagnostics["path"] == "completability"
+    assert v.reason.data["member"] == v.diagnostics["residual_assigned_to"]
+    assert v.certificate is None
 
 
 def test_entangled_residual_completes_through_the_member_plus_residual():

@@ -18,6 +18,7 @@ from sepdisc.constructions import (
 )
 from sepdisc.discrimination import DiscriminationInstance, VerdictStatus, decide, validate_certificate
 from sepdisc.errors import PreconditionViolated
+from sepdisc.linalg import partial_transpose
 from sepdisc.sampling import random_basis_of_complement, random_product_basis, random_pure_state, random_unitary
 from sepdisc.separability import (
     _GRAZING,
@@ -26,8 +27,8 @@ from sepdisc.separability import (
     _intervals,
     _peaks,
     _PencilBlock,
+    _slopes,
     _solve_dykstra,
-    _violations,
     SepStatus,
     constraint_residual,
     element_separability,
@@ -200,11 +201,17 @@ def _haar_rank1(dims, seed):
 
 
 def _stacks(instance):
-    p0, cuts = instance.residual_projector(), list(proper_cuts(instance.space.nparties))
-    blocks = [_PencilBlock(pk, p0, instance.space.dims, cuts) for pk in instance.projector_list()]
-    a = np.stack([blk.a for blk in blocks])
-    b = np.stack([blk.b for blk in blocks])
+    """The (n, C, d, d) block stack A, the one (C, d, d) stack B and every
+    block's exact peak."""
+    p0, dims, cuts = instance.residual_projector(), instance.space.dims, list(proper_cuts(instance.space.nparties))
+    a = np.stack([_PencilBlock(pk, dims, cuts).a for pk in instance.projector_list()])
+    b = np.stack([partial_transpose(p0, dims, cut) for cut in cuts])
     return (a, b, *_peaks(a, b, np.inf))
+
+
+def _v(a, b, lams):
+    """v_k(lams[k]) of every block, as :func:`_slopes` reads it."""
+    return np.array([v for v, _, _, _ in _slopes(a, b, np.asarray(lams))])
 
 
 def _assert_exact_endpoints(a, b, peaks, vmins, level):
@@ -215,11 +222,11 @@ def _assert_exact_endpoints(a, b, peaks, vmins, level):
             assert lows[k] == peaks[k]
             continue
         for end, outward in ((lows[k], -step), (highs[k], step)):
-            inside = _violations(a[k : k + 1], b[k : k + 1], np.array([end]))[0]
+            inside = _v(a[k : k + 1], b, np.array([end]))[0]
             assert inside <= level + 1e-10
             if end in (-1.5, 2.5):  # clipped by the window
                 continue
-            outside = _violations(a[k : k + 1], b[k : k + 1], np.array([end + outward]))[0]
+            outside = _v(a[k : k + 1], b, np.array([end + outward]))[0]
             assert outside > level
 
 
@@ -297,6 +304,15 @@ def test_rank1_family_feasible_with_valid_certificate(alpha, beta, frac):
     assert validate_certificate(verdict.certificate, inst)["valid"]
 
 
+def test_rank1_feasible_point_carries_the_constraint_residual_parts():
+    # the water-filled point E_k = lam_k P0 is measured as Dykstra's are
+    _, basis = family_sep_not_locc(FamilyParams(0.3, 0.4, sum(gamma_range(0.3, 0.4)) / 2))
+    out = feasibility_solve(DiscriminationInstance.from_projectors(QUBIT_PAIR, [s.density() for s in basis]))
+    assert out.feasible and out.diagnostics["path"] == "rank1-exact"
+    parts = {key: out.diagnostics[key] for key in ("affine", "psd", "ppt")}
+    assert out.residual == out.best_residual == max(parts.values())
+
+
 # -- the peak search: bracket ends, kinks, smooth minima, grazing, budget -----
 
 def _grid_vmin(a, b):
@@ -306,7 +322,7 @@ def _grid_vmin(a, b):
     lo, hi = _PEAK_BRACKET
     for _ in range(8):
         lams = np.linspace(lo, hi, 201)
-        v = _violations(a[None], b[None], lams)
+        v = _v(a[None], b, lams)
         i = int(v.argmin())
         lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, 200)]
     return v[i]
@@ -317,9 +333,9 @@ def _assert_peak_matches_grid(a, b):
     the grid; returns the peak."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        peaks, vmins = _peaks(a[None], b[None], np.inf)
+        peaks, vmins = _peaks(a[None], b, np.inf)
     assert abs(vmins[0] - _grid_vmin(a, b)) <= 1e-12
-    assert abs(vmins[0] - _violations(a[None], b[None], peaks)[0]) <= 1e-14  # v at the peak
+    assert abs(vmins[0] - _v(a[None], b, peaks)[0]) <= 1e-14  # v at the peak
     return peaks[0]
 
 
@@ -349,8 +365,8 @@ def test_peak_at_a_kink_of_two_cuts():
     # a 2x2x2 Haar block whose worst cut changes at its peak
     a, b, peaks, _ = _stacks(_haar_rank1((2, 2, 2), 2))
     k = 2
-    assert _worst_cut(a[k], b[k], peaks[k] - 1e-7) != _worst_cut(a[k], b[k], peaks[k] + 1e-7)
-    assert _assert_peak_matches_grid(a[k], b[k]) == peaks[k]
+    assert _worst_cut(a[k], b, peaks[k] - 1e-7) != _worst_cut(a[k], b, peaks[k] + 1e-7)
+    assert _assert_peak_matches_grid(a[k], b) == peaks[k]
 
 
 def test_peak_at_a_smooth_minimum():
@@ -358,9 +374,9 @@ def test_peak_at_a_smooth_minimum():
     # interior peak, where -lam is not active
     a, b, peaks, vmins = _stacks(_haar_rank1((2, 3), 0))
     k = 1
-    w = np.linalg.eigvalsh(a[k, 0] + peaks[k] * b[k, 0])
+    w = np.linalg.eigvalsh(a[k, 0] + peaks[k] * b[0])
     assert w[1] - w[0] > 0.1 and vmins[k] > -peaks[k]
-    assert _PEAK_BRACKET[0] < _assert_peak_matches_grid(a[k], b[k]) < _PEAK_BRACKET[1]
+    assert _PEAK_BRACKET[0] < _assert_peak_matches_grid(a[k], b) < _PEAK_BRACKET[1]
 
 
 def _grazing_cases():
@@ -381,7 +397,7 @@ def test_grazing_blocks_keep_their_peak_alone(projectors):
     lows, highs = _intervals(a, b, peaks, vmins, 0.0)
     assert np.array_equal(lows, peaks) and np.array_equal(highs, peaks)
     for side in (-_PEAK_WIDTH, _PEAK_WIDTH):
-        assert np.all(_violations(a, b, peaks + side) > vmins)
+        assert np.all(_v(a, b, peaks + side) > vmins)
 
 
 @pytest.mark.parametrize("seed, drop", [(1, 0), (7, 1), (9, 3), (15, 2)])
@@ -420,7 +436,7 @@ def test_pruned_search_keeps_the_first_of_two_worst_blocks():
     a, b, _, vmins = _stacks(_haar_rank1((2, 2, 2), 1))
     k = int(vmins.argmax())
     order = [k, k] + [j for j in range(len(a)) if j != k]
-    peaks, twice = _peaks(a[order], b[order], DEFAULT.feasibility)
+    peaks, twice = _peaks(a[order], b, DEFAULT.feasibility)
     assert int(twice.argmax()) == 0
     assert twice[0] == twice[1] == vmins[k] and peaks[0] == peaks[1]
 
