@@ -1,15 +1,17 @@
 """Deciders for perfect discrimination by separable operations.
 
-The dispatcher :func:`decide` routes an instance to the sharpest applicable
-analytic decider and falls back to the PSD+PPT feasibility solver.  The full
-span is distinguishable iff every member's projector is separable.  D-1
-states are decided by the classification of the residual state phi: a
-product phi admits only product members, a phi needing three orthogonal
-product terms no distinguishable basis, and any other phi, in every
-dimension, goes to one lambda rule (:func:`separable_lambdas`): every
-element is forced to |psi_k><psi_k| + lambda_k |phi><phi| with sum_k
+The dispatcher :func:`decide` settles D-1 states by the classification of
+the residual state phi: a phi needing three orthogonal product terms admits
+no distinguishable basis, a product phi only product members, and any other
+phi, in every dimension, goes to one lambda rule (:func:`separable_lambdas`):
+every element is forced to |psi_k><psi_k| + lambda_k |phi><phi| with sum_k
 lambda_k = 1, each lambda_k read from the product vectors of span{psi_k, phi}
-(:func:`~sepdisc.tensor_rank.span_roots`).  Distinguishable verdicts carry a
+(:func:`~sepdisc.tensor_rank.span_roots`).  Every other instance, a product
+phi's product bases included, goes to one allocation,
+:func:`_allocate_residual`, and then to the PSD+PPT feasibility solver: the
+whole residual P0 = I - sum_k P_k goes to one member.  The full span is the
+case where the allocation is forced (P0 = 0), and a declared phi certifies
+the residual (P0 = |phi><phi|).  Distinguishable verdicts carry a
 POVM certificate, and solver verdicts of indistinguishability a dual
 certificate, whose validity is re-checkable independently of the decider
 that produced it.  One builder, :func:`_distinguishable`, makes every POVM
@@ -260,50 +262,47 @@ def subspace_verdict(phi: PureState, tol: Tolerances = DEFAULT) -> SubspaceVerdi
     return SubspaceVerdict(kind=SubspaceKind.UNDECIDED, classification=cls)
 
 
-def _decide_full_span(instance: DiscriminationInstance, tol: Tolerances) -> Verdict:
-    """Full-span case: with no residual the POVM is forced to the members'
-    projectors, so the states are distinguishable iff each is separable."""
-    evidence = []
+def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances) -> Verdict | None:
+    """Theorem 1 with the simplest POVM: the whole residual P0 = I - sum_k P_k
+    goes to one member, E_k = P_k + P0 and E_j = P_j otherwise, and every
+    element must be certified separable; None when no allocation is.
+
+    When the members' ranks fill the space, P0 = 0 and the POVM is forced:
+    the states are distinguishable iff every member's projector is
+    separable, and the first member that is not settles the verdict.
+    Otherwise P0 is certified once, through the declared phi when there is
+    one (then P0 = |phi><phi|); E_k carries P_k's product decomposition
+    joined with P0's when both have one, and otherwise its own.  The
+    allocation doubles as an explicit feasible point of the relaxation,
+    verified directly instead of iterating."""
+    space, members = instance.space, instance.states or instance.projectors
+    # a pure member has rank 1, a projector its trace
+    rank = instance.n if instance.states else round(sum(float(np.trace(p).real) for p in instance.projectors))
+    forced = rank == space.dim
     factor_states(instance.states)
-    for j, member in enumerate(instance.states or instance.projectors):
-        verdict = element_separability(member, instance.space, tol)
-        if verdict.status is SepStatus.ENTANGLED:
-            return Verdict(
-                status=VerdictStatus.INDISTINGUISHABLE,
-                theorem="T1",
-                reason=Reason(
-                    "entangled_member",
-                    f"basis member {j} is entangled, so its projector cannot be separable",
-                    {"member": j},
-                ),
-            )
-        if verdict.status is SepStatus.UNDECIDED:
-            return Verdict(
-                status=VerdictStatus.UNDECIDED,
-                theorem="T1",
-                reason=Reason("separability_unknown", f"projector {j} is not certified separable", {"member": j}),
-            )
-        evidence.append(verdict.evidence)
-    return _distinguishable(instance.projector_list(), evidence)
-
-
-def _try_completability(instance: DiscriminationInstance, tol: Tolerances) -> Verdict | None:
-    """Allocate the whole residual to a single element, E_k = P_k + P0 and
-    E_j = P_j otherwise, and certify every element separable.  P0 is
-    certified once; E_k carries P_k's product decomposition joined with P0's
-    when both have one, and otherwise its own.  The allocation doubles as an
-    explicit feasible point of the relaxation, verified directly instead of
-    iterating."""
-    projectors, p0 = instance.projector_list(), instance.residual_projector()
-    n = len(projectors)
     per_element: list[object] = []
-    for member in instance.states or instance.projectors:
-        verdict = element_separability(member, instance.space, tol)
-        per_element.append(verdict.evidence if verdict.status is SepStatus.SEPARABLE else None)
-        # every allocation leaves all members but one as they are
-        if per_element.count(None) >= 2:
+    for j, member in enumerate(members):
+        verdict = element_separability(member, space, tol)
+        if verdict.status is SepStatus.SEPARABLE:
+            per_element.append(verdict.evidence)
+        elif forced and verdict.status is SepStatus.ENTANGLED:
+            message = f"basis member {j} is entangled, so its projector cannot be separable"
+            reason = Reason("entangled_member", message, {"member": j})
+            return Verdict(VerdictStatus.INDISTINGUISHABLE, "T1", reason=reason)
+        elif forced:
+            reason = Reason("separability_unknown", f"projector {j} is not certified separable", {"member": j})
+            return Verdict(VerdictStatus.UNDECIDED, "T1", reason=reason)
+        elif None in per_element:
+            # every allocation leaves all members but one as they are
             return None
-    p0_evidence = element_separability(p0, instance.space, tol).evidence
+        else:
+            per_element.append(None)
+    projectors = instance.projector_list()
+    if forced:
+        return _distinguishable(projectors, per_element)
+    p0 = instance.residual_projector()
+    p0_evidence = element_separability(p0 if instance.phi is None else instance.phi, space, tol).evidence
+    n = len(projectors)
     for k in range(n):
         if any(per_element[j] is None for j in range(n) if j != k):
             continue
@@ -312,14 +311,14 @@ def _try_completability(instance: DiscriminationInstance, tol: Tolerances) -> Ve
         if isinstance(own, ProductDecomposition) and isinstance(p0_evidence, ProductDecomposition):
             joined = ProductDecomposition(own.weights + p0_evidence.weights, own.vectors + p0_evidence.vectors)
         else:
-            verdict = element_separability(big, instance.space, tol)
+            verdict = element_separability(big, space, tol)
             if verdict.status is not SepStatus.SEPARABLE:
                 continue
             joined = verdict.evidence
         e = np.zeros((n,) + p0.shape, dtype=complex)
         e[k] = big - projectors[k]
-        cuts = proper_cuts(instance.space.nparties)
-        point_res, _ = constraint_residual(e, np.stack(projectors), p0, instance.space.dims, cuts)
+        cuts = proper_cuts(space.nparties)
+        point_res, _ = constraint_residual(e, np.stack(projectors), p0, space.dims, cuts)
         return _distinguishable(
             [big if j == k else p for j, p in enumerate(projectors)],
             [joined if j == k else ev for j, ev in enumerate(per_element)],
@@ -334,7 +333,7 @@ def _try_completability(instance: DiscriminationInstance, tol: Tolerances) -> Ve
 
 
 def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_iterations: int | None) -> Verdict:
-    fast = _try_completability(instance, tol)
+    fast = _allocate_residual(instance, tol)
     if fast is not None:
         return fast
 
@@ -399,80 +398,56 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
     if max_iterations is not None and max_iterations < 1:
         raise PreconditionViolated(f"max_iterations must be at least 1, got {max_iterations}")
     space = instance.space
-    d = space.dim
-
-    if instance.states:
-        total_rank = instance.n
-    else:
-        total_rank = int(round(sum(float(np.real(np.trace(p))) for p in instance.projectors)))
-    if total_rank == d:
-        return _decide_full_span(instance, tol)
-    if instance.projectors:
+    states, n = instance.states, instance.n
+    if not states or n != space.dim - 1:
         return _decide_feasibility(instance, tol, max_iterations)
 
-    states = list(instance.states)
-    n = len(states)
+    phi = orthonormal_completion(states)[0] if instance.phi is None else instance.phi
+    cls = schmidt2_classify(phi.amplitudes[None], space.dims, tol, [phi.product])[0]
+    if cls.kind is Schmidt2Kind.AT_LEAST_3:
+        return Verdict(
+            status=VerdictStatus.INDISTINGUISHABLE,
+            theorem="T6",
+            reason=Reason(
+                "orthogonal_schmidt_number",
+                "the residual state needs at least three orthogonal product terms, so no basis of its orthocomplement is distinguishable",
+                {"reason": cls.reason.value if cls.reason else None},
+            ),
+        )
+    factor_states(states)
+    if cls.kind is Schmidt2Kind.PRODUCT:
+        # a product residual state admits only product bases, and those the
+        # allocation certifies
+        j = next((j for j, s in enumerate(states) if s.product is None), None)
+        if j is None:
+            return _decide_feasibility(instance, tol, max_iterations)
+        message = f"member {j} is entangled while the residual state is product"
+        reason = Reason("entangled_member_product_phi", message, {"member": j})
+        return Verdict(VerdictStatus.INDISTINGUISHABLE, "T1", reason=reason)
+    if cls.kind is Schmidt2Kind.UNDECIDED:
+        theorem = "T1"
+    elif cls.detail["entry_distance"] >= 3:
+        theorem = "T5"
+    elif space.dims != (2, 2):
+        theorem = "T4"
+    else:
+        theorem = "C2" if concurrence(phi) > 1.0 - 1e-8 else "T2"
+    # cited sufficient condition: two or more entangled members of a 2x2
+    # basis cannot be told apart by LOCC
+    two_entangled = space.dims == (2, 2) and sum(s.product is None for s in states) >= 2
+    flag = LoccFlag.LOCC_INDISTINGUISHABLE if two_entangled else LoccFlag.UNKNOWN
+    # every POVM element is forced to |psi_k><psi_k| + lambda_k |phi><phi|
+    # with sum_k lambda_k = 1
+    lambdas, decomposition = separable_lambdas(phi, states, tol)
+    total = sum(lam for lam in lambdas if lam is not None)
+    if None in lambdas:
+        j = lambdas.index(None)
+        message = f"entangled member {j} has no lambda at which its POVM element is separable"
+        reason = Reason("no_separable_lambda", message, {"member": j})
+    elif abs(total - 1.0) > tol.concurrence_sum:
+        reason = Reason("lambda_sum", f"lambda sum {total:.9f} != 1", {"sum": total, "lambdas": lambdas})
+    else:
+        elements = [psi.density() + lam * phi.density() for psi, lam in zip(states, lambdas)]
+        return _distinguishable(elements, [decomposition(k) for k in range(n)], theorem, lambdas, flag)
+    return Verdict(status=VerdictStatus.INDISTINGUISHABLE, theorem=theorem, reason=reason, locc_flag=flag)
 
-    phi = instance.phi
-    if phi is None and n == d - 1:
-        phi = orthonormal_completion(states)[0]
-
-    if phi is not None and n == d - 1:
-        cls = schmidt2_classify(phi.amplitudes[None], space.dims, tol, [phi.product])[0]
-        if cls.kind is Schmidt2Kind.AT_LEAST_3:
-            return Verdict(
-                status=VerdictStatus.INDISTINGUISHABLE,
-                theorem="T6",
-                reason=Reason(
-                    "orthogonal_schmidt_number",
-                    "the residual state needs at least three orthogonal product terms, so no basis of its orthocomplement is distinguishable",
-                    {"reason": cls.reason.value if cls.reason else None},
-                ),
-            )
-        factor_states(states)
-        if cls.kind is Schmidt2Kind.PRODUCT:
-            # a product residual state admits only product bases
-            for j, s in enumerate(states):
-                if s.product is None:
-                    return Verdict(
-                        status=VerdictStatus.INDISTINGUISHABLE,
-                        theorem="T1",
-                        reason=Reason(
-                            "entangled_member_product_phi",
-                            f"member {j} is entangled while the residual state is product",
-                            {"member": j},
-                        ),
-                    )
-            decompositions = [ProductDecomposition((1.0,), (s.product,)) for s in states]
-            decompositions[0] = ProductDecomposition((1.0, 1.0), (states[0].product, phi.product))
-            lambdas = [1.0] + [0.0] * (n - 1)
-            elements = [s.density() + lam * phi.density() for s, lam in zip(states, lambdas)]
-            return _distinguishable(elements, decompositions, lambdas=lambdas)
-        if cls.kind is Schmidt2Kind.UNDECIDED:
-            theorem = "T1"
-        elif cls.detail["entry_distance"] >= 3:
-            theorem = "T5"
-        elif space.dims != (2, 2):
-            theorem = "T4"
-        else:
-            theorem = "C2" if concurrence(phi) > 1.0 - 1e-8 else "T2"
-        # cited sufficient condition: two or more entangled members of a 2x2
-        # basis cannot be told apart by LOCC
-        two_entangled = space.dims == (2, 2) and sum(concurrence(s) > tol.rank for s in states) >= 2
-        flag = LoccFlag.LOCC_INDISTINGUISHABLE if two_entangled else LoccFlag.UNKNOWN
-        # every POVM element is forced to |psi_k><psi_k| + lambda_k |phi><phi|
-        # with sum_k lambda_k = 1
-        lambdas, decomposition = separable_lambdas(phi, states, tol)
-        total = sum(lam for lam in lambdas if lam is not None)
-        if None in lambdas:
-            j = lambdas.index(None)
-            message = f"entangled member {j} has no lambda at which its POVM element is separable"
-            reason = Reason("no_separable_lambda", message, {"member": j})
-        elif abs(total - 1.0) > tol.concurrence_sum:
-            reason = Reason("lambda_sum", f"lambda sum {total:.9f} != 1", {"sum": total, "lambdas": lambdas})
-        else:
-            elements = [psi.density() + lam * phi.density() for psi, lam in zip(states, lambdas)]
-            return _distinguishable(elements, [decomposition(k) for k in range(n)], theorem, lambdas, flag)
-        return Verdict(status=VerdictStatus.INDISTINGUISHABLE, theorem=theorem, reason=reason, locc_flag=flag)
-
-    return _decide_feasibility(instance, tol, max_iterations)

@@ -103,6 +103,17 @@ class TestTwoQubitBasis:
         inst = DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi)
         assert validate_certificate(v.certificate, inst)["valid"]
 
+    def test_flag_counts_entangled_members_as_the_certificate_does(self):
+        # two members within 7e-10 of |01> and |10>: the lambda certificate
+        # factors them (lambda = 0), so the flag does not count them
+        eps = 7e-10
+        k01, k10 = ket(QUBIT_PAIR, "01").amplitudes, ket(QUBIT_PAIR, "10").amplitudes
+        near = [math.cos(eps) * k01 + math.sin(eps) * k10, -math.sin(eps) * k01 + math.cos(eps) * k10]
+        v = decide_with_phi(phi_plus(), [PureState(QUBIT_PAIR, a) for a in near] + [bell("phi-")])
+        assert v.status is VerdictStatus.DISTINGUISHABLE
+        assert v.certificate.lambdas == (0.0, 0.0, 1.0)
+        assert v.locc_flag is LoccFlag.UNKNOWN
+
     def test_bell_triple_concurrence_sum(self):
         v = decide_with_phi(phi_plus(), [bell("phi-"), bell("psi+"), bell("psi-")])
         assert v.status is VerdictStatus.INDISTINGUISHABLE
@@ -169,6 +180,9 @@ class TestDispatcher:
         inst = DiscriminationInstance.from_pure(QUBIT_PAIR, basis, ket(QUBIT_PAIR, "00"))
         v = decide(inst)
         assert v.status is VerdictStatus.DISTINGUISHABLE
+        # the residual goes to the first member, through the allocation
+        assert v.diagnostics["path"] == "completability"
+        assert v.certificate.lambdas == (1.0, 0.0, 0.0)
         assert validate_certificate(v.certificate, inst)["valid"]
 
     def test_product_phi_entangled_member(self):
@@ -882,6 +896,13 @@ _PPT_DUAL = (VerdictStatus.INDISTINGUISHABLE, "PPT-dual", "ppt_dual")
 _PPT_FEASIBLE = (VerdictStatus.UNDECIDED, "T1", "ppt_feasible_relaxation")
 
 
+def _census_cell(dims, n, seed) -> DiscriminationInstance:
+    """The first n columns of a Haar unitary, census seed 100 + s."""
+    space = StateSpace(dims)
+    u = random_unitary(np.random.default_rng(100 + seed), space.dim)
+    return DiscriminationInstance.from_pure(space, [PureState(space, c) for c in u[:, :n].T])
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize(
     "dims, n, expected",
@@ -899,9 +920,74 @@ _PPT_FEASIBLE = (VerdictStatus.UNDECIDED, "T1", "ppt_feasible_relaxation")
     ],
 )
 def test_census_cells_keep_their_verdicts(dims, n, expected, seed):
-    # the first n columns of a Haar unitary (census seed 100 + s), capped at
-    # 2,000 iterations: the solver ends at its first check on every cell
-    space = StateSpace(dims)
-    u = random_unitary(np.random.default_rng(100 + seed), space.dim)
-    v = decide(DiscriminationInstance.from_pure(space, [PureState(space, c) for c in u[:, :n].T]), max_iterations=2000)
+    # capped at 2,000 iterations: the solver ends at its first check on
+    # every cell
+    v = decide(_census_cell(dims, n, seed), max_iterations=2000)
     assert (v.status, v.theorem, v.reason.code) == expected
+
+
+def test_one_iteration_with_neither_point_nor_dual_is_a_stall():
+    # census 3x3, n = 3, s = 1: one iteration finds neither a feasible point
+    # nor a dual that validates
+    v = decide(_census_cell((3, 3), 3, 1), max_iterations=1)
+    assert (v.status, v.theorem, v.reason.code) == (VerdictStatus.UNDECIDED, "T1", "feasibility_stall")
+    assert "iteration_cap" in v.diagnostics
+    assert v.certificate is None
+
+
+# -- unextendible product bases (Bennett et al., PRL 82, 5385 (1999)) ----------
+
+
+def _upb(dims, vectors) -> DiscriminationInstance:
+    space = StateSpace(dims)
+    return DiscriminationInstance.from_pure(space, [PureState(space, kron_all(factors)) for factors in vectors])
+
+
+def _tiles() -> DiscriminationInstance:
+    e0, e1, e2 = np.eye(3)
+    return _upb(
+        (3, 3),
+        [
+            (e0, (e0 - e1) / math.sqrt(2)),
+            ((e0 - e1) / math.sqrt(2), e2),
+            (e2, (e1 - e2) / math.sqrt(2)),
+            ((e1 - e2) / math.sqrt(2), e0),
+            (np.ones(3) / math.sqrt(3), np.ones(3) / math.sqrt(3)),
+        ],
+    )
+
+
+def _shifts() -> DiscriminationInstance:
+    zero, one = np.eye(2)
+    plus, minus = (zero + one) / math.sqrt(2), (zero - one) / math.sqrt(2)
+    return _upb((2, 2, 2), [(zero, one, plus), (one, plus, zero), (plus, zero, one), (minus, minus, minus)])
+
+
+def _pyramid() -> DiscriminationInstance:
+    # the apex vectors v_i, with v_i orthogonal to v_{i +- 2}; member i is
+    # v_i (x) v_{2i mod 5}
+    h, norm = math.sqrt(1.0 + math.sqrt(5.0)) / 2.0, 2.0 / math.sqrt(5.0 + math.sqrt(5.0))
+    v = [norm * np.array([math.cos(2 * math.pi * i / 5), math.sin(2 * math.pi * i / 5), h]) for i in range(5)]
+    return _upb((3, 3), [(v[i], v[2 * i % 5]) for i in range(5)])
+
+
+@pytest.mark.parametrize("build", [_tiles, _shifts], ids=["tiles", "shifts"])
+def test_upb_completes_through_a_product_decomposition_of_member_plus_residual(build):
+    # the residual of a UPB holds no product vector, so P0 has no product
+    # decomposition of its own; E_k = P_k + P0 gets one, and PPT is not
+    # exact on 3x3 or 2x2x2
+    inst = build()
+    v = decide(inst)
+    assert v.status is VerdictStatus.DISTINGUISHABLE
+    assert v.diagnostics["path"] == "completability"
+    k = v.diagnostics["residual_assigned_to"]
+    assert isinstance(v.certificate.evidence[k], ProductDecomposition)
+    assert validate_certificate(v.certificate, inst)["valid"]
+
+
+def test_pyramid_upb_is_never_indistinguishable():
+    inst = _pyramid()
+    v = decide(inst)
+    assert v.status is not VerdictStatus.INDISTINGUISHABLE
+    if v.status is VerdictStatus.DISTINGUISHABLE:
+        assert validate_certificate(v.certificate, inst)["valid"]

@@ -30,6 +30,7 @@ from sepdisc.tensor_rank import (
     span_roots,
     try_factor,
 )
+from sepdisc.verify import check_lemma3_uniqueness
 from tests.conftest import ghz_theta, w_state
 
 S3 = StateSpace((2, 2, 2))
@@ -306,25 +307,40 @@ def test_classify_bell_times_bell_rank_witness():
 
 
 def test_lemma3_uniqueness_property(rng):
-    # a two-term split differing in three parties admits no rival split
+    # a two-term split differing in three parties admits no rival split: a
+    # companion drawn from span{a, b} spans it with the GHZ-type state, and
+    # the span's two product vectors rebuild that state as a and b
     ghz = ghz_theta(S3, 0.5)
     cls = schmidt2_classify(ghz.amplitudes[None], S3.dims)[0]
     a, b = cls.decomposition.a, cls.decomposition.b
     assert entry_distance(a, b) == 3
+    checked = 0
     for _ in range(10):
-        companion = random_pure_state(rng, S3)
-        span = product_vectors_in_span(ghz, companion)
-        if span.infinitely_many or len(span.vectors) < 2:
+        x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        companion = PureState.normalized(S3, x * a.assemble() + y * b.assemble())
+        if abs(companion.inner(ghz)) > 0.99:
             continue
+        span = product_vectors_in_span(ghz, companion)
+        assert not span.infinitely_many and len(span.vectors) == 2
         c, d = (pv.assemble() for pv in span.vectors)
         gram = np.array([[np.vdot(c, c), np.vdot(c, d)], [np.vdot(d, c), np.vdot(d, d)]])
         rhs = np.array([np.vdot(c, ghz.amplitudes), np.vdot(d, ghz.amplitudes)])
         coeff = np.linalg.solve(gram, rhs)
-        if np.linalg.norm(coeff[0] * c + coeff[1] * d - ghz.amplitudes) > 1e-8:
-            continue
+        assert np.linalg.norm(coeff[0] * c + coeff[1] * d - ghz.amplitudes) < 1e-8
         terms = sorted([coeff[0] * c, coeff[1] * d], key=lambda t: -np.linalg.norm(t))
         refs = sorted([a.assemble(), b.assemble()], key=lambda t: -np.linalg.norm(t))
         assert all(np.linalg.norm(t - r) < 1e-7 for t, r in zip(terms, refs))
+        checked += 1
+    assert checked > 0
+
+
+def test_lemma3_check_measures_the_splits_it_checks():
+    # the verify suite's check counts only the splits it checked and reports
+    # their worst reconstruction error, not a fixed 0
+    result = check_lemma3_uniqueness(43, 20)
+    assert result.passed
+    assert result.count > 0
+    assert 0.0 < result.worst < 1e-7
 
 
 def test_is_product_and_try_factor(rng):
