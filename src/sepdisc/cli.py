@@ -217,6 +217,9 @@ def cmd_verify(args, tol) -> int:
     if args.bases is not None and args.bases < 1:
         print("error: --bases must be at least 1", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:

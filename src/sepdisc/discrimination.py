@@ -10,14 +10,15 @@ lambda_k = 1, each lambda_k read from the product vectors of span{psi_k, phi}
 phi's product bases included, goes to one allocation,
 :func:`_allocate_residual`, and then to the PSD+PPT feasibility solver: the
 whole residual P0 = I - sum_k P_k goes to one member.  The full span is the
-case where the allocation is forced (P0 = 0), and a declared phi certifies
-the residual (P0 = |phi><phi|).  Distinguishable verdicts carry a
-POVM certificate, and solver verdicts of indistinguishability a dual
-certificate, whose validity is re-checkable independently of the decider
-that produced it.  One builder, :func:`_distinguishable`, makes every POVM
-certificate and checks that each product decomposition reassembles its
-element.  Every element outside the lambda certificates gets its evidence
-from one rule, :func:`~sepdisc.separability.element_separability`.
+case where the allocation is forced (P0 = 0), and a product phi, declared
+or completed, certifies the residual (P0 = |phi><phi|).  Distinguishable
+verdicts carry a POVM certificate, and solver verdicts of
+indistinguishability a dual certificate, whose validity is re-checkable
+independently of the decider that produced it.  One builder,
+:func:`_distinguishable`, makes every POVM certificate and checks that each
+product decomposition reassembles its element.  Every element outside the
+lambda certificates gets its evidence from one rule,
+:func:`~sepdisc.separability.element_separability`.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def subspace_verdict(phi: PureState, tol: Tolerances = DEFAULT) -> SubspaceVerdi
     return SubspaceVerdict(kind=SubspaceKind.UNDECIDED, classification=cls)
 
 
-def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances) -> Verdict | None:
+def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances, phi: PureState | None) -> Verdict | None:
     """Theorem 1 with the simplest POVM: the whole residual P0 = I - sum_k P_k
     goes to one member, E_k = P_k + P0 and E_j = P_j otherwise, and every
     element must be certified separable; None when no allocation is.
@@ -270,9 +271,10 @@ def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances) -> Ver
     When the members' ranks fill the space, P0 = 0 and the POVM is forced:
     the states are distinguishable iff every member's projector is
     separable, and the first member that is not settles the verdict.
-    Otherwise P0 is certified once, through the declared phi when there is
-    one (then P0 = |phi><phi|); E_k carries P_k's product decomposition
-    joined with P0's when both have one, and otherwise its own.  The
+    Otherwise P0 is certified once, through ``phi`` when one is given (the
+    declared or the completed residual state, P0 = |phi><phi|); E_k carries
+    P_k's product decomposition joined with P0's when both have one, and
+    otherwise its own.  The
     allocation doubles as an explicit feasible point of the relaxation,
     verified directly instead of iterating."""
     space, members = instance.space, instance.states or instance.projectors
@@ -301,7 +303,7 @@ def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances) -> Ver
     if forced:
         return _distinguishable(projectors, per_element)
     p0 = instance.residual_projector()
-    p0_evidence = element_separability(p0 if instance.phi is None else instance.phi, space, tol).evidence
+    p0_evidence = element_separability(p0 if phi is None else phi, space, tol).evidence
     n = len(projectors)
     for k in range(n):
         if any(per_element[j] is None for j in range(n) if j != k):
@@ -332,8 +334,10 @@ def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances) -> Ver
     return None
 
 
-def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_iterations: int | None) -> Verdict:
-    fast = _allocate_residual(instance, tol)
+def _decide_feasibility(
+    instance: DiscriminationInstance, tol: Tolerances, max_iterations: int | None, phi: PureState | None = None
+) -> Verdict:
+    fast = _allocate_residual(instance, tol, phi)
     if fast is not None:
         return fast
 
@@ -347,17 +351,9 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
     }
 
     if outcome.dual is not None:
-        return Verdict(
-            status=VerdictStatus.INDISTINGUISHABLE,
-            theorem="PPT-dual",
-            certificate=outcome.dual,
-            reason=Reason(
-                "ppt_dual",
-                "the PSD+PPT relaxation is infeasible by a checked dual certificate, so no separable POVM exists",
-                {},
-            ),
-            diagnostics=diag,
-        )
+        message = "the PSD+PPT relaxation is infeasible by a checked dual certificate, so no separable POVM exists"
+        reason = Reason("ppt_dual", message, {})
+        return Verdict(VerdictStatus.INDISTINGUISHABLE, "PPT-dual", outcome.dual, reason, diagnostics=diag)
     if outcome.feasible:
         elements = [p + e for p, e in zip(instance.projector_list(), outcome.e_ops)]
         evidence = []
@@ -366,28 +362,17 @@ def _decide_feasibility(instance: DiscriminationInstance, tol: Tolerances, max_i
             # below the floor the validator holds certificates to
             verdict = element_separability(el, instance.space, tol)
             if verdict.status is not SepStatus.SEPARABLE:
-                return Verdict(
-                    status=VerdictStatus.UNDECIDED,
-                    theorem="T1",
-                    reason=Reason(
-                        "ppt_feasible_relaxation",
-                        "PPT-feasible (relaxation): a relaxed solution exists but separability is not certified",
-                        {"residual": outcome.residual},
-                    ),
-                    diagnostics=diag,
-                )
+                break
             evidence.append(verdict.evidence)
-        return _distinguishable(elements, evidence, diagnostics=diag)
-    return Verdict(
-        status=VerdictStatus.UNDECIDED,
-        theorem="T1",
-        reason=Reason(
-            "feasibility_stall",
-            "the relaxed feasibility solver ended with neither a feasible point nor a checked dual certificate",
-            {"residual": outcome.residual},
-        ),
-        diagnostics=diag,
-    )
+        else:
+            return _distinguishable(elements, evidence, diagnostics=diag)
+        code = "ppt_feasible_relaxation"
+        message = "PPT-feasible (relaxation): a relaxed solution exists but separability is not certified"
+    else:
+        code = "feasibility_stall"
+        message = "the relaxed feasibility solver ended with neither a feasible point nor a checked dual certificate"
+    reason = Reason(code, message, {"residual": outcome.residual})
+    return Verdict(VerdictStatus.UNDECIDED, "T1", reason=reason, diagnostics=diag)
 
 
 def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iterations: int | None = None) -> Verdict:
@@ -420,7 +405,7 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
         # allocation certifies
         j = next((j for j, s in enumerate(states) if s.product is None), None)
         if j is None:
-            return _decide_feasibility(instance, tol, max_iterations)
+            return _decide_feasibility(instance, tol, max_iterations, phi)
         message = f"member {j} is entangled while the residual state is product"
         reason = Reason("entangled_member_product_phi", message, {"member": j})
         return Verdict(VerdictStatus.INDISTINGUISHABLE, "T1", reason=reason)

@@ -660,7 +660,7 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
     :func:`constraint_residual`, as Dykstra's points are; floors summing
     above 1 take Y = +Pi, and ceilings summing below 1 take Y = -Pi.
     :func:`check_dual` decides whether the dual proves infeasibility; when
-    it does not, the outcome stalls.
+    it does not, the outcome stalls.  Every ending returns at one exit.
     """
     projectors = instance.projector_list()
     n = len(projectors)
@@ -672,7 +672,7 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
     b = np.stack([partial_transpose(p0, dims, cut) for cut in cuts])
     peaks, vmins = _peaks(a, b, tol.feasibility)
     diagnostics: dict = {"path": "rank1-exact"}
-    y, z = 0.0, np.zeros_like(a)
+    e, y, z = None, 0.0, np.zeros_like(a)
     k = int(vmins.argmax())
     if vmins[k] > tol.feasibility:
         res = float(vmins[k])
@@ -688,32 +688,18 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
         if (need := 1.0 - lam.sum()) > 0 and room.sum() > 0:
             lam = lam + room * min(1.0, need / room.sum())
         lam = lam - (lam.sum() - 1.0) / n
-        e = lam[:, None, None] * p0
-        res, parts = constraint_residual(e, np.stack(projectors), p0, dims, cuts)
+        point = lam[:, None, None] * p0
+        res, parts = constraint_residual(point, np.stack(projectors), p0, dims, cuts)
         if res <= tol.feasibility:
-            return FeasibilityOutcome(
-                feasible=True,
-                e_ops=e,
-                residual=res,
-                best_residual=res,
-                iterations=0,
-                diagnostics={**diagnostics, "lambdas": [float(x) for x in lam], **parts},
-            )
-        if lows.sum() > 1.0:
+            e = point
+            diagnostics = {**diagnostics, "lambdas": [float(x) for x in lam], **parts}
+        elif lows.sum() > 1.0:
             # a floor of 0 comes from E_k >= 0, which Y already covers
             y, z = 1.0, _cut_duals(a, b, lows - _PEAK_WIDTH) * (lows > 0.0)[:, None, None, None]
         elif highs.sum() < 1.0:
             y, z = -1.0, _cut_duals(a, b, highs + _PEAK_WIDTH)
-    dual, valid = check_dual(y * p0, z, cuts, projectors, dims, tol)
-    return FeasibilityOutcome(
-        feasible=False,
-        e_ops=None,
-        residual=res,
-        best_residual=res,
-        iterations=0,
-        diagnostics=diagnostics,
-        dual=dual if valid else None,
-    )
+    dual, valid = check_dual(y * p0, z, cuts, projectors, dims, tol) if e is None else (None, False)
+    return FeasibilityOutcome(e is not None, e, res, res, 0, diagnostics, dual if valid else None)
 
 
 def _solve_dykstra(
@@ -733,8 +719,11 @@ def _solve_dykstra(
     checked at iteration 1, every ``_CHECK_EVERY`` iterations and at the
     cap; the dual is tried after the feasibility test at iteration 1,
     iterations 5, 10, 20, 40, ... and the cap, so long runs pay O(log
-    iterations) attempts.  A run with neither a feasible point nor a valid
-    certificate by the cap is reported as a result, not an error.
+    iterations) attempts.  Every run leaves the loop at one exit and returns
+    its last iterate and last check: a feasible point, a dual that
+    :func:`check_dual` validates, or, at the cap, neither, reported with
+    ``iteration_cap`` in the diagnostics as a result, not an error.
+    ``max_iterations`` is at least 1, as :func:`feasibility_solve` checks.
     """
     dims = instance.space.dims
     d = instance.space.dim
@@ -750,12 +739,8 @@ def _solve_dykstra(
     r_psd = np.zeros_like(e)
     r_ppt = {cut: np.zeros_like(e) for cut in cuts}
 
-    best = np.inf
-    res = np.inf
-    parts: dict = {}
-    it = 0
-    while it < max_iterations:
-        it += 1
+    best, dual = np.inf, None
+    for it in range(1, max_iterations + 1):
         # PSD cones
         y = e + r_psd
         yp = psd_project(y)
@@ -781,14 +766,7 @@ def _solve_dykstra(
             res, parts = constraint_residual(e, p, p0, dims, cuts)
             best = min(best, res)
             if res <= tol.feasibility:
-                return FeasibilityOutcome(
-                    feasible=True,
-                    e_ops=e,
-                    residual=res,
-                    best_residual=best,
-                    iterations=it,
-                    diagnostics=parts,
-                )
+                break
             # iteration 1 gives checks = 0, and 0 & -1 == 0 passes the
             # power-of-two test, so the dual is tried there too
             checks = it // _CHECK_EVERY
@@ -797,23 +775,11 @@ def _solve_dykstra(
                 z_dual = np.stack([-partial_transpose(r_ppt[cut], dims, cut) for cut in cuts], axis=1)
                 dual, valid = check_dual(y_dual, z_dual, cuts, p, dims, tol)
                 if valid:
-                    return FeasibilityOutcome(
-                        feasible=False,
-                        e_ops=e,
-                        residual=res,
-                        best_residual=best,
-                        iterations=it,
-                        diagnostics=parts,
-                        dual=dual,
-                    )
-    return FeasibilityOutcome(
-        feasible=False,
-        e_ops=e,
-        residual=res,
-        best_residual=best,
-        iterations=it,
-        diagnostics={**parts, "iteration_cap": max_iterations},
-    )
+                    break
+                dual = None
+    else:
+        parts = {**parts, "iteration_cap": max_iterations}
+    return FeasibilityOutcome(res <= tol.feasibility, e, res, best, it, parts, dual)
 
 
 def feasibility_solve(

@@ -4,7 +4,10 @@ A state file is a single self-describing JSON document with an explicit
 version field; complex amplitudes are always [re, im] pairs.  One writer
 lays out state files and reports as ``json.dumps`` does with an indent of 2;
 they round-trip losslessly (floats written via repr), and reports are byte-identical
-for identical inputs apart from the timestamp, which the digest excludes.
+for identical inputs apart from the timestamp, which the digest excludes.  The
+writer takes the program's values as they are, JSON values and complex
+ndarrays, with no conversion pass first; any other value raises TypeError,
+as ``json.dumps`` does.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ def verdict_report(
         "locc_flag": verdict.locc_flag.value,
         "lambdas": [float(x) for x in cert.lambdas] if cert and cert.lambdas is not None else None,
         "reason": (
-            {"code": verdict.reason.code, "message": verdict.reason.message, "data": _jsonable(verdict.reason.data)}
+            {"code": verdict.reason.code, "message": verdict.reason.message, "data": verdict.reason.data}
             if verdict.reason
             else None
         ),
@@ -188,7 +191,7 @@ def verdict_report(
     }
     if isinstance(verdict.certificate, DualCertificate):
         doc["dual_certificate"] = _dual_to_json(verdict.certificate)
-    doc["residuals"] = _jsonable(verdict.diagnostics) or None
+    doc["residuals"] = verdict.diagnostics or None
     doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return _dump(doc)
 
@@ -225,26 +228,6 @@ def _dump(obj, level: int = 0) -> str:
         return json.dumps(obj)
     pad = "\n" + "  " * (level + 1)
     return opening + pad + ("," + pad).join(items) + pad[:-2] + closing if items else opening + closing
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if obj is None or isinstance(obj, (str, bool)):
-        return obj
-    return str(obj)
 
 
 def warn(msg: str) -> None:

@@ -234,7 +234,7 @@ def check_lemma5(seed: int, n_pairs: int = 100, tol: Tolerances = DEFAULT) -> Ch
     return CheckResult("lemma5_lambda_star_consistency", ok == total, total, worst)
 
 
-def check_lemma3_uniqueness(seed: int, n_states: int = 20, tol: Tolerances = DEFAULT) -> CheckResult:
+def check_lemma3_uniqueness(seed: int, n_states: int = 20) -> CheckResult:
     rng = np.random.default_rng(seed)
     space = StateSpace((2, 2, 2))
     errors = []
@@ -272,7 +272,7 @@ def check_lemma3_uniqueness(seed: int, n_states: int = 20, tol: Tolerances = DEF
 def suite_lemmas(seed: int = 42, tol: Tolerances = DEFAULT) -> list[CheckResult]:
     return [
         check_lemma1(seed, 200, tol),
-        check_lemma3_uniqueness(seed + 1, 20, tol),
+        check_lemma3_uniqueness(seed + 1, 20),
         check_lemma4_cases(seed + 2, 50, tol),
         check_lemma5(seed + 3, 100, tol),
     ]

@@ -324,6 +324,14 @@ class TestVerifyCommand:
         assert code == 3
         assert out == "" and "--bases" in err
 
+    def test_negative_seed_exit_3(self, capsys, monkeypatch):
+        import sepdisc.cli as cli
+
+        monkeypatch.setitem(cli.SUITES, "lemmas", lambda **kwargs: pytest.fail("the suite ran"))
+        code, out, err = run_cli(capsys, "verify", "lemmas", "--seed", "-1")
+        assert code == 3
+        assert out == "" and err == "error: --seed must be nonnegative\n"
+
 
 def _bell_report(tmp_path, capsys):
     """A lambda certificate."""

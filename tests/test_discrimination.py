@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sepdisc.discrimination as disc
+import sepdisc.linalg as linalg
 import sepdisc.separability as separability
 import sepdisc.tensor_rank as tensor_rank
 from sepdisc.config import DEFAULT
@@ -50,7 +51,17 @@ from sepdisc.states import (
     phi_plus,
 )
 from sepdisc.tensor_rank import proper_cuts, try_factor
-from tests.conftest import bell, decide_with_phi, ghz_theta, w_state
+from tests.conftest import (
+    bell,
+    census_cell,
+    decide_with_phi,
+    ghz_theta,
+    upb_pyramid,
+    upb_shifts,
+    upb_tiles,
+    upb_with_complement,
+    w_state,
+)
 
 S3 = StateSpace((2, 2, 2))
 
@@ -776,10 +787,11 @@ def test_product_prefix_leaves_the_2x2_verdict_unchanged():
     assert statuses == {VerdictStatus.DISTINGUISHABLE, VerdictStatus.INDISTINGUISHABLE}
 
 
-def _counting(monkeypatch, name):
-    """Record the arguments of every call to a tensor_rank function through
-    every sepdisc module that binds it."""
-    fn = getattr(tensor_rank, name)
+def _counting(monkeypatch, name, home=tensor_rank):
+    """Record the arguments of every call to a sepdisc function (of
+    tensor_rank unless ``home`` names another module) through every sepdisc
+    module that binds it."""
+    fn = getattr(home, name)
     calls = []
 
     def counting(*args, **kwargs):
@@ -862,6 +874,22 @@ def test_t4_decide_factors_each_vector_once(monkeypatch):
     _assert_each_vector_factored_once(monkeypatch, DiscriminationInstance.from_pure(S3, basis, phi), "T4")
 
 
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "completed"])
+def test_product_phi_certifies_the_residual_once(monkeypatch, declared):
+    # a 2x2x2 product basis minus one member: P0 is certified through the
+    # factorization of phi, declared or completed, and never as a matrix;
+    # phi and the 7 members are factored in 2 calls
+    basis = random_product_basis(np.random.default_rng(5), S3)
+    inst = DiscriminationInstance.from_pure(S3, basis[1:], basis[0] if declared else None)
+    eigs = _counting(monkeypatch, "hermitian_eig", linalg)
+    factors = _counting(monkeypatch, "try_factor")
+    v = decide(inst)
+    assert len(eigs) == 0
+    assert len(factors) == 2 and len(_factored_rows(factors)) == 8
+    assert v.status is VerdictStatus.DISTINGUISHABLE and v.diagnostics["path"] == "completability"
+    assert validate_certificate(v.certificate, inst)["valid"]
+
+
 def test_state_product_is_factored_once():
     entangled_state = random_pure_state(np.random.default_rng(4), S3)
     for state, entangled in ((entangled_state, True), (ket(S3, "010"), False)):
@@ -896,13 +924,6 @@ _PPT_DUAL = (VerdictStatus.INDISTINGUISHABLE, "PPT-dual", "ppt_dual")
 _PPT_FEASIBLE = (VerdictStatus.UNDECIDED, "T1", "ppt_feasible_relaxation")
 
 
-def _census_cell(dims, n, seed) -> DiscriminationInstance:
-    """The first n columns of a Haar unitary, census seed 100 + s."""
-    space = StateSpace(dims)
-    u = random_unitary(np.random.default_rng(100 + seed), space.dim)
-    return DiscriminationInstance.from_pure(space, [PureState(space, c) for c in u[:, :n].T])
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize(
     "dims, n, expected",
@@ -922,14 +943,14 @@ def _census_cell(dims, n, seed) -> DiscriminationInstance:
 def test_census_cells_keep_their_verdicts(dims, n, expected, seed):
     # capped at 2,000 iterations: the solver ends at its first check on
     # every cell
-    v = decide(_census_cell(dims, n, seed), max_iterations=2000)
+    v = decide(census_cell(dims, n, seed), max_iterations=2000)
     assert (v.status, v.theorem, v.reason.code) == expected
 
 
 def test_one_iteration_with_neither_point_nor_dual_is_a_stall():
     # census 3x3, n = 3, s = 1: one iteration finds neither a feasible point
     # nor a dual that validates
-    v = decide(_census_cell((3, 3), 3, 1), max_iterations=1)
+    v = decide(census_cell((3, 3), 3, 1), max_iterations=1)
     assert (v.status, v.theorem, v.reason.code) == (VerdictStatus.UNDECIDED, "T1", "feasibility_stall")
     assert "iteration_cap" in v.diagnostics
     assert v.certificate is None
@@ -938,40 +959,7 @@ def test_one_iteration_with_neither_point_nor_dual_is_a_stall():
 # -- unextendible product bases (Bennett et al., PRL 82, 5385 (1999)) ----------
 
 
-def _upb(dims, vectors) -> DiscriminationInstance:
-    space = StateSpace(dims)
-    return DiscriminationInstance.from_pure(space, [PureState(space, kron_all(factors)) for factors in vectors])
-
-
-def _tiles() -> DiscriminationInstance:
-    e0, e1, e2 = np.eye(3)
-    return _upb(
-        (3, 3),
-        [
-            (e0, (e0 - e1) / math.sqrt(2)),
-            ((e0 - e1) / math.sqrt(2), e2),
-            (e2, (e1 - e2) / math.sqrt(2)),
-            ((e1 - e2) / math.sqrt(2), e0),
-            (np.ones(3) / math.sqrt(3), np.ones(3) / math.sqrt(3)),
-        ],
-    )
-
-
-def _shifts() -> DiscriminationInstance:
-    zero, one = np.eye(2)
-    plus, minus = (zero + one) / math.sqrt(2), (zero - one) / math.sqrt(2)
-    return _upb((2, 2, 2), [(zero, one, plus), (one, plus, zero), (plus, zero, one), (minus, minus, minus)])
-
-
-def _pyramid() -> DiscriminationInstance:
-    # the apex vectors v_i, with v_i orthogonal to v_{i +- 2}; member i is
-    # v_i (x) v_{2i mod 5}
-    h, norm = math.sqrt(1.0 + math.sqrt(5.0)) / 2.0, 2.0 / math.sqrt(5.0 + math.sqrt(5.0))
-    v = [norm * np.array([math.cos(2 * math.pi * i / 5), math.sin(2 * math.pi * i / 5), h]) for i in range(5)]
-    return _upb((3, 3), [(v[i], v[2 * i % 5]) for i in range(5)])
-
-
-@pytest.mark.parametrize("build", [_tiles, _shifts], ids=["tiles", "shifts"])
+@pytest.mark.parametrize("build", [upb_tiles, upb_shifts], ids=["tiles", "shifts"])
 def test_upb_completes_through_a_product_decomposition_of_member_plus_residual(build):
     # the residual of a UPB holds no product vector, so P0 has no product
     # decomposition of its own; E_k = P_k + P0 gets one, and PPT is not
@@ -986,8 +974,20 @@ def test_upb_completes_through_a_product_decomposition_of_member_plus_residual(b
 
 
 def test_pyramid_upb_is_never_indistinguishable():
-    inst = _pyramid()
+    inst = upb_pyramid()
     v = decide(inst)
     assert v.status is not VerdictStatus.INDISTINGUISHABLE
     if v.status is VerdictStatus.DISTINGUISHABLE:
         assert validate_certificate(v.certificate, inst)["valid"]
+
+
+@pytest.mark.parametrize("build", [upb_tiles, upb_shifts, upb_pyramid], ids=["tiles", "shifts", "pyramid"])
+def test_full_span_with_a_bound_entangled_member_is_undecided(build):
+    # the complement of a UPB is PPT and holds no product vector, so no
+    # rule certifies its projector separable or proves it entangled: the
+    # forced POVM is undecided at that last member
+    inst = upb_with_complement(build)
+    v = decide(inst)
+    assert (v.status, v.theorem, v.reason.code) == (VerdictStatus.UNDECIDED, "T1", "separability_unknown")
+    assert v.reason.data == {"member": inst.n - 1}
+    assert v.certificate is None

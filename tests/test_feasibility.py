@@ -36,7 +36,7 @@ from sepdisc.separability import (
 )
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket, phi_plus
 from sepdisc.tensor_rank import proper_cuts
-from tests.conftest import bell
+from tests.conftest import bell, census_cell
 
 
 def _instance(states):
@@ -190,6 +190,51 @@ def test_tampered_dual_certificates_rejected(kind):
     feasible = DiscriminationInstance.from_pure(spec.space, product)
     assert decide(feasible).status is VerdictStatus.DISTINGUISHABLE
     assert not validate_certificate(cert, feasible)["valid"]
+
+
+def _dim7_rotation():
+    spec = indistinguishable_subspace(SubspaceFamily.BIPARTITE_3X3_DIM7)
+    cols = np.column_stack([s.amplitudes for s in spec.complement])
+    mixed = cols @ random_unitary(np.random.default_rng(21), cols.shape[1])
+    return _instance([PureState(spec.space, c) for c in mixed.T])
+
+
+def _rotated_family_projectors():
+    _, basis = family_sep_not_locc(FamilyParams(0.3, 0.4, sum(gamma_range(0.3, 0.4)) / 2))
+    rng = np.random.default_rng(4)
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    return DiscriminationInstance.from_projectors(QUBIT_PAIR, [u @ s.density() @ u.conj().T for s in basis])
+
+
+def _haar_projectors():
+    return DiscriminationInstance.from_projectors(QUBIT_PAIR, _haar_rank1((2, 2), 0).projector_list())
+
+
+_PARTS = ["affine", "psd", "ppt"]
+
+
+# ending: instance, cap, (feasible, has dual, stalled, iterations, e_ops is None), diagnostics keys
+@pytest.mark.parametrize(
+    "build, cap, flags, keys",
+    [
+        (lambda: census_cell((2, 3), 2, 0), None, (True, False, False, 1, False), _PARTS),
+        (_dim7_rotation, None, (False, True, False, 1, False), _PARTS),
+        (lambda: census_cell((3, 3), 3, 1), 1, (False, False, True, 1, False), _PARTS + ["iteration_cap"]),
+        (_rotated_family_projectors, None, (True, False, False, 0, False), ["path", "lambdas"] + _PARTS),
+        (_haar_projectors, None, (False, True, False, 0, True), ["path"]),
+    ],
+    ids=["dykstra_feasible", "dykstra_dual", "dykstra_cap", "rank1_feasible", "rank1_dual"],
+)
+def test_each_solver_ending_pins_its_outcome(build, cap, flags, keys):
+    instance = build()
+    out = feasibility_solve(instance, max_iterations=cap)
+    assert (out.feasible, out.dual is not None, out.stalled, out.iterations, out.e_ops is None) == flags
+    assert list(out.diagnostics) == keys
+    assert out.residual <= DEFAULT.feasibility if out.feasible else out.residual > DEFAULT.feasibility
+    if cap is not None:
+        assert out.diagnostics["iteration_cap"] == cap
+    if out.dual is not None:
+        assert validate_certificate(out.dual, instance)["valid"]
 
 
 # -- rank-1 path: exact pencil endpoints and the dual certificate -------------

@@ -3,11 +3,14 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sepdisc.statefile import _dump
+from sepdisc.discrimination import decide
+from sepdisc.statefile import _dump, verdict_report
+from tests.conftest import census_cell, upb_tiles, upb_with_complement
 
 SCALARS = (
     st.none()
@@ -61,3 +64,23 @@ def test_complex_arrays_are_written_as_their_pairs(a, depth, sibling):
     for _ in range(depth):  # the layout depends on the nesting level
         doc, ref = {"x": [sibling, doc]}, {"x": [sibling, ref]}
     assert _dump(doc) == json.dumps(ref, indent=2)
+
+
+@pytest.mark.parametrize(
+    "build, code",
+    [
+        (lambda: decide(census_cell((3, 3), 3, 1), max_iterations=1), "feasibility_stall"),
+        (lambda: decide(upb_with_complement(upb_tiles)), "separability_unknown"),
+    ],
+    ids=["feasibility_stall", "separability_unknown"],
+)
+def test_undecided_endings_round_trip_through_the_report(build, code):
+    # the reason data and diagnostics are written as the decider leaves them
+    verdict = build()
+    report = verdict_report(verdict, "{}")
+    parsed = json.loads(report)
+    assert (parsed["status"], parsed["theorem"], parsed["reason"]["code"]) == ("undecided", "T1", code)
+    reason = verdict.reason
+    assert parsed["reason"] == {"code": reason.code, "message": reason.message, "data": reason.data}
+    assert parsed["residuals"] == (verdict.diagnostics or None)
+    assert json.dumps(parsed, indent=2) == report
