@@ -23,12 +23,10 @@ from .tensor_rank import (
     Schmidt2Class,
     Schmidt2Decomposition,
     Schmidt2Kind,
-    SchmidtInfo,
     SpanProducts,
     entry_distance,
     product_vectors_in_span,
     schmidt2_classify,
-    schmidt_decompose,
 )
 from .separability import (
     AntiparallelResult,

@@ -164,6 +164,8 @@ def cmd_construct(args, tol) -> int:
             basis, phi = spec.complement, None
         elif args.what == "locc-basis":
             data = parse_statefile(_read_text(args.file))
+            for w in data.warnings:
+                warn(w)
             if data.phi is not None:
                 phi = data.phi[1]
             elif len(data.states) == 1:

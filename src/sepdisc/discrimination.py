@@ -29,8 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import PhiProduct, PreconditionViolated
-from .linalg import hermitian_eig, maxabs
+from .errors import NotHermitian, PhiProduct, PreconditionViolated
+from .linalg import check_hermitian, hermitian_eig, maxabs
 from .separability import (
     _EIGENVALUE_FLOOR,
     DualCertificate,
@@ -52,7 +52,7 @@ from .states import (
     factor_states,
     orthonormal_completion,
 )
-from .tensor_rank import Schmidt2Kind, proper_cuts, schmidt2_classify, span_roots
+from .tensor_rank import ProductVector, Schmidt2Kind, proper_cuts, schmidt2_classify, span_roots
 
 
 class VerdictStatus(Enum):
@@ -99,29 +99,37 @@ def validate_certificate(
     completeness, correctness, PSD, reassembly of every product
     decomposition, and the partial transposes behind every PPT record,
     recomputed from the element itself, with one element and one piece of
-    evidence (and one lambda, if any) per member; the wrong number of
-    elements, an element that is not D x D, or a product vector without one
-    factor per party of that party's dimension fails ``counts_ok``, and an
-    element with a non-finite entry fails ``finite``, before any
-    arithmetic.  Product evidence needs one real, finite, nonnegative weight
-    per vector, since every Hermitian matrix is a signed sum of product
-    projectors.  A dual certificate: the objective and scale
-    :func:`check_dual` recomputes from its matrices and the instance's
-    projectors."""
+    evidence per member.  A malformed one fails and never raises: before
+    any arithmetic, in order, ``counts_ok`` (n numeric D x D arrays as
+    elements, one real weight per product vector and each a ProductVector
+    with one factor per party of that party's dimension), ``finite``,
+    ``hermitian`` (as :func:`hermitian_eig` checks) and ``lambdas_ok`` (n
+    real ones, if any), and the first that fails is the one key returned
+    besides ``valid``.  Product evidence needs finite, nonnegative weights,
+    since every Hermitian matrix is a signed sum of product projectors.  A
+    dual certificate: the objective and scale :func:`check_dual` recomputes
+    from its matrices and the instance's projectors."""
     if isinstance(cert, DualCertificate):
         checked, valid = check_dual(cert.y, cert.z, cert.cuts, instance.projector_list(), instance.space.dims, tol)
         return {"objective": checked.objective, "scale": checked.scale, "valid": valid}
     d, n, dims = instance.space.dim, instance.n, instance.space.dims
-    shapes_ok = all(np.shape(el) == (d, d) for el in cert.elements) and all(
-        [np.shape(f) for f in pv.factors] == [(k,) for k in dims]
-        for ev in cert.evidence
-        if isinstance(ev, ProductDecomposition)
-        for pv in ev.vectors
-    )
-    if len(cert.elements) != n or not shapes_ok:
-        return {"counts_ok": False, "valid": False}
-    if not all(np.isfinite(el).all() for el in cert.elements):
-        return {"finite": False, "valid": False}
+    key = "counts_ok"
+    try:  # a field of the wrong type fails the check that reads it
+        ok = len(cert.elements) == n and all(isinstance(el, np.ndarray) and el.dtype.kind in "fiuc" and el.shape == (d, d) for el in cert.elements)
+        for ev in [ev for ev in cert.evidence if isinstance(ev, ProductDecomposition)]:
+            ok = ok and np.asarray(ev.weights).dtype.kind in "fiu" and np.shape(ev.weights) == (len(ev.vectors),)
+            ok = ok and all(isinstance(pv, ProductVector) and [f.shape for f in pv.factors] == [(k,) for k in dims] for pv in ev.vectors)
+        if ok:
+            key, ok = "finite", all(np.isfinite(el).all() for el in cert.elements)
+        if ok:
+            key = "hermitian"
+            check_hermitian(np.stack(cert.elements), tol)
+            key, lam = "lambdas_ok", cert.lambdas
+            ok = lam is None or (np.asarray(lam).dtype.kind in "fiu" and np.shape(lam) == (n,))
+    except (TypeError, ValueError, NotHermitian):
+        ok = False
+    if not ok:
+        return {key: False, "valid": False}
     counts_ok = len(cert.evidence) == n
     total = sum(cert.elements)
     completeness = maxabs(total - np.eye(d))
@@ -141,18 +149,17 @@ def validate_certificate(
     for el, ev in zip(cert.elements, cert.evidence):
         if isinstance(ev, ProductDecomposition):
             w = np.asarray(ev.weights)
-            evidence_ok = evidence_ok and bool(
-                w.dtype.kind in "fiu" and w.shape == (len(ev.vectors),) and np.all(np.isfinite(w)) and np.all(w >= 0)
-            )
+            evidence_ok = evidence_ok and bool(np.all(np.isfinite(w)) and np.all(w >= 0))
             residuals.append(ev.residual(el))
         elif isinstance(ev, PptRecord):
             # PPT proves separability only where it is exact, and only when
-            # every partial transpose of the trace-normalized element is PSD
+            # every partial transpose of the trace-normalized element is PSD:
+            # lambda_min(PT(E)) / tr E, which checks E's own asymmetry
             tr = float(np.trace(el).real)
             evidence_ok = evidence_ok and ppt_is_exact(instance.space) and tr > 0.0
             if tr > 0.0:
                 cuts = proper_cuts(instance.space.nparties)
-                pt = _worst_pt(el / tr, instance.space, cuts, tol).eigenvalue
+                pt = _worst_pt(el, instance.space, cuts, tol).eigenvalue / tr
                 ppt_min = pt if ppt_min is None else min(ppt_min, pt)
         else:
             evidence_ok = False
@@ -162,7 +169,7 @@ def validate_certificate(
     lambdas_ok = True
     if cert.lambdas is not None:
         lam = np.asarray(cert.lambdas)
-        lambdas_ok = bool(len(lam) == n and np.all(lam >= -1e-12) and abs(lam.sum() - 1.0) <= 1e-8)
+        lambdas_ok = bool(np.all(lam >= -1e-12) and abs(lam.sum() - 1.0) <= 1e-8)
     return {
         "completeness": completeness,
         "correctness": correctness,

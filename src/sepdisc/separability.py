@@ -426,9 +426,12 @@ def check_dual(y, z, cuts, projectors, dims, tol: Tolerances = DEFAULT) -> tuple
     """
     p = np.stack([np.asarray(pk, dtype=complex) for pk in projectors])
     n, d = p.shape[0], p.shape[-1]
-    y = np.asarray(y, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    cuts = tuple(tuple(int(i) for i in c) for c in cuts)
+    try:
+        y = np.asarray(y, dtype=complex)
+        z = np.asarray(z, dtype=complex)
+        cuts = tuple(tuple(int(i) for i in c) for c in cuts)
+    except (TypeError, ValueError):  # a field of the wrong type
+        return DualCertificate(y, z, cuts, np.inf, 0.0), False
     if (
         y.shape != (d, d)
         or z.shape != (n, len(cuts), d, d)

@@ -1,4 +1,4 @@
-"""Schmidt decompositions, product-vector detection in 2-dimensional spans,
+"""Product factorization, product-vector detection in 2-dimensional spans,
 entry distance, and the orthogonal-Schmidt-number classification.
 
 :func:`try_factor` is the one factoring kernel; a state's own
@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import BadBipartition, DimensionMismatch, NotIndependent
+from .errors import DimensionMismatch, NotIndependent
 from .linalg import kron_all
 from .states import PureState
 
@@ -92,67 +92,11 @@ def cut_matrix(vec: np.ndarray, dims: tuple[int, ...], left: tuple[int, ...]) ->
     return t.reshape(*vec.shape[:-1], rows, math.prod(dims) // rows)
 
 
-@dataclass(frozen=True)
-class SchmidtInfo:
-    """Bipartite Schmidt data: coefficients descending, factor kets as columns."""
-
-    rank: int
-    coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-    left_parties: tuple[int, ...]
-
-
-def schmidt_decompose(psi: PureState, left_parties, tol: Tolerances = DEFAULT) -> SchmidtInfo:
-    """SVD of the amplitude matrix across the given cut; rank counted above
-    the relative tolerance."""
-    left = tuple(sorted(int(p) for p in left_parties))
-    k = psi.space.nparties
-    if not left or len(left) >= k:
-        raise BadBipartition("bipartition must be a proper nonempty party subset")
-    if any(p < 0 or p >= k for p in left) or len(set(left)) != len(left):
-        raise BadBipartition(f"invalid party subset {left}")
-    m = cut_matrix(psi.amplitudes, psi.space.dims, left)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > tol.rank * s[0])) if s.size and s[0] > 0 else 0
-    return SchmidtInfo(
-        rank=rank,
-        coefficients=s[:rank],
-        left_vectors=u[:, :rank],
-        right_vectors=vh[:rank, :].T,
-        left_parties=left,
-    )
-
-
 def cut_rank(vecs: np.ndarray, dims: tuple[int, ...], left: tuple[int, ...], tol: Tolerances) -> np.ndarray:
     """Rank across the cut left|rest of each row of a stack, counted above
     the relative tolerance; 0 for a zero row."""
     s = np.linalg.svd(cut_matrix(vecs, dims, left), compute_uv=False)
     return (s > tol.rank * s[:, :1]).sum(axis=1)
-
-
-def peel_parties(vec: np.ndarray, dims: tuple[int, ...], parties, tol: Tolerances):
-    """Factor the given parties out of a vector, lowest index first.
-
-    Returns (factors, core, core_dims): the unit factor of each given party,
-    the unit vector on the remaining parties and their dims; None if a given
-    party is entangled with the rest.
-    """
-    factors: dict[int, np.ndarray] = {}
-    positions = list(range(len(dims)))
-    core = np.asarray(vec)
-    core_dims = list(dims)
-    for party in sorted(parties):
-        i = positions.index(party)
-        u, s, vh = np.linalg.svd(cut_matrix(core, tuple(core_dims), (i,)), full_matrices=False)
-        if s.size > 1 and s[1] > tol.rank * s[0]:
-            return None
-        factors[party] = u[:, 0]
-        core = s[0] * vh[0, :]
-        core = core / np.linalg.norm(core)
-        del positions[i]
-        del core_dims[i]
-    return factors, core, tuple(core_dims)
 
 
 # a vector is product when it lies within this times its norm of a product,
@@ -367,13 +311,11 @@ def proper_cuts(k: int):
             yield left
 
 
-def _lift(core, weight, positions: list[int], fixed: dict[int, np.ndarray], k: int) -> ProductVector:
-    factors: list[np.ndarray | None] = [None] * k
-    for pos, f in fixed.items():
-        factors[pos] = f
-    for pos, f in zip(positions, core):
-        factors[pos] = f
-    return ProductVector(tuple(factors), weight)
+def _lift(core, weight, positions: list[int], fixed: dict[int, np.ndarray], j: int) -> ProductVector:
+    """The product vector with the core factors at the given positions and
+    row j of each peeled party's factor stack at that party."""
+    factors = dict(zip(positions, core)) | {p: f[j] for p, f in fixed.items()}
+    return ProductVector(tuple(factors[p] for p in sorted(factors)), weight)
 
 
 def _rows(a: np.ndarray, idx: list[int]) -> np.ndarray:
@@ -411,8 +353,10 @@ def schmidt2_classify(vecs: np.ndarray, dims: tuple[int, ...], tol: Tolerances =
     cannot settle the question.  One batched SVD per cut gives the cut
     ranks, one :func:`try_factor` call factors the rows that no cut settles
     (``products`` may give every row's factorization instead), and per set
-    of peeled parties one core SVD and one :func:`span_roots` call cover the
-    rest.  Rows that a reason alone settles share one class object.
+    of peeled parties (those whose single-party cut has rank 1) one SVD per
+    peeled party and one contraction give the cores, and one core SVD and
+    one :func:`span_roots` call cover the rest.  Rows that a reason alone
+    settles share one class object.
     """
     vecs = np.asarray(vecs, dtype=complex)
     k, out = len(dims), [None] * len(vecs)
@@ -441,17 +385,15 @@ def schmidt2_classify(vecs: np.ndarray, dims: tuple[int, ...], tol: Tolerances =
     for peel, rows in groups.items():
         positions = [p for p in range(k) if p not in peel]
         core_dims = tuple(dims[p] for p in positions)
-        if peel:
-            peeled = {i: peel_parties(vecs[i], dims, peel, tol) for i in rows}
-            for i in rows:
-                if peeled[i] is None:
-                    out[i] = Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "peeling failed"})
-            rows = [i for i in rows if peeled[i] is not None]
-            if not rows:
-                continue
-            fixed, cores = [peeled[i][0] for i in rows], np.array([peeled[i][1] for i in rows])
-        else:
-            fixed, cores = [{}] * len(rows), _rows(vecs, rows)
+        # every peeled cut has rank 1, so its dominant left singular vector
+        # is the party's factor f_p, and contracting conj(f_p) out of the
+        # row leaves the core for which f_p (x) core reassembles it
+        group = _rows(vecs, rows)
+        fixed = {p: np.linalg.svd(cut_matrix(group, dims, (p,)), full_matrices=False)[0][:, :, 0] for p in peel}
+        cores = group.reshape(len(rows), *dims)
+        for p in reversed(peel):
+            cores = np.einsum("nj,nj...->n...", fixed[p].conj(), np.moveaxis(cores, p + 1, 1))
+        cores = cores.reshape(len(rows), -1)
         u, s, vh = np.linalg.svd(cut_matrix(cores, core_dims, (0,)), full_matrices=False)
         spans = []
         for j, (s0, s1) in enumerate(s[:, :2].tolist()):
@@ -461,8 +403,8 @@ def schmidt2_classify(vecs: np.ndarray, dims: tuple[int, ...], tol: Tolerances =
                 out[rows[j]] = Schmidt2Class(kind=Schmidt2Kind.UNDECIDED, detail={"core": "unexpected rank"})
         if len(core_dims) == 2:
             for j in spans:
-                a = _lift((u[j, :, 0], vh[j, 0]), complex(s[j, 0]), positions, fixed[j], k)
-                b = _lift((u[j, :, 1], vh[j, 1]), complex(s[j, 1]), positions, fixed[j], k)
+                a = _lift((u[j, :, 0], vh[j, 0]), complex(s[j, 0]), positions, fixed, j)
+                b = _lift((u[j, :, 1], vh[j, 1]), complex(s[j, 1]), positions, fixed, j)
                 out[rows[j]] = _two_terms(a, b, vecs[rows[j]], tol)
         elif spans:
             # core with >= 3 parties, every single-party cut rank equal to 2:
@@ -489,6 +431,6 @@ def schmidt2_classify(vecs: np.ndarray, dims: tuple[int, ...], tol: Tolerances =
                     for r in span.product_roots(n):
                         pv = span.product_vector(n, r)  # v_r is pv times their overlap
                         left = coefs[r] * np.vdot(pv.assemble(), span.vectors[n, r])
-                        terms.append(_lift((left,) + pv.factors, 1.0, positions, fixed[j], k))
+                        terms.append(_lift((left,) + pv.factors, 1.0, positions, fixed, j))
                     out[rows[j]] = _two_terms(*terms, vecs[rows[j]], tol)
     return out

@@ -232,6 +232,20 @@ class TestConstruct:
         report = json.loads(out)
         assert report["theorem"] == "T5"
 
+    def test_locc_basis_prints_the_parse_warnings(self, tmp_path, capsys):
+        # 0.600000003|00> + 0.8|11> on 3x3: renormalized, with a warning,
+        # as decide prints it for the same file
+        amplitudes = [[0, 0]] * 9
+        amplitudes[0], amplitudes[4] = [0.600000003, 0], [0.8, 0]
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"version": "1", "dims": [3, 3], "states": [{"name": "phi", "amplitudes": amplitudes}]}))
+        warning = "warning: states[0]: norm deviated by 1.80e-09; renormalized"
+        code, _, err = run_cli(capsys, "decide", str(path))
+        assert warning in err
+        code, out, err = run_cli(capsys, "construct", "locc-basis", str(path))
+        assert code == 0 and warning in err
+        assert len(parse_statefile(out).states) == 8
+
 
 class TestSweep:
     def test_sweep_rows(self, tmp_path, capsys):

@@ -340,17 +340,17 @@ class TestSubspaceGridStack:
     def test_stack_matches_each_row_alone(self, monkeypatch, dims, kind, rank):
         tol = DEFAULT if rank is None else dataclasses.replace(DEFAULT, rank=rank)
         space, rows = _mixed_stack(np.random.default_rng(11), dims, kind)
-        peel, peeled = tensor_rank.peel_parties, set()
+        lift, peeled = tensor_rank._lift, set()
 
-        def recording(vec, dims, parties, tol):
-            peeled.add(tuple(parties))
-            return peel(vec, dims, parties, tol)
+        def recording(core, weight, positions, fixed, j):
+            peeled.add(tuple(sorted(fixed)))
+            return lift(core, weight, positions, fixed, j)
 
-        monkeypatch.setattr(tensor_rank, "peel_parties", recording)
+        monkeypatch.setattr(tensor_rank, "_lift", recording)
         got = schmidt2_classify(rows, space.dims, tol)
         # on three or more parties the stack is peeled on more than one set
         # of parties: party 0 or the last, and on four parties 0-1 or 0-3
-        assert (len(peeled) >= 2) is (len(dims) > 2)
+        assert (len(peeled - {()}) >= 2) is (len(dims) > 2)
         for row, cls in zip(rows, got):
             alone = schmidt2_classify(row[None], space.dims, tol)[0]
             assert (cls.kind, cls.reason, cls.detail) == (alone.kind, alone.reason, alone.detail)
@@ -427,13 +427,19 @@ class TestLoccBasis:
         assert len(ent) == 1
         assert decide_with_phi(phi, basis).status is VerdictStatus.DISTINGUISHABLE
 
-    @pytest.mark.parametrize("dims", [(3, 3), (2, 3, 3), (3, 3, 2)])
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3, 3), (3, 3, 2), (2, 3, 3, 2)])
     def test_qutrit_splitting_party(self, dims):
-        # 0.6|00> + 0.8|11> on two qutrits, with a |+> prefix or suffix: the
-        # splitting party's local basis needs a completion vector
+        # 0.6|00> + 0.8|11> on two qutrits, with a |+> prefix, suffix or
+        # both (peeled on parties 0 and 3): the splitting party's local
+        # basis needs a completion vector
         plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
         pair = 0.6 * ket(StateSpace((3, 3)), "00").amplitudes + 0.8 * ket(StateSpace((3, 3)), "11").amplitudes
-        vec = {(3, 3): pair, (2, 3, 3): np.kron(plus, pair), (3, 3, 2): np.kron(pair, plus)}[dims]
+        vec = {
+            (3, 3): pair,
+            (2, 3, 3): np.kron(plus, pair),
+            (3, 3, 2): np.kron(pair, plus),
+            (2, 3, 3, 2): kron_all([plus, pair, plus]),
+        }[dims]
         phi = PureState.normalized(StateSpace(dims), vec)
         basis = locc_basis_sch2(phi)
         d = phi.space.dim
@@ -443,7 +449,7 @@ class TestLoccBasis:
         assert sum(s.product is None for s in basis) == 1
         instance = DiscriminationInstance.from_pure(phi.space, basis, phi)
         verdict = decide(instance)
-        assert verdict.status is VerdictStatus.DISTINGUISHABLE
+        assert (verdict.status, verdict.theorem) == (VerdictStatus.DISTINGUISHABLE, "T4")
         assert validate_certificate(verdict.certificate, instance)["valid"]
 
     def test_wrong_form_rejected(self):

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -651,6 +652,20 @@ def test_validator_recomputes_ppt_evidence():
     assert check["valid"]
 
 
+def test_ppt_record_on_a_small_trace_element_is_checked_without_raising():
+    # |00><00| scaled by 1e-3 with an asymmetry of 5e-9: Hermitian at its
+    # own scale, 5e-6 off once divided by its trace
+    basis = [ket(QUBIT_PAIR, f"{i}{j}") for i in range(2) for j in range(2)]
+    inst = DiscriminationInstance.from_pure(QUBIT_PAIR, basis)
+    cert = decide(inst).certificate
+    small = cert.elements[0] * 1e-3
+    small[0, 1] += 5e-9
+    record = PptRecord(0.0, True, tuple(proper_cuts(2)))
+    check = validate_certificate(disc.PovmCertificate((small,) + cert.elements[1:], (record,) * 4, None), inst)
+    assert check["ppt_min"] > -1e-9
+    assert check["completeness"] > 0.9 and not check["valid"]
+
+
 def test_solver_verdicts_pass_their_certificate_check():
     for seed in range(12):
         inst = _two_haar_states(seed)
@@ -748,6 +763,42 @@ def test_certificate_counts_must_match_the_members():
     assert decide(bell_inst).status is VerdictStatus.INDISTINGUISHABLE
     assert check["counts_ok"] and check["evidence_residual"] < 1e-12
     assert not check["evidence_exact"] and not check["valid"]
+
+
+def _first_weight_is_a_string(ev):
+    return ProductDecomposition(("1.0",) + tuple(ev.weights[1:]), ev.vectors)
+
+
+def _bare_vectors(ev):
+    return ProductDecomposition(ev.weights, tuple(pv.assemble() for pv in ev.vectors))
+
+
+_TAMPERINGS = {
+    "asymmetric": lambda c: replace(c, elements=(c.elements[0] + 1e-3 * np.eye(4, k=1),) + c.elements[1:]),
+    "string_weight": lambda c: replace(c, evidence=(_first_weight_is_a_string(c.evidence[0]),) + c.evidence[1:]),
+    "bare_vector": lambda c: replace(c, evidence=(_bare_vectors(c.evidence[0]),) + c.evidence[1:]),
+    "string_lambdas": lambda c: replace(c, lambdas=tuple(str(x) for x in c.lambdas)),
+    "nested_lists": lambda c: replace(c, elements=tuple(e.tolist() for e in c.elements)),
+}
+
+
+@pytest.mark.parametrize(
+    "tampering, key",
+    [("asymmetric", "hermitian"), ("string_weight", "counts_ok"), ("bare_vector", "counts_ok"), ("string_lambdas", "lambdas_ok"), ("nested_lists", "counts_ok")],
+)
+def test_malformed_certificate_fails_without_raising(monkeypatch, tampering, key):
+    phi, states = family_sep_not_locc(FamilyParams(0.3, 0.4, 0.78))
+    inst = DiscriminationInstance.from_pure(QUBIT_PAIR, states, phi)
+    cert = decide(inst).certificate
+    assert validate_certificate(cert, inst)["valid"]
+    forged = _TAMPERINGS[tampering](cert)
+
+    def no_eigendecomposition(*args, **kwargs):
+        raise AssertionError("the form checks come before any eigendecomposition")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigendecomposition)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigendecomposition)
+    assert validate_certificate(forged, inst) == {key: False, "valid": False}
 
 
 def _prefixed(phi, basis):

@@ -183,7 +183,10 @@ def test_tampered_dual_certificates_rejected(kind):
     nan_y = dataclasses.replace(cert, y=np.full_like(cert.y, np.nan))
     with np.errstate(invalid="ignore"):
         inf_z = dataclasses.replace(cert, z=cert.z * np.inf)
-    for bad in (negated, zeroed, nan_y, inf_z):
+    # fields of the wrong type fail without raising
+    malformed = [dataclasses.replace(cert, y="Y"), dataclasses.replace(cert, z=[[1.0], [1.0, 2.0]])]
+    malformed += [dataclasses.replace(cert, cuts=None), dataclasses.replace(cert, cuts=(("a",),))]
+    for bad in [negated, zeroed, nan_y, inf_z] + malformed:
         assert not validate_certificate(bad, instance)["valid"]
     # the same certificate against a feasible instance of the same shape
     product = random_product_basis(np.random.default_rng(3), spec.space)[: len(spec.complement)]

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sepdisc.config import DEFAULT
 from sepdisc.constructions import locc_basis_sch2
 from sepdisc.discrimination import SubspaceKind, VerdictStatus, decide, subspace_verdict
-from sepdisc.errors import BadBipartition, NotIndependent, WrongForm
+from sepdisc.errors import NotIndependent, WrongForm
 from sepdisc.sampling import (
     random_basis_of_complement,
     random_entangled_2x2,
@@ -23,10 +22,8 @@ from sepdisc.tensor_rank import (
     Schmidt2Kind,
     cut_matrix,
     entry_distance,
-    peel_parties,
     product_vectors_in_span,
     schmidt2_classify,
-    schmidt_decompose,
     span_roots,
     try_factor,
 )
@@ -34,47 +31,6 @@ from sepdisc.verify import check_lemma3_uniqueness
 from tests.conftest import ghz_theta, w_state
 
 S3 = StateSpace((2, 2, 2))
-
-
-def test_schmidt_product_rank1():
-    info = schmidt_decompose(ket(QUBIT_PAIR, "00"), (0,))
-    assert info.rank == 1
-    assert np.allclose(info.coefficients, [1.0])
-
-
-def test_schmidt_bell():
-    info = schmidt_decompose(phi_plus(), (0,))
-    assert info.rank == 2
-    assert np.allclose(info.coefficients, [1 / math.sqrt(2)] * 2)
-
-
-def test_schmidt_w_state_1_vs_23():
-    # oracle: direct SVD of the 2x4 amplitude matrix
-    w = w_state(S3)
-    mat = cut_matrix(w.amplitudes, (2, 2, 2), (0,))
-    s_oracle = np.linalg.svd(mat, compute_uv=False)
-    info = schmidt_decompose(w, (0,))
-    assert info.rank == 2
-    assert np.allclose(info.coefficients, s_oracle[:2])
-    assert np.allclose(sorted(info.coefficients**2), sorted([2 / 3, 1 / 3]))
-
-
-def test_schmidt_reassembly(rng):
-    for _ in range(20):
-        psi = random_pure_state(rng, S3)
-        info = schmidt_decompose(psi, (0,))
-        rebuilt = sum(
-            c * np.kron(info.left_vectors[:, i], info.right_vectors[:, i])
-            for i, c in enumerate(info.coefficients)
-        )
-        assert np.linalg.norm(rebuilt - psi.amplitudes) < 1e-9
-
-
-def test_schmidt_bad_bipartition():
-    with pytest.raises(BadBipartition):
-        schmidt_decompose(phi_plus(), ())
-    with pytest.raises(BadBipartition):
-        schmidt_decompose(phi_plus(), (0, 1))
 
 
 def _pv(space, label_a):
@@ -355,18 +311,19 @@ def test_is_product_and_try_factor(rng):
     assert try_factor(np.empty((0, 8)), S3.dims) == []
 
 
-def test_peel_parties_prefix_times_pair():
+def test_classify_prefix_times_pair():
+    # party 0 factors out: x (x) pair is two orthogonal products, each with
+    # x as its party-0 factor
     rng = np.random.default_rng(5)
     x = random_local_vector(rng, 3)
     pair = random_entangled_2x2(rng, 0.05).amplitudes
     vec = np.kron(x, pair)
-    factors, core, core_dims = peel_parties(vec, (3, 2, 2), [0], DEFAULT)
-    assert core_dims == (2, 2)
-    assert abs(abs(np.vdot(factors[0], x)) - 1.0) < 1e-12
-    assert abs(abs(np.vdot(np.kron(factors[0], core), vec)) - 1.0) < 1e-12
-    # party 1 is entangled with party 2
-    assert peel_parties(vec, (3, 2, 2), [1], DEFAULT) is None
-    assert peel_parties(vec, (3, 2, 2), [0, 2], DEFAULT) is None
+    cls = schmidt2_classify(vec[None], (3, 2, 2))[0]
+    assert cls.kind is Schmidt2Kind.SCHMIDT2
+    a, b = cls.decomposition.a, cls.decomposition.b
+    f = a.factors[0]
+    assert abs(abs(np.vdot(f, x)) - np.linalg.norm(f) * np.linalg.norm(x)) < 1e-12
+    assert np.linalg.norm(a.assemble() + b.assemble() - vec) < 1e-12
 
 
 def _reference_try_factor(vec, dims):
