@@ -3,11 +3,11 @@
 The dispatcher :func:`decide` settles D-1 states by the classification of
 the residual state phi: a phi needing three orthogonal product terms admits
 no distinguishable basis, a product phi only product members, and any other
-phi, in every dimension, goes to one lambda rule (:func:`separable_lambdas`):
-every element is forced to |psi_k><psi_k| + lambda_k |phi><phi| with sum_k
-lambda_k = 1, each lambda_k read from the product vectors of span{psi_k, phi}
-(:func:`~sepdisc.tensor_rank.span_roots`).  Every other instance, a product
-phi's product bases included, goes to one allocation,
+phi, in every dimension, goes to one lambda rule
+(:func:`~sepdisc.separability.separable_lambdas`): every element is forced
+to |psi_k><psi_k| + lambda_k |phi><phi| with sum_k lambda_k = 1, each
+lambda_k read from the product vectors of span{psi_k, phi}.  Every other
+instance, a product phi's product bases included, goes to one allocation,
 :func:`_allocate_residual`, and then to the PSD+PPT feasibility solver: the
 whole residual P0 = I - sum_k P_k goes to one member.  The full span is the
 case where the allocation is forced (P0 = 0), and a product phi, declared
@@ -43,7 +43,7 @@ from .separability import (
     element_separability,
     feasibility_solve,
     ppt_is_exact,
-    two_term_decomposition,
+    separable_lambdas,
 )
 from .states import (
     DiscriminationInstance,
@@ -52,7 +52,7 @@ from .states import (
     factor_states,
     orthonormal_completion,
 )
-from .tensor_rank import ProductVector, Schmidt2Kind, proper_cuts, schmidt2_classify, span_roots
+from .tensor_rank import ProductVector, Schmidt2Kind, proper_cuts, schmidt2_classify
 
 
 class VerdictStatus(Enum):
@@ -126,7 +126,7 @@ def validate_certificate(
             check_hermitian(np.stack(cert.elements), tol)
             key, lam = "lambdas_ok", cert.lambdas
             ok = lam is None or (np.asarray(lam).dtype.kind in "fiu" and np.shape(lam) == (n,))
-    except (TypeError, ValueError, NotHermitian):
+    except (AttributeError, TypeError, ValueError, NotHermitian):
         ok = False
     if not ok:
         return {key: False, "valid": False}
@@ -206,38 +206,6 @@ def _distinguishable(
             return Verdict(VerdictStatus.UNDECIDED, theorem, reason=reason, locc_flag=locc_flag, diagnostics=diagnostics)
     cert = PovmCertificate(tuple(elements), tuple(evidence), None if lambdas is None else tuple(lambdas))
     return Verdict(VerdictStatus.DISTINGUISHABLE, theorem, cert, locc_flag=locc_flag, diagnostics=diagnostics)
-
-
-def separable_lambdas(phi: PureState, members, tol: Tolerances = DEFAULT):
-    """For an entangled phi and members orthogonal to it: per member, the one
-    lambda >= 0 at which E = |psi><psi| + lambda |phi><phi| is separable, or
-    None; and a function that builds member k's E's product decomposition.
-
-    A product member has lambda = 0.  The span of an entangled member holds
-    at most two product directions psi + z phi, z = t/s for the roots (s : t)
-    that :func:`~sepdisc.tensor_rank.span_roots` finds for all members at
-    once, and E is separable at lambda* = -conj(z1) z2 alone, where the cross
-    terms cancel; it counts when real and positive, within ``tol.angular`` in
-    phase (which puts z1 and z2 on opposite rays, so they are distinct).
-    """
-    lambdas: list = [0.0 if psi.product is not None else None for psi in members]
-    entangled = [k for k, lam in enumerate(lambdas) if lam is None]
-    if entangled:
-        span = span_roots(np.stack([members[k].amplitudes for k in entangled]), phi.amplitudes, phi.space.dims)
-        (s1, t1), (s2, t2) = span.roots.transpose(1, 2, 0)
-        # lambda* |s1 s2|^2: real and positive exactly when lambda* is, and
-        # zero, not 0/0, when a root is phi itself
-        scaled = -(np.conj(t1) * s1) * (t2 * np.conj(s2))
-        good = span.product.all(axis=1) & (scaled.real > 0.0) & (np.abs(np.angle(scaled)) < tol.angular)
-        for i in np.flatnonzero(good):
-            lambdas[entangled[i]] = float(scaled[i].real / abs(s1[i] * s2[i]) ** 2)
-
-    def decomposition(k: int) -> ProductDecomposition:
-        if members[k].product is not None:
-            return ProductDecomposition((1.0,), (members[k].product,))
-        return two_term_decomposition(span, entangled.index(k), lambdas[k])
-
-    return lambdas, decomposition
 
 
 class SubspaceKind(Enum):

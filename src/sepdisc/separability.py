@@ -1,9 +1,11 @@
 """Separability tests and the convex feasibility solver.
 
-Four analytic oracles (trace lemma, rank-2 case analysis, anti-parallel
-eigenvalue test, PPT), the one rule that certifies a POVM element separable
+The lambda rule (:func:`separable_lambdas`, the one lambda at which
+|psi><psi| + lambda |phi><phi| is separable), read by the D-1 decider and by
+the rank-2 lemma alike; the trace lemma, anti-parallel eigenvalue test and
+PPT oracle; the one rule that certifies a POVM element separable
 (:func:`element_separability`, with the product decomposition it falls back
-on), plus a cyclic-Dykstra solver for the PSD+PPT relaxation of the POVM
+on); and a cyclic-Dykstra solver for the PSD+PPT relaxation of the POVM
 feasibility problem, which ends at a feasible point or at a checked dual
 certificate that the relaxation is infeasible.
 """
@@ -16,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import NotPsd, PhiProduct, PreconditionViolated
+from .errors import DimensionMismatch, NotPsd, PhiProduct, PreconditionViolated
 from .linalg import (
     dag,
     frob,
@@ -142,17 +144,16 @@ class Rank2Result:
     case: Rank2Case
 
 
-def rank2_separability(psi: PureState, phi: PureState, lam: float) -> Rank2Result:
+def rank2_separability(psi: PureState, phi: PureState, lam: float, tol: Tolerances = DEFAULT) -> Rank2Result:
     """Exact separability of |psi><psi| + lam |phi><phi| for orthogonal unit
-    states.
-
-    Separable only in three situations: both states product; psi product with
-    lam = 0; or both entangled with the support spanned by two product
-    vectors a, b such that the cross terms |a><b| cancel, which pins lam to a
-    single value.
-    """
-    if lam < 0:
-        raise PreconditionViolated("lam must be nonnegative")
+    states, the one-member case of :func:`separable_lambdas`: at every lam
+    when both states are product, and otherwise only within 1e-12 + 1e-9
+    (lam + lambda*) of psi's lambda* (0 for a product psi), when the kernel's
+    decomposition at lambda* reassembles the target within 1e-8."""
+    if psi.space != phi.space:
+        raise DimensionMismatch("states live on different spaces")
+    if not 0.0 <= lam < np.inf:
+        raise PreconditionViolated("lam must be finite and nonnegative")
     if abs(psi.inner(phi)) > 1e-9:
         raise PreconditionViolated("states must be orthogonal")
     target = psi.density() + lam * phi.density()
@@ -160,38 +161,17 @@ def rank2_separability(psi: PureState, phi: PureState, lam: float) -> Rank2Resul
     def separable(dec: ProductDecomposition, case: Rank2Case) -> Rank2Result:
         return Rank2Result(SeparabilityVerdict(SepStatus.SEPARABLE, dec, {"residual": dec.residual(target)}), case)
 
-    def entangled(reason: str, **detail) -> Rank2Result:
-        verdict = SeparabilityVerdict(SepStatus.ENTANGLED, detail={"reason": reason, **detail})
-        return Rank2Result(verdict, Rank2Case.ENTANGLED)
-
     if psi.product is not None and phi.product is not None:
-        weights, vectors = [1.0], [psi.product]
-        if lam > 0:
-            weights.append(float(lam))
-            vectors.append(phi.product)
-        return separable(ProductDecomposition(tuple(weights), tuple(vectors)), Rank2Case.BOTH_PRODUCT)
-
-    if psi.product is not None:  # phi entangled
-        if lam <= 1e-12:
-            return separable(ProductDecomposition((1.0,), (psi.product,)), Rank2Case.PSI_PRODUCT_LAMBDA_ZERO)
-        return entangled("mixture of a product state and an entangled state")
-
-    if phi.product is not None or lam <= 1e-12:
-        # psi entangled: pure entangled state at lam=0, or entangled+product mixture
-        return entangled("psi is entangled")
-
-    # both entangled: two product vectors v_j = s_j psi + t_j phi, psi + z_j phi
-    # for z_j = t_j / s_j, whose cross terms cancel: |lam + conj(z1) z2| <= 1e-9 (|z1 z2| + lam)
-    span = span_roots(psi.amplitudes[None], phi.amplitudes, psi.space.dims)
-    if not span.product[0].all():
-        return entangled(f"support contains {span.product[0].sum()} product directions")
-    (s1, t1), (s2, t2) = span.roots[0]
-    cross = abs(lam * np.conj(s1) * s2 + np.conj(t1) * t2) / (abs(t1 * t2) + lam * abs(s1 * s2))
-    if cross <= 1e-9:
-        result = separable(two_term_decomposition(span, 0, lam), Rank2Case.TWO_TERM)
+        n = 2 if lam > 0 else 1
+        return separable(ProductDecomposition((1.0, float(lam))[:n], (psi.product, phi.product)[:n]), Rank2Case.BOTH_PRODUCT)
+    (star,), decomposition = separable_lambdas(phi, [psi], tol)
+    if star is not None and abs(lam - star) <= 1e-12 + 1e-9 * (lam + star):
+        case = Rank2Case.TWO_TERM if psi.product is None else Rank2Case.PSI_PRODUCT_LAMBDA_ZERO
+        result = separable(decomposition(0), case)
         if result.verdict.detail["residual"] <= 1e-8:
             return result
-    return entangled("cross terms do not cancel", cross=float(cross))
+    detail = {"reason": "no separable decomposition at this lambda", "lambda_star": star}
+    return Rank2Result(SeparabilityVerdict(SepStatus.ENTANGLED, detail=detail), Rank2Case.ENTANGLED)
 
 
 def two_term_decomposition(span: SpanRoots, i: int, lam: float) -> ProductDecomposition:
@@ -205,6 +185,38 @@ def two_term_decomposition(span: SpanRoots, i: int, lam: float) -> ProductDecomp
     weights = (abs(t2) ** 2 + lam * abs(s2) ** 2, abs(t1) ** 2 + lam * abs(s1) ** 2)
     weights = tuple(float(np.vdot(v, v).real * w / gap) for v, w in zip(span.vectors[i], weights))
     return ProductDecomposition(weights, (span.product_vector(i, 0), span.product_vector(i, 1)))
+
+
+def separable_lambdas(phi: PureState, members, tol: Tolerances = DEFAULT):
+    """For phi and members orthogonal to it, not all product: per member, the one
+    lambda >= 0 at which E = |psi><psi| + lambda |phi><phi| is separable, or
+    None; and a function that builds member k's E's product decomposition.
+
+    A product member has lambda = 0.  The span of an entangled member holds
+    at most two product directions psi + z phi, z = t/s for the roots (s : t)
+    that :func:`~sepdisc.tensor_rank.span_roots` finds for all members at
+    once, and E is separable at lambda* = -conj(z1) z2 alone, where the cross
+    terms cancel; it counts when real and positive, within ``tol.angular`` in
+    phase (which puts z1 and z2 on opposite rays, so they are distinct).
+    """
+    lambdas: list = [0.0 if psi.product is not None else None for psi in members]
+    entangled = [k for k, lam in enumerate(lambdas) if lam is None]
+    if entangled:
+        span = span_roots(np.stack([members[k].amplitudes for k in entangled]), phi.amplitudes, phi.space.dims)
+        (s1, t1), (s2, t2) = span.roots.transpose(1, 2, 0)
+        # lambda* |s1 s2|^2: real and positive exactly when lambda* is, and
+        # zero, not 0/0, when a root is phi itself
+        scaled = -(np.conj(t1) * s1) * (t2 * np.conj(s2))
+        good = span.product.all(axis=1) & (scaled.real > 0.0) & (np.abs(np.angle(scaled)) < tol.angular)
+        for i in np.flatnonzero(good):
+            lambdas[entangled[i]] = float(scaled[i].real / abs(s1[i] * s2[i]) ** 2)
+
+    def decomposition(k: int) -> ProductDecomposition:
+        if members[k].product is not None:
+            return ProductDecomposition((1.0,), (members[k].product,))
+        return two_term_decomposition(span, entangled.index(k), lambdas[k])
+
+    return lambdas, decomposition
 
 
 def _worst_pt(rho: np.ndarray, space: StateSpace, cuts, tol: Tolerances) -> PtWitness:
@@ -383,7 +395,7 @@ def element_separability(
         # E = mu_1 (|v_1><v_1| + (mu_2 / mu_1) |v_2><v_2|), mu_1 <= mu_2
         mu = float(vals[-2])
         psi, phi = (PureState.normalized(space, eig.vectors[:, i]) for i in (-2, -1))
-        r2 = rank2_separability(psi, phi, float(vals[-1]) / mu).verdict
+        r2 = rank2_separability(psi, phi, float(vals[-1]) / mu, tol).verdict
         if r2.status is not SepStatus.SEPARABLE:
             return r2
         dec = ProductDecomposition(tuple(mu * w for w in r2.evidence.weights), r2.evidence.vectors)

@@ -4,8 +4,8 @@ entry distance, and the orthogonal-Schmidt-number classification.
 :func:`try_factor` is the one factoring kernel; a state's own
 factorization is read from :attr:`~sepdisc.states.PureState.product`, which
 calls it once and keeps the result.  :func:`span_roots` is the one kernel for
-the product vectors of two-dimensional spans, which the lambda rule, the
-rank-2 lemma and the two-term classification all read.
+the product vectors of two-dimensional spans, which the lambda rule (and
+through it the rank-2 lemma) and the two-term classification read.
 
 The central nontrivial routine is :func:`schmidt2_classify`, the one
 classifier, which takes a stack of states, one per row: one state is a

@@ -20,7 +20,6 @@ from sepdisc.discrimination import (
     VerdictStatus,
     _distinguishable,
     decide,
-    separable_lambdas,
     subspace_verdict,
     validate_certificate,
 )
@@ -38,6 +37,7 @@ from sepdisc.separability import (
     feasibility_solve,
     ppt_is_exact,
     rank2_separability,
+    separable_lambdas,
     try_product_decomposition,
 )
 from sepdisc.states import (
@@ -779,12 +779,13 @@ _TAMPERINGS = {
     "bare_vector": lambda c: replace(c, evidence=(_bare_vectors(c.evidence[0]),) + c.evidence[1:]),
     "string_lambdas": lambda c: replace(c, lambdas=tuple(str(x) for x in c.lambdas)),
     "nested_lists": lambda c: replace(c, elements=tuple(e.tolist() for e in c.elements)),
+    "none": lambda c: None,
 }
 
 
 @pytest.mark.parametrize(
     "tampering, key",
-    [("asymmetric", "hermitian"), ("string_weight", "counts_ok"), ("bare_vector", "counts_ok"), ("string_lambdas", "lambdas_ok"), ("nested_lists", "counts_ok")],
+    [("asymmetric", "hermitian"), ("string_weight", "counts_ok"), ("bare_vector", "counts_ok"), ("string_lambdas", "lambdas_ok"), ("nested_lists", "counts_ok"), ("none", "counts_ok")],
 )
 def test_malformed_certificate_fails_without_raising(monkeypatch, tampering, key):
     phi, states = family_sep_not_locc(FamilyParams(0.3, 0.4, 0.78))

@@ -6,9 +6,16 @@ import pytest
 
 import sepdisc.separability as separability
 from sepdisc.config import DEFAULT
-from sepdisc.errors import NotPsd, PhiProduct, PreconditionViolated
+from sepdisc.constructions import FamilyParams, family_sep_not_locc
+from sepdisc.errors import DimensionMismatch, NotPsd, PhiProduct, PreconditionViolated
 from sepdisc.linalg import kron_all, partial_transpose
-from sepdisc.sampling import random_basis_of_complement, random_entangled_2x2, random_unitary
+from sepdisc.sampling import (
+    random_basis_of_complement,
+    random_entangled_2x2,
+    random_product_state,
+    random_pure_state,
+    random_unitary,
+)
 from sepdisc.separability import (
     Lemma1Status,
     PptRecord,
@@ -20,6 +27,7 @@ from sepdisc.separability import (
     lemma1_check,
     ppt_oracle,
     rank2_separability,
+    separable_lambdas,
     try_product_decomposition,
 )
 from sepdisc.states import (
@@ -153,6 +161,79 @@ class TestRank2:
     def test_requires_orthogonality(self):
         with pytest.raises(PreconditionViolated):
             rank2_separability(phi_plus(), phi_plus(), 1.0)
+
+    def test_rejects_a_non_finite_lambda_and_states_from_two_spaces(self):
+        for lam in (math.nan, math.inf, -0.5):
+            with pytest.raises(PreconditionViolated):
+                rank2_separability(ket(QUBIT_PAIR, "01"), ket(QUBIT_PAIR, "10"), lam)
+        with pytest.raises(DimensionMismatch):
+            rank2_separability(ket(QUBIT_PAIR, "01"), ket(StateSpace((2, 2, 2)), "100"), 1.0)
+
+    def test_lambda_star_a_few_1e9_off_the_real_axis_is_separable(self):
+        # a family member moved 1e-9 off its residual state: the kernel's
+        # lambda* has a phase of a few 1e-9 and its two-term decomposition
+        # reassembles the element within 6e-10, so the rank-2 lemma and, on
+        # a 3x3 embedding where no PPT step runs first, element_separability
+        # accept it
+        phi, basis = family_sep_not_locc(FamilyParams(0.3, 0.4, 0.78))
+        rng = np.random.default_rng(0)
+        d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        d = d - phi.amplitudes * np.vdot(phi.amplitudes, d)
+        psi = PureState.normalized(QUBIT_PAIR, basis[2].amplitudes + 1e-9 * d / np.linalg.norm(d))
+        (star,), _ = separable_lambdas(phi, [psi])
+        assert abs(star - 0.116088945778826) < 1e-12
+        r = rank2_separability(psi, phi, star)
+        assert r.verdict.status is SepStatus.SEPARABLE and r.case is Rank2Case.TWO_TERM
+        assert r.verdict.detail["residual"] <= 1e-8
+
+        def embed(state):
+            return np.pad(state.amplitudes.reshape(2, 2), ((0, 1), (0, 1))).reshape(-1)
+
+        element = np.outer(embed(psi), embed(psi).conj()) + star * np.outer(embed(phi), embed(phi).conj())
+        verdict = element_separability(element, S33)
+        assert verdict.status is SepStatus.SEPARABLE
+        assert verdict.evidence.residual(element) <= 1e-8
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)])
+    def test_agrees_with_the_lambda_kernel(self, dims):
+        # on orthogonal pairs from two orthogonal products (exact and moved
+        # off phi), from two non-orthogonal products and at random: separable at
+        # lambda* exactly when the kernel finds a lambda* whose decomposition
+        # reassembles the element, and entangled 1e-3 away from it
+        rng, space = np.random.default_rng(len(dims) * 10 + sum(dims)), StateSpace(dims)
+
+        def off(v, phi):
+            return v - phi * np.vdot(phi, v)
+
+        found = 0
+        for i in range(24):
+            if i % 4 < 2:
+                us = [random_unitary(rng, d) for d in dims]
+                a, b = (kron_all([u[:, j] for u in us]) for j in (0, 1))
+                t, w = float(rng.uniform(0.2, math.pi / 2 - 0.2)), np.exp(1j * rng.uniform(0, 2 * math.pi))
+                phi = PureState.normalized(space, math.cos(t) * a + w * math.sin(t) * b)
+                d = off(random_pure_state(rng, space).amplitudes, phi.amplitudes)
+                move = 10.0 ** rng.uniform(-10, -8) if i % 4 else 0.0
+                psi = PureState.normalized(space, math.sin(t) * a - w * math.cos(t) * b + move * d / np.linalg.norm(d))
+            elif i % 4 == 2:  # a + b and a - b for unit products with <a, b> real: lambda* = |a + b|^2 / |a - b|^2
+                a, b = (random_product_state(rng, space).amplitudes for _ in range(2))
+                b = b * np.exp(-1j * np.angle(np.vdot(a, b)))
+                phi, psi = PureState.normalized(space, a + b), PureState.normalized(space, a - b)
+            else:
+                phi = random_pure_state(rng, space)
+                psi = PureState.normalized(space, off(random_pure_state(rng, space).amplitudes, phi.amplitudes))
+            (star,), decomposition = separable_lambdas(phi, [psi])
+            if star is None:
+                for lam in (0.0, 0.37, 1.0, 2.5):
+                    assert rank2_separability(psi, phi, lam).verdict.status is SepStatus.ENTANGLED
+                continue
+            target = psi.density() + star * phi.density()
+            reassembles = decomposition(0).residual(target) <= 1e-8
+            assert (rank2_separability(psi, phi, star).verdict.status is SepStatus.SEPARABLE) == reassembles
+            found += reassembles
+            for lam in (star * (1 - 1e-3), star * (1 + 1e-3)) if star > 0 else ():
+                assert rank2_separability(psi, phi, lam).verdict.status is SepStatus.ENTANGLED
+        assert found >= 12
 
 
 class TestAntiparallel:
