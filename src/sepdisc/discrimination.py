@@ -52,7 +52,7 @@ from .states import (
     factor_states,
     orthonormal_completion,
 )
-from .tensor_rank import ProductVector, Schmidt2Kind, proper_cuts, schmidt2_classify
+from .tensor_rank import ProductVector, Schmidt2Kind, schmidt2_classify
 
 
 class VerdictStatus(Enum):
@@ -108,9 +108,9 @@ def validate_certificate(
     besides ``valid``.  Product evidence needs finite, nonnegative weights,
     since every Hermitian matrix is a signed sum of product projectors.  A
     dual certificate: the objective and scale :func:`check_dual` recomputes
-    from its matrices and the instance's projectors."""
+    from its matrices and the instance's projectors, P0 and Pi."""
     if isinstance(cert, DualCertificate):
-        checked, valid = check_dual(cert.y, cert.z, cert.cuts, instance.projector_list(), instance.space.dims, tol)
+        checked, valid = check_dual(cert.y, cert.z, cert.cuts, instance, tol)
         return {"objective": checked.objective, "scale": checked.scale, "valid": valid}
     d, n, dims = instance.space.dim, instance.n, instance.space.dims
     key = "counts_ok"
@@ -158,8 +158,7 @@ def validate_certificate(
             tr = float(np.trace(el).real)
             evidence_ok = evidence_ok and ppt_is_exact(instance.space) and tr > 0.0
             if tr > 0.0:
-                cuts = proper_cuts(instance.space.nparties)
-                pt = _worst_pt(el, instance.space, cuts, tol).eigenvalue / tr
+                pt = _worst_pt(el, instance.space, tol).eigenvalue / tr
                 ppt_min = pt if ppt_min is None else min(ppt_min, pt)
         else:
             evidence_ok = False
@@ -243,19 +242,16 @@ def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances, phi: P
     goes to one member, E_k = P_k + P0 and E_j = P_j otherwise, and every
     element must be certified separable; None when no allocation is.
 
-    When the members' ranks fill the space, P0 = 0 and the POVM is forced:
-    the states are distinguishable iff every member's projector is
+    When P0 has rank 0 (the members' ranks fill the space), the POVM is
+    forced: the states are distinguishable iff every member's projector is
     separable, and the first member that is not settles the verdict.
     Otherwise P0 is certified once, through ``phi`` when one is given (the
     declared or the completed residual state, P0 = |phi><phi|); E_k carries
     P_k's product decomposition joined with P0's when both have one, and
-    otherwise its own.  The
-    allocation doubles as an explicit feasible point of the relaxation,
-    verified directly instead of iterating."""
+    otherwise its own.  The allocation doubles as an explicit feasible point
+    of the relaxation, verified directly instead of iterating."""
     space, members = instance.space, instance.states or instance.projectors
-    # a pure member has rank 1, a projector its trace
-    rank = instance.n if instance.states else round(sum(float(np.trace(p).real) for p in instance.projectors))
-    forced = rank == space.dim
+    forced = instance.residual_rank == 0
     factor_states(instance.states)
     per_element: list[object] = []
     for j, member in enumerate(members):
@@ -294,8 +290,7 @@ def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances, phi: P
             joined = verdict.evidence
         e = np.zeros((n,) + p0.shape, dtype=complex)
         e[k] = big - projectors[k]
-        cuts = proper_cuts(space.nparties)
-        point_res, _ = constraint_residual(e, np.stack(projectors), p0, space.dims, cuts)
+        point_res, _ = constraint_residual(e, instance)
         return _distinguishable(
             [big if j == k else p for j, p in enumerate(projectors)],
             [joined if j == k else ev for j, ev in enumerate(per_element)],
@@ -357,9 +352,8 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
     solver's default cap)."""
     if max_iterations is not None and max_iterations < 1:
         raise PreconditionViolated(f"max_iterations must be at least 1, got {max_iterations}")
-    space = instance.space
-    states, n = instance.states, instance.n
-    if not states or n != space.dim - 1:
+    space, states = instance.space, instance.states
+    if not states or instance.residual_rank != 1:
         return _decide_feasibility(instance, tol, max_iterations)
 
     phi = orthonormal_completion(states)[0] if instance.phi is None else instance.phi
@@ -408,6 +402,6 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
         reason = Reason("lambda_sum", f"lambda sum {total:.9f} != 1", {"sum": total, "lambdas": lambdas})
     else:
         elements = [psi.density() + lam * phi.density() for psi, lam in zip(states, lambdas)]
-        return _distinguishable(elements, [decomposition(k) for k in range(n)], theorem, lambdas, flag)
+        return _distinguishable(elements, [decomposition(k) for k in range(len(states))], theorem, lambdas, flag)
     return Verdict(status=VerdictStatus.INDISTINGUISHABLE, theorem=theorem, reason=reason, locc_flag=flag)
 

@@ -23,13 +23,12 @@ from .linalg import (
     dag,
     frob,
     hermitian_eig,
-    maxabs,
     min_eigenvalues,
     partial_transpose,
     psd_project,
 )
 from .states import DiscriminationInstance, PureState, StateSpace, coeff_matrix
-from .tensor_rank import ProductVector, SpanRoots, proper_cuts, span_roots, try_factor
+from .tensor_rank import ProductVector, SpanRoots, span_roots, try_factor
 
 
 class SepStatus(Enum):
@@ -219,10 +218,10 @@ def separable_lambdas(phi: PureState, members, tol: Tolerances = DEFAULT):
     return lambdas, decomposition
 
 
-def _worst_pt(rho: np.ndarray, space: StateSpace, cuts, tol: Tolerances) -> PtWitness:
-    """Lowest partial-transpose eigenpair of rho over the given cuts."""
+def _worst_pt(rho: np.ndarray, space: StateSpace, tol: Tolerances) -> PtWitness:
+    """Lowest partial-transpose eigenpair of rho over every cut of the space."""
     worst = None
-    for cut in cuts:
+    for cut in space.cuts:
         eig = hermitian_eig(partial_transpose(rho, space.dims, cut), tol)
         if worst is None or eig.values[0] < worst.eigenvalue:
             worst = PtWitness(cut=cut, eigenvalue=float(eig.values[0]), eigenvector=eig.vectors[:, 0])
@@ -288,13 +287,12 @@ def ppt_oracle(rho: np.ndarray, space: StateSpace, tol: Tolerances = DEFAULT) ->
     tr = float(np.real(np.trace(rho)))
     if tr <= 0:
         raise NotPsd("input has nonpositive trace")
-    cuts = list(proper_cuts(space.nparties))
-    worst = _worst_pt(rho / tr, space, cuts, tol)
+    worst = _worst_pt(rho / tr, space, tol)
     min_eig = worst.eigenvalue
     if min_eig < _EIGENVALUE_FLOOR:
         return SeparabilityVerdict(SepStatus.ENTANGLED, worst, {"min_pt_eigenvalue": min_eig})
 
-    record = PptRecord(min_eigenvalue=min_eig, exact=ppt_is_exact(space), cuts=tuple(cuts))
+    record = PptRecord(min_eigenvalue=min_eig, exact=ppt_is_exact(space), cuts=space.cuts)
     if record.exact:
         return SeparabilityVerdict(SepStatus.SEPARABLE, record, {})
     return SeparabilityVerdict(SepStatus.UNDECIDED, record, {"reason": "PPT necessary only"})
@@ -411,8 +409,8 @@ class DualCertificate:
     """Farkas certificate that the PSD+PPT relaxation is infeasible.
 
     A Hermitian ``y`` and PSD ``z[k, c]`` (member k, cut ``cuts[c]``) with
-    Pi(Y - sum_c PT_c Z[k, c])Pi >= 0 for every k, Pi the support of
-    P0 = I - sum_k P_k, and objective tr(Y P0) + sum_{k,c} tr(Z[k, c]
+    Pi(Y - sum_c PT_c Z[k, c])Pi >= 0 for every k, Pi the instance's support
+    of P0 = I - sum_k P_k, and objective tr(Y P0) + sum_{k,c} tr(Z[k, c]
     PT_c(P_k)) < 0.  Any feasible point E would give the objective
     sum_k tr(Pi(Y - sum_c PT_c Z[k, c])Pi E_k) + sum_{k,c} tr(Z[k, c]
     PT_c(P_k + E_k)) >= 0, so none exists; separable POVM elements are PPT,
@@ -428,16 +426,17 @@ class DualCertificate:
     scale: float
 
 
-def check_dual(y, z, cuts, projectors, dims, tol: Tolerances = DEFAULT) -> tuple[DualCertificate, bool]:
-    """Re-derive a dual certificate from raw matrices and test it.
+def check_dual(y, z, cuts, instance: DiscriminationInstance, tol: Tolerances = DEFAULT) -> tuple[DualCertificate, bool]:
+    """Re-derive a dual certificate from raw matrices and test it against
+    the instance's P0 and Pi, built once per instance.
 
-    Pi is recomputed from P0 = I - sum_k P_k, every Z is replaced by its
-    PSD part, and the most negative eigenvalue of Pi(Y - sum_c PT_c Z[k,
-    c])Pi over k is absorbed into Y as a multiple of Pi.  Valid iff the
-    objective of the result is below -tol.feasibility times its scale.
+    Every Z is replaced by its PSD part, and the most negative eigenvalue of
+    Pi(Y - sum_c PT_c Z[k, c])Pi over k is absorbed into Y as a multiple of
+    Pi.  Valid iff the objective of the result is below -tol.feasibility
+    times its scale, which an empty cut list never is.
     """
-    p = np.stack([np.asarray(pk, dtype=complex) for pk in projectors])
-    n, d = p.shape[0], p.shape[-1]
+    p, p0, supp = np.stack(instance.projector_list()), instance.residual_projector(), instance.residual_support
+    n, d, dims = instance.n, instance.space.dim, instance.space.dims
     try:
         y = np.asarray(y, dtype=complex)
         z = np.asarray(z, dtype=complex)
@@ -447,15 +446,13 @@ def check_dual(y, z, cuts, projectors, dims, tol: Tolerances = DEFAULT) -> tuple
     if (
         y.shape != (d, d)
         or z.shape != (n, len(cuts), d, d)
-        or not set(cuts) <= set(proper_cuts(len(dims)))
+        or not set(cuts) <= set(instance.space.cuts)
         or not (np.isfinite(y).all() and np.isfinite(z).all())
     ):
         return DualCertificate(y, z, cuts, np.inf, 0.0), False
-    p0 = np.eye(d) - p.sum(axis=0)
-    supp = support_projector(p0, tol)
     y = (y + dag(y)) / 2.0
     z = psd_project(z)
-    pt_z = sum(partial_transpose(z[:, c], dims, cut) for c, cut in enumerate(cuts))
+    pt_z = sum((partial_transpose(z[:, c], dims, cut) for c, cut in enumerate(cuts)), np.zeros_like(p))
     gap = float(min_eigenvalues(supp @ (y - pt_z) @ supp).min())
     y = y + max(0.0, -gap) * supp
     # tr(Z[k, c] PT_c(P_k)) = tr(PT_c(Z[k, c]) P_k)
@@ -481,16 +478,15 @@ class FeasibilityOutcome:
         return not self.feasible and self.dual is None
 
 
-def constraint_residual(e: np.ndarray, p: np.ndarray, p0: np.ndarray, dims, cuts) -> tuple[float, dict]:
-    """Largest constraint violation of a point E of the relaxation (affine
-    sum, PSD blocks, PPT of P_k + E_k per cut), and those three parts."""
-    parts = {"affine": float(np.linalg.norm(e.sum(axis=0) - p0))}
+def constraint_residual(e: np.ndarray, instance: DiscriminationInstance) -> tuple[float, dict]:
+    """Largest constraint violation of a point E of the instance's
+    relaxation (affine sum, PSD blocks, PPT of P_k + E_k per cut), and
+    those three parts."""
+    parts = {"affine": float(np.linalg.norm(e.sum(axis=0) - instance.residual_projector()))}
     parts["psd"] = float(max(0.0, -min_eigenvalues(e).min()))
-    worst_ppt = 0.0
-    for cut in cuts:
-        pt = partial_transpose(p + e, dims, cut)
-        worst_ppt = max(worst_ppt, float(max(0.0, -min_eigenvalues(pt).min())))
-    parts["ppt"] = worst_ppt
+    pe, dims = np.stack(instance.projector_list()) + e, instance.space.dims
+    worst = min(min_eigenvalues(partial_transpose(pe, dims, cut)).min() for cut in instance.space.cuts)
+    parts["ppt"] = float(max(0.0, -worst))
     return max(parts.values()), parts
 
 
@@ -662,26 +658,23 @@ def _cut_duals(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
 
 def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> FeasibilityOutcome:
-    """Exact decision when P0 = |w><w|.
+    """Exact decision when the instance's rule gives P0 rank 1.
 
-    PSD blocks summing to a rank-1 projector are forced to E_k = lam_k P0, so
-    the problem collapses to intervals of lam around each block's peak
-    (:func:`_peaks`, about ten eigh calls) intersected with the simplex.  A
-    dual's Z bounds each binding block just outside its binding end
-    (:func:`_cut_duals`, at _PEAK_WIDTH).  A block whose least violation
-    exceeds tol.feasibility, the only one the search then refines, is
-    infeasible alone: Z bounds both sides of its peak, the slopes cancel and
-    Y = 0.  Otherwise the water-filled point is measured by
+    PSD blocks summing to a rank-1 P0 are forced to E_k = lam_k P0, which
+    sum to P0 exactly, so the problem collapses to intervals of lam around
+    each block's peak (:func:`_peaks`, about ten eigh calls) intersected
+    with the simplex.  A dual's Z bounds each binding block just outside its
+    binding end (:func:`_cut_duals`, at _PEAK_WIDTH).  A block whose least
+    violation exceeds tol.feasibility, the only one the search then refines,
+    is infeasible alone: Z bounds both sides of its peak, the slopes cancel
+    and Y = 0.  Otherwise the water-filled point is measured by
     :func:`constraint_residual`, as Dykstra's points are; floors summing
     above 1 take Y = +Pi, and ceilings summing below 1 take Y = -Pi.
     :func:`check_dual` decides whether the dual proves infeasibility; when
     it does not, the outcome stalls.  Every ending returns at one exit.
     """
-    projectors = instance.projector_list()
-    n = len(projectors)
-    p0 = instance.residual_projector()
-    dims = instance.space.dims
-    cuts = list(proper_cuts(instance.space.nparties))
+    projectors, p0 = instance.projector_list(), instance.residual_projector()
+    n, dims, cuts = len(projectors), instance.space.dims, instance.space.cuts
 
     a = np.stack([_PencilBlock(pk, dims, cuts).a for pk in projectors])
     b = np.stack([partial_transpose(p0, dims, cut) for cut in cuts])
@@ -704,7 +697,7 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
             lam = lam + room * min(1.0, need / room.sum())
         lam = lam - (lam.sum() - 1.0) / n
         point = lam[:, None, None] * p0
-        res, parts = constraint_residual(point, np.stack(projectors), p0, dims, cuts)
+        res, parts = constraint_residual(point, instance)
         if res <= tol.feasibility:
             e = point
             diagnostics = {**diagnostics, "lambdas": [float(x) for x in lam], **parts}
@@ -713,7 +706,7 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
             y, z = 1.0, _cut_duals(a, b, lows - _PEAK_WIDTH) * (lows > 0.0)[:, None, None, None]
         elif highs.sum() < 1.0:
             y, z = -1.0, _cut_duals(a, b, highs + _PEAK_WIDTH)
-    dual, valid = check_dual(y * p0, z, cuts, projectors, dims, tol) if e is None else (None, False)
+    dual, valid = check_dual(y * p0, z, cuts, instance, tol) if e is None else (None, False)
     return FeasibilityOutcome(e is not None, e, res, res, 0, diagnostics, dual if valid else None)
 
 
@@ -723,14 +716,15 @@ def _solve_dykstra(
     """Cyclic Dykstra projections onto the affine sum constraint, the PSD
     cones, and the per-cut PPT cones, for at most ``max_iterations``
     iterations.  Works for any P0; :func:`feasibility_solve` calls it for
-    every P0 that is not rank 1.
+    every P0 whose rank is not 1.
 
     Since every E_k is squeezed between 0 and P0, the iterate is also
-    projected onto the support subspace of P0 (an implied linear constraint
-    that sharpens convergence).  On an infeasible problem the corrections
-    grow along a dual certificate: Z[k, c] = -PT_c(r_ppt[c][k]), and Y the
-    Pi-compression of the mean over k of -r_psd[k] - sum_c r_ppt[c][k]
-    (which is W_k + sum_c PT_c Z[k, c], W_k = -r_psd[k]).  The residual is
+    projected onto the instance's Pi, P0's support (0 at rank 0): an
+    implied linear constraint that sharpens convergence.  On an infeasible
+    problem the corrections grow along a dual certificate: Z[k, c] =
+    -PT_c(r_ppt[c][k]), and Y the Pi-compression of the mean over k of
+    -r_psd[k] - sum_c r_ppt[c][k] (which is W_k + sum_c PT_c Z[k, c],
+    W_k = -r_psd[k]).  The residual is
     checked at iteration 1, every ``_CHECK_EVERY`` iterations and at the
     cap; the dual is tried after the feasibility test at iteration 1,
     iterations 5, 10, 20, 40, ... and the cap, so long runs pay O(log
@@ -740,15 +734,8 @@ def _solve_dykstra(
     ``iteration_cap`` in the diagnostics as a result, not an error.
     ``max_iterations`` is at least 1, as :func:`feasibility_solve` checks.
     """
-    dims = instance.space.dims
-    d = instance.space.dim
-    n = instance.n
-    cuts = list(proper_cuts(instance.space.nparties))
-
-    p = np.stack(instance.projector_list())
-    p0 = instance.residual_projector()
-    supp = support_projector(p0, tol)
-    rank_p0 = int(round(float(np.real(np.trace(supp)))))
+    dims, cuts, d, n = instance.space.dims, instance.space.cuts, instance.space.dim, instance.n
+    p, p0, supp = np.stack(instance.projector_list()), instance.residual_projector(), instance.residual_support
 
     e = np.broadcast_to(p0 / n, (n, d, d)).copy()
     r_psd = np.zeros_like(e)
@@ -770,15 +757,14 @@ def _solve_dykstra(
             r_ppt[cut] = y - yp
             e = yp
         # implied support constraint (linear subspace, no correction term)
-        if rank_p0 < d:
-            e = supp @ e @ supp
+        e = supp @ e @ supp
         # affine sum constraint (affine subspace, no correction term)
         shift = (e.sum(axis=0) - p0) / n
         e = e - shift
         e = (e + dag(e)) / 2.0
 
         if it == 1 or it % _CHECK_EVERY == 0 or it == max_iterations:
-            res, parts = constraint_residual(e, p, p0, dims, cuts)
+            res, parts = constraint_residual(e, instance)
             best = min(best, res)
             if res <= tol.feasibility:
                 break
@@ -788,7 +774,7 @@ def _solve_dykstra(
             if checks & (checks - 1) == 0 or it == max_iterations:
                 y_dual = supp @ (-r_psd - sum(r_ppt.values())).mean(axis=0) @ supp
                 z_dual = np.stack([-partial_transpose(r_ppt[cut], dims, cut) for cut in cuts], axis=1)
-                dual, valid = check_dual(y_dual, z_dual, cuts, p, dims, tol)
+                dual, valid = check_dual(y_dual, z_dual, cuts, instance, tol)
                 if valid:
                     break
                 dual = None
@@ -803,18 +789,14 @@ def feasibility_solve(
     """Decide the PSD+PPT relaxation of the instance: operators E_k >= 0
     with sum_k E_k = P0 = I - sum_k P_k and P_k + E_k PPT across every cut.
 
-    A rank-1 P0 = |w><w| goes to the exact interval reduction
-    (:func:`_solve_rank1`); any other P0 to cyclic Dykstra projections
-    (:func:`_solve_dykstra`), capped at ``max_iterations`` (default 20,000,
-    at least 1).
+    P0's rank is the instance's, D less the members' ranks, which no
+    eigenvalue threshold or ``tol`` moves.  Rank 1 goes to the exact
+    interval reduction (:func:`_solve_rank1`); any other rank to cyclic
+    Dykstra projections (:func:`_solve_dykstra`), capped at
+    ``max_iterations`` (default 20,000, at least 1).
     """
     if max_iterations is not None and max_iterations < 1:
         raise PreconditionViolated(f"max_iterations must be at least 1, got {max_iterations}")
-    p0 = instance.residual_projector()
-    eig = hermitian_eig(p0, tol)
-    # the rank of support_projector(p0), read from the same eigenvalues
-    rank_p0 = int(np.sum(eig.values > tol.rank * max(float(eig.values[-1]), 0.0)))
-    w = eig.vectors[:, -1]
-    if rank_p0 == 1 and maxabs(p0 - np.outer(w, w.conj())) <= 1e-9:
+    if instance.residual_rank == 1:
         return _solve_rank1(instance, tol)
     return _solve_dykstra(instance, tol, _MAX_ITERATIONS if max_iterations is None else max_iterations)

@@ -35,6 +35,13 @@ class StateSpace:
     def nparties(self) -> int:
         return len(self.dims)
 
+    @cached_property
+    def cuts(self) -> tuple[tuple[int, ...], ...]:
+        """Every bipartition, as its left party subset, one per complement pair; built once."""
+        from .tensor_rank import proper_cuts
+
+        return tuple(proper_cuts(self.nparties))
+
 
 QUBIT_PAIR = StateSpace((2, 2))
 
@@ -171,6 +178,20 @@ class DiscriminationInstance:
     def residual_projector(self) -> np.ndarray:
         """P0 = I - sum_k P_k, the part of the space no member occupies, read-only and built once."""
         return self._residual
+
+    @cached_property
+    def residual_rank(self) -> int:
+        """P0's rank, by no eigenvalue threshold: D less the members' ranks, 1 per pure state
+        and a projector's trace rounded (:meth:`from_projectors` pins its eigenvalues within 1e-8)."""
+        taken = len(self.states) or sum(round(float(np.trace(p).real)) for p in self.projectors)
+        return self.space.dim - taken
+
+    @cached_property
+    def residual_support(self) -> np.ndarray:
+        """Pi, the projector onto the eigenvectors of P0's :attr:`residual_rank` largest
+        eigenvalues, read-only and built from one eigh on first use."""
+        v = np.linalg.eigh(self._residual)[1][:, self.space.dim - self.residual_rank :]
+        return _read_only(v @ dag(v))
 
     @cached_property
     def _projectors(self) -> tuple[np.ndarray, ...]:

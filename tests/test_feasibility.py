@@ -34,8 +34,7 @@ from sepdisc.separability import (
     element_separability,
     feasibility_solve,
 )
-from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket, phi_plus
-from sepdisc.tensor_rank import proper_cuts
+from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket, orthocomplement_basis, phi_plus
 from tests.conftest import bell, census_cell
 
 
@@ -186,6 +185,8 @@ def test_tampered_dual_certificates_rejected(kind):
     # fields of the wrong type fail without raising
     malformed = [dataclasses.replace(cert, y="Y"), dataclasses.replace(cert, z=[[1.0], [1.0, 2.0]])]
     malformed += [dataclasses.replace(cert, cuts=None), dataclasses.replace(cert, cuts=(("a",),))]
+    # an empty cut list sums no partial transpose and proves nothing
+    malformed += [dataclasses.replace(cert, cuts=(), z=np.zeros(cert.z.shape[:1] + (0,) + cert.z.shape[2:]))]
     for bad in [negated, zeroed, nan_y, inf_z] + malformed:
         assert not validate_certificate(bad, instance)["valid"]
     # the same certificate against a feasible instance of the same shape
@@ -248,10 +249,63 @@ def _haar_rank1(dims, seed):
     return _instance(random_basis_of_complement(rng, phi))
 
 
+def _rotated_family():
+    """The family basis at alpha, beta = 0.3, 0.4 and the midpoint of its
+    gamma range, rotated by a fixed local unitary."""
+    _, basis = family_sep_not_locc(FamilyParams(0.3, 0.4, sum(gamma_range(0.3, 0.4)) / 2))
+    rng = np.random.default_rng(5)
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    return _instance([PureState(QUBIT_PAIR, u @ s.amplitudes) for s in basis])
+
+
+def _as_projectors(instance, scale=1.0):
+    """The instance as projectors, the first scaled by ``scale``: at 1 - 3e-9
+    from_projectors accepts it, and P0 gains an eigenvalue of 3e-9."""
+    first, *rest = instance.projector_list()
+    return DiscriminationInstance.from_projectors(instance.space, [first * scale, *rest])
+
+
+@pytest.mark.parametrize("r", [None, 1e-7, 1e-11])
+@pytest.mark.parametrize(
+    "build, status",
+    [(_rotated_family, VerdictStatus.DISTINGUISHABLE), (lambda: _haar_rank1((2, 3), 1), VerdictStatus.INDISTINGUISHABLE)],
+    ids=["family_2x2", "haar_2x3"],
+)
+def test_perturbed_projector_keeps_the_rank1_verdict(build, status, r):
+    # P0's rank is D less the members' ranks, so a near-zero eigenvalue of P0
+    # moves neither the path nor the verdict, at any rank tolerance
+    tol = DEFAULT if r is None else dataclasses.replace(DEFAULT, rank=r, psd=r)
+    for scale in (1.0, 1.0 - 3e-9):
+        instance = _as_projectors(build(), scale)
+        verdict = decide(instance, tol)
+        assert verdict.status is status and verdict.diagnostics["path"] == "rank1-exact", scale
+        assert verdict.theorem == ("T1" if status is VerdictStatus.DISTINGUISHABLE else "PPT-dual")
+        assert validate_certificate(verdict.certificate, instance, tol)["valid"], scale
+
+
+def test_residual_rank_and_support():
+    spec = indistinguishable_subspace(SubspaceFamily.BIPARTITE_3X3_DIM7)
+    cases = [
+        (_instance(orthocomplement_basis(phi_plus())), 1),
+        (_instance(spec.complement), 2),
+        (_as_projectors(_rotated_family(), 1.0 - 3e-9), 1),
+        (_instance([bell(b) for b in ("phi+", "phi-", "psi+", "psi-")]), 0),
+    ]
+    for instance, rank in cases:
+        pi, p0 = instance.residual_support, instance.residual_projector()
+        assert instance.residual_rank == rank
+        assert np.abs(pi - pi.conj().T).max() <= 1e-12 and np.abs(pi @ pi - pi).max() <= 1e-12
+        assert abs(np.trace(pi) - rank) <= 1e-12
+        # Pi spans P0's support: P0 lives on it within the 1e-8 input pinning
+        assert np.abs(pi @ p0 @ pi - p0).max() <= 1e-8
+        assert instance.residual_support is pi
+    assert not cases[-1][0].residual_support.any()
+
+
 def _stacks(instance):
     """The (n, C, d, d) block stack A, the one (C, d, d) stack B and every
     block's exact peak."""
-    p0, dims, cuts = instance.residual_projector(), instance.space.dims, list(proper_cuts(instance.space.nparties))
+    p0, dims, cuts = instance.residual_projector(), instance.space.dims, instance.space.cuts
     a = np.stack([_PencilBlock(pk, dims, cuts).a for pk in instance.projector_list()])
     b = np.stack([partial_transpose(p0, dims, cut) for cut in cuts])
     return (a, b, *_peaks(a, b, np.inf))
@@ -535,9 +589,10 @@ def test_constraint_residual_vanishes_at_completability_point():
     space = StateSpace((2, 2, 2))
     basis = random_product_basis(np.random.default_rng(8), space)
     projectors = [s.density() for s in basis[1:]]
-    v = decide(DiscriminationInstance.from_projectors(space, projectors))
+    instance = DiscriminationInstance.from_projectors(space, projectors)
+    v = decide(instance)
     assert v.diagnostics["path"] == "completability"
     e = np.stack([el - p for el, p in zip(v.certificate.elements, projectors)])
-    res, parts = constraint_residual(e, np.stack(projectors), basis[0].density(), space.dims, proper_cuts(3))
+    res, parts = constraint_residual(e, instance)
     assert res <= 1e-12
     assert set(parts) == {"affine", "psd", "ppt"}
