@@ -37,20 +37,18 @@ DEFAULT = Tolerances()
 ENV_TOL = "SEPDISC_TOL"
 
 
-def from_env(base: Tolerances = DEFAULT) -> Tolerances:
-    """Return ``base`` with the rank/PSD tolerance overridden by $SEPDISC_TOL.
+def from_env() -> Tolerances:
+    """Return :data:`DEFAULT` with the rank/PSD tolerance overridden by
+    $SEPDISC_TOL.
 
     The override is off by default; it only applies when the variable is set
     to a finite positive float (``nan`` and ``inf`` would make every rank
     and PSD comparison false).
     """
-    raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return base
     try:
-        value = float(raw)
-    except ValueError:
-        return base
+        value = float(os.environ[ENV_TOL])
+    except (KeyError, ValueError):
+        return DEFAULT
     if not 0.0 < value < float("inf"):
-        return base
-    return dataclasses.replace(base, rank=value, psd=value)
+        return DEFAULT
+    return dataclasses.replace(DEFAULT, rank=value, psd=value)

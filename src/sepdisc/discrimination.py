@@ -15,9 +15,9 @@ or completed, certifies the residual (P0 = |phi><phi|).  Distinguishable
 verdicts carry a POVM certificate, and solver verdicts of
 indistinguishability a dual certificate, whose validity is re-checkable
 independently of the decider that produced it.  One builder,
-:func:`_distinguishable`, makes every POVM certificate and checks that each
-product decomposition reassembles its element.  Every element outside the
-lambda certificates gets its evidence from one rule,
+:func:`_distinguishable`, makes every POVM certificate and runs the
+validator's evidence check, :func:`_check_evidence`, on it.  Every element
+outside the lambda certificates gets its evidence from one rule,
 :func:`~sepdisc.separability.element_separability`.
 """
 
@@ -30,28 +30,22 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import NotHermitian, PhiProduct, PreconditionViolated
-from .linalg import check_hermitian, hermitian_eig, maxabs
+from .linalg import check_hermitian, maxabs, min_eigenvalues, partial_transpose
 from .separability import (
     _EIGENVALUE_FLOOR,
     DualCertificate,
     ProductDecomposition,
     PptRecord,
     SepStatus,
-    _worst_pt,
     check_dual,
     constraint_residual,
     element_separability,
     feasibility_solve,
     ppt_is_exact,
+    reassembly_residuals,
     separable_lambdas,
 )
-from .states import (
-    DiscriminationInstance,
-    PureState,
-    concurrence,
-    factor_states,
-    orthonormal_completion,
-)
+from .states import DiscriminationInstance, PureState, StateSpace, concurrence, factor_states, orthonormal_completion
 from .tensor_rank import ProductVector, Schmidt2Kind, schmidt2_classify
 
 
@@ -92,23 +86,48 @@ class Verdict:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _check_evidence(elements: np.ndarray, evidence, space: StateSpace):
+    """The one check of certificate evidence, shared by the builder and the
+    validator, on an (n, D, D) stack of elements with one piece of evidence
+    each.  Per element: the reassembly residual of a product decomposition
+    (0 otherwise); min_c lambda_min(PT_c(E)) / tr E over every cut for a PPT
+    record with tr E > 0 (nan otherwise); whether the evidence is exact,
+    which a product decomposition is with finite, nonnegative weights (every
+    Hermitian matrix is a signed sum of product projectors) and a PPT record
+    with tr E > 0 on 2x2 or 2x3; and whether it passes: exact, with a
+    residual of at most 1e-8 and a PT minimum of at least the floor."""
+    n = len(elements)
+    residual, pt_min, exact = np.zeros(n), np.full(n, np.nan), np.zeros(n, dtype=bool)
+    dec = [k for k, ev in enumerate(evidence) if isinstance(ev, ProductDecomposition)]
+    if dec:
+        residual[dec] = reassembly_residuals([evidence[k] for k in dec], elements[dec])
+        exact[dec] = [all(0.0 <= w < np.inf for w in evidence[k].weights) for k in dec]
+    rec = [k for k, ev in enumerate(evidence) if isinstance(ev, PptRecord)]
+    if rec:
+        tr = np.trace(elements, axis1=1, axis2=2).real
+        rec = [k for k in rec if tr[k] > 0.0]
+        pts = [min_eigenvalues(partial_transpose(elements[rec], space.dims, cut)) for cut in space.cuts]
+        pt_min[rec] = np.min(pts, axis=0) / tr[rec]
+        exact[rec] = ppt_is_exact(space)
+    return residual, pt_min, exact, exact & (residual <= 1e-8) & ~(pt_min < _EIGENVALUE_FLOOR)
+
+
 def validate_certificate(
     cert: PovmCertificate | DualCertificate, instance: DiscriminationInstance, tol: Tolerances = DEFAULT
 ) -> dict:
     """Independent re-check of a certificate.  A POVM certificate: its
-    completeness, correctness, PSD, reassembly of every product
-    decomposition, and the partial transposes behind every PPT record,
-    recomputed from the element itself, with one element and one piece of
-    evidence per member.  A malformed one fails and never raises: before
+    completeness, statistics tr(E_k P_j) = delta_kj tr(P_j) and PSD, and the
+    evidence check the builder runs too (:func:`_check_evidence`, which
+    recomputes everything from the elements), with one element and one piece
+    of evidence per member.  A malformed one fails and never raises: before
     any arithmetic, in order, ``counts_ok`` (n numeric D x D arrays as
     elements, one real weight per product vector and each a ProductVector
     with one factor per party of that party's dimension), ``finite``,
-    ``hermitian`` (as :func:`hermitian_eig` checks) and ``lambdas_ok`` (n
-    real ones, if any), and the first that fails is the one key returned
-    besides ``valid``.  Product evidence needs finite, nonnegative weights,
-    since every Hermitian matrix is a signed sum of product projectors.  A
-    dual certificate: the objective and scale :func:`check_dual` recomputes
-    from its matrices and the instance's projectors, P0 and Pi."""
+    ``hermitian`` (as :func:`~sepdisc.linalg.check_hermitian` checks) and
+    ``lambdas_ok`` (n real ones, if any), and the first that fails is the one
+    key returned besides ``valid``.  A dual certificate: the objective and
+    scale :func:`check_dual` recomputes from its matrices and the instance's
+    projectors, P0 and Pi."""
     if isinstance(cert, DualCertificate):
         checked, valid = check_dual(cert.y, cert.z, cert.cuts, instance, tol)
         return {"objective": checked.objective, "scale": checked.scale, "valid": valid}
@@ -131,78 +150,53 @@ def validate_certificate(
     if not ok:
         return {key: False, "valid": False}
     counts_ok = len(cert.evidence) == n
-    total = sum(cert.elements)
-    completeness = maxabs(total - np.eye(d))
-    psd_min = min(float(hermitian_eig(e, tol).values[0]) for e in cert.elements)
-    rhos = instance.projector_list()
-    correctness = 0.0
-    for k, el in enumerate(cert.elements):
-        for j, rho in enumerate(rhos):
-            # E_k must act as the identity on the support of P_j for k == j
-            # and vanish on it otherwise: tr(E_k P_j) = delta_kj tr(P_j)
-            tr = float(np.real(np.trace(el @ rho)))
-            target = float(np.real(np.trace(rho))) if k == j else 0.0
-            correctness = max(correctness, abs(tr - target))
-    residuals = [0.0]
-    evidence_ok = True
-    ppt_min = None
-    for el, ev in zip(cert.elements, cert.evidence):
-        if isinstance(ev, ProductDecomposition):
-            w = np.asarray(ev.weights)
-            evidence_ok = evidence_ok and bool(np.all(np.isfinite(w)) and np.all(w >= 0))
-            residuals.append(ev.residual(el))
-        elif isinstance(ev, PptRecord):
-            # PPT proves separability only where it is exact, and only when
-            # every partial transpose of the trace-normalized element is PSD:
-            # lambda_min(PT(E)) / tr E, which checks E's own asymmetry
-            tr = float(np.trace(el).real)
-            evidence_ok = evidence_ok and ppt_is_exact(instance.space) and tr > 0.0
-            if tr > 0.0:
-                pt = _worst_pt(el, instance.space, tol).eigenvalue / tr
-                ppt_min = pt if ppt_min is None else min(ppt_min, pt)
-        else:
-            evidence_ok = False
-    # np.max keeps a NaN residual (a NaN decomposition weight), which fails
-    # the bound
-    evidence_resid = float(np.max(residuals))
-    lambdas_ok = True
-    if cert.lambdas is not None:
-        lam = np.asarray(cert.lambdas)
-        lambdas_ok = bool(np.all(lam >= -1e-12) and abs(lam.sum() - 1.0) <= 1e-8)
+    elements, projectors = np.stack(cert.elements), np.stack(instance.projector_list())
+    completeness = maxabs(elements.sum(axis=0) - np.eye(d))
+    psd_min = float(min_eigenvalues(elements).min())
+    # E_k must act as the identity on the support of P_j for k == j and
+    # vanish on it otherwise
+    stats = np.einsum("kab,jba->kj", elements, projectors).real
+    correctness = maxabs(stats - np.diag(np.trace(projectors, axis1=1, axis2=2).real))
+    # evidence of the wrong count is checked against as many elements
+    residual, pt_min, exact, passed = _check_evidence(elements[: len(cert.evidence)], cert.evidence[:n], instance.space)
+    measured = pt_min[~np.isnan(pt_min)]
+    lam = None if cert.lambdas is None else np.asarray(cert.lambdas)
+    lambdas_ok = lam is None or bool(np.all(lam >= -1e-12) and abs(lam.sum() - 1.0) <= 1e-8)
     return {
         "completeness": completeness,
         "correctness": correctness,
         "psd_min": psd_min,
-        "evidence_residual": evidence_resid,
-        "evidence_exact": evidence_ok,
-        "ppt_min": ppt_min,
+        # np.max keeps a NaN residual (a NaN decomposition weight)
+        "evidence_residual": float(np.max(residual, initial=0.0)),
+        "evidence_exact": bool(exact.all()),
+        "ppt_min": float(measured.min()) if measured.size else None,
         "lambdas_ok": lambdas_ok,
         "counts_ok": counts_ok,
         "valid": counts_ok
         and completeness <= 1e-8
         and correctness <= 1e-7
         and psd_min >= _EIGENVALUE_FLOOR
-        and evidence_resid <= 1e-8
-        and evidence_ok
-        and (ppt_min is None or ppt_min >= _EIGENVALUE_FLOOR)
+        and bool(passed.all())
         and lambdas_ok,
     }
 
 
 def _distinguishable(
-    elements, evidence, theorem: str = "T1", lambdas=None, locc_flag=LoccFlag.UNKNOWN, diagnostics=None
+    space: StateSpace, elements, evidence, theorem="T1", lambdas=None, locc_flag=LoccFlag.UNKNOWN, diagnostics=None
 ) -> Verdict:
     """The one builder of a POVM certificate and of a distinguishable
-    verdict: every product decomposition must reassemble its element within
-    the validator's 1e-8, or the verdict is undecided, naming the element
-    (and its lambda, if any)."""
+    verdict, on the instance's space.  It runs the validator's evidence check
+    (:func:`_check_evidence`), and when an element fails it the verdict is
+    undecided, naming the first such member (and its lambda, if any);
+    completeness, statistics and PSD are left to the validator."""
     diagnostics = diagnostics or {}
-    for k, (element, ev) in enumerate(zip(elements, evidence)):
-        if isinstance(ev, ProductDecomposition) and not ev.residual(element) <= 1e-8:
-            message = f"a POVM was found but certificate element {k} failed its separability check"
-            data = {"member": k} if lambdas is None else {"member": k, "lambda": lambdas[k]}
-            reason = Reason("internal_inconsistency", message, data)
-            return Verdict(VerdictStatus.UNDECIDED, theorem, reason=reason, locc_flag=locc_flag, diagnostics=diagnostics)
+    failed = np.flatnonzero(~_check_evidence(np.stack(elements), evidence, space)[-1])
+    if failed.size:
+        k = int(failed[0])
+        message = f"a POVM was found but certificate element {k} failed its separability check"
+        data = {"member": k} if lambdas is None else {"member": k, "lambda": lambdas[k]}
+        reason = Reason("internal_inconsistency", message, data)
+        return Verdict(VerdictStatus.UNDECIDED, theorem, reason=reason, locc_flag=locc_flag, diagnostics=diagnostics)
     cert = PovmCertificate(tuple(elements), tuple(evidence), None if lambdas is None else tuple(lambdas))
     return Verdict(VerdictStatus.DISTINGUISHABLE, theorem, cert, locc_flag=locc_flag, diagnostics=diagnostics)
 
@@ -272,7 +266,7 @@ def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances, phi: P
             per_element.append(None)
     projectors = instance.projector_list()
     if forced:
-        return _distinguishable(projectors, per_element)
+        return _distinguishable(space, projectors, per_element)
     p0 = instance.residual_projector()
     p0_evidence = element_separability(p0 if phi is None else phi, space, tol).evidence
     n = len(projectors)
@@ -292,6 +286,7 @@ def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances, phi: P
         e[k] = big - projectors[k]
         point_res, _ = constraint_residual(e, instance)
         return _distinguishable(
+            space,
             [big if j == k else p for j, p in enumerate(projectors)],
             [joined if j == k else ev for j, ev in enumerate(per_element)],
             lambdas=[float(j == k) for j in range(n)],
@@ -335,7 +330,7 @@ def _decide_feasibility(
                 break
             evidence.append(verdict.evidence)
         else:
-            return _distinguishable(elements, evidence, diagnostics=diag)
+            return _distinguishable(instance.space, elements, evidence, diagnostics=diag)
         code = "ppt_feasible_relaxation"
         message = "PPT-feasible (relaxation): a relaxed solution exists but separability is not certified"
     else:
@@ -402,6 +397,6 @@ def decide(instance: DiscriminationInstance, tol: Tolerances = DEFAULT, max_iter
         reason = Reason("lambda_sum", f"lambda sum {total:.9f} != 1", {"sum": total, "lambdas": lambdas})
     else:
         elements = [psi.density() + lam * phi.density() for psi, lam in zip(states, lambdas)]
-        return _distinguishable(elements, [decomposition(k) for k in range(len(states))], theorem, lambdas, flag)
+        return _distinguishable(space, elements, [decomposition(k) for k in range(len(states))], theorem, lambdas, flag)
     return Verdict(status=VerdictStatus.INDISTINGUISHABLE, theorem=theorem, reason=reason, locc_flag=flag)
 

@@ -20,15 +20,15 @@ def random_pure_state(rng: np.random.Generator, space: StateSpace) -> PureState:
     return PureState.normalized(space, v)
 
 
-def random_local_vector(rng: np.random.Generator, d: int, real: bool = False) -> np.ndarray:
-    v = rng.standard_normal(d) + (0 if real else 1j * rng.standard_normal(d))
+def random_local_vector(rng: np.random.Generator, d: int) -> np.ndarray:
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
 
 
-def random_product_state(rng: np.random.Generator, space: StateSpace, real: bool = False) -> PureState:
+def random_product_state(rng: np.random.Generator, space: StateSpace) -> PureState:
     from .linalg import kron_all
 
-    factors = [random_local_vector(rng, d, real) for d in space.dims]
+    factors = [random_local_vector(rng, d) for d in space.dims]
     return PureState(space, kron_all(factors))
 
 

@@ -19,14 +19,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NotPsd, PhiProduct, PreconditionViolated
-from .linalg import (
-    dag,
-    frob,
-    hermitian_eig,
-    min_eigenvalues,
-    partial_transpose,
-    psd_project,
-)
+from .linalg import dag, frob, hermitian_eig, min_eigenvalues, partial_transpose, psd_project
 from .states import DiscriminationInstance, PureState, StateSpace, coeff_matrix
 from .tensor_rank import ProductVector, SpanRoots, span_roots, try_factor
 
@@ -45,13 +38,27 @@ class ProductDecomposition:
     vectors: tuple[ProductVector, ...]
 
     def residual(self, target: np.ndarray) -> float:
-        """||sum_i w_i |p_i><p_i| - target|| / ||target||, Frobenius; an
-        empty decomposition sums to the zero matrix of the target's shape."""
-        out = np.zeros(np.shape(target), dtype=complex)
-        for w, pv in zip(self.weights, self.vectors):
-            v = pv.unit()
-            out = out + w * np.outer(v, v.conj())
-        return frob(out - target) / max(frob(target), 1e-300)
+        """||sum_i w_i |p_i><p_i| - target|| / ||target||, Frobenius: the
+        one-element case of :func:`reassembly_residuals`."""
+        return float(reassembly_residuals([self], np.asarray(target)[None])[0])
+
+
+def reassembly_residuals(decompositions, targets: np.ndarray) -> np.ndarray:
+    """||sum_i w_i |p_i><p_i| - E|| / ||E||, Frobenius, of each decomposition
+    against its element E of the (n, D, D) stack ``targets``: every product
+    vector of them all is assembled, party by party, into one (m, D) stack of
+    unit vectors, and one matrix product sums them into the n elements (to
+    zero where there are none)."""
+    vectors = [pv for dec in decompositions for pv in dec.vectors]
+    weights, m = np.zeros((len(decompositions), len(vectors))), len(vectors)
+    owner = [k for k, dec in enumerate(decompositions) for _ in dec.vectors]
+    weights[owner, range(m)] = [w for dec in decompositions for w in dec.weights]
+    units = np.ones((m, 1))
+    for factors in zip(*(pv.factors for pv in vectors)):
+        units = (units[:, :, None] * np.array(factors)[:, None, :]).reshape(m, -1)
+    units = units / np.linalg.norm(units, axis=1, keepdims=True)
+    sums = (weights[:, None, :] * units.T) @ units.conj()
+    return np.linalg.norm(sums - targets, axis=(1, 2)) / np.maximum(np.linalg.norm(targets, axis=(1, 2)), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -94,27 +101,20 @@ class Lemma1Result:
     min_eigenvalue: float
 
 
-def support_projector(rho: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    eig = hermitian_eig(rho, tol)
-    lam_max = float(eig.values[-1])
-    keep = eig.values > tol.rank * max(lam_max, 0.0)
-    v = eig.vectors[:, keep]
-    return v @ dag(v)
-
-
 def lemma1_check(e: np.ndarray, rho: np.ndarray, tol: Tolerances = DEFAULT) -> Lemma1Result:
     """Evaluate both sides of the equivalence tr(E rho)=1 <=> E - P >= 0,
-    for 0 <= E <= I and the support projector P of the density matrix rho."""
+    for 0 <= E <= I and the support projector P of the density matrix rho,
+    onto rho's eigenvectors above tol.rank lambda_max, from the one
+    eigendecomposition of rho that the density-matrix check takes."""
     ew = hermitian_eig(e, tol).values
     if ew[0] < -tol.psd or ew[-1] > 1.0 + tol.psd:
-        raise PreconditionViolated(
-            f"operator must satisfy 0 <= E <= I; spectrum in [{ew[0]:.3e}, {ew[-1]:.3e}]"
-        )
-    rw = hermitian_eig(rho, tol).values
+        raise PreconditionViolated(f"operator must satisfy 0 <= E <= I; spectrum in [{ew[0]:.3e}, {ew[-1]:.3e}]")
+    rho_eig = hermitian_eig(rho, tol)
+    rw = rho_eig.values
     if rw[0] < -tol.psd or abs(np.trace(rho).real - 1.0) > 1e-8:
         raise PreconditionViolated("rho must be a density matrix")
-
-    p = support_projector(rho, tol)
+    v = rho_eig.vectors[:, rw > tol.rank * max(float(rw[-1]), 0.0)]
+    p = v @ dag(v)
     trace_value = float(np.real(np.trace(e @ rho)))
     trace_side = abs(trace_value - 1.0) <= 1e-9
     min_eig = float(hermitian_eig(e - p, tol).values[0])

@@ -149,6 +149,10 @@ class DiscriminationInstance:
 
     @classmethod
     def from_projectors(cls, space: StateSpace, projectors):
+        """Members given as projectors: finite and Hermitian, every eigenvalue
+        within 1e-8 of 0 or 1 with at least one near 1, and pairwise orthogonal.
+        The instance holds exact projectors, onto each member's eigenvalue-1
+        eigenvectors from one eigh, and tests orthogonality on those."""
         projectors = [np.asarray(p, dtype=complex) for p in projectors]
         if not projectors:
             raise InvalidInstance("need at least one projector")
@@ -159,9 +163,11 @@ class DiscriminationInstance:
         if not np.isfinite(p).all():
             raise InvalidInstance("projector entries must be finite")
         check_hermitian(p)
-        w = np.linalg.eigvalsh((p + dag(p)) / 2.0)
-        if np.any((w > 1e-8) & (np.abs(w - 1.0) > 1e-8)) or w[:, 0].min() < -1e-8:
-            raise InvalidInstance("inputs must be projectors")
+        w, v = np.linalg.eigh((p + dag(p)) / 2.0)
+        ones = np.abs(w - 1.0) <= 1e-8
+        if np.any(~ones & (np.abs(w) > 1e-8)) or not ones.any(axis=1).all():
+            raise InvalidInstance("inputs must be projectors of rank at least 1")
+        p = np.einsum("kij,kj,klj->kil", v, ones, v.conj())
         i, j = np.triu_indices(len(p), 1)
         if maxabs(p[i] @ p[j]) > 1e-9:
             raise InvalidInstance("projector supports must be orthogonal")
@@ -182,7 +188,7 @@ class DiscriminationInstance:
     @cached_property
     def residual_rank(self) -> int:
         """P0's rank, by no eigenvalue threshold: D less the members' ranks, 1 per pure state
-        and a projector's trace rounded (:meth:`from_projectors` pins its eigenvalues within 1e-8)."""
+        and a projector's trace rounded (:meth:`from_projectors` holds exact projectors)."""
         taken = len(self.states) or sum(round(float(np.trace(p).real)) for p in self.projectors)
         return self.space.dim - taken
 

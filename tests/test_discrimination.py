@@ -461,6 +461,27 @@ def test_instance_validation():
         DiscriminationInstance.from_projectors(QUBIT_PAIR, [phi_plus().density(), phi_plus().density()])
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.9e-9, 1.5e-9])
+def test_projector_noise_inside_the_pin_keeps_the_verdict(eps):
+    # the 3x3 computational basis with eps |psi><psi| added to |00><00|,
+    # psi = (|12> + |21>)/sqrt(2): within the 1e-8 pin, every member is the
+    # projector onto its eigenvalue-1 eigenvectors, so |00><00| stays rank 1
+    s33 = StateSpace((3, 3))
+    projectors = [basis_state(s33, idx).density() for idx in np.ndindex(3, 3)]
+    psi = PureState.normalized(s33, basis_state(s33, (1, 2)).amplitudes + basis_state(s33, (2, 1)).amplitudes)
+    projectors[0] = projectors[0] + eps * psi.density()
+    inst = DiscriminationInstance.from_projectors(s33, projectors)
+    assert all(np.abs(p @ p - p).max() <= 1e-15 for p in inst.projector_list())
+    v = decide(inst)
+    assert (v.status, v.theorem) == (VerdictStatus.DISTINGUISHABLE, "T1")
+    assert validate_certificate(v.certificate, inst)["valid"]
+
+
+def test_a_member_without_an_eigenvalue_near_1_is_rejected():
+    with pytest.raises(InvalidInstance):
+        DiscriminationInstance.from_projectors(QUBIT_PAIR, [ket(QUBIT_PAIR, "00").density(), np.zeros((4, 4))])
+
+
 def test_try_product_decomposition_diagonal():
     op = np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex)
     dec = try_product_decomposition(op, QUBIT_PAIR)
@@ -482,13 +503,68 @@ def test_lambda_certificate_failure_names_member_theorem_and_flag():
     _, decomposition = separable_lambdas(phi, basis)
     decompositions = [decomposition(j) for j in range(len(basis))]
     elements = [psi.density() + lam * phi.density() for psi, lam in zip(basis, lambdas)]
-    v = _distinguishable(elements, decompositions, "T2", lambdas, LoccFlag.LOCC_INDISTINGUISHABLE)
+    v = _distinguishable(QUBIT_PAIR, elements, decompositions, "T2", lambdas, LoccFlag.LOCC_INDISTINGUISHABLE)
     assert v.status is VerdictStatus.UNDECIDED
     assert v.theorem == "T2"
     assert v.locc_flag is LoccFlag.LOCC_INDISTINGUISHABLE
     assert v.reason.code == "internal_inconsistency"
     assert v.reason.data["member"] == k
     assert v.certificate is None
+
+
+def _computational_basis(dims) -> DiscriminationInstance:
+    space = StateSpace(dims)
+    return DiscriminationInstance.from_pure(space, [basis_state(space, idx) for idx in np.ndindex(*dims)])
+
+
+def _signed_weights(cert):
+    # |00><00| - 0.5 |01><01| + 0.5 |01><01| still reassembles exactly
+    ev, v01 = cert.evidence[0], ket(QUBIT_PAIR, "01").product
+    return (ProductDecomposition(ev.weights + (-0.5, 0.5), ev.vectors + (v01, v01)),) + cert.evidence[1:]
+
+
+def _nan_weight(cert):
+    return (ProductDecomposition((np.nan,), cert.evidence[0].vectors),) + cert.evidence[1:]
+
+
+def _other_type(cert):
+    return (separability.PtWitness((0,), 0.0, np.zeros(4)),) + cert.evidence[1:]
+
+
+def _ppt_records(cert):
+    return (PptRecord(0.0, True, ((0,),)),) * len(cert.elements)
+
+
+_BELL_BASIS = ("phi+", "phi-", "psi+", "psi-")
+_FORGED_EVIDENCE = {
+    "signed_weights": (lambda: _computational_basis((2, 2)), _signed_weights),
+    "ppt_on_3x3": (lambda: _computational_basis((3, 3)), _ppt_records),
+    "ppt_on_bell": (lambda: DiscriminationInstance.from_pure(QUBIT_PAIR, [bell(w) for w in _BELL_BASIS]), _ppt_records),
+    "nan_weight": (lambda: _computational_basis((2, 2)), _nan_weight),
+    "other_type": (lambda: _computational_basis((2, 2)), _other_type),
+}
+
+
+@pytest.mark.parametrize("forgery", list(_FORGED_EVIDENCE))
+def test_forged_evidence_fails_the_builder_and_the_validator(forgery):
+    # the builder and the validator run one evidence check, so a
+    # certificate the validator rejects never leaves the builder
+    build, forge = _FORGED_EVIDENCE[forgery]
+    inst = build()
+    elements = tuple(inst.projector_list())
+    if forgery == "ppt_on_bell":
+        cert = disc.PovmCertificate(elements, (None,) * 4, None)
+    else:
+        cert = decide(inst).certificate
+        assert validate_certificate(cert, inst)["valid"]
+    evidence = forge(cert)
+    v = _distinguishable(inst.space, elements, evidence)
+    assert v.status is VerdictStatus.UNDECIDED and v.certificate is None
+    assert v.reason.code == "internal_inconsistency" and v.reason.data == {"member": 0}
+    check = validate_certificate(disc.PovmCertificate(elements, evidence, None), inst)
+    assert not check["valid"]
+    if forgery == "signed_weights":
+        assert check["evidence_residual"] == 0.0 and not check["evidence_exact"]
 
 
 def test_entangled_rank1_projector_costs_one_factor_attempt(monkeypatch):

@@ -8,10 +8,11 @@ import sepdisc.separability as separability
 from sepdisc.config import DEFAULT
 from sepdisc.constructions import FamilyParams, family_sep_not_locc
 from sepdisc.errors import DimensionMismatch, NotPsd, PhiProduct, PreconditionViolated
-from sepdisc.linalg import kron_all, partial_transpose
+from sepdisc.linalg import hermitian_eig, kron_all, partial_transpose, random_hermitian
 from sepdisc.sampling import (
     random_basis_of_complement,
     random_entangled_2x2,
+    random_local_vector,
     random_product_state,
     random_pure_state,
     random_unitary,
@@ -27,6 +28,7 @@ from sepdisc.separability import (
     lemma1_check,
     ppt_oracle,
     rank2_separability,
+    reassembly_residuals,
     separable_lambdas,
     try_product_decomposition,
 )
@@ -39,6 +41,7 @@ from sepdisc.states import (
     phi_plus,
     state_from_coeff_matrix,
 )
+from sepdisc.tensor_rank import ProductVector
 from tests.conftest import bell
 
 
@@ -73,6 +76,21 @@ class TestLemma1:
         rho = phi_plus().density()
         with pytest.raises(PreconditionViolated):
             lemma1_check(2.0 * np.eye(4), rho)
+
+    def test_rho_is_eigendecomposed_once(self, monkeypatch):
+        # E, rho and E - P: the support projector P comes from rho's one
+        # eigendecomposition
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(1)
+            return hermitian_eig(a, *args, **kwargs)
+
+        monkeypatch.setattr(separability, "hermitian_eig", counting)
+        rho = 0.5 * ket(QUBIT_PAIR, "00").density() + 0.5 * ket(QUBIT_PAIR, "01").density()
+        res = lemma1_check(ket(QUBIT_PAIR, "00").density() + ket(QUBIT_PAIR, "01").density(), rho)
+        assert res.status is Lemma1Status.HOLDS_BOTH_WAYS
+        assert len(calls) == 3
 
 
 class TestRank2:
@@ -396,3 +414,24 @@ class TestElementSeparability:
             assert verdict.evidence == ProductDecomposition((), ())
         # an empty decomposition is far from a nonzero target
         assert ProductDecomposition((), ()).residual(np.eye(4)) == 1.0
+
+
+def test_stacked_reassembly_matches_a_per_vector_sum():
+    # 100 product atoms on 3x3, unnormalized factors with a complex weight:
+    # the stacked kernel against the one-vector-at-a-time sum
+    rng = np.random.default_rng(11)
+    vectors = tuple(
+        ProductVector((rng.uniform(0.5, 2.0) * random_local_vector(rng, 3), random_local_vector(rng, 3)), complex(*rng.standard_normal(2)))
+        for _ in range(100)
+    )
+    dec = ProductDecomposition(tuple(rng.uniform(0.0, 1.0, 100)), vectors)
+    reference = sum(w * np.outer(pv.unit(), pv.unit().conj()) for w, pv in zip(dec.weights, dec.vectors))
+    targets = [reference, reference + 1e-6 * random_hermitian(rng, 9), np.eye(9)]
+    for target in targets:
+        want = np.linalg.norm(reference - target) / np.linalg.norm(target)
+        assert abs(dec.residual(target) - want) <= 1e-14
+    # several decompositions, an empty one among them, in one call
+    decs = [dec, ProductDecomposition((), ()), ProductDecomposition(dec.weights[:3], dec.vectors[:3])]
+    stacked = reassembly_residuals(decs, np.stack(targets))
+    assert np.allclose(stacked, [d.residual(t) for d, t in zip(decs, targets)], rtol=0.0, atol=1e-14)
+    assert stacked[1] == 1.0

@@ -84,3 +84,15 @@ def test_undecided_endings_round_trip_through_the_report(build, code):
     assert parsed["reason"] == {"code": reason.code, "message": reason.message, "data": reason.data}
     assert parsed["residuals"] == (verdict.diagnostics or None)
     assert json.dumps(parsed, indent=2) == report
+
+
+def test_ppt_records_round_trip_through_the_report():
+    # census 2x3, n = 2, s = 0: Dykstra's first check finds a point whose
+    # elements PPT certifies exactly on 2x3
+    report = json.loads(verdict_report(decide(census_cell((2, 3), 2, 0)), "{}"))
+    assert report["status"] == "distinguishable"
+    evidence = [element["evidence"] for element in report["elements"]]
+    assert len(evidence) == 2
+    for ev in evidence:
+        assert ev["kind"] == "ppt_record" and ev["exact"] is True and ev["cuts"] == [[0]]
+        assert ev["min_eigenvalue"] >= -1e-9
