@@ -27,7 +27,7 @@ from .errors import (
     TargetsOutOfRange,
     WrongForm,
 )
-from .linalg import kron_all, maxabs
+from .linalg import kron_all, maxabs, vector_norm
 from .states import (
     PureState,
     QUBIT_PAIR,
@@ -138,14 +138,11 @@ class TetraPoint:
 
     def __post_init__(self):
         xs = (self.x1, self.x2, self.x3)
-        if not in_tetrahedron(np.array(xs, dtype=float), slack=1e-12):
+        if not in_tetrahedron(xs, slack=1e-12):
             raise PointOutsideTetrahedron(
                 f"point {xs} is outside the concurrence tetrahedron: need every "
                 "x_k in [0,1], x1+x2+x3 >= 1 and x1+x2+x3 - 2 x_k <= 1"
             )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3], dtype=float)
 
 
 def _householder_with_first_column(u: np.ndarray) -> np.ndarray:
@@ -178,32 +175,35 @@ def tetra_unitary(point: TetraPoint) -> np.ndarray:
     the candidate and sign pattern (-,-,-) or (-,-,+) that best satisfy the
     unsquared condition are kept.
     """
-    xs = point.as_array()
-    order = np.argsort(-xs, kind="stable")
-    x = xs[order]
+    xs = (float(point.x1), float(point.x2), float(point.x3))
+    order = sorted(range(3), key=lambda k: -xs[k])
+    x = [xs[k] for k in order]
 
     if x[2] >= 1.0 - 1e-12:
         return np.eye(3, dtype=complex)
 
-    x1, x2, x3 = x * x
+    x1, x2, x3 = (v * v for v in x)
     k = 1.0 + x3 - x1 - x2
     m = 4.0 * (x1 * x2 - x3) - k * k
     den = 8.0 * k * (m + 2.0 * k * (1.0 + x3))
     c_star = (16.0 * k * k * x3 - m * m) / den if den != 0.0 else math.nan
-    cands = np.array([0.0, c_star] if 0.0 <= c_star <= x3 else [0.0])
-    sin_t = np.sqrt(1.0 - cands)
-    signs = np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, 1.0]])
-    # s[candidate, pattern, k] = sign_k s_k
-    s = signs * np.sqrt(x * x - cands[:, None])[:, None, :]
-    miss = np.abs(sin_t[:, None] + s.sum(axis=-1))
-    i, j = np.unravel_index(np.argmin(miss), miss.shape)
+    best = None
+    for c in [0.0, c_star] if 0.0 <= c_star <= x3 else [0.0]:
+        sin_t = math.sqrt(1.0 - c)
+        root = [math.sqrt(d) if (d := v * v - c) >= 0.0 else math.nan for v in x]
+        for s in ([-root[0], -root[1], -root[2]], [-root[0], -root[1], root[2]]):
+            miss = abs(sin_t + (s[0] + s[1] + s[2]))
+            # as np.argmin over (candidate, pattern): the first least miss, or the first nan
+            if best is None or best[0] == best[0] and not miss >= best[0]:
+                best = (miss, c, sin_t, s)
+    _, c, sin_t, s = best
     # a coordinate up to the slack above 1 makes s_k exceed sin t
-    col = np.sqrt(np.clip((sin_t[i] + s[i, j]) / (2.0 * sin_t[i]), 0.0, 1.0))
-    col = col / np.linalg.norm(col)
+    col = np.array([math.sqrt(min(max((sin_t + v) / (2.0 * sin_t), 0.0), 1.0)) for v in s])
+    col = col / vector_norm(col)
 
-    phase = np.exp(1j * math.acos(math.sqrt(cands[i])))
+    phase = np.exp(1j * math.acos(math.sqrt(c)))
     u_out = np.empty((3, 3), dtype=complex)
-    u_out[order] = _householder_with_first_column(col) @ np.diag([1.0, phase, phase])
+    u_out[order] = _householder_with_first_column(col) * np.array([1.0, phase, phase])
 
     defect = maxabs(u_out.conj().T @ u_out - np.eye(3))
     error = np.max(np.abs(concurrence_triple_of_unitary(u_out) - xs))
@@ -221,25 +221,19 @@ def basis_from_unitary(u: np.ndarray) -> list[PureState]:
     u = np.asarray(u, dtype=complex)
     if u.shape != (3, 3) or maxabs(u.conj().T @ u - np.eye(3)) > 1e-9:
         raise NotUnitary("expected a 3x3 unitary matrix")
-    out = []
-    for k in range(3):
-        vec = sum(u[k, l] * _MAGIC_VECTORS[l] for l in range(3))
-        out.append(PureState.normalized(QUBIT_PAIR, vec))
-    return out
+    # a sum that starts from 0 writes every zero amplitude as +0.0, never -0.0
+    rows = 0 + u[:, 0:1] * _MAGIC_VECTORS[0] + u[:, 1:2] * _MAGIC_VECTORS[1] + u[:, 2:3] * _MAGIC_VECTORS[2]
+    return [PureState.normalized(QUBIT_PAIR, vec) for vec in rows]
 
 
 def concurrence_triple_of_unitary(u: np.ndarray) -> np.ndarray:
     return np.abs(np.sum(np.asarray(u, dtype=complex) ** 2, axis=1))
 
 
-def in_tetrahedron(x: np.ndarray, slack: float = 1e-9) -> bool:
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -slack) or np.any(x > 1 + slack):
-        return False
-    s = float(x.sum())
-    if s < 1 - slack:
-        return False
-    return all(s - 2 * x[i] <= 1 + slack for i in range(3))
+def in_tetrahedron(x, slack: float = 1e-9) -> bool:
+    xs = [float(v) for v in x]
+    s = xs[0] + xs[1] + xs[2]
+    return s >= 1 - slack and all(-slack <= v <= 1 + slack and s - 2 * v <= 1 + slack for v in xs)
 
 
 def tetra_grid(step: float):
@@ -249,7 +243,7 @@ def tetra_grid(step: float):
     for x1 in ticks:
         for x2 in ticks:
             for x3 in ticks:
-                if in_tetrahedron(np.array([x1, x2, x3]), slack=1e-9):
+                if in_tetrahedron((x1, x2, x3), slack=1e-9):
                     yield float(x1), float(x2), float(x3)
 
 

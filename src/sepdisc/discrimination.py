@@ -33,6 +33,7 @@ from .errors import NotHermitian, PhiProduct, PreconditionViolated
 from .linalg import check_hermitian, maxabs, min_eigenvalues, partial_transpose
 from .separability import (
     _EIGENVALUE_FLOOR,
+    REASSEMBLY_BOUND,
     DualCertificate,
     ProductDecomposition,
     PptRecord,
@@ -95,7 +96,7 @@ def _check_evidence(elements: np.ndarray, evidence, space: StateSpace):
     which a product decomposition is with finite, nonnegative weights (every
     Hermitian matrix is a signed sum of product projectors) and a PPT record
     with tr E > 0 on 2x2 or 2x3; and whether it passes: exact, with a
-    residual of at most 1e-8 and a PT minimum of at least the floor."""
+    residual of at most REASSEMBLY_BOUND and a PT minimum of at least the floor."""
     n = len(elements)
     residual, pt_min, exact = np.zeros(n), np.full(n, np.nan), np.zeros(n, dtype=bool)
     dec = [k for k, ev in enumerate(evidence) if isinstance(ev, ProductDecomposition)]
@@ -109,7 +110,7 @@ def _check_evidence(elements: np.ndarray, evidence, space: StateSpace):
         pts = [min_eigenvalues(partial_transpose(elements[rec], space.dims, cut)) for cut in space.cuts]
         pt_min[rec] = np.min(pts, axis=0) / tr[rec]
         exact[rec] = ppt_is_exact(space)
-    return residual, pt_min, exact, exact & (residual <= 1e-8) & ~(pt_min < _EIGENVALUE_FLOOR)
+    return residual, pt_min, exact, exact & (residual <= REASSEMBLY_BOUND) & ~(pt_min < _EIGENVALUE_FLOOR)
 
 
 def validate_certificate(
@@ -188,15 +189,18 @@ def _distinguishable(
     verdict, on the instance's space.  It runs the validator's evidence check
     (:func:`_check_evidence`), and when an element fails it the verdict is
     undecided, naming the first such member (and its lambda, if any);
-    completeness, statistics and PSD are left to the validator."""
+    completeness, statistics and PSD are left to the validator.  Each PPT
+    record is replaced by the one the check measured."""
     diagnostics = diagnostics or {}
-    failed = np.flatnonzero(~_check_evidence(np.stack(elements), evidence, space)[-1])
+    _, pt_min, exact, passed = _check_evidence(np.stack(elements), evidence, space)
+    failed = np.flatnonzero(~passed)
     if failed.size:
         k = int(failed[0])
         message = f"a POVM was found but certificate element {k} failed its separability check"
         data = {"member": k} if lambdas is None else {"member": k, "lambda": lambdas[k]}
         reason = Reason("internal_inconsistency", message, data)
         return Verdict(VerdictStatus.UNDECIDED, theorem, reason=reason, locc_flag=locc_flag, diagnostics=diagnostics)
+    evidence = [PptRecord(float(pt_min[k]), bool(exact[k]), space.cuts) if isinstance(ev, PptRecord) else ev for k, ev in enumerate(evidence)]
     cert = PovmCertificate(tuple(elements), tuple(evidence), None if lambdas is None else tuple(lambdas))
     return Verdict(VerdictStatus.DISTINGUISHABLE, theorem, cert, locc_flag=locc_flag, diagnostics=diagnostics)
 

@@ -34,6 +34,13 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def vector_norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float or complex array, bit for bit: its own
+    formula, sqrt(re.re + im.im) over x raveled in memory order."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def maxabs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
 

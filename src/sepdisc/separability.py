@@ -43,6 +43,10 @@ class ProductDecomposition:
         return float(reassembly_residuals([self], np.asarray(target)[None])[0])
 
 
+# largest reassembly residual of a product decomposition that proves its element
+REASSEMBLY_BOUND = 1e-8
+
+
 def reassembly_residuals(decompositions, targets: np.ndarray) -> np.ndarray:
     """||sum_i w_i |p_i><p_i| - E|| / ||E||, Frobenius, of each decomposition
     against its element E of the (n, D, D) stack ``targets``: every product
@@ -148,7 +152,7 @@ def rank2_separability(psi: PureState, phi: PureState, lam: float, tol: Toleranc
     states, the one-member case of :func:`separable_lambdas`: at every lam
     when both states are product, and otherwise only within 1e-12 + 1e-9
     (lam + lambda*) of psi's lambda* (0 for a product psi), when the kernel's
-    decomposition at lambda* reassembles the target within 1e-8."""
+    decomposition at lambda* reassembles the target within REASSEMBLY_BOUND."""
     if psi.space != phi.space:
         raise DimensionMismatch("states live on different spaces")
     if not 0.0 <= lam < np.inf:
@@ -167,7 +171,7 @@ def rank2_separability(psi: PureState, phi: PureState, lam: float, tol: Toleranc
     if star is not None and abs(lam - star) <= 1e-12 + 1e-9 * (lam + star):
         case = Rank2Case.TWO_TERM if psi.product is None else Rank2Case.PSI_PRODUCT_LAMBDA_ZERO
         result = separable(decomposition(0), case)
-        if result.verdict.detail["residual"] <= 1e-8:
+        if result.verdict.detail["residual"] <= REASSEMBLY_BOUND:
             return result
     detail = {"reason": "no separable decomposition at this lambda", "lambda_star": star}
     return Rank2Result(SeparabilityVerdict(SepStatus.ENTANGLED, detail=detail), Rank2Case.ENTANGLED)
@@ -342,7 +346,7 @@ def try_product_decomposition(op: np.ndarray, space: StateSpace, tol: Tolerances
                 resid = resid - np.outer(vec, vec.conj() @ resid)
         i = j + 1
     dec = ProductDecomposition(tuple(weights), tuple(vectors))
-    if dec.residual(op) > 1e-8:
+    if dec.residual(op) > REASSEMBLY_BOUND:
         return None
     return dec
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .discrimination import PovmCertificate, Verdict
 from .errors import StateFileError
+from .linalg import vector_norm
 from .separability import DualCertificate, ProductDecomposition, PptRecord
 from .states import PureState, StateSpace
 
@@ -98,7 +99,7 @@ def parse_statefile(text: str) -> StateFileData:
             raise StateFileError(
                 f"{where}: amplitude vector has length {vec.shape[0]}; expected {space.dim}"
             )
-        norm = float(np.linalg.norm(vec))
+        norm = vector_norm(vec)
         if abs(norm - 1.0) > 1e-8:
             raise StateFileError(f"{where}: norm {norm:.10f} deviates from 1 by more than 1e-8")
         if abs(norm - 1.0) > 1e-10:
@@ -203,28 +204,36 @@ def _pairs_layout(n: int, level: int) -> str:
     return "[" + ",".join([f"{pad}  [{pad}    %r,{pad}    %r{pad}  ]"] * n) + pad + "]"
 
 
+# _dump's branch per exact type (None: json.dumps); a subclass takes its base's, an int subclass json.dumps
+_BRANCH = {str: str, float: float, int: int, list: list, tuple: list, dict: dict, np.ndarray: np.ndarray, bool: None, type(None): None}
+
+
 def _dump(obj, level: int = 0) -> str:
     """What ``json.dumps`` writes with an indent of 2, byte for byte, a complex
     ndarray standing for its (rows of) [re, im] pairs; where json's indent
     encoder formats each float in Python, a finite vector is one ``%``
     against a cached layout."""
-    if isinstance(obj, str):
+    cls = type(obj)
+    kind = _BRANCH[cls] if cls in _BRANCH else next((b for t, b in _BRANCH.items() if t is not int and isinstance(obj, t)), None)
+    if kind is str:
         return _quote(obj)
-    if isinstance(obj, float) and math.isfinite(obj):
+    if kind is float and math.isfinite(obj):
         return float.__repr__(obj)
-    if isinstance(obj, np.ndarray):
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is np.ndarray:
         if obj.ndim == 1 and len(obj):
             flat = np.ascontiguousarray(obj, dtype=complex).view(float).tolist()
             text = _pairs_layout(len(obj), level) % tuple(flat)
             if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
                 return text
             obj = [flat[i : i + 2] for i in range(0, len(flat), 2)]
-        obj = list(obj)
-    if isinstance(obj, dict):
+        obj, kind = list(obj), list
+    if kind is dict:
         opening, closing, items = "{", "}", [f"{_quote(k)}: {_dump(v, level + 1)}" for k, v in obj.items()]
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list:
         opening, closing, items = "[", "]", [_dump(v, level + 1) for v in obj]
-    else:  # null, true, false, an int, NaN or +-Infinity; TypeError for anything else
+    else:  # null, true, false, an int subclass, NaN or +-Infinity; TypeError for anything else
         return json.dumps(obj)
     pad = "\n" + "  " * (level + 1)
     return opening + pad + ("," + pad).join(items) + pad[:-2] + closing if items else opening + closing

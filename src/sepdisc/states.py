@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInstance, WrongSpace
-from .linalg import check_hermitian, dag, maxabs
+from .linalg import check_hermitian, dag, maxabs, vector_norm
 
 
 @dataclass(frozen=True)
@@ -60,19 +60,17 @@ class PureState:
             raise DimensionMismatch(
                 f"amplitude vector of length {vec.shape} does not match D={self.space.dim}"
             )
-        if not np.all(np.isfinite(vec.view(float))):
+        if not np.isfinite(vec).all():
             raise DimensionMismatch("amplitudes must be finite")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-            raise DimensionMismatch(
-                f"state norm {np.linalg.norm(vec):.12f} is not 1 within 1e-10"
-            )
+        if abs((norm := vector_norm(vec)) - 1.0) > 1e-10:
+            raise DimensionMismatch(f"state norm {norm:.12f} is not 1 within 1e-10")
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
 
     @classmethod
     def normalized(cls, space: StateSpace, vec) -> "PureState":
         vec = np.asarray(vec, dtype=complex)
-        n = np.linalg.norm(vec)
+        n = vector_norm(vec)
         if n == 0:
             raise DimensionMismatch("cannot normalize the zero vector")
         return cls(space, vec / n)

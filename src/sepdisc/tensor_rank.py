@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NotIndependent
-from .linalg import kron_all
+from .linalg import kron_all, vector_norm
 from .states import PureState
 
 
@@ -48,7 +48,7 @@ class ProductVector:
         for f in factors:
             f.setflags(write=False)
         weight = complex(self.weight)
-        norms = [np.linalg.norm(f) for f in factors] + [abs(weight)]
+        norms = [vector_norm(f) for f in factors] + [abs(weight)]
         if not all(0 < n < np.inf for n in norms):
             raise DimensionMismatch("product vectors cannot have a zero or non-finite factor or weight")
         object.__setattr__(self, "factors", factors)
@@ -72,7 +72,7 @@ class ProductVector:
         w = complex(self.weight)
         outs = []
         for f in self.factors:
-            n = np.linalg.norm(f)
+            n = vector_norm(f)
             f = f / n
             j = int(np.argmax(np.abs(f)))
             ph = f[j] / abs(f[j])

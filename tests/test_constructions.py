@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from sepdisc.constructions import (
     locc_basis_sch2,
     sample_unitary_triples,
     subspace_spec_from_pair,
+    tetra_grid,
     tetra_unitary,
     verify_subspace_properties,
 )
@@ -187,6 +189,104 @@ class TestTetra:
             achieved = concurrence_triple_of_unitary(u)
             assert np.max(np.abs(achieved - np.array(pt))) <= 1e-11, pt
             assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-11, pt
+
+
+def _reference_tetra_unitary(xs):
+    """tetra_unitary's closed form in its earlier array form: the candidate
+    and sign-pattern search on numpy arrays, np.linalg.norm, and U built as
+    H @ diag(1, e^{it}, e^{it}).  Without the final check."""
+    xs = np.array(xs, dtype=float)
+    order = np.argsort(-xs, kind="stable")
+    x = xs[order]
+    if x[2] >= 1.0 - 1e-12:
+        return np.eye(3, dtype=complex)
+    x1, x2, x3 = x * x
+    k = 1.0 + x3 - x1 - x2
+    m = 4.0 * (x1 * x2 - x3) - k * k
+    den = 8.0 * k * (m + 2.0 * k * (1.0 + x3))
+    c_star = (16.0 * k * k * x3 - m * m) / den if den != 0.0 else math.nan
+    cands = np.array([0.0, c_star] if 0.0 <= c_star <= x3 else [0.0])
+    sin_t = np.sqrt(1.0 - cands)
+    signs = np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, 1.0]])
+    s = signs * np.sqrt(x * x - cands[:, None])[:, None, :]
+    miss = np.abs(sin_t[:, None] + s.sum(axis=-1))
+    i, j = np.unravel_index(np.argmin(miss), miss.shape)
+    col = np.sqrt(np.clip((sin_t[i] + s[i, j]) / (2.0 * sin_t[i]), 0.0, 1.0))
+    col = col / np.linalg.norm(col)
+    w = col.copy()
+    w[0] += 1.0
+    h = np.eye(3) - 2.0 * np.outer(w, w) / float(w @ w)
+    h[:, 0] = -h[:, 0]
+    phase = np.exp(1j * math.acos(math.sqrt(cands[i])))
+    u = np.empty((3, 3), dtype=complex)
+    u[order] = h @ np.diag([1.0, phase, phase])
+    return u
+
+
+def _reference_basis_from_unitary(u):
+    """basis_from_unitary's rotation in its earlier form, one row at a time
+    with Python's sum and np.linalg.norm."""
+    magic = [m.amplitudes for m in magic_basis()[:3]]
+    rows = [sum(u[k, l] * magic[l] for l in range(3)) for k in range(3)]
+    return [row / np.linalg.norm(row) for row in rows]
+
+
+def _bit_identity_points():
+    """The 0.05 grid, 2,000 uniform points of the faces and 2,000 of the
+    interior, and the CI points: the edge x1 = 0, the K = 0 line and the
+    corner (1, 1, 1)."""
+    vertices = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
+    rng = np.random.default_rng(31)
+    grid = list(tetra_grid(0.05))
+    assert len(grid) == 3101
+    faces = [np.delete(vertices, k, axis=0) for k in rng.integers(0, 4, 2000)]
+    face = [w @ f for w, f in zip(rng.dirichlet(np.ones(3), 2000), faces)]
+    interior = list(rng.dirichlet(np.ones(4), 2000) @ vertices)
+    ci = [(0.5, 0.25, 0.25), (0.0, 0.3, 0.7), (0.2, 0.2, 0.9), (1.0, 0.5, 0.5), (1.0, 1.0, 1.0)]
+    ci += [(0.0, t, 1.0 - t) for t in np.linspace(0.0, 1.0, 21)] + [(1.0, t, t) for t in np.linspace(0.0, 1.0, 21)]
+    return [tuple(map(float, pt)) for pt in grid + face + interior + ci]
+
+
+def test_closed_form_is_bitwise_the_array_form():
+    for pt in _bit_identity_points():
+        u = tetra_unitary(TetraPoint(*pt))
+        assert u.tobytes() == _reference_tetra_unitary(pt).tobytes(), pt
+        got = [s.amplitudes.tobytes() for s in basis_from_unitary(u)]
+        assert got == [v.tobytes() for v in _reference_basis_from_unitary(u)], pt
+
+
+def test_basis_rotation_is_bitwise_the_row_sums(rng):
+    # Haar unitaries, and signed permutations, whose zero products are
+    # written as +0.0 by the sum from 0
+    us = [random_unitary(rng, 3) for _ in range(200)]
+    us += [np.diag(signs) @ np.eye(3)[list(p)] for p in itertools.permutations(range(3)) for signs in itertools.product([1, -1, 1j], repeat=3)]
+    for u in us:
+        got = [s.amplitudes.tobytes() for s in basis_from_unitary(u)]
+        assert got == [v.tobytes() for v in _reference_basis_from_unitary(np.asarray(u, dtype=complex))]
+
+
+def _unchecked_point(x1, x2, x3) -> TetraPoint:
+    point = object.__new__(TetraPoint)
+    for name, value in zip(("x1", "x2", "x3"), (x1, x2, x3)):
+        object.__setattr__(point, name, value)
+    return point
+
+
+@pytest.mark.parametrize("xs", [(0.2, 0.2, 0.2), (1.0, 1.0, 0.5), (0.1, 0.0, 0.0), (1.5, 0.0, 0.5)])
+def test_a_point_outside_fails_the_construction_check(xs):
+    # the TetraPoint check and the unitary's own round-trip check both hold
+    with pytest.raises(PointOutsideTetrahedron):
+        TetraPoint(*xs)
+    with pytest.raises(PointOutsideTetrahedron, match="construction failed numerically"):
+        tetra_unitary(_unchecked_point(*xs))
+
+
+def test_not_unitary_where_it_was():
+    with pytest.raises(NotUnitary):
+        basis_from_unitary(np.eye(2))
+    with pytest.raises(NotUnitary):
+        basis_from_unitary(np.eye(3) * (1.0 + 1e-9))
+    basis_from_unitary(np.eye(3) * (1.0 + 1e-10))
 
 
 class TestBasisFromUnitary:

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from dataclasses import replace
@@ -766,6 +767,19 @@ def test_ppt_record_outside_2x2_and_2x3_is_rejected():
     assert check["ppt_min"] >= 0.0
     assert not check["evidence_exact"]
     assert not check["valid"]
+
+
+def test_ppt_records_report_what_the_check_measured():
+    # a record claiming a minimum of 5.0 over no cut is replaced by the one
+    # the evidence check measured: 0.0 over the one cut of 2x2
+    from sepdisc.statefile import verdict_report
+
+    elements = [ket(QUBIT_PAIR, f"{i}{j}").density() for i in range(2) for j in range(2)]
+    v = _distinguishable(QUBIT_PAIR, elements, [PptRecord(5.0, True, ())] * 4)
+    assert v.status is VerdictStatus.DISTINGUISHABLE
+    assert v.certificate.evidence == (PptRecord(0.0, True, ((0,),)),) * 4
+    evidence = [e["evidence"] for e in json.loads(verdict_report(v, "{}"))["elements"]]
+    assert evidence == [{"kind": "ppt_record", "min_eigenvalue": 0.0, "exact": True, "cuts": [[0]]}] * 4
 
 
 def test_certificate_counts_must_match_the_members():

@@ -11,6 +11,7 @@ from sepdisc.linalg import (
     partial_transpose,
     psd_project,
     random_hermitian,
+    vector_norm,
 )
 from sepdisc.states import phi_plus
 
@@ -50,6 +51,18 @@ def test_kron_all_of_vectors_is_bitwise_np_kron(dims):
     # real factors keep their dtype
     real = [rng.standard_normal(d) for d in dims]
     assert kron_all(real).tobytes() == _kron_fold(real).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 28))
+def test_vector_norm_is_bitwise_np_linalg_norm(n):
+    # contiguous, strided and reversed views, real and complex, over scales
+    # 1e-150 to 1e150
+    rng = np.random.default_rng(n)
+    for scale in 10.0 ** np.arange(-150, 151, 30):
+        big = _complex(rng, 3 * n) * scale
+        for v in (big[:n], big[::3], big[n - 1 :: -1], big.reshape(3, n)[:, 0]):
+            for x in (v, v.real, np.ascontiguousarray(v.real)):
+                assert vector_norm(x) == np.linalg.norm(x), (n, scale)
 
 
 def test_kron_all_of_matrices_matches_np_kron():

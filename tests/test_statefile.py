@@ -1,5 +1,7 @@
 """The state-file and report writer against its reference, json.dumps(indent=2)."""
 
+import enum
+import hashlib
 import json
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sepdisc.discrimination import decide
-from sepdisc.statefile import _dump, verdict_report
+from sepdisc.statefile import _dump, input_digest, verdict_report
 from tests.conftest import census_cell, upb_tiles, upb_with_complement
 
 SCALARS = (
@@ -23,9 +25,36 @@ SCALARS = (
     | st.sampled_from(["", "\x00\x1f\x7f\"\\/", "\t\n\r\b\f", "é✓ \U0001f600", "\ud800"])
 )
 KEYS = st.text() | st.sampled_from(["", "\x00", "ключ", "\U0001f600"])
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class Text(str):
+    pass
+
+
+class Mapping(dict):
+    pass
+
+
+# the writer dispatches on the exact type: subclasses of its types, numpy
+# scalars and tuples must be written as json.dumps writes them
+SUBCLASSED = (
+    st.floats().map(np.float64)
+    | st.sampled_from(list(Level))
+    | st.text().map(Text)
+)
 DOCS = st.recursive(
-    SCALARS,
-    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(KEYS, kids, max_size=4),
+    SCALARS | SUBCLASSED,
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(KEYS, kids, max_size=4)
+        | st.dictionaries(KEYS, kids, max_size=4).map(Mapping)
+    ),
     max_leaves=30,
 )
 
@@ -55,6 +84,14 @@ def complex_arrays(draw):
 @given(DOCS)
 def test_writer_matches_json_dumps_indent_2(doc):
     assert _dump(doc) == json.dumps(doc, indent=2)
+
+
+def test_input_digest_ignores_key_order_and_whitespace():
+    # sha256 of the input re-encoded with sorted keys and (",", ":") separators
+    a = '{"version": "1", "dims": [2, 2], "states": [{"name": "s", "amplitudes": [[1, 0]]}]}'
+    b = '{\n  "states" : [ {"amplitudes":[[1,0]],"name":"s"} ],\t"dims":[2,2], "version":"1"}'
+    canonical = '{"dims":[2,2],"states":[{"amplitudes":[[1,0]],"name":"s"}],"version":"1"}'
+    assert input_digest(a) == input_digest(b) == "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @settings(max_examples=200, deadline=None)
