@@ -49,16 +49,15 @@ from .separability import (
 from .discrimination import (
     LoccFlag,
     PovmCertificate,
-    SubspaceKind,
     Verdict,
     VerdictStatus,
     decide,
-    subspace_verdict,
     validate_certificate,
 )
 from .constructions import (
     FamilyParams,
     SubspaceFamily,
+    SubspaceKind,
     SubspaceSpec,
     TetraPoint,
     basis_for_targets,
@@ -66,6 +65,7 @@ from .constructions import (
     family_sep_not_locc,
     indistinguishable_subspace,
     locc_basis_sch2,
+    subspace_verdict,
     tetra_unitary,
     verify_subspace_properties,
 )

@@ -37,7 +37,6 @@ from .statefile import (
     parse_statefile,
     serialize_statefile,
     verdict_report,
-    warn,
 )
 from .verify import SUITES, tetra_walk
 
@@ -121,7 +120,7 @@ def cmd_decide(args, tol) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     for w in data.warnings:
-        warn(w)
+        print(f"warning: {w}", file=sys.stderr)
     try:
         instance = DiscriminationInstance.from_pure(
             data.space,
@@ -165,7 +164,7 @@ def cmd_construct(args, tol) -> int:
         elif args.what == "locc-basis":
             data = parse_statefile(_read_text(args.file))
             for w in data.warnings:
-                warn(w)
+                print(f"warning: {w}", file=sys.stderr)
             if data.phi is not None:
                 phi = data.phi[1]
             elif len(data.states) == 1:

@@ -1,10 +1,11 @@
-"""Central tolerance record.
+"""The tolerance record, :class:`Tolerances`, and its ``SEPDISC_TOL`` override.
 
-Every decider, oracle and solver in the package compares against the same
-epsilon story, collected here.  Instances are immutable; pass a modified
-copy (``dataclasses.replace``) to tighten or loosen individual knobs.  The
-record holds thresholds only: the Dykstra solver's iteration cap is not a
-tolerance and is set through ``decide(..., max_iterations=...)``.
+It holds the thresholds a caller may tune, which every decider, oracle and
+solver takes as ``tol``; fixed bounds live beside the code that reads them,
+as named constants (``states.ORTHONORMAL_BOUND``) or, so far, literals.
+Instances are immutable; pass a modified copy (``dataclasses.replace``) to
+tighten or loosen individual knobs.  The Dykstra solver's iteration cap is
+not a tolerance and is set through ``decide(..., max_iterations=...)``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@
   triple over the magic basis,
 * the dimension-7 (two qutrits) and dimension-6 (three qubits)
   indistinguishable subspaces with their structural verifiers,
-* the LOCC-distinguishable basis for orthocomplements of two-term states.
+* the orthocomplement trichotomy, with the LOCC basis of two-term states.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     NotUnitary,
     ParamsOutOfRange,
+    PhiProduct,
     PointOutsideTetrahedron,
     TargetsOutOfRange,
     WrongForm,
@@ -343,6 +344,34 @@ def verify_subspace_properties(spec: SubspaceSpec, tol: Tolerances = DEFAULT) ->
     return SubspaceReport(p0=p0, p1=p1, p2=p2)
 
 
+class SubspaceKind(Enum):
+    NO_DISTINGUISHABLE_BASIS = "no_distinguishable_basis"
+    HAS_LOCC_BASIS = "has_locc_basis"
+    UNDECIDED = "undecided"
+
+
+@dataclass(frozen=True)
+class SubspaceVerdict:
+    kind: SubspaceKind
+    basis: tuple[PureState, ...] | None = None
+    classification: object = None
+
+
+def subspace_verdict(phi: PureState, tol: Tolerances = DEFAULT) -> SubspaceVerdict:
+    """Trichotomy for the orthocomplement of an entangled state: either no
+    basis is distinguishable by separable operations, or an explicitly
+    LOCC-distinguishable basis exists."""
+    cls = schmidt2_classify(phi.amplitudes[None], phi.space.dims, tol, [phi.product])[0]
+    if cls.kind is Schmidt2Kind.PRODUCT:
+        raise PhiProduct("subspace question requires an entangled state")
+    if cls.kind is Schmidt2Kind.AT_LEAST_3:
+        return SubspaceVerdict(kind=SubspaceKind.NO_DISTINGUISHABLE_BASIS, classification=cls)
+    if cls.kind is Schmidt2Kind.SCHMIDT2:
+        basis = tuple(_locc_basis(phi, cls.decomposition))
+        return SubspaceVerdict(kind=SubspaceKind.HAS_LOCC_BASIS, basis=basis, classification=cls)
+    return SubspaceVerdict(kind=SubspaceKind.UNDECIDED, classification=cls)
+
+
 def locc_basis_sch2(phi: PureState, tol: Tolerances = DEFAULT) -> list[PureState]:
     """Basis of {phi}^perp distinguishable by local projective measurements,
     for phi = cos(t) a + sin(t) b with a, b orthogonal products: the unique
@@ -383,14 +412,3 @@ def _locc_basis(phi: PureState, dec: Schmidt2Decomposition) -> list[PureState]:
         ]
         basis.extend(sector[1:] if anchors is not None else sector)
     return basis
-
-
-def sample_unitary_triples(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Concurrence triples of Haar-random 3x3 unitaries, for empirical checks
-    of the tetrahedron membership conjecture."""
-    from .sampling import random_unitary
-
-    out = np.empty((n, 3))
-    for i in range(n):
-        out[i] = concurrence_triple_of_unitary(random_unitary(rng, 3))
-    return out

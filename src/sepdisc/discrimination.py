@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import NotHermitian, PhiProduct, PreconditionViolated
+from .errors import NotHermitian, PreconditionViolated
 from .linalg import check_hermitian, maxabs, min_eigenvalues, partial_transpose
 from .separability import (
     _EIGENVALUE_FLOOR,
@@ -143,7 +143,7 @@ def validate_certificate(
             key, ok = "finite", all(np.isfinite(el).all() for el in cert.elements)
         if ok:
             key = "hermitian"
-            check_hermitian(np.stack(cert.elements), tol)
+            check_hermitian(elements := np.stack(cert.elements), tol)
             key, lam = "lambdas_ok", cert.lambdas
             ok = lam is None or (np.asarray(lam).dtype.kind in "fiu" and np.shape(lam) == (n,))
     except (AttributeError, TypeError, ValueError, NotHermitian):
@@ -151,7 +151,7 @@ def validate_certificate(
     if not ok:
         return {key: False, "valid": False}
     counts_ok = len(cert.evidence) == n
-    elements, projectors = np.stack(cert.elements), np.stack(instance.projector_list())
+    projectors = instance.projectors
     completeness = maxabs(elements.sum(axis=0) - np.eye(d))
     psd_min = float(min_eigenvalues(elements).min())
     # E_k must act as the identity on the support of P_j for k == j and
@@ -205,36 +205,6 @@ def _distinguishable(
     return Verdict(VerdictStatus.DISTINGUISHABLE, theorem, cert, locc_flag=locc_flag, diagnostics=diagnostics)
 
 
-class SubspaceKind(Enum):
-    NO_DISTINGUISHABLE_BASIS = "no_distinguishable_basis"
-    HAS_LOCC_BASIS = "has_locc_basis"
-    UNDECIDED = "undecided"
-
-
-@dataclass(frozen=True)
-class SubspaceVerdict:
-    kind: SubspaceKind
-    basis: tuple[PureState, ...] | None = None
-    classification: object = None
-
-
-def subspace_verdict(phi: PureState, tol: Tolerances = DEFAULT) -> SubspaceVerdict:
-    """Trichotomy for the orthocomplement of an entangled state: either no
-    basis is distinguishable by separable operations, or an explicitly
-    LOCC-distinguishable basis exists."""
-    cls = schmidt2_classify(phi.amplitudes[None], phi.space.dims, tol, [phi.product])[0]
-    if cls.kind is Schmidt2Kind.PRODUCT:
-        raise PhiProduct("subspace question requires an entangled state")
-    if cls.kind is Schmidt2Kind.AT_LEAST_3:
-        return SubspaceVerdict(kind=SubspaceKind.NO_DISTINGUISHABLE_BASIS, classification=cls)
-    if cls.kind is Schmidt2Kind.SCHMIDT2:
-        from .constructions import _locc_basis
-
-        basis = tuple(_locc_basis(phi, cls.decomposition))
-        return SubspaceVerdict(kind=SubspaceKind.HAS_LOCC_BASIS, basis=basis, classification=cls)
-    return SubspaceVerdict(kind=SubspaceKind.UNDECIDED, classification=cls)
-
-
 def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances, phi: PureState | None) -> Verdict | None:
     """Theorem 1 with the simplest POVM: the whole residual P0 = I - sum_k P_k
     goes to one member, E_k = P_k + P0 and E_j = P_j otherwise, and every
@@ -268,12 +238,11 @@ def _allocate_residual(instance: DiscriminationInstance, tol: Tolerances, phi: P
             return None
         else:
             per_element.append(None)
-    projectors = instance.projector_list()
+    projectors, n = instance.projectors, instance.n
     if forced:
         return _distinguishable(space, projectors, per_element)
-    p0 = instance.residual_projector()
+    p0 = instance.residual_projector
     p0_evidence = element_separability(p0 if phi is None else phi, space, tol).evidence
-    n = len(projectors)
     for k in range(n):
         if any(per_element[j] is None for j in range(n) if j != k):
             continue
@@ -324,7 +293,7 @@ def _decide_feasibility(
         reason = Reason("ppt_dual", message, {})
         return Verdict(VerdictStatus.INDISTINGUISHABLE, "PPT-dual", outcome.dual, reason, diagnostics=diag)
     if outcome.feasible:
-        elements = [p + e for p, e in zip(instance.projector_list(), outcome.e_ops)]
+        elements = instance.projectors + outcome.e_ops
         evidence = []
         for el in elements:
             # a solver point inside the feasibility tolerance can still dip

@@ -8,7 +8,6 @@ Functions accept stacked operands (leading batch axes) where noted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +29,6 @@ def dag(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
 def vector_norm(x: np.ndarray) -> float:
     """``np.linalg.norm(x)`` of a float or complex array, bit for bit: its own
     formula, sqrt(re.re + im.im) over x raveled in memory order."""
@@ -43,14 +38,6 @@ def vector_norm(x: np.ndarray) -> float:
 
 def maxabs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigenvalues (real, ascending) and orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def check_hermitian(a: np.ndarray, tol: Tolerances = DEFAULT) -> None:
@@ -63,8 +50,9 @@ def check_hermitian(a: np.ndarray, tol: Tolerances = DEFAULT) -> None:
         raise NotHermitian(f"asymmetry {defect.flat[j]:.3e} exceeds {tol.hermiticity:.1e}*{scale.flat[j]:.3e}")
 
 
-def hermitian_eig(a: np.ndarray, tol: Tolerances = DEFAULT) -> EigenResult:
-    """Full eigendecomposition of a Hermitian matrix.
+def hermitian_eig(a: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of a Hermitian matrix, as ``np.linalg.eigh``
+    returns it: real ascending eigenvalues and orthonormal eigenvector columns.
 
     The input is symmetrized internally; an asymmetry beyond the
     ``hermiticity`` tolerance (relative to the matrix scale) is rejected.
@@ -73,8 +61,7 @@ def hermitian_eig(a: np.ndarray, tol: Tolerances = DEFAULT) -> EigenResult:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     check_hermitian(a, tol)
-    w, v = np.linalg.eigh((a + dag(a)) / 2.0)
-    return EigenResult(values=w, vectors=v)
+    return np.linalg.eigh((a + dag(a)) / 2.0)
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:

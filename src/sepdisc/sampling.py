@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import PureState, StateSpace, orthonormal_completion
+from .constructions import concurrence_triple_of_unitary
+from .linalg import kron_all
+from .states import QUBIT_PAIR, PureState, StateSpace, concurrence, orthonormal_completion
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -26,15 +28,11 @@ def random_local_vector(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def random_product_state(rng: np.random.Generator, space: StateSpace) -> PureState:
-    from .linalg import kron_all
-
     factors = [random_local_vector(rng, d) for d in space.dims]
     return PureState(space, kron_all(factors))
 
 
 def random_entangled_2x2(rng: np.random.Generator, min_concurrence: float = 0.05) -> PureState:
-    from .states import QUBIT_PAIR, concurrence
-
     while True:
         psi = random_pure_state(rng, QUBIT_PAIR)
         if concurrence(psi) >= min_concurrence:
@@ -51,11 +49,18 @@ def random_basis_of_complement(rng: np.random.Generator, phi: PureState) -> list
 
 def random_product_basis(rng: np.random.Generator, space: StateSpace) -> list[PureState]:
     """Product basis obtained from random local bases on each party."""
-    from .linalg import kron_all
-
     locals_ = [random_unitary(rng, d) for d in space.dims]
     out = []
     for flat in range(space.dim):
         idx = np.unravel_index(flat, space.dims)
         out.append(PureState(space, kron_all([u[:, i] for u, i in zip(locals_, idx)])))
+    return out
+
+
+def sample_unitary_triples(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Concurrence triples of Haar-random 3x3 unitaries, for empirical checks
+    of the tetrahedron membership conjecture."""
+    out = np.empty((n, 3))
+    for i in range(n):
+        out[i] = concurrence_triple_of_unitary(random_unitary(rng, 3))
     return out

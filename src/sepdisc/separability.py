@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NotPsd, PhiProduct, PreconditionViolated
-from .linalg import dag, frob, hermitian_eig, min_eigenvalues, partial_transpose, psd_project
+from .linalg import dag, hermitian_eig, min_eigenvalues, partial_transpose, psd_project
 from .states import DiscriminationInstance, PureState, StateSpace, coeff_matrix
 from .tensor_rank import ProductVector, SpanRoots, span_roots, try_factor
 
@@ -110,18 +110,17 @@ def lemma1_check(e: np.ndarray, rho: np.ndarray, tol: Tolerances = DEFAULT) -> L
     for 0 <= E <= I and the support projector P of the density matrix rho,
     onto rho's eigenvectors above tol.rank lambda_max, from the one
     eigendecomposition of rho that the density-matrix check takes."""
-    ew = hermitian_eig(e, tol).values
+    ew = hermitian_eig(e, tol)[0]
     if ew[0] < -tol.psd or ew[-1] > 1.0 + tol.psd:
         raise PreconditionViolated(f"operator must satisfy 0 <= E <= I; spectrum in [{ew[0]:.3e}, {ew[-1]:.3e}]")
-    rho_eig = hermitian_eig(rho, tol)
-    rw = rho_eig.values
+    rw, rv = hermitian_eig(rho, tol)
     if rw[0] < -tol.psd or abs(np.trace(rho).real - 1.0) > 1e-8:
         raise PreconditionViolated("rho must be a density matrix")
-    v = rho_eig.vectors[:, rw > tol.rank * max(float(rw[-1]), 0.0)]
+    v = rv[:, rw > tol.rank * max(float(rw[-1]), 0.0)]
     p = v @ dag(v)
     trace_value = float(np.real(np.trace(e @ rho)))
     trace_side = abs(trace_value - 1.0) <= 1e-9
-    min_eig = float(hermitian_eig(e - p, tol).values[0])
+    min_eig = float(hermitian_eig(e - p, tol)[0][0])
     psd_side = min_eig >= -tol.psd
     status = Lemma1Status.HOLDS_BOTH_WAYS if (trace_side and psd_side) else Lemma1Status.VIOLATION
     return Lemma1Result(
@@ -226,9 +225,9 @@ def _worst_pt(rho: np.ndarray, space: StateSpace, tol: Tolerances) -> PtWitness:
     """Lowest partial-transpose eigenpair of rho over every cut of the space."""
     worst = None
     for cut in space.cuts:
-        eig = hermitian_eig(partial_transpose(rho, space.dims, cut), tol)
-        if worst is None or eig.values[0] < worst.eigenvalue:
-            worst = PtWitness(cut=cut, eigenvalue=float(eig.values[0]), eigenvector=eig.vectors[:, 0])
+        w, v = hermitian_eig(partial_transpose(rho, space.dims, cut), tol)
+        if worst is None or w[0] < worst.eigenvalue:
+            worst = PtWitness(cut=cut, eigenvalue=float(w[0]), eigenvector=v[:, 0])
     return worst
 
 
@@ -284,7 +283,7 @@ def ppt_is_exact(space: StateSpace) -> bool:
 def ppt_oracle(rho: np.ndarray, space: StateSpace, tol: Tolerances = DEFAULT) -> SeparabilityVerdict:
     """PPT criterion over every cut: entanglement verdicts are always sound;
     separability is claimed only on 2x2 and 2x3 spaces where PPT is exact."""
-    w = hermitian_eig(rho, tol).values
+    w = hermitian_eig(rho, tol)[0]
     scale = max(1.0, float(w[-1]))
     if w[0] < -tol.psd * scale:
         raise NotPsd(f"input has negative eigenvalue {w[0]:.3e}")
@@ -306,19 +305,18 @@ def try_product_decomposition(op: np.ndarray, space: StateSpace, tol: Tolerances
     """Product decomposition of a PSD operator that is diagonal in some
     orthogonal product basis, found eigenspace by eigenspace; None when an
     eigenspace admits no orthonormal product basis this way."""
-    eig = hermitian_eig(op, tol)
-    scale = max(1.0, float(eig.values[-1]))
+    vals, vecs = hermitian_eig(op, tol)
+    scale = max(1.0, float(vals[-1]))
     weights: list[float] = []
     vectors: list[ProductVector] = []
     i = 0
-    vals = eig.values
     while i < len(vals):
         j = i
         while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) <= 1e-8 * scale:
             j += 1
         lam = float(np.mean(vals[i : j + 1]))
         if lam > 1e-9 * scale:
-            block = eig.vectors[:, i : j + 1]
+            block = vecs[:, i : j + 1]
             # project the standard basis into the eigenspace and pick product
             # directions greedily
             proj = block @ block.conj().T
@@ -381,13 +379,12 @@ def element_separability(
     """
     if isinstance(member, PureState):
         return _factored(member.product, 1.0)
-    eig = hermitian_eig(member, tol)
-    vals = eig.values
+    vals, vecs = hermitian_eig(member, tol)
     if vals[0] < _EIGENVALUE_FLOOR:
         return SeparabilityVerdict(SepStatus.UNDECIDED, detail={"min_eigenvalue": float(vals[0])})
     rank = int(np.sum(vals > 1e-9 * max(1.0, float(vals[-1]))))
     if rank == 1:
-        return _factored(try_factor(eig.vectors[None, :, -1], space.dims)[0], float(vals[-1]))
+        return _factored(try_factor(vecs[None, :, -1], space.dims)[0], float(vals[-1]))
     ppt = None
     if ppt_is_exact(space):
         ppt = _ppt_or_undecided(member, space, tol)
@@ -396,7 +393,7 @@ def element_separability(
     if rank == 2:
         # E = mu_1 (|v_1><v_1| + (mu_2 / mu_1) |v_2><v_2|), mu_1 <= mu_2
         mu = float(vals[-2])
-        psi, phi = (PureState.normalized(space, eig.vectors[:, i]) for i in (-2, -1))
+        psi, phi = (PureState.normalized(space, vecs[:, i]) for i in (-2, -1))
         r2 = rank2_separability(psi, phi, float(vals[-1]) / mu, tol).verdict
         if r2.status is not SepStatus.SEPARABLE:
             return r2
@@ -439,7 +436,7 @@ def check_dual(y, z, cuts, instance: DiscriminationInstance, tol: Tolerances = D
     Pi.  Valid iff the objective of the result is below -tol.feasibility
     times its scale, which an empty cut list never is.
     """
-    p, p0, supp = np.stack(instance.projector_list()), instance.residual_projector(), instance.residual_support
+    p, p0, supp = instance.projectors, instance.residual_projector, instance.residual_support
     n, d, dims = instance.n, instance.space.dim, instance.space.dims
     try:
         y = np.asarray(y, dtype=complex)
@@ -461,7 +458,7 @@ def check_dual(y, z, cuts, instance: DiscriminationInstance, tol: Tolerances = D
     y = y + max(0.0, -gap) * supp
     # tr(Z[k, c] PT_c(P_k)) = tr(PT_c(Z[k, c]) P_k)
     objective = float(np.real(np.trace(y @ p0) + np.einsum("kij,kji->", pt_z, p)))
-    scale = frob(y) + float(np.linalg.norm(z, axis=(-2, -1)).sum())
+    scale = float(np.linalg.norm(y)) + float(np.linalg.norm(z, axis=(-2, -1)).sum())
     return DualCertificate(y, z, cuts, objective, scale), objective < -tol.feasibility * scale
 
 
@@ -486,9 +483,9 @@ def constraint_residual(e: np.ndarray, instance: DiscriminationInstance) -> tupl
     """Largest constraint violation of a point E of the instance's
     relaxation (affine sum, PSD blocks, PPT of P_k + E_k per cut), and
     those three parts."""
-    parts = {"affine": float(np.linalg.norm(e.sum(axis=0) - instance.residual_projector()))}
+    parts = {"affine": float(np.linalg.norm(e.sum(axis=0) - instance.residual_projector))}
     parts["psd"] = float(max(0.0, -min_eigenvalues(e).min()))
-    pe, dims = np.stack(instance.projector_list()) + e, instance.space.dims
+    pe, dims = instance.projectors + e, instance.space.dims
     worst = min(min_eigenvalues(partial_transpose(pe, dims, cut)).min() for cut in instance.space.cuts)
     parts["ppt"] = float(max(0.0, -worst))
     return max(parts.values()), parts
@@ -677,10 +674,8 @@ def _solve_rank1(instance: DiscriminationInstance, tol: Tolerances) -> Feasibili
     :func:`check_dual` decides whether the dual proves infeasibility; when
     it does not, the outcome stalls.  Every ending returns at one exit.
     """
-    projectors, p0 = instance.projector_list(), instance.residual_projector()
-    n, dims, cuts = len(projectors), instance.space.dims, instance.space.cuts
-
-    a = np.stack([_PencilBlock(pk, dims, cuts).a for pk in projectors])
+    p0, n, dims, cuts = instance.residual_projector, instance.n, instance.space.dims, instance.space.cuts
+    a = np.stack([_PencilBlock(pk, dims, cuts).a for pk in instance.projectors])
     b = np.stack([partial_transpose(p0, dims, cut) for cut in cuts])
     peaks, vmins = _peaks(a, b, tol.feasibility)
     diagnostics: dict = {"path": "rank1-exact"}
@@ -739,7 +734,7 @@ def _solve_dykstra(
     ``max_iterations`` is at least 1, as :func:`feasibility_solve` checks.
     """
     dims, cuts, d, n = instance.space.dims, instance.space.cuts, instance.space.dim, instance.n
-    p, p0, supp = np.stack(instance.projector_list()), instance.residual_projector(), instance.residual_support
+    p, p0, supp = instance.projectors, instance.residual_projector, instance.residual_support
 
     e = np.broadcast_to(p0 / n, (n, d, d)).copy()
     r_psd = np.zeros_like(e)

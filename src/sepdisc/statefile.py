@@ -16,7 +16,6 @@ import functools
 import hashlib
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
@@ -197,6 +196,13 @@ def verdict_report(
     return _dump(doc)
 
 
+def _key(k) -> str:
+    """A dict key as ``json.dumps`` writes it: a str as it is, an int, float, bool or None as its JSON text."""
+    if isinstance(k, (str, int, float)) or k is None:
+        return k if isinstance(k, str) else json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
 @functools.lru_cache(maxsize=64)
 def _pairs_layout(n: int, level: int) -> str:
     """Indent-2 layout of n [re, im] pairs opened at nesting ``level``, a %r per float."""
@@ -230,14 +236,10 @@ def _dump(obj, level: int = 0) -> str:
             obj = [flat[i : i + 2] for i in range(0, len(flat), 2)]
         obj, kind = list(obj), list
     if kind is dict:
-        opening, closing, items = "{", "}", [f"{_quote(k)}: {_dump(v, level + 1)}" for k, v in obj.items()]
+        opening, closing, items = "{", "}", [f"{_quote(_key(k))}: {_dump(v, level + 1)}" for k, v in obj.items()]
     elif kind is list:
         opening, closing, items = "[", "]", [_dump(v, level + 1) for v in obj]
     else:  # null, true, false, an int subclass, NaN or +-Infinity; TypeError for anything else
         return json.dumps(obj)
     pad = "\n" + "  " * (level + 1)
     return opening + pad + ("," + pad).join(items) + pad[:-2] + closing if items else opening + closing
-
-
-def warn(msg: str) -> None:
-    print(f"warning: {msg}", file=sys.stderr)

@@ -11,6 +11,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInstance, WrongSpace
 from .linalg import check_hermitian, dag, maxabs, vector_norm
+from .tensor_rank import proper_cuts, try_factor
+
+# the one orthonormality bound: of instance members, a declared phi and completion seeds
+ORTHONORMAL_BOUND = 1e-9
+# how far from 0 or 1 an eigenvalue of a projector given to from_projectors may lie
+EIGENVALUE_PIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,8 +44,6 @@ class StateSpace:
     @cached_property
     def cuts(self) -> tuple[tuple[int, ...], ...]:
         """Every bipartition, as its left party subset, one per complement pair; built once."""
-        from .tensor_rank import proper_cuts
-
         return tuple(proper_cuts(self.nparties))
 
 
@@ -79,8 +83,6 @@ class PureState:
     def product(self):
         """The state's ProductVector factorization, or None if entangled;
         computed on first use and kept, as the amplitudes are read-only."""
-        from .tensor_rank import try_factor
-
         return try_factor(self.amplitudes[None], self.space.dims)[0]
 
     def density(self) -> np.ndarray:
@@ -95,8 +97,6 @@ def factor_states(states) -> None:
     yet, with one :func:`~sepdisc.tensor_rank.try_factor` call over them all."""
     todo = [s for s in states if "product" not in vars(s)]
     if todo:
-        from .tensor_rank import try_factor
-
         for state, pv in zip(todo, try_factor(np.stack([s.amplitudes for s in todo]), todo[0].space.dims)):
             vars(state)["product"] = pv
 
@@ -125,7 +125,6 @@ class DiscriminationInstance:
 
     space: StateSpace
     states: tuple[PureState, ...] = ()
-    projectors: tuple[np.ndarray, ...] = ()
     phi: PureState | None = None
 
     @classmethod
@@ -136,21 +135,21 @@ class DiscriminationInstance:
         if any(s.space != space for s in states) or (phi is not None and phi.space != space):
             raise InvalidInstance(f"every state must lie in the space with dims {space.dims}")
         if not _orthonormal_columns(np.column_stack([s.amplitudes for s in states])):
-            raise InvalidInstance("states must be orthonormal within 1e-9")
+            raise InvalidInstance(f"states must be orthonormal within {ORTHONORMAL_BOUND:g}")
         if phi is not None:
             if len(states) != space.dim - 1:
                 raise InvalidInstance("a declared phi requires exactly D-1 states")
             overlaps = [abs(phi.inner(s)) for s in states]
-            if max(overlaps) > 1e-9:
+            if max(overlaps) > ORTHONORMAL_BOUND:
                 raise InvalidInstance("declared phi must be orthogonal to every state")
         return cls(space=space, states=states, phi=phi)
 
     @classmethod
     def from_projectors(cls, space: StateSpace, projectors):
-        """Members given as projectors: finite and Hermitian, every eigenvalue
-        within 1e-8 of 0 or 1 with at least one near 1, and pairwise orthogonal.
-        The instance holds exact projectors, onto each member's eigenvalue-1
-        eigenvectors from one eigh, and tests orthogonality on those."""
+        """Members given as projectors: finite and Hermitian, every eigenvalue within EIGENVALUE_PIN
+        of 0 or 1 with at least one near 1, and pairwise orthogonal.  The instance keeps exact
+        projectors, onto each member's eigenvalue-1 eigenvectors from one eigh, as its
+        :attr:`projectors` stack, and tests orthogonality on those."""
         projectors = [np.asarray(p, dtype=complex) for p in projectors]
         if not projectors:
             raise InvalidInstance("need at least one projector")
@@ -162,26 +161,32 @@ class DiscriminationInstance:
             raise InvalidInstance("projector entries must be finite")
         check_hermitian(p)
         w, v = np.linalg.eigh((p + dag(p)) / 2.0)
-        ones = np.abs(w - 1.0) <= 1e-8
-        if np.any(~ones & (np.abs(w) > 1e-8)) or not ones.any(axis=1).all():
+        ones = np.abs(w - 1.0) <= EIGENVALUE_PIN
+        if np.any(~ones & (np.abs(w) > EIGENVALUE_PIN)) or not ones.any(axis=1).all():
             raise InvalidInstance("inputs must be projectors of rank at least 1")
         p = np.einsum("kij,kj,klj->kil", v, ones, v.conj())
         i, j = np.triu_indices(len(p), 1)
-        if maxabs(p[i] @ p[j]) > 1e-9:
+        if maxabs(p[i] @ p[j]) > ORTHONORMAL_BOUND:
             raise InvalidInstance("projector supports must be orthogonal")
-        return cls(space=space, projectors=tuple(_read_only(p)))
+        instance = cls(space=space)
+        vars(instance)["projectors"] = _read_only(p)  # the cached stack, kept as built here
+        return instance
 
     @property
     def n(self) -> int:
-        return len(self.states) if self.states else len(self.projectors)
+        return len(self.states) or len(self.projectors)
 
-    def projector_list(self) -> list[np.ndarray]:
-        """Every member's projector, read-only and built once per instance."""
-        return list(self._projectors)
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """Every member's projector P_k, one read-only (n, D, D) stack: the one
+        :meth:`from_projectors` built, or, for pure states, built on first use."""
+        return _read_only(np.stack([s.density() for s in self.states]))
 
+    @cached_property
     def residual_projector(self) -> np.ndarray:
         """P0 = I - sum_k P_k, the part of the space no member occupies, read-only and built once."""
-        return self._residual
+        p0 = np.eye(self.space.dim, dtype=complex) - self.projectors.sum(axis=0)
+        return _read_only((p0 + p0.conj().T) / 2.0)
 
     @cached_property
     def residual_rank(self) -> int:
@@ -194,19 +199,8 @@ class DiscriminationInstance:
     def residual_support(self) -> np.ndarray:
         """Pi, the projector onto the eigenvectors of P0's :attr:`residual_rank` largest
         eigenvalues, read-only and built from one eigh on first use."""
-        v = np.linalg.eigh(self._residual)[1][:, self.space.dim - self.residual_rank :]
+        v = np.linalg.eigh(self.residual_projector)[1][:, self.space.dim - self.residual_rank :]
         return _read_only(v @ dag(v))
-
-    @cached_property
-    def _projectors(self) -> tuple[np.ndarray, ...]:
-        if self.states:
-            return tuple(_read_only(s.density()) for s in self.states)
-        return self.projectors
-
-    @cached_property
-    def _residual(self) -> np.ndarray:
-        p0 = np.eye(self.space.dim, dtype=complex) - sum(self._projectors)
-        return _read_only((p0 + p0.conj().T) / 2.0)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -287,9 +281,9 @@ def magic_coords(psi: PureState) -> MagicBasisCoords:
 
 
 def _orthonormal_columns(cols: np.ndarray) -> bool:
-    """Whether the columns are orthonormal within 1e-9 by one Gram product:
-    the one test of instances and completions, so an accepted instance completes."""
-    return maxabs(cols.conj().T @ cols - np.eye(cols.shape[1])) <= 1e-9
+    """Whether the columns are orthonormal within ORTHONORMAL_BOUND by one Gram
+    product: the one test of instances and completions, so an accepted instance completes."""
+    return maxabs(cols.conj().T @ cols - np.eye(cols.shape[1])) <= ORTHONORMAL_BOUND
 
 
 def _pivoted_completion(seed_cols: np.ndarray, dim: int) -> np.ndarray:
@@ -326,7 +320,7 @@ def orthonormal_completion(states: list[PureState]) -> list[PureState]:
     space = states[0].space
     cols = np.column_stack([s.amplitudes for s in states])
     if not _orthonormal_columns(cols):
-        raise DimensionMismatch("completion requires a seed set orthonormal within 1e-9")
+        raise DimensionMismatch(f"completion requires a seed set orthonormal within {ORTHONORMAL_BOUND:g}")
     comp = _pivoted_completion(cols, space.dim)
     return [PureState(space, comp[:, j]) for j in range(comp.shape[1])]
 

@@ -31,7 +31,6 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NotIndependent
 from .linalg import kron_all, vector_norm
-from .states import PureState
 
 
 @dataclass(frozen=True, eq=False)

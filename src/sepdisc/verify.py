@@ -29,7 +29,6 @@ from .constructions import (
     gamma_range,
     in_tetrahedron,
     indistinguishable_subspace,
-    sample_unitary_triples,
     tetra_grid,
     tetra_unitary,
     verify_subspace_properties,
@@ -41,6 +40,7 @@ from .sampling import (
     random_local_vector,
     random_product_state,
     random_unitary,
+    sample_unitary_triples,
 )
 from .separability import (
     Lemma1Status,

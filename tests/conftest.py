@@ -95,4 +95,4 @@ def upb_with_complement(build) -> DiscriminationInstance:
     """The members of a UPB and the projector onto their orthocomplement, a
     bound entangled (PPT) state: projectors that fill the space."""
     inst = build()
-    return DiscriminationInstance.from_projectors(inst.space, [*inst.projector_list(), inst.residual_projector()])
+    return DiscriminationInstance.from_projectors(inst.space, [*inst.projectors, inst.residual_projector])

@@ -9,14 +9,8 @@ import math
 
 import numpy as np
 
-from sepdisc.constructions import SubspaceFamily, indistinguishable_subspace
-from sepdisc.discrimination import (
-    DiscriminationInstance,
-    SubspaceKind,
-    VerdictStatus,
-    decide,
-    subspace_verdict,
-)
+from sepdisc.constructions import SubspaceFamily, SubspaceKind, indistinguishable_subspace, subspace_verdict
+from sepdisc.discrimination import DiscriminationInstance, VerdictStatus, decide
 from sepdisc.linalg import kron_all
 from sepdisc.sampling import random_product_basis, random_unitary
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, concurrence, ket

@@ -7,11 +7,29 @@ import pytest
 
 from sepdisc.cli import main
 from sepdisc.discrimination import DiscriminationInstance, validate_certificate
+from sepdisc.errors import StateFileError
 from sepdisc.sampling import random_product_basis, random_unitary
 from sepdisc.separability import DualCertificate
 from sepdisc.states import QUBIT_PAIR, PureState, StateSpace, phi_plus
 from sepdisc.statefile import parse_statefile, serialize_statefile
 from tests.conftest import bell
+
+
+_STATE = '{"name": "s", "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}'
+# state files parse_statefile rejects, with the whole message it gives
+REJECTED = {
+    "invalid_json": ('{"version": "1", "dims": [2, 2]', "line 1, column 32: Expecting ',' delimiter"),
+    "not_an_object": (f"[{_STATE}]", "top level must be an object"),
+    "wrong_version": (f'{{"version": 1, "dims": [2, 2], "states": [{_STATE}]}}', 'unsupported version 1; expected "1"'),
+    "no_amplitudes": ('{"version": "1", "dims": [2, 2], "states": [{"name": "s"}]}', "states[0]: expected an object with name and amplitudes"),
+    "wrong_count": (
+        '{"version": "1", "dims": [2, 2], "states": [{"name": "s", "amplitudes": [[1, 0], [0, 0], [0, 0]]}]}',
+        "states[0]: amplitude vector has length 3; expected 4",
+    ),
+    "no_states": ('{"version": "1", "dims": [2, 2], "states": []}', "states must be a nonempty list"),
+    "overflow": (_STATE.join(['{"version": "1", "dims": [2, 2], "states": [', "]}"]).replace("[1, 0]", "[1e400, 0]"), "states[0]: amplitudes must be finite"),
+    "nan": (_STATE.join(['{"version": "1", "dims": [2, 2], "states": [', "]}"]).replace("[1, 0]", "[NaN, 0]"), "states[0]: amplitudes must be finite"),
+}
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +135,24 @@ class TestDecide:
         code, _, err = run_cli(capsys, "decide", str(path))
         assert code == 3
         assert "norm" in err
+
+    @pytest.mark.parametrize("text, message", list(REJECTED.values()), ids=list(REJECTED))
+    def test_rejected_state_file_exit_3(self, tmp_path, capsys, text, message):
+        with pytest.raises(StateFileError, match=re.escape(message)):
+            parse_statefile(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "decide", str(path))
+        assert code == 3
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["decide"], ["frobnicate"], ["decide", "x.json", "--max-iterations", "two"]])
+    def test_usage_error_exits_3_not_argparse_2(self, capsys, argv):
+        # argparse's own usage exit, 2, would read as "undecided"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert capsys.readouterr().err.startswith("usage: sepdisc")
 
     @pytest.mark.parametrize("kind", ["dim7", "dim6"])
     def test_subspace_exit_1_ppt_dual(self, tmp_path, capsys, kind):

@@ -19,7 +19,6 @@ from sepdisc.constructions import (
     in_tetrahedron,
     indistinguishable_subspace,
     locc_basis_sch2,
-    sample_unitary_triples,
     subspace_spec_from_pair,
     tetra_grid,
     tetra_unitary,
@@ -34,7 +33,13 @@ from sepdisc.errors import (
     WrongForm,
 )
 from sepdisc.linalg import kron_all
-from sepdisc.sampling import random_local_vector, random_product_state, random_pure_state, random_unitary
+from sepdisc.sampling import (
+    random_local_vector,
+    random_product_state,
+    random_pure_state,
+    random_unitary,
+    sample_unitary_triples,
+)
 from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, concurrence, ket, magic_basis
 from sepdisc import tensor_rank
 from sepdisc.tensor_rank import AtLeast3Reason, Schmidt2Kind, cut_rank, schmidt2_classify

@@ -11,17 +11,22 @@ import sepdisc.linalg as linalg
 import sepdisc.separability as separability
 import sepdisc.tensor_rank as tensor_rank
 from sepdisc.config import DEFAULT
-from sepdisc.constructions import FamilyParams, family_sep_not_locc, gamma_range, locc_basis_sch2
+from sepdisc.constructions import (
+    FamilyParams,
+    SubspaceKind,
+    family_sep_not_locc,
+    gamma_range,
+    locc_basis_sch2,
+    subspace_verdict,
+)
 from sepdisc.errors import DimensionMismatch, InvalidInstance, PhiProduct
 from sepdisc.linalg import kron_all, partial_transpose
 from sepdisc.discrimination import (
     DiscriminationInstance,
     LoccFlag,
-    SubspaceKind,
     VerdictStatus,
     _distinguishable,
     decide,
-    subspace_verdict,
     validate_certificate,
 )
 from sepdisc.sampling import (
@@ -472,7 +477,7 @@ def test_projector_noise_inside_the_pin_keeps_the_verdict(eps):
     psi = PureState.normalized(s33, basis_state(s33, (1, 2)).amplitudes + basis_state(s33, (2, 1)).amplitudes)
     projectors[0] = projectors[0] + eps * psi.density()
     inst = DiscriminationInstance.from_projectors(s33, projectors)
-    assert all(np.abs(p @ p - p).max() <= 1e-15 for p in inst.projector_list())
+    assert all(np.abs(p @ p - p).max() <= 1e-15 for p in inst.projectors)
     v = decide(inst)
     assert (v.status, v.theorem) == (VerdictStatus.DISTINGUISHABLE, "T1")
     assert validate_certificate(v.certificate, inst)["valid"]
@@ -552,7 +557,7 @@ def test_forged_evidence_fails_the_builder_and_the_validator(forgery):
     # certificate the validator rejects never leaves the builder
     build, forge = _FORGED_EVIDENCE[forgery]
     inst = build()
-    elements = tuple(inst.projector_list())
+    elements = tuple(inst.projectors)
     if forgery == "ppt_on_bell":
         cert = disc.PovmCertificate(elements, (None,) * 4, None)
     else:
@@ -654,7 +659,7 @@ def test_completability_join_that_does_not_reassemble_is_undecided(monkeypatch):
     # the residual's product decomposition off by 1e-6 in weight: the joined
     # evidence of E_k = P_k + P0 no longer reassembles E_k within 1e-8
     inst = DiscriminationInstance.from_pure(S3, _hadamard_basis_minus_two())
-    p0 = inst.residual_projector()
+    p0 = inst.residual_projector
     element_separability = disc.element_separability
 
     def perturbed(member, *args, **kwargs):
@@ -710,7 +715,7 @@ def _solver_certificate(seed: int):
     inst = _two_haar_states(seed)
     outcome = feasibility_solve(inst)
     assert outcome.feasible
-    elements = tuple(p + e for p, e in zip(inst.projector_list(), outcome.e_ops))
+    elements = tuple(inst.projectors + outcome.e_ops)
     records = tuple(PptRecord(0.0, True, tuple(proper_cuts(2))) for _ in elements)
     return inst, disc.PovmCertificate(elements, records, None)
 

@@ -211,7 +211,7 @@ def _rotated_family_projectors():
 
 
 def _haar_projectors():
-    return DiscriminationInstance.from_projectors(QUBIT_PAIR, _haar_rank1((2, 2), 0).projector_list())
+    return DiscriminationInstance.from_projectors(QUBIT_PAIR, _haar_rank1((2, 2), 0).projectors)
 
 
 _PARTS = ["affine", "psd", "ppt"]
@@ -261,7 +261,7 @@ def _rotated_family():
 def _as_projectors(instance, scale=1.0):
     """The instance as projectors, the first scaled by ``scale``: at 1 - 3e-9
     from_projectors accepts it, and P0 gains an eigenvalue of 3e-9."""
-    first, *rest = instance.projector_list()
+    first, *rest = instance.projectors
     return DiscriminationInstance.from_projectors(instance.space, [first * scale, *rest])
 
 
@@ -292,7 +292,7 @@ def test_residual_rank_and_support():
         (_instance([bell(b) for b in ("phi+", "phi-", "psi+", "psi-")]), 0),
     ]
     for instance, rank in cases:
-        pi, p0 = instance.residual_support, instance.residual_projector()
+        pi, p0 = instance.residual_support, instance.residual_projector
         assert instance.residual_rank == rank
         assert np.abs(pi - pi.conj().T).max() <= 1e-12 and np.abs(pi @ pi - pi).max() <= 1e-12
         assert abs(np.trace(pi) - rank) <= 1e-12
@@ -305,8 +305,8 @@ def test_residual_rank_and_support():
 def _stacks(instance):
     """The (n, C, d, d) block stack A, the one (C, d, d) stack B and every
     block's exact peak."""
-    p0, dims, cuts = instance.residual_projector(), instance.space.dims, instance.space.cuts
-    a = np.stack([_PencilBlock(pk, dims, cuts).a for pk in instance.projector_list()])
+    p0, dims, cuts = instance.residual_projector, instance.space.dims, instance.space.cuts
+    a = np.stack([_PencilBlock(pk, dims, cuts).a for pk in instance.projectors])
     b = np.stack([partial_transpose(p0, dims, cut) for cut in cuts])
     return (a, b, *_peaks(a, b, np.inf))
 
@@ -354,7 +354,7 @@ def _assert_rank1_dual(projectors, space):
 @pytest.mark.parametrize("seed", range(6))
 def test_rank1_haar_margin_and_endpoints(dims, seed):
     instance = _haar_rank1(dims, seed)
-    _assert_rank1_dual(instance.projector_list(), instance.space)
+    _assert_rank1_dual(instance.projectors, instance.space)
     _assert_exact_endpoints(*_stacks(instance), 0.0)
 
 
@@ -378,7 +378,7 @@ def test_rank1_tetrahedron_interior_projectors_get_duals():
 
 def test_rank1_dual_rejected_on_a_feasible_instance():
     instance = _haar_rank1((2, 2), 0)
-    dual = _assert_rank1_dual(instance.projector_list(), instance.space)
+    dual = _assert_rank1_dual(instance.projectors, instance.space)
     phi, basis = family_sep_not_locc(FamilyParams(0.3, 0.4, sum(gamma_range(0.3, 0.4)) / 2))
     feasible = DiscriminationInstance.from_projectors(QUBIT_PAIR, [s.density() for s in basis])
     assert decide(feasible).status is VerdictStatus.DISTINGUISHABLE
@@ -512,7 +512,7 @@ def test_rank1_plateau_blocks_take_an_interval(seed, drop):
     inst = DiscriminationInstance.from_projectors(space, [s.density() for k, s in enumerate(basis) if k != drop])
     out = feasibility_solve(inst)
     assert out.diagnostics["path"] == "rank1-exact" and out.feasible
-    for pk, e in zip(inst.projector_list(), out.e_ops):
+    for pk, e in zip(inst.projectors, out.e_ops):
         assert element_separability(pk + e, space).status is SepStatus.SEPARABLE
 
 

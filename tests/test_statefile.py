@@ -24,7 +24,6 @@ SCALARS = (
     | st.text()
     | st.sampled_from(["", "\x00\x1f\x7f\"\\/", "\t\n\r\b\f", "é✓ \U0001f600", "\ud800"])
 )
-KEYS = st.text() | st.sampled_from(["", "\x00", "ключ", "\U0001f600"])
 
 
 class Level(enum.IntEnum):
@@ -39,6 +38,16 @@ class Text(str):
 class Mapping(dict):
     pass
 
+
+# json.dumps writes an int, float, bool or None key as its JSON text
+KEYS = (
+    st.text()
+    | st.sampled_from(["", "\x00", "ключ", "\U0001f600"])
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, True, False, None, Level.HIGH])
+    | st.floats().map(np.float64)
+)
 
 # the writer dispatches on the exact type: subclasses of its types, numpy
 # scalars and tuples must be written as json.dumps writes them
@@ -84,6 +93,13 @@ def complex_arrays(draw):
 @given(DOCS)
 def test_writer_matches_json_dumps_indent_2(doc):
     assert _dump(doc) == json.dumps(doc, indent=2)
+
+
+def test_writer_rejects_the_keys_json_dumps_rejects():
+    for doc in ({(1, 2): 0}, {1j: 0}, {b"k": 0}, {np.int64(1): 0}):
+        for write in (_dump, lambda d: json.dumps(d, indent=2)):
+            with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+                write(doc)
 
 
 def test_input_digest_ignores_key_order_and_whitespace():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepdisc.constructions import FamilyParams, family_sep_not_locc
+from sepdisc.discrimination import decide
 from sepdisc.errors import DimensionMismatch, InvalidInstance, NotHermitian, WrongSpace
 from sepdisc.sampling import random_pure_state, random_unitary
 from sepdisc.states import (
@@ -61,9 +63,9 @@ def test_instance_projectors_are_built_once_and_read_only():
     inst = DiscriminationInstance.from_projectors(QUBIT_PAIR, [p])
     pure = DiscriminationInstance.from_pure(QUBIT_PAIR, [ket(QUBIT_PAIR, "00")])
     for instance in (inst, pure):
-        assert instance.projector_list()[0] is instance.projector_list()[0]
-        assert instance.residual_projector() is instance.residual_projector()
-        for built in instance.projector_list() + [instance.residual_projector()]:
+        assert instance.projectors is instance.projectors and instance.projectors.shape == (1, 4, 4)
+        assert instance.residual_projector is instance.residual_projector
+        for built in (instance.projectors[0], instance.residual_projector):
             with pytest.raises(ValueError):
                 built[0, 0] = 2.0
     # the instance holds its own copy: the caller's array stays writeable
@@ -76,8 +78,16 @@ def test_instance_ignores_later_writes_to_the_callers_projectors():
     inst = DiscriminationInstance.from_projectors(QUBIT_PAIR, projectors)
     projectors[0][0, 0] = 0.3
     projectors[2][2, 2] = 5.0
-    assert inst.projector_list()[0][0, 0] == 1.0 and inst.projector_list()[2][2, 2] == 1.0
-    assert np.array_equal(inst.residual_projector(), ket(QUBIT_PAIR, "11").density())
+    assert inst.projectors[0, 0, 0] == 1.0 and inst.projectors[2, 2, 2] == 1.0
+    assert np.array_equal(inst.residual_projector, ket(QUBIT_PAIR, "11").density())
+
+
+def test_pure_members_are_stacked_only_when_read():
+    # the lambda rule reads the states themselves, never their projectors
+    phi, basis = family_sep_not_locc(FamilyParams(0.3, 0.4, 0.78))
+    inst = DiscriminationInstance.from_pure(QUBIT_PAIR, basis, phi)
+    assert decide(inst).theorem == "T2" and "projectors" not in vars(inst)
+    assert np.array_equal(inst.projectors, [s.density() for s in basis])
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sepdisc.constructions import locc_basis_sch2
-from sepdisc.discrimination import SubspaceKind, VerdictStatus, decide, subspace_verdict
+from sepdisc.constructions import SubspaceKind, locc_basis_sch2, subspace_verdict
+from sepdisc.discrimination import VerdictStatus, decide
 from sepdisc.errors import NotIndependent, WrongForm
 from sepdisc.sampling import (
     random_basis_of_complement,
