@@ -8,6 +8,12 @@ for identical inputs apart from the timestamp, which the digest excludes.  The
 writer takes the program's values as they are, JSON values and complex
 ndarrays, with no conversion pass first; any other value raises TypeError,
 as ``json.dumps`` does.
+
+A state file, and a report element holding a product decomposition, is one
+``%`` into a layout cached by its shape (dims, state count, phi or not; weight
+count, each product vector's party dims).  The writer lays out each once, from
+a template of zeros and a ``%s`` slot per name, every ``0.0`` made a ``%r``.
+A NaN or an infinity takes the writer's walk, which spells them as json does.
 """
 
 from __future__ import annotations
@@ -40,33 +46,61 @@ class StateFileData:
     warnings: list[str] = field(default_factory=list)
 
 
-def _pairs_to_vec(pairs, where: str) -> np.ndarray:
-    # unpacking rejects an entry of any length but 2, complex() one that is
-    # not two numbers; JSON true/false parse to bool, an int subclass, so a
-    # pair holding one is dropped and the count no longer matches
+# a state whose norm is off 1 by more than these is rejected, reported, divided by its norm
+NORM_REJECT, NORM_WARN, NORM_RENORMALIZE = 1e-8, 1e-10, 1e-12
+
+
+def _shape_error(entry, where: str, dim: int) -> str | None:
+    """An entry's first defect that needs no values read, None if it is ``dim``
+    pairs of JSON numbers: in pair order, complex() rejects one that is not two
+    numbers and overflows past the float range; then a true or false (an int
+    subclass); a NaN or an infinity comes before a wrong count."""
+    if not isinstance(entry, dict) or "amplitudes" not in entry:
+        return f"{where}: expected an object with name and amplitudes"
+    pairs, flagged = entry["amplitudes"], False
     try:
-        vals = [complex(re, im) for re, im in pairs if type(re) is not bool and type(im) is not bool]
-    except (TypeError, ValueError) as exc:
-        raise StateFileError(f"{where}: amplitudes must be [re, im] pairs") from exc
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise StateFileError(f"{where}: amplitudes must be finite") from exc
-    if len(vals) != len(pairs):
-        raise StateFileError(f"{where}: amplitudes must be [re, im] pairs")
-    out = np.array(vals, dtype=complex)
-    if not np.all(np.isfinite(out.view(float))):
-        raise StateFileError(f"{where}: amplitudes must be finite")
-    return out
+        for re, im in pairs:
+            if type(re) is bool or type(im) is bool:
+                flagged = True
+            elif type(re) is not float or type(im) is not float:
+                complex(re, im)
+    except (TypeError, ValueError):
+        flagged = True
+    except OverflowError:
+        return f"{where}: amplitudes must be finite"
+    if flagged:
+        return f"{where}: amplitudes must be [re, im] pairs"
+    if len(pairs) != dim and all(math.isfinite(x) for pair in pairs for x in pair):
+        return f"{where}: amplitude vector has length {len(pairs)}; expected {dim}"
+    return None if len(pairs) == dim else f"{where}: amplitudes must be finite"
+
+
+def _statefile_doc(dims, named, phi: bool) -> dict:
+    """A state file's document of (name, amplitudes) pairs, phi's last if ``phi``."""
+    entries = [{"name": name, "amplitudes": amplitudes} for name, amplitudes in named]
+    doc = {"version": FORMAT_VERSION, "dims": list(dims), "states": entries[: len(entries) - phi]}
+    return doc | {"phi": entries[-1]} if phi else doc
+
+
+@functools.lru_cache(maxsize=64)
+def _statefile_layout(dims: tuple, count: int, phi: bool) -> str:
+    slot = (_Raw("%s"), np.zeros(math.prod(dims), dtype=complex))
+    return _dump(_statefile_doc(dims, [slot] * count, phi)).replace("0.0", "%r")
 
 
 def serialize_statefile(space: StateSpace, states, phi=None) -> str:
-    doc = {
-        "version": FORMAT_VERSION,
-        "dims": list(space.dims),
-        "states": [{"name": name, "amplitudes": st.amplitudes} for name, st in states],
-    }
+    """The state file of (name, PureState) pairs of ``space``, and phi's."""
+    named = [(name, st.amplitudes) for name, st in states]
+    count = len(named)  # a state's name sits at level 3, phi's at 2
     if phi is not None:
-        doc["phi"] = {"name": phi[0], "amplitudes": phi[1].amplitudes}
-    return _dump(doc)
+        named.append((phi[0], phi[1].amplitudes))
+    values = np.array([amplitudes for _, amplitudes in named], dtype=complex)
+    if not np.isfinite(values).all():
+        return _dump(_statefile_doc(space.dims, named, phi is not None))
+    fill = []
+    for k, ((name, _), row) in enumerate(zip(named, values.view(float).tolist())):
+        fill += [_dump(name, 3 if k < count else 2), *row]
+    return _statefile_layout(tuple(space.dims), len(named), phi is not None) % tuple(fill)
 
 
 def parse_statefile(text: str) -> StateFileData:
@@ -79,39 +113,34 @@ def parse_statefile(text: str) -> StateFileData:
     if doc.get("version") != FORMAT_VERSION:
         raise StateFileError(f"unsupported version {doc.get('version')!r}; expected \"{FORMAT_VERSION}\"")
     dims = doc.get("dims")
-    if (
-        not isinstance(dims, list)
-        or len(dims) < 2
-        or not all(isinstance(d, int) and d >= 2 for d in dims)
-    ):
+    if not isinstance(dims, list) or len(dims) < 2 or not all(isinstance(d, int) and d >= 2 for d in dims):
         raise StateFileError("dims must be a list of at least two integers >= 2")
     space = StateSpace(tuple(dims))
-
-    warnings: list[str] = []
-
-    def load_state(entry, where: str) -> tuple[str, PureState]:
-        if not isinstance(entry, dict) or "amplitudes" not in entry:
-            raise StateFileError(f"{where}: expected an object with name and amplitudes")
-        name = str(entry.get("name", where))
-        vec = _pairs_to_vec(entry["amplitudes"], where)
-        if vec.shape != (space.dim,):
-            raise StateFileError(
-                f"{where}: amplitude vector has length {vec.shape[0]}; expected {space.dim}"
-            )
-        norm = vector_norm(vec)
-        if abs(norm - 1.0) > 1e-8:
-            raise StateFileError(f"{where}: norm {norm:.10f} deviates from 1 by more than 1e-8")
-        if abs(norm - 1.0) > 1e-10:
-            warnings.append(f"{where}: norm deviated by {abs(norm-1.0):.2e}; renormalized")
-        if abs(norm - 1.0) > 1e-12:
-            vec = vec / norm
-        return name, PureState(space, vec)
 
     entries = doc.get("states")
     if not isinstance(entries, list) or not entries:
         raise StateFileError("states must be a nonempty list")
-    states = [load_state(e, f"states[{i}]") for i, e in enumerate(entries)]
-    phi = load_state(doc["phi"], "phi") if "phi" in doc else None
+    named = [(f"states[{i}]", e) for i, e in enumerate(entries)] + ([("phi", doc["phi"])] if "phi" in doc else [])
+    # the entries before the first defect in structure are read, and may fail, first
+    errors = [_shape_error(entry, where, space.dim) for where, entry in named]
+    read = named[: next((k for k, error in enumerate(errors) if error), None)]
+    flat = [x for _, entry in read for pair in entry["amplitudes"] for x in pair]
+    values = np.array(flat, dtype=float).reshape(len(read), 2 * space.dim).view(complex)
+    states, warnings = [], []
+    for (where, entry), vec, finite in zip(read, values, np.isfinite(values).all(axis=1)):
+        if not finite:
+            raise StateFileError(f"{where}: amplitudes must be finite")
+        norm = vector_norm(vec)
+        if abs(norm - 1.0) > NORM_REJECT:
+            raise StateFileError(f"{where}: norm {norm:.10f} deviates from 1 by more than {NORM_REJECT:g}")
+        if abs(norm - 1.0) > NORM_WARN:
+            warnings.append(f"{where}: norm deviated by {abs(norm-1.0):.2e}; renormalized")
+        if abs(norm - 1.0) > NORM_RENORMALIZE:
+            vec = vec / norm
+        states.append((str(entry.get("name", where)), PureState(space, vec)))
+    if len(read) < len(named):
+        raise StateFileError(errors[len(read)])
+    phi = states.pop() if "phi" in doc else None
     return StateFileData(space=space, states=states, phi=phi, warnings=warnings)
 
 
@@ -121,27 +150,31 @@ def input_digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _evidence_to_json(ev) -> dict:
-    if isinstance(ev, ProductDecomposition):
-        return {
-            "kind": "product_decomposition",
-            "weights": [float(w) for w in ev.weights],
-            "vectors": [
-                {
-                    "weight": [float(pv.weight.real), float(pv.weight.imag)],
-                    "factors": pv.factors,
-                }
-                for pv in ev.vectors
-            ],
-        }
+def _decomposition_element(name, weights, vectors) -> dict:
+    """A report element holding a product decomposition: its weights and each vector's (weight, factors)."""
+    vectors = [{"weight": [w.real, w.imag], "factors": factors} for w, factors in vectors]
+    return {"name": name, "evidence": {"kind": "product_decomposition", "weights": weights, "vectors": vectors}}
+
+
+@functools.lru_cache(maxsize=256)
+def _element_layout(count: int, shape: tuple) -> str:
+    vectors = [(0j, [np.zeros(d, dtype=complex) for d in dims]) for dims in shape]
+    return _dump(_decomposition_element(_Raw("%s"), [0.0] * count, vectors), 2).replace("0.0", "%r")
+
+
+def _element(name, ev):
+    """One entry of a report's ``elements`` (level 2), a filled layout for a finite product decomposition."""
     if isinstance(ev, PptRecord):
-        return {
-            "kind": "ppt_record",
-            "min_eigenvalue": ev.min_eigenvalue,
-            "exact": ev.exact,
-            "cuts": [list(c) for c in ev.cuts],
-        }
-    return {"kind": "none"}
+        cuts = [list(c) for c in ev.cuts]
+        return {"name": name, "evidence": {"kind": "ppt_record", "min_eigenvalue": ev.min_eigenvalue, "exact": ev.exact, "cuts": cuts}}
+    if not isinstance(ev, ProductDecomposition):
+        return {"name": name, "evidence": {"kind": "none"}}
+    weights, vectors = [float(w) for w in ev.weights], [(pv.weight, pv.factors) for pv in ev.vectors]
+    values = weights + np.concatenate([(), *(x for w, factors in vectors for x in ((w,), *factors))]).view(float).tolist()
+    if not math.isfinite(sum(values)):  # as it is when any value is not
+        return _decomposition_element(name, weights, vectors)
+    shape = tuple(tuple(map(len, factors)) for _, factors in vectors)
+    return _Raw(_element_layout(len(weights), shape) % (_dump(name, 3), *values))
 
 
 def _dual_to_json(cert: DualCertificate) -> dict:
@@ -179,10 +212,7 @@ def verdict_report(
         ),
         "elements": (
             [
-                {
-                    "name": (state_names[i] if state_names and i < len(state_names) else f"state{i}"),
-                    "evidence": _evidence_to_json(ev),
-                }
+                _element(state_names[i] if state_names and i < len(state_names) else f"state{i}", ev)
                 for i, ev in enumerate(cert.evidence)
             ]
             if cert
@@ -203,6 +233,11 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
+class _Raw(str):
+    """Text the writer copies as it is: a filled layout, or a template's name
+    slot.  A template's other text is keys, ints, "1" and zeros: no %."""
+
+
 @functools.lru_cache(maxsize=64)
 def _pairs_layout(n: int, level: int) -> str:
     """Indent-2 layout of n [re, im] pairs opened at nesting ``level``, a %r per float."""
@@ -211,7 +246,7 @@ def _pairs_layout(n: int, level: int) -> str:
 
 
 # _dump's branch per exact type (None: json.dumps); a subclass takes its base's, an int subclass json.dumps
-_BRANCH = {str: str, float: float, int: int, list: list, tuple: list, dict: dict, np.ndarray: np.ndarray, bool: None, type(None): None}
+_BRANCH = {_Raw: _Raw, str: str, float: float, int: int, list: list, tuple: list, dict: dict, np.ndarray: np.ndarray, bool: None, type(None): None}
 
 
 def _dump(obj, level: int = 0) -> str:
@@ -221,6 +256,8 @@ def _dump(obj, level: int = 0) -> str:
     against a cached layout."""
     cls = type(obj)
     kind = _BRANCH[cls] if cls in _BRANCH else next((b for t, b in _BRANCH.items() if t is not int and isinstance(obj, t)), None)
+    if kind is _Raw:
+        return obj
     if kind is str:
         return _quote(obj)
     if kind is float and math.isfinite(obj):

@@ -29,6 +29,27 @@ REJECTED = {
     "no_states": ('{"version": "1", "dims": [2, 2], "states": []}', "states must be a nonempty list"),
     "overflow": (_STATE.join(['{"version": "1", "dims": [2, 2], "states": [', "]}"]).replace("[1, 0]", "[1e400, 0]"), "states[0]: amplitudes must be finite"),
     "nan": (_STATE.join(['{"version": "1", "dims": [2, 2], "states": [', "]}"]).replace("[1, 0]", "[NaN, 0]"), "states[0]: amplitudes must be finite"),
+    "infinity": (_STATE.join(['{"version": "1", "dims": [2, 2], "states": [', "]}"]).replace("[0, 0]]", "[0, -Infinity]]"), "states[0]: amplitudes must be finite"),
+    "bool": (_STATE.join(['{"version": "1", "dims": [2, 2], "states": [', "]}"]).replace("[1, 0]", "[true, 0]"), "states[0]: amplitudes must be [re, im] pairs"),
+    "three_element_pair": (_STATE.join(['{"version": "1", "dims": [2, 2], "states": [', "]}"]).replace("[1, 0]", "[1, 0, 0]"), "states[0]: amplitudes must be [re, im] pairs"),
+    "numeric_string": (_STATE.join(['{"version": "1", "dims": [2, 2], "states": [', "]}"]).replace("[1, 0]", '["1", 0]'), "states[0]: amplitudes must be [re, im] pairs"),
+    "integer_overflow": (_STATE.join(['{"version": "1", "dims": [2, 2], "states": [', "]}"]).replace("[1, 0]", "[1%s, 0]" % ("0" * 400)), "states[0]: amplitudes must be finite"),
+    "not_a_list": ('{"version": "1", "dims": [2, 2], "states": [{"name": "s", "amplitudes": 1}]}', "states[0]: amplitudes must be [re, im] pairs"),
+    "unnormalized": ('{"version": "1", "dims": [2, 2], "states": [{"name": "s", "amplitudes": [[1, 0], [1, 0], [0, 0], [0, 0]]}]}', "states[0]: norm 1.4142135624 deviates from 1 by more than 1e-08"),
+    "phi_wrong_count": (f'{{"version": "1", "dims": [2, 2], "states": [{_STATE}], "phi": {{"amplitudes": [[0, 0], [1, 0]]}}}}', "phi: amplitude vector has length 2; expected 4"),
+    "phi_not_an_object": (f'{{"version": "1", "dims": [2, 2], "states": [{_STATE}], "phi": [[0, 0], [1, 0]]}}', "phi: expected an object with name and amplitudes"),
+    # the first bad entry in file order, its values read before a later
+    # entry's structure: a NaN in states[0] before a missing list in states[1],
+    # a state's norm before a bad phi, a NaN before a wrong count in one entry
+    "first_bad_entry": (
+        '{"version": "1", "dims": [2, 2], "states": [{"amplitudes": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}, {"name": "t"}]}',
+        "states[0]: amplitudes must be finite",
+    ),
+    "norm_before_phi": (
+        f'{{"version": "1", "dims": [2, 2], "states": [{_STATE.replace("[0, 0]]", "[0.5, 0]]")}], "phi": {{"amplitudes": [true]}}}}',
+        "states[0]: norm 1.1180339887 deviates from 1 by more than 1e-08",
+    ),
+    "nan_before_count": ('{"version": "1", "dims": [2, 2], "states": [{"amplitudes": [[0, NaN]]}]}', "states[0]: amplitudes must be finite"),
 }
 
 
