@@ -14,7 +14,6 @@ from .states import (
     ket,
     magic_basis,
     magic_coords,
-    orthocomplement_basis,
     orthonormal_completion,
     phi_plus,
 )

@@ -20,13 +20,13 @@ from . import config
 from .constructions import (
     FamilyParams,
     SubspaceFamily,
+    SubspaceSpec,
     TetraPoint,
     basis_for_targets,
     basis_from_unitary,
     family_sep_not_locc,
     indistinguishable_subspace,
     locc_basis_sch2,
-    subspace_spec_from_pair,
     tetra_unitary,
     verify_subspace_properties,
 )
@@ -121,28 +121,21 @@ def cmd_decide(args, tol) -> int:
         return EXIT_INPUT_ERROR
     for w in data.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    states = [st for _, st in data.states]
     try:
-        instance = DiscriminationInstance.from_pure(
-            data.space,
-            [st for _, st in data.states],
-            data.phi[1] if data.phi else None,
-        )
+        instance = DiscriminationInstance.from_pure(data.space, states, data.phi[1] if data.phi else None)
         verdict = decide(instance, tol, max_iterations=args.max_iterations)
     except SepdiscError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     diagnostics = dict(verdict.diagnostics)
-    # codimension-2 instances: attach the structural subspace report
-    if not data.phi and len(data.states) == data.space.dim - 2:
-        comp = orthonormal_completion([st for _, st in data.states])
-        spec = subspace_spec_from_pair(comp[0], comp[1])
-        report = verify_subspace_properties(spec, tol)
-        diagnostics["subspace_properties"] = {
-            "unique_product_vector": report.p0.passed,
-            "entangled_members_need_three_products": report.p1.passed,
-            "difference_combinations_need_three_products": report.p2.passed,
-        }
+    # codimension-2 instances: attach the structural subspace report of the
+    # pair the states leave, whose completion the states already are
+    if not data.phi and len(states) == data.space.dim - 2:
+        phi1, phi2 = orthonormal_completion(states)
+        report = verify_subspace_properties(SubspaceSpec(data.space, phi1, phi2, tuple(states)), tol)
+        diagnostics["subspace_properties"] = {p.name: p.passed for p in (report.p0, report.p1, report.p2)}
         verdict = dataclasses.replace(verdict, diagnostics=diagnostics)
     _emit(verdict_report(verdict, text, [name for name, _ in data.states]))
     return EXIT_BY_STATUS[verdict.status]

@@ -255,7 +255,6 @@ class SubspaceFamily(Enum):
 
 @dataclass(frozen=True)
 class SubspaceSpec:
-    kind: SubspaceFamily | None
     space: StateSpace
     phi1: PureState
     phi2: PureState
@@ -280,18 +279,11 @@ def indistinguishable_subspace(kind: SubspaceFamily) -> SubspaceSpec:
         phi2 = basis_state(space, (0, 0, 0))
     else:
         raise WrongForm(f"unknown subspace kind {kind}")
-    complement = tuple(orthonormal_completion([phi1, phi2]))
-    return SubspaceSpec(kind=kind, space=space, phi1=phi1, phi2=phi2, complement=complement)
+    return subspace_spec_from_pair(phi1, phi2)
 
 
 def subspace_spec_from_pair(phi1: PureState, phi2: PureState) -> SubspaceSpec:
-    return SubspaceSpec(
-        kind=None,
-        space=phi1.space,
-        phi1=phi1,
-        phi2=phi2,
-        complement=tuple(orthonormal_completion([phi1, phi2])),
-    )
+    return SubspaceSpec(phi1.space, phi1, phi2, tuple(orthonormal_completion([phi1, phi2])))
 
 
 @dataclass(frozen=True)
@@ -354,7 +346,6 @@ class SubspaceKind(Enum):
 class SubspaceVerdict:
     kind: SubspaceKind
     basis: tuple[PureState, ...] | None = None
-    classification: object = None
 
 
 def subspace_verdict(phi: PureState, tol: Tolerances = DEFAULT) -> SubspaceVerdict:
@@ -365,11 +356,10 @@ def subspace_verdict(phi: PureState, tol: Tolerances = DEFAULT) -> SubspaceVerdi
     if cls.kind is Schmidt2Kind.PRODUCT:
         raise PhiProduct("subspace question requires an entangled state")
     if cls.kind is Schmidt2Kind.AT_LEAST_3:
-        return SubspaceVerdict(kind=SubspaceKind.NO_DISTINGUISHABLE_BASIS, classification=cls)
+        return SubspaceVerdict(SubspaceKind.NO_DISTINGUISHABLE_BASIS)
     if cls.kind is Schmidt2Kind.SCHMIDT2:
-        basis = tuple(_locc_basis(phi, cls.decomposition))
-        return SubspaceVerdict(kind=SubspaceKind.HAS_LOCC_BASIS, basis=basis, classification=cls)
-    return SubspaceVerdict(kind=SubspaceKind.UNDECIDED, classification=cls)
+        return SubspaceVerdict(SubspaceKind.HAS_LOCC_BASIS, tuple(_locc_basis(phi, cls.decomposition)))
+    return SubspaceVerdict(SubspaceKind.UNDECIDED)
 
 
 def locc_basis_sch2(phi: PureState, tol: Tolerances = DEFAULT) -> list[PureState]:

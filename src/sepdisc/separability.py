@@ -301,52 +301,47 @@ def ppt_oracle(rho: np.ndarray, space: StateSpace, tol: Tolerances = DEFAULT) ->
     return SeparabilityVerdict(SepStatus.UNDECIDED, record, {"reason": "PPT necessary only"})
 
 
-def try_product_decomposition(op: np.ndarray, space: StateSpace, tol: Tolerances = DEFAULT) -> ProductDecomposition | None:
-    """Product decomposition of a PSD operator that is diagonal in some
-    orthogonal product basis, found eigenspace by eigenspace; None when an
-    eigenspace admits no orthonormal product basis this way."""
-    vals, vecs = hermitian_eig(op, tol)
+# an element's rank counts its eigenvalues above _RANK_CUT max(1, lambda_max);
+# the product search merges eigenvalues within _MERGE_WIDTH max(1, lambda_max)
+# into one eigenspace and skips columns shorter than _COLUMN_FLOOR
+_RANK_CUT = 1e-9
+_MERGE_WIDTH = 1e-8
+_COLUMN_FLOOR = 1e-9
+
+
+def try_product_decomposition(op: np.ndarray, vals: np.ndarray, vecs: np.ndarray, space: StateSpace) -> ProductDecomposition | None:
+    """Product decomposition of a PSD operator diagonal in some orthogonal
+    product basis, from its spectrum ``vals, vecs`` as hermitian_eig gives it,
+    eigenspace by eigenspace: each greedy step makes one try_factor call over
+    the standard basis projected into what is left of the eigenspace, longest
+    column first, and takes the first that factors (on the last vector every
+    column is the same direction, so the first); None when a step finds none."""
     scale = max(1.0, float(vals[-1]))
-    weights: list[float] = []
-    vectors: list[ProductVector] = []
+    weights, vectors = [], []
     i = 0
     while i < len(vals):
         j = i
-        while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) <= 1e-8 * scale:
+        while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) <= _MERGE_WIDTH * scale:
             j += 1
         lam = float(np.mean(vals[i : j + 1]))
-        if lam > 1e-9 * scale:
+        if lam > _RANK_CUT * scale:
             block = vecs[:, i : j + 1]
-            # project the standard basis into the eigenspace and pick product
-            # directions greedily
-            proj = block @ block.conj().T
-            chosen: list[np.ndarray] = []
-            resid = proj.copy()
-            for _ in range(j - i + 1):
+            resid = block @ block.conj().T
+            for left in range(j - i, -1, -1):
                 norms = np.linalg.norm(resid, axis=0)
                 order = np.argsort(-norms)
-                found = None
-                for idx in order:
-                    if norms[idx] < 1e-9:
-                        break
-                    cand = resid[:, idx] / norms[idx]
-                    found = try_factor(cand[None], space.dims)[0]
-                    # with one dimension left every column is the same
-                    # direction, so the first candidate settles it
-                    if found is not None or len(chosen) == j - i:
-                        break
+                live = order[norms[order] >= _COLUMN_FLOOR][: None if left else 1]
+                cands = resid.T[live] / norms[live, None]
+                found = next((pv for pv in try_factor(cands, space.dims) if pv is not None), None)
                 if found is None:
                     return None
                 vec = found.unit()
-                chosen.append(vec)
                 weights.append(lam)
                 vectors.append(found)
                 resid = resid - np.outer(vec, vec.conj() @ resid)
         i = j + 1
     dec = ProductDecomposition(tuple(weights), tuple(vectors))
-    if dec.residual(op) > REASSEMBLY_BOUND:
-        return None
-    return dec
+    return None if dec.residual(op) > REASSEMBLY_BOUND else dec
 
 
 def _factored(pv: ProductVector | None, weight: float) -> SeparabilityVerdict:
@@ -375,14 +370,14 @@ def element_separability(
     element is separable; a rank-2 element is settled by the exact rank-2
     lemma on its eigenvectors; then an eigenspace-wise product
     decomposition; otherwise the PPT oracle's verdict.  Rank counts the
-    eigenvalues above 1e-9 max(1, lambda_max).
+    eigenvalues above _RANK_CUT max(1, lambda_max).
     """
     if isinstance(member, PureState):
         return _factored(member.product, 1.0)
     vals, vecs = hermitian_eig(member, tol)
     if vals[0] < _EIGENVALUE_FLOOR:
         return SeparabilityVerdict(SepStatus.UNDECIDED, detail={"min_eigenvalue": float(vals[0])})
-    rank = int(np.sum(vals > 1e-9 * max(1.0, float(vals[-1]))))
+    rank = int(np.sum(vals > _RANK_CUT * max(1.0, float(vals[-1]))))
     if rank == 1:
         return _factored(try_factor(vecs[None, :, -1], space.dims)[0], float(vals[-1]))
     ppt = None
@@ -399,7 +394,7 @@ def element_separability(
             return r2
         dec = ProductDecomposition(tuple(mu * w for w in r2.evidence.weights), r2.evidence.vectors)
         return SeparabilityVerdict(SepStatus.SEPARABLE, dec, r2.detail)
-    dec = try_product_decomposition(member, space, tol)
+    dec = try_product_decomposition(member, vals, vecs, space)
     if dec is not None:
         return SeparabilityVerdict(SepStatus.SEPARABLE, dec)
     return ppt if ppt is not None else _ppt_or_undecided(member, space, tol)

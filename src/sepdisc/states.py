@@ -325,11 +325,6 @@ def orthonormal_completion(states: list[PureState]) -> list[PureState]:
     return [PureState(space, comp[:, j]) for j in range(comp.shape[1])]
 
 
-def orthocomplement_basis(phi: PureState) -> list[PureState]:
-    """D-1 orthonormal states spanning {phi}^perp."""
-    return orthonormal_completion([phi])
-
-
 def local_basis_containing(v: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of a single-party space whose first column
     is the given unit vector."""

@@ -490,11 +490,11 @@ def test_a_member_without_an_eigenvalue_near_1_is_rejected():
 
 def test_try_product_decomposition_diagonal():
     op = np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex)
-    dec = try_product_decomposition(op, QUBIT_PAIR)
+    dec = try_product_decomposition(op, *linalg.hermitian_eig(op), QUBIT_PAIR)
     assert dec is not None
     assert dec.residual(op) < 1e-10
     bellop = phi_plus().density()
-    assert try_product_decomposition(bellop, QUBIT_PAIR) is None
+    assert try_product_decomposition(bellop, *linalg.hermitian_eig(bellop), QUBIT_PAIR) is None
 
 
 def test_lambda_certificate_failure_names_member_theorem_and_flag():
@@ -582,8 +582,15 @@ def test_entangled_rank1_projector_costs_one_factor_attempt(monkeypatch):
 
     monkeypatch.setattr(separability, "try_factor", counting)
     psi = random_pure_state(np.random.default_rng(3), S3)
-    assert separability.try_product_decomposition(psi.density(), S3) is None
+    op = psi.density()
+    assert separability.try_product_decomposition(op, *linalg.hermitian_eig(op), S3) is None
     assert len(calls) == 1
+    # a Haar rank-3 projector on 3x3, one eigenspace: every column of the
+    # first greedy step goes into one call, and none factors
+    u = random_unitary(np.random.default_rng(5), 9)
+    op = u[:, :3] @ u[:, :3].conj().T
+    assert separability.try_product_decomposition(op, *linalg.hermitian_eig(op), StateSpace((3, 3))) is None
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("kind", ["product", "haar", "bell"])

@@ -34,7 +34,7 @@ from sepdisc.separability import (
     element_separability,
     feasibility_solve,
 )
-from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket, orthocomplement_basis, phi_plus
+from sepdisc.states import PureState, QUBIT_PAIR, StateSpace, ket, orthonormal_completion, phi_plus
 from tests.conftest import bell, census_cell
 
 
@@ -96,8 +96,6 @@ def test_rank2_residual_projector_uses_dykstra():
     space = StateSpace((3, 3))
     phi1 = PureState.normalized(space, np.eye(3, dtype=complex).reshape(9))
     phi2 = ket(space, "01")
-    from sepdisc.states import orthonormal_completion
-
     instance = _instance(orthonormal_completion([phi1, phi2]))
     out = feasibility_solve(instance, max_iterations=2500)
     assert not out.feasible and out.iterations > 0  # the Dykstra path ran
@@ -286,7 +284,7 @@ def test_perturbed_projector_keeps_the_rank1_verdict(build, status, r):
 def test_residual_rank_and_support():
     spec = indistinguishable_subspace(SubspaceFamily.BIPARTITE_3X3_DIM7)
     cases = [
-        (_instance(orthocomplement_basis(phi_plus())), 1),
+        (_instance(orthonormal_completion([phi_plus()])), 1),
         (_instance(spec.complement), 2),
         (_as_projectors(_rotated_family(), 1.0 - 3e-9), 1),
         (_instance([bell(b) for b in ("phi+", "phi-", "psi+", "psi-")]), 0),

@@ -38,11 +38,12 @@ from sepdisc.states import (
     StateSpace,
     basis_state,
     ket,
+    local_basis_containing,
     phi_plus,
     state_from_coeff_matrix,
 )
-from sepdisc.tensor_rank import ProductVector
-from tests.conftest import bell
+from sepdisc.tensor_rank import ProductVector, try_factor
+from tests.conftest import bell, upb_shifts, upb_tiles
 
 
 def _density(state):
@@ -406,7 +407,7 @@ class TestElementSeparability:
         # the residual compares the zero matrix of the target's shape
         for space in (QUBIT_PAIR, S33, StateSpace((2, 2, 2))):
             zero = np.zeros((space.dim, space.dim))
-            dec = try_product_decomposition(zero, space)
+            dec = try_product_decomposition(zero, *hermitian_eig(zero), space)
             assert dec == ProductDecomposition((), ())
             assert dec.residual(zero) == 0.0
             verdict = element_separability(zero, space)
@@ -435,3 +436,119 @@ def test_stacked_reassembly_matches_a_per_vector_sum():
     stacked = reassembly_residuals(decs, np.stack(targets))
     assert np.allclose(stacked, [d.residual(t) for d, t in zip(decs, targets)], rtol=0.0, atol=1e-14)
     assert stacked[1] == 1.0
+
+
+def _per_candidate_search(op, space):
+    """The product-basis search with one try_factor call per candidate
+    column, longest first, stopping at the first that factors: the
+    reference the one-call search must match bit for bit."""
+    vals, vecs = hermitian_eig(op)
+    scale = max(1.0, float(vals[-1]))
+    weights, vectors = [], []
+    i = 0
+    while i < len(vals):
+        j = i
+        while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) <= 1e-8 * scale:
+            j += 1
+        lam = float(np.mean(vals[i : j + 1]))
+        if lam > 1e-9 * scale:
+            block = vecs[:, i : j + 1]
+            resid = block @ block.conj().T
+            for step in range(j - i + 1):
+                norms = np.linalg.norm(resid, axis=0)
+                found = None
+                for idx in np.argsort(-norms):
+                    if norms[idx] < 1e-9:
+                        break
+                    found = try_factor((resid[:, idx] / norms[idx])[None], space.dims)[0]
+                    # on the eigenspace's last vector the first candidate settles it
+                    if found is not None or step == j - i:
+                        break
+                if found is None:
+                    return None
+                vec = found.unit()
+                weights.append(lam)
+                vectors.append(found)
+                resid = resid - np.outer(vec, vec.conj() @ resid)
+        i = j + 1
+    dec = ProductDecomposition(tuple(weights), tuple(vectors))
+    return None if dec.residual(op) > separability.REASSEMBLY_BOUND else dec
+
+
+def _search_inputs():
+    """(operator, space, whether it decomposes): the completability elements
+    P_k + P0 of Tiles and Shifts, of which only the last member's (the Tiles
+    stopper, Shifts' |---> member) has product columns at every greedy step,
+    and their bound entangled P0; diag(0, 1, 1, 1); weighted sums of
+    standard-basis product projectors, and locally rotated equal-weight sums
+    whose members differ on every party, which leave a degenerate eigenspace
+    with no product column; Haar rank-3 projectors on 3x3; and
+    |a b><a b| + |a' e><a' e| with a' orthogonal to a and e a standard basis
+    vector, whose longest columns are entangled while a shorter one factors."""
+    rng = np.random.default_rng(34)
+    out = []
+    for build in (upb_tiles, upb_shifts):
+        inst = build()
+        p0, n = inst.residual_projector, inst.n
+        out += [(pk + p0, inst.space, k == n - 1) for k, pk in enumerate(inst.projectors)] + [(p0, inst.space, False)]
+    out.append((np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex), QUBIT_PAIR, True))
+    diagonals = {(2, 2): [(0, 0), (1, 1)], (3, 3): [(0, 0), (1, 1), (2, 2)], (2, 2, 2): [(0, 0, 1), (1, 1, 0)]}
+    for dims, diagonal in diagonals.items():
+        space = StateSpace(dims)
+        for _ in range(3):
+            picks = rng.choice(space.dim, size=int(rng.integers(2, space.dim + 1)), replace=False)
+            weights = rng.choice([0.5, 1.0], size=len(picks))
+            out.append((np.diag(np.bincount(picks, weights, space.dim)).astype(complex), space, True))
+            u = kron_all([random_unitary(rng, d) for d in dims])
+            op = sum(basis_state(space, idx).density() for idx in diagonal)
+            out.append((u @ op @ u.conj().T, space, False))
+    for _ in range(3):
+        u = random_unitary(rng, 9)
+        out.append((u[:, :3] @ u[:, :3].conj().T, S33, False))
+    for space in (QUBIT_PAIR, S33):
+        d = space.dims[0]
+        for m in range(d):
+            a = local_basis_containing(random_local_vector(rng, d))
+            ab = np.kron(a[:, 0], random_local_vector(rng, d))
+            ae = np.kron(a[:, 1], np.eye(d)[m])
+            out.append((np.outer(ab, ab.conj()) + np.outer(ae, ae.conj()), space, True))
+    return out
+
+
+def test_one_call_search_matches_the_per_candidate_reference_bit_for_bit(monkeypatch):
+    # rows of each try_factor call of the one-call search, and whether its
+    # longest column failed to factor
+    rows, skipped = [], []
+
+    def counting(vecs, dims):
+        out = try_factor(vecs, dims)
+        rows.append(len(vecs))
+        skipped.append(out[0] is None)
+        return out
+
+    passed_over = 0
+    for op, space, decomposes in _search_inputs():
+        want = _per_candidate_search(op, space)
+        rows.clear()
+        skipped.clear()
+        with monkeypatch.context() as m:
+            m.setattr(separability, "try_factor", counting)
+            got = try_product_decomposition(op, *hermitian_eig(op), space)
+        assert (got is not None) is (want is not None) is decomposes
+        if got is None:
+            # each of these fails at its first greedy step: one call
+            assert len(rows) == 1
+            continue
+        # one try_factor call per greedy step, one step per product vector,
+        # and one row on each eigenspace's last vector: the weights hold one
+        # run of equal values per eigenspace
+        assert len(rows) == len(got.vectors)
+        assert rows.count(1) == 1 + sum(x != y for x, y in zip(got.weights, got.weights[1:]))
+        passed_over += any(skipped)
+        assert np.array(got.weights).tobytes() == np.array(want.weights).tobytes()
+        assert len(got.vectors) == len(want.vectors)
+        for a, b in zip(got.vectors, want.vectors):
+            assert np.array(a.weight).tobytes() == np.array(b.weight).tobytes()
+            assert all(fa.tobytes() == fb.tobytes() for fa, fb in zip(a.factors, b.factors))
+    # the |a b> + |a' e> sums take a column after a longer one failed
+    assert passed_over >= 5

@@ -19,7 +19,6 @@ from sepdisc.states import (
     ket,
     magic_basis,
     magic_coords,
-    orthocomplement_basis,
     orthonormal_completion,
     phi_plus,
     state_from_coeff_matrix,
@@ -195,7 +194,7 @@ def test_magic_concurrence_matches_determinant(rng):
 
 
 def test_orthocomplement_counts_and_gram():
-    comp = orthocomplement_basis(ket(QUBIT_PAIR, "00"))
+    comp = orthonormal_completion([ket(QUBIT_PAIR, "00")])
     assert len(comp) == 3
     full = [ket(QUBIT_PAIR, "00")] + comp
     gram = np.array([[a.inner(b) for b in full] for a in full])
@@ -203,15 +202,15 @@ def test_orthocomplement_counts_and_gram():
 
 
 def test_orthocomplement_w_state(qubit3):
-    comp = orthocomplement_basis(w_state(qubit3))
+    comp = orthonormal_completion([w_state(qubit3)])
     assert len(comp) == 7
     assert max(abs(w_state(qubit3).inner(s)) for s in comp) < 1e-10
 
 
 def test_orthocomplement_deterministic(rng):
     phi = random_pure_state(rng, QUBIT_PAIR)
-    first = orthocomplement_basis(phi)
-    second = orthocomplement_basis(phi)
+    first = orthonormal_completion([phi])
+    second = orthonormal_completion([phi])
     for a, b in zip(first, second):
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
