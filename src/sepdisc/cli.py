@@ -151,8 +151,7 @@ def cmd_construct(args, tol) -> int:
             basis = basis_from_unitary(tetra_unitary(TetraPoint(args.x1, args.x2, args.x3)))
             phi = magic_basis()[3]
         elif args.what == "subspace":
-            kind = SubspaceFamily.BIPARTITE_3X3_DIM7 if args.kind == "dim7" else SubspaceFamily.TRIPARTITE_222_DIM6
-            spec = indistinguishable_subspace(kind)
+            spec = indistinguishable_subspace(SubspaceFamily(args.kind))
             basis, phi = spec.complement, None
         elif args.what == "locc-basis":
             data = parse_statefile(_read_text(args.file))

@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -379,8 +378,9 @@ def _locc_basis(phi: PureState, dec: Schmidt2Decomposition) -> list[PureState]:
     On p, the first party where a and b split, their orthogonal factors and
     the completion of those form a local basis that cuts the space into
     sectors.  The sector of a's factor holds a product basis through a, that
-    of b's factor one through b, and every other sector a standard basis; a
-    and b, the first vectors of their sectors, are left out.
+    of b's factor one through b, and every other sector a standard basis,
+    each the columns of one Kronecker product of local blocks; a and b, the
+    first columns of their sectors, are left out.
     """
     space, dims = phi.space, phi.space.dims
     a, b = dec.a.normalized(), dec.b.normalized()
@@ -396,9 +396,6 @@ def _locc_basis(phi: PureState, dec: Schmidt2Decomposition) -> list[PureState]:
             else local_basis_containing(anchors[q])
             for q, d in enumerate(dims)
         ]
-        sector = [
-            PureState.normalized(space, kron_all([c[:, i] for c, i in zip(cols, idx)]))
-            for idx in itertools.product(*(range(c.shape[1]) for c in cols))
-        ]
+        sector = [PureState.normalized(space, col) for col in kron_all(cols).T]
         basis.extend(sector[1:] if anchors is not None else sector)
     return basis

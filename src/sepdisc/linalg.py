@@ -20,8 +20,8 @@ def kron_all(factors) -> np.ndarray:
     out = np.asarray(factors[0])
     for f in factors[1:]:
         f = np.asarray(f)
-        # on vectors the outer product is np.kron's result, entry for entry
-        out = np.multiply.outer(out, f).ravel() if out.ndim == f.ndim == 1 else np.kron(out, f)
+        # np.kron's result, entry for entry: its broadcast product without its set-up
+        out = np.multiply.outer(out, f).ravel() if out.ndim == f.ndim == 1 else (out[:, None, :, None] * f[None, :, None, :]).reshape(len(out) * len(f), -1)
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, NotPsd, PhiProduct, PreconditionViolated
-from .linalg import dag, hermitian_eig, min_eigenvalues, partial_transpose, psd_project
+from .linalg import check_hermitian, dag, hermitian_eig, min_eigenvalues, partial_transpose, psd_project
 from .states import DiscriminationInstance, PureState, StateSpace, coeff_matrix
 from .tensor_rank import ProductVector, SpanRoots, span_roots, try_factor
 
@@ -221,14 +221,13 @@ def separable_lambdas(phi: PureState, members, tol: Tolerances = DEFAULT):
     return lambdas, decomposition
 
 
-def _worst_pt(rho: np.ndarray, space: StateSpace, tol: Tolerances) -> PtWitness:
-    """Lowest partial-transpose eigenpair of rho over every cut of the space."""
-    worst = None
-    for cut in space.cuts:
-        w, v = hermitian_eig(partial_transpose(rho, space.dims, cut), tol)
-        if worst is None or w[0] < worst.eigenvalue:
-            worst = PtWitness(cut=cut, eigenvalue=float(w[0]), eigenvector=v[:, 0])
-    return worst
+def _worst_cut(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of the (n, C, d, d) Hermitian stack m, from one eigh call: the
+    first cut with the least lowest eigenvalue, and that cut's eigenvalues
+    (n, d) and eigenvector columns (n, d, d)."""
+    w, v = np.linalg.eigh(m)
+    rows, cut = np.arange(len(m)), w[..., 0].argmin(axis=1)
+    return cut, w[rows, cut], v[rows, cut]
 
 
 @dataclass(frozen=True)
@@ -290,10 +289,12 @@ def ppt_oracle(rho: np.ndarray, space: StateSpace, tol: Tolerances = DEFAULT) ->
     tr = float(np.real(np.trace(rho)))
     if tr <= 0:
         raise NotPsd("input has nonpositive trace")
-    worst = _worst_pt(rho / tr, space, tol)
-    min_eig = worst.eigenvalue
+    pts = np.asarray(np.stack([partial_transpose(rho, space.dims, cut) for cut in space.cuts]) / tr, dtype=complex)
+    check_hermitian(pts, tol)
+    (c,), (w,), (v,) = _worst_cut(((pts + dag(pts)) / 2.0)[None])
+    min_eig = float(w[0])
     if min_eig < _EIGENVALUE_FLOOR:
-        return SeparabilityVerdict(SepStatus.ENTANGLED, worst, {"min_pt_eigenvalue": min_eig})
+        return SeparabilityVerdict(SepStatus.ENTANGLED, PtWitness(space.cuts[c], min_eig, v[:, 0]), {"min_pt_eigenvalue": min_eig})
 
     record = PptRecord(min_eigenvalue=min_eig, exact=ppt_is_exact(space), cuts=space.cuts)
     if record.exact:
@@ -527,9 +528,7 @@ def _slopes(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> list[tuple[float,
     cut c, with A_c + lam B_c = sum_j w_j x_j x_j^H, v = -w_0, v' = -x_0^H
     B_c x_0 and v'' = 2 sum_{j>0} |x_j^H B_c x_0|^2 / (w_j - w_0) (Lewis &
     Overton, Acta Numerica 5 (1996) 149-190)."""
-    w, v = np.linalg.eigh(a + lams[:, None, None, None] * b)
-    rows, cut = np.arange(len(lams)), w[..., 0].argmin(axis=1)
-    w, v = w[rows, cut], v[rows, cut]
+    cut, w, v = _worst_cut(a + lams[:, None, None, None] * b)
     coupling = (dag(v) @ (b[cut] @ v[:, :, :1]))[..., 0]  # x_j^H B_c x_0
     gap = w[:, 1:] - w[:, :1]
     terms = np.divide(np.abs(coupling[:, 1:]) ** 2, gap, out=np.zeros_like(gap), where=gap > _DEGENERATE_GAP)
@@ -643,13 +642,11 @@ def _cut_duals(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
     lams[k], x the lowest eigenvector of A_c + lams[k] B_c, and zero on the
     other cuts: the affine bound tr(Z (A_c + lam B_c)) >= 0, with slope +-1
     in lam, that excludes lams[k] when that eigenvalue is negative."""
-    w, v = np.linalg.eigh(a + lams[:, None, None, None] * b)
-    rows = np.arange(len(lams))
-    worst = w[..., 0].argmin(axis=1)
-    x = v[rows, worst, :, 0]
+    worst, _, v = _worst_cut(a + lams[:, None, None, None] * b)
+    x = v[:, :, 0]
     slope = np.einsum("ki,kij,kj->k", x.conj(), b[worst], x).real
     z = np.zeros(a.shape, dtype=complex)
-    z[rows, worst] = x[:, :, None] * x[:, None, :].conj() / np.abs(slope)[:, None, None]
+    z[np.arange(len(lams)), worst] = x[:, :, None] * x[:, None, :].conj() / np.abs(slope)[:, None, None]
     return z
 
 

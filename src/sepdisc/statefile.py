@@ -238,22 +238,14 @@ class _Raw(str):
     slot.  A template's other text is keys, ints, "1" and zeros: no %."""
 
 
-@functools.lru_cache(maxsize=64)
-def _pairs_layout(n: int, level: int) -> str:
-    """Indent-2 layout of n [re, im] pairs opened at nesting ``level``, a %r per float."""
-    pad = "\n" + "  " * level
-    return "[" + ",".join([f"{pad}  [{pad}    %r,{pad}    %r{pad}  ]"] * n) + pad + "]"
-
-
 # _dump's branch per exact type (None: json.dumps); a subclass takes its base's, an int subclass json.dumps
 _BRANCH = {_Raw: _Raw, str: str, float: float, int: int, list: list, tuple: list, dict: dict, np.ndarray: np.ndarray, bool: None, type(None): None}
 
 
 def _dump(obj, level: int = 0) -> str:
     """What ``json.dumps`` writes with an indent of 2, byte for byte, a complex
-    ndarray standing for its (rows of) [re, im] pairs; where json's indent
-    encoder formats each float in Python, a finite vector is one ``%``
-    against a cached layout."""
+    ndarray standing for its (rows of) [re, im] pairs, which it walks as the
+    nested lists of floats it is read into."""
     cls = type(obj)
     kind = _BRANCH[cls] if cls in _BRANCH else next((b for t, b in _BRANCH.items() if t is not int and isinstance(obj, t)), None)
     if kind is _Raw:
@@ -265,13 +257,7 @@ def _dump(obj, level: int = 0) -> str:
     if kind is int:
         return int.__repr__(obj)
     if kind is np.ndarray:
-        if obj.ndim == 1 and len(obj):
-            flat = np.ascontiguousarray(obj, dtype=complex).view(float).tolist()
-            text = _pairs_layout(len(obj), level) % tuple(flat)
-            if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
-                return text
-            obj = [flat[i : i + 2] for i in range(0, len(flat), 2)]
-        obj, kind = list(obj), list
+        obj, kind = np.asarray(obj, dtype=complex)[..., None].view(float).tolist(), list
     if kind is dict:
         opening, closing, items = "{", "}", [f"{_quote(_key(k))}: {_dump(v, level + 1)}" for k, v in obj.items()]
     elif kind is list:

@@ -304,6 +304,24 @@ class TestConstruct:
         assert len(parse_statefile(out).states) == 8
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                lambda tmp: ["construct", "locc-basis", write_states(tmp, "two.json", [("a", bell("phi+")), ("b", bell("psi-"))])],
+                "error: locc-basis needs a phi entry or a single state",
+            ),
+            (lambda tmp: ["sweep", "--step", "0.25", "--output", str(tmp / "missing" / "sweep.csv")], "error: [Errno 2]"),
+        ],
+        ids=["locc_basis_two_states_no_phi", "sweep_into_a_missing_directory"],
+    )
+    def test_exit_3_with_the_error(self, tmp_path, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv(tmp_path))
+        assert code == 3 and out == ""
+        assert err.startswith(message)
+
+
 class TestSweep:
     def test_sweep_rows(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"

@@ -343,6 +343,11 @@ class TestSubspaces:
         gram = np.array([[a.inner(b) for b in full] for a in full])
         assert np.max(np.abs(gram - np.eye(9))) < 1e-10
 
+    def test_unknown_kind_rejected(self):
+        # the family's value, not the family member
+        with pytest.raises(WrongForm, match="unknown subspace kind dim7"):
+            indistinguishable_subspace("dim7")
+
     def test_dim6_spec(self):
         spec = indistinguishable_subspace(SubspaceFamily.TRIPARTITE_222_DIM6)
         assert len(spec.complement) == 6

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepdisc.errors import DimensionMismatch, NotHermitian
+from sepdisc.errors import BadBipartition, DimensionMismatch, NotHermitian
 from sepdisc.linalg import (
     hermitian_eig,
     kron_all,
@@ -66,11 +66,17 @@ def test_vector_norm_is_bitwise_np_linalg_norm(n):
 
 
 def test_kron_all_of_matrices_matches_np_kron():
-    # local unitaries, the way rotations are built
+    # local unitaries, the way rotations are built, and the column blocks of
+    # an LOCC basis sector: one column on one party, a local basis or a
+    # real identity on the others, some of them strided views
     rng = np.random.default_rng(3)
-    for dims in [(2, 2), (2, 3), (2, 2, 2)]:
+    for dims in [(2, 2), (2, 3), (2, 2, 2), (3, 2, 3)]:
         us = [np.linalg.qr(_complex(rng, (d, d)))[0] for d in dims]
-        assert np.array_equal(kron_all(us), _kron_fold(us))
+        blocks = [us[0][:, 1:2], us[1][::-1].T, *(np.eye(d) for d in dims[2:])]
+        for factors in (us, blocks, [np.eye(dims[0]), *us[1:]]):
+            got, want = kron_all(factors), _kron_fold(factors)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 @given(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4), st.integers(0, 2**31 - 1))
@@ -151,3 +157,16 @@ def test_psd_project_stack(rng):
     assert np.linalg.eigvalsh(proj).min() > -1e-12
     one = psd_project(stack[0])
     assert np.allclose(one, proj[0])
+
+
+@pytest.mark.parametrize(
+    "a, parties, error, message",
+    [
+        (np.eye(4), 2, BadBipartition, "party index 2 out of range for 2 parties"),
+        (np.eye(3), 0, DimensionMismatch, r"operator of shape \(3, 3\) does not match total dimension 4"),
+    ],
+    ids=["party_out_of_range", "wrong_shape"],
+)
+def test_partial_transpose_rejects(a, parties, error, message):
+    with pytest.raises(error, match=message):
+        partial_transpose(a, (2, 2), parties)

@@ -43,7 +43,7 @@ from sepdisc.states import (
     state_from_coeff_matrix,
 )
 from sepdisc.tensor_rank import ProductVector, try_factor
-from tests.conftest import bell, upb_shifts, upb_tiles
+from tests.conftest import bell, ghz_theta, upb_shifts, upb_tiles, w_state
 
 
 def _density(state):
@@ -77,6 +77,10 @@ class TestLemma1:
         rho = phi_plus().density()
         with pytest.raises(PreconditionViolated):
             lemma1_check(2.0 * np.eye(4), rho)
+
+    def test_rho_trace_not_one_rejected(self):
+        with pytest.raises(PreconditionViolated, match="rho must be a density matrix"):
+            lemma1_check(np.eye(4), 2.0 * phi_plus().density())
 
     def test_rho_is_eigendecomposed_once(self, monkeypatch):
         # E, rho and E - P: the support projector P comes from rho's one
@@ -280,6 +284,11 @@ class TestAntiparallel:
         with pytest.raises(PhiProduct):
             antiparallel_test(phi_plus(), ket(QUBIT_PAIR, "00"))
 
+    def test_product_psi_fails_with_its_reason(self):
+        res = antiparallel_test(ket(QUBIT_PAIR, "00"), phi_plus())
+        assert not res.passed and res.reason == "psi is a product state"
+        assert res.lambda_star == 0.0 and res.eigenvalues == (0j, 0j) and res.angle_defect == np.inf
+
     def test_consistency_with_rank2(self, rng):
         # Pass(lambda*) if and only if the two-projector mixture at lambda*
         # is separable
@@ -316,6 +325,21 @@ class TestPptOracle:
         verdict = ppt_oracle(np.eye(9) / 9.0, s33)
         assert verdict.status is SepStatus.UNDECIDED
         assert not verdict.evidence.exact
+
+    @pytest.mark.parametrize("build", [lambda s: ghz_theta(s, math.pi / 4), w_state], ids=["ghz", "w"])
+    def test_equal_cut_minima_give_the_first_cut(self, build):
+        # every cut of GHZ and W has the same lowest partial-transpose
+        # eigenvalue, bit for bit: the witness is the first cut's
+        space = StateSpace((2, 2, 2))
+        rho = build(space).density()
+        scaled = rho / float(np.real(np.trace(rho)))  # as the oracle scales it
+        lowest = [hermitian_eig(partial_transpose(scaled, space.dims, cut)) for cut in space.cuts]
+        assert len({float(w[0]) for w, _ in lowest}) == 1
+        verdict = ppt_oracle(rho, space)
+        assert verdict.status is SepStatus.ENTANGLED
+        assert verdict.evidence.cut == (0,)
+        assert verdict.evidence.eigenvalue == lowest[0][0][0]
+        assert verdict.evidence.eigenvector.tobytes() == lowest[0][1][:, 0].tobytes()
 
     def test_rejects_non_psd(self):
         with pytest.raises(NotPsd):

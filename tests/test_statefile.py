@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sepdisc.constructions import FamilyParams, SubspaceFamily, family_sep_not_locc, indistinguishable_subspace, locc_basis_sch2
-from sepdisc.discrimination import DiscriminationInstance, PovmCertificate, decide
+from sepdisc.discrimination import DiscriminationInstance, PovmCertificate, Verdict, VerdictStatus, decide
 from sepdisc.errors import StateFileError
 from sepdisc.linalg import vector_norm
 from sepdisc.sampling import random_product_basis, random_unitary
@@ -169,6 +169,12 @@ def test_ppt_records_round_trip_through_the_report():
     for ev in evidence:
         assert ev["kind"] == "ppt_record" and ev["exact"] is True and ev["cuts"] == [[0]]
         assert ev["min_eigenvalue"] >= -1e-9
+
+
+def test_an_element_without_evidence_is_written_as_none():
+    cert = PovmCertificate((np.eye(4),), (None,))
+    report = json.loads(verdict_report(Verdict(VerdictStatus.DISTINGUISHABLE, "T1", cert), "{}", ["m"]))
+    assert report["elements"] == [{"name": "m", "evidence": {"kind": "none"}}]
 
 
 # -- the per-node writer: each state file and report element a document walked node by node --

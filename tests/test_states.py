@@ -14,6 +14,7 @@ from sepdisc.states import (
     PureState,
     QUBIT_PAIR,
     StateSpace,
+    basis_state,
     coeff_matrix,
     concurrence,
     ket,
@@ -234,3 +235,37 @@ def test_instances_and_completions_share_one_orthonormality_test(overlap, accept
 def test_ghz_helper(qubit3):
     g = ghz_theta(qubit3, 0.6)
     assert abs(np.linalg.norm(g.amplitudes) - 1) < 1e-12
+
+
+_S23 = StateSpace((2, 3))
+_KETS = [ket(QUBIT_PAIR, label) for label in ("00", "01", "10")]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: PureState(QUBIT_PAIR, np.ones(3) / math.sqrt(3.0)), DimensionMismatch, "does not match D=4"),
+        (lambda: PureState(QUBIT_PAIR, [np.nan, 1.0, 0.0, 0.0]), DimensionMismatch, "amplitudes must be finite"),
+        (lambda: PureState.normalized(QUBIT_PAIR, np.zeros(4)), DimensionMismatch, "cannot normalize the zero vector"),
+        (lambda: basis_state(QUBIT_PAIR, (0,)), DimensionMismatch, "one index per party required"),
+        (lambda: DiscriminationInstance.from_pure(QUBIT_PAIR, []), InvalidInstance, "need at least one state"),
+        (lambda: DiscriminationInstance.from_pure(QUBIT_PAIR, _KETS, _KETS[0]), InvalidInstance, "declared phi must be orthogonal"),
+        (lambda: state_from_coeff_matrix(np.eye(3)), WrongSpace, "expected a 2x2 coefficient matrix"),
+        (lambda: magic_coords(ket(_S23, "00")), WrongSpace, "magic coordinates are defined on 2x2 spaces only"),
+        (lambda: orthonormal_completion([]), DimensionMismatch, "need at least one state to complete"),
+    ],
+    ids=[
+        "wrong_length",
+        "non_finite",
+        "normalize_zero",
+        "index_count",
+        "no_states",
+        "phi_overlaps_a_state",
+        "coeff_matrix_not_2x2",
+        "magic_coords_not_2x2",
+        "complete_nothing",
+    ],
+)
+def test_public_input_checks_reject(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

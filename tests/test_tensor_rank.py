@@ -5,7 +5,7 @@ import pytest
 
 from sepdisc.constructions import SubspaceKind, locc_basis_sch2, subspace_verdict
 from sepdisc.discrimination import VerdictStatus, decide
-from sepdisc.errors import NotIndependent, WrongForm
+from sepdisc.errors import DimensionMismatch, NotIndependent, WrongForm
 from sepdisc.sampling import (
     random_basis_of_complement,
     random_entangled_2x2,
@@ -368,3 +368,20 @@ def test_early_reject_matches_the_residual_rule(dims):
                 assert all(g.tobytes() == r.tobytes() for g, r in zip(got.factors, want.factors))
     # the perturbations straddle the bound
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: entry_distance(_pv(QUBIT_PAIR, "00"), _pv(S3, "000")), "product vectors live on different spaces"),
+        (
+            lambda: entry_distance(ProductVector(([1, 0], [1, 0, 0])), ProductVector(([1, 0, 0], [1, 0]))),
+            "factor dimensions differ",
+        ),
+        (lambda: product_vectors_in_span(ket(QUBIT_PAIR, "00"), ket(StateSpace((2, 3)), "01")), "states live on different spaces"),
+    ],
+    ids=["entry_distance_parties", "entry_distance_factor_dims", "span_spaces"],
+)
+def test_mismatched_spaces_rejected(check, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        check()
